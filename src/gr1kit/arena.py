@@ -11,10 +11,25 @@ The move relations are stored in CSR form over (state, env-choice) pairs so
 that solvers can run vectorized fixpoints.  Environment moves with no legal
 system response are kept as pairs with empty system slices: they are system
 deadlocks, not missing environment options.
+
+One codec, ``_Codec``, converts between indices and values everywhere: it
+packs a list of (name, primed) variables in mixed radix.  One compile path
+evaluates every clause set.  A relation has rows (states in stage 1;
+(state, env') pairs in stage 2; states or env assignments for the init
+sets and predicates) and columns (env' assignments in stage 1, sys'
+assignments in stage 2, a single column for predicates).  Clauses are
+grouped by the column variables they reference; each group's conjunction
+is tabulated once over the joint domain of its variables, giving a small
+[row profile × column profile] truth table, and applied to a chunk of rows
+by a row gather followed by a column gather.  A table that would be
+larger than a chunk, or cover more row profiles than there are rows, is
+instead built per chunk over the profiles that occur in it.  True cells
+are read off per chunk, so no full [rows × columns] matrix is held.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, replace
 
@@ -23,7 +38,60 @@ import numpy as np
 from .errors import CapacityExceeded
 from . import speclang as sl
 
-_BLOCK_CELLS = 1 << 24
+_BLOCK_CELLS = 1 << 20
+
+
+class _Codec:
+    """Mixed-radix codec over (name, primed) variables, first most significant."""
+
+    def __init__(self, fields):
+        self.fields = tuple(fields)          # (key, lo, size)
+        self.keys = tuple(key for key, _, _ in self.fields)
+        self._pos = {key: k for k, key in enumerate(self.keys)}
+        weights, self.size = [], 1
+        for _, _, size in reversed(self.fields):
+            weights.append(self.size)
+            self.size *= size
+        self.weights = tuple(reversed(weights))
+
+    @classmethod
+    def of(cls, decls, primed=False):
+        return cls(((d.name, primed), d.lo, d.size) for d in decls)
+
+    def sub(self, keys):
+        """Codec over the given keys, kept in this codec's order."""
+        return _Codec(f for f in self.fields if f[0] in keys)
+
+    def encode(self, values):
+        return sum((v - lo) * w
+                   for v, (_, lo, _), w in zip(values, self.fields, self.weights))
+
+    def decode(self, i):
+        i = int(i)
+        return tuple(lo + i // w % size
+                     for (_, lo, size), w in zip(self.fields, self.weights))
+
+    def column(self, key, idx=None):
+        """Values of one variable at each index (default: every index)."""
+        if idx is None:
+            idx = np.arange(self.size, dtype=np.int64)
+        k = self._pos[key]
+        _, lo, size = self.fields[k]
+        return idx // self.weights[k] % size + lo
+
+    def values(self, idx=None):
+        """[indices × variables] value matrix."""
+        cols = [self.column(key, idx) for key in self.keys]
+        n = self.size if idx is None else len(idx)
+        return np.stack(cols, axis=1) if cols else np.zeros((n, 0), np.int64)
+
+    def project(self, idx, sub):
+        """Index under `sub` (a codec over a subset of our keys) of each index."""
+        out = np.zeros(len(idx), dtype=np.int64)
+        for key, w in zip(sub.keys, sub.weights):
+            k = self._pos[key]
+            out += idx // self.weights[k] % self.fields[k][2] * w
+        return out
 
 
 @dataclass
@@ -61,42 +129,32 @@ class GameArena:
 
     # ---- mixed-radix codec -------------------------------------------
 
-    def _weights(self, decls):
-        w = [1] * len(decls)
-        for i in range(len(decls) - 2, -1, -1):
-            w[i] = w[i + 1] * decls[i + 1].size
-        return w
+    @functools.cached_property
+    def state_codec(self):
+        return _Codec.of(self.decls)
+
+    @functools.cached_property
+    def env_codec(self):
+        return _Codec.of(self.env_decls())
+
+    @functools.cached_property
+    def sys_codec(self):
+        return _Codec.of(self.sys_decls())
 
     def encode_env(self, values):
-        w = self._weights(self.env_decls())
-        return sum((v - d.lo) * wi
-                   for v, d, wi in zip(values, self.env_decls(), w))
+        return self.env_codec.encode(values)
 
     def encode_sys(self, values):
-        w = self._weights(self.sys_decls())
-        return sum((v - d.lo) * wi
-                   for v, d, wi in zip(values, self.sys_decls(), w))
+        return self.sys_codec.encode(values)
 
     def encode_state(self, values):
-        ne = self.n_env_vars
-        return self.encode_env(values[:ne]) * self.n_sys + \
-            self.encode_sys(values[ne:])
+        return self.state_codec.encode(values)
 
     def decode_env(self, e):
-        vals = []
-        rem = int(e)
-        for d in reversed(self.env_decls()):
-            vals.append(d.lo + rem % d.size)
-            rem //= d.size
-        return tuple(reversed(vals))
+        return self.env_codec.decode(e)
 
     def decode_state(self, s):
-        vals = []
-        rem = int(s)
-        for d in reversed(self.decls):
-            vals.append(d.lo + rem % d.size)
-            rem //= d.size
-        return tuple(reversed(vals))
+        return self.state_codec.decode(s)
 
     def valuation(self, s):
         """State as a name -> value dict."""
@@ -104,20 +162,10 @@ class GameArena:
 
     def env_values(self, e):
         """Env assignment index as a name -> value dict."""
-        vals = []
-        rem = int(e)
-        for d in reversed(self.env_decls()):
-            vals.append(d.lo + rem % d.size)
-            rem //= d.size
-        return dict(zip((d.name for d in self.env_decls()), reversed(vals)))
+        return dict(zip(self.names[:self.n_env_vars], self.decode_env(e)))
 
     def sys_values(self, y):
-        vals = []
-        rem = int(y)
-        for d in reversed(self.sys_decls()):
-            vals.append(d.lo + rem % d.size)
-            rem //= d.size
-        return dict(zip((d.name for d in self.sys_decls()), reversed(vals)))
+        return dict(zip(self.names[self.n_env_vars:], self.sys_codec.decode(y)))
 
     # ---- moves --------------------------------------------------------
 
@@ -144,24 +192,11 @@ class GameArena:
 
     def column(self, name, idx=None):
         """Values of a variable across all states (or the given indices)."""
-        pos = self.names.index(name)
-        w = 1
-        for d in self.decls[pos + 1:]:
-            w *= d.size
-        if idx is None:
-            idx = np.arange(self.n_states, dtype=np.int64)
-        return (idx // w) % self.decls[pos].size + self.decls[pos].lo
+        return self.state_codec.column((name, False), idx)
 
     def env_column(self, name, idx=None):
         """Values of an env variable across env assignment indices."""
-        decls = self.env_decls()
-        pos = [d.name for d in decls].index(name)
-        w = 1
-        for d in decls[pos + 1:]:
-            w *= d.size
-        if idx is None:
-            idx = np.arange(self.n_env, dtype=np.int64)
-        return (idx // w) % decls[pos].size + decls[pos].lo
+        return self.env_codec.column((name, False), idx)
 
     def dump(self, fp):
         """Adjacency dump: one ``state TAB env TAB sys`` line per edge."""
@@ -173,184 +208,104 @@ class GameArena:
 
 
 # --------------------------------------------------------------------------
-# vectorized clause evaluation
+# clause compilation: clause groups -> truth tables -> gathers
+
+_CMP = {"=": np.equal, "!=": np.not_equal, "<": np.less,
+        "<=": np.less_equal, ">": np.greater, ">=": np.greater_equal}
 
 
-def _depends_primed(e, names):
-    """Does the expression reference a primed variable from `names`?"""
-    return any(primed and name in names for name, primed in sl.expr_refs(e))
+def _term(t, val):
+    return t.offset if t.name is None else val[t.name, t.primed] + t.offset
 
 
-class _Frame:
-    """Column provider for vectorized evaluation.
-
-    cur(name) and nxt(name) return numpy arrays (or scalars) that broadcast
-    against each other; eval caches subtrees that do not depend on the
-    volatile (per-candidate) variables listed in `volatile`.
-    """
-
-    def __init__(self, cur, nxt, volatile=()):
-        self.cur = cur
-        self.nxt = nxt
-        self.volatile = frozenset(volatile)
-        self._cache = {}
-        self._dep = {}
-
-    def _volatile_node(self, e):
-        key = id(e)
-        if key not in self._dep:
-            self._dep[key] = _depends_primed(e, self.volatile)
-        return self._dep[key]
-
-    def eval(self, e):
-        key = id(e)
-        cacheable = self.volatile and not self._volatile_node(e)
-        if not self.volatile:
-            cacheable = False  # single-shot frames need no cache
-        if cacheable and key in self._cache:
-            return self._cache[key]
-        val = self._eval(e)
-        if cacheable:
-            self._cache[key] = val
-        return val
-
-    def _term(self, t):
-        if t.name is None:
-            return t.offset
-        col = self.nxt(t.name) if t.primed else self.cur(t.name)
-        return col + t.offset if t.offset else col
-
-    def _eval(self, e):
-        if isinstance(e, sl.BoolLit):
-            return e.value
-        if isinstance(e, sl.VarRef):
-            col = self.nxt(e.name) if e.primed else self.cur(e.name)
-            if isinstance(col, (int, np.integer)):
-                return bool(col)
-            return col != 0
-        if isinstance(e, sl.Cmp):
-            a, b = self._term(e.lhs), self._term(e.rhs)
-            ops = {"=": np.equal, "!=": np.not_equal, "<": np.less,
-                   "<=": np.less_equal, ">": np.greater, ">=": np.greater_equal}
-            scalars = isinstance(a, (int, np.integer)) and isinstance(b, (int, np.integer))
-            if scalars:
-                return {"=": a == b, "!=": a != b, "<": a < b,
-                        "<=": a <= b, ">": a > b, ">=": a >= b}[e.op]
-            return ops[e.op](a, b)
-        if isinstance(e, sl.Not):
-            v = self.eval(e.arg)
-            return (not v) if isinstance(v, bool) else np.logical_not(v)
-        if isinstance(e, sl.And):
-            acc = True
-            for a in e.args:
-                v = self.eval(a)
-                if v is False:
-                    return False
-                acc = v if acc is True else (
-                    acc if v is True else np.logical_and(acc, v))
-            return acc
-        if isinstance(e, sl.Or):
-            acc = False
-            for a in e.args:
-                v = self.eval(a)
-                if v is True:
-                    return True
-                acc = v if acc is False else (
-                    acc if v is False else np.logical_or(acc, v))
-            return acc
-        if isinstance(e, sl.Implies):
-            a, b = self.eval(e.lhs), self.eval(e.rhs)
-            if a is False or b is True:
-                return True
-            if a is True:
-                return b
-            if b is False:
-                return np.logical_not(a)
-            return np.logical_or(np.logical_not(a), b)
-        if isinstance(e, sl.Iff):
-            a, b = self.eval(e.lhs), self.eval(e.rhs)
-            if isinstance(a, bool) and isinstance(b, bool):
-                return a == b
-            return np.equal(a, b)
-        raise TypeError(f"not an expression: {e!r}")
+def _eval(e, val):
+    """``speclang.eval_expr`` over arrays: `val` maps (name, primed) to
+    mutually broadcastable value arrays."""
+    if isinstance(e, sl.BoolLit):
+        return e.value
+    if isinstance(e, sl.VarRef):
+        return val[e.name, e.primed] != 0
+    if isinstance(e, sl.Cmp):
+        return _CMP[e.op](_term(e.lhs, val), _term(e.rhs, val))
+    if isinstance(e, sl.Not):
+        return np.logical_not(_eval(e.arg, val))
+    if isinstance(e, sl.And):
+        return functools.reduce(np.logical_and,
+                                (_eval(a, val) for a in e.args), True)
+    if isinstance(e, sl.Or):
+        return functools.reduce(np.logical_or,
+                                (_eval(a, val) for a in e.args), False)
+    if isinstance(e, sl.Implies):
+        return np.logical_or(np.logical_not(_eval(e.lhs, val)),
+                             _eval(e.rhs, val))
+    if isinstance(e, sl.Iff):
+        return np.equal(_eval(e.lhs, val), _eval(e.rhs, val))
+    raise TypeError(f"not an expression: {e!r}")
 
 
-def _var_layout(decls):
-    sizes = [d.size for d in decls]
-    weights = [1] * len(decls)
-    for i in range(len(decls) - 2, -1, -1):
-        weights[i] = weights[i + 1] * sizes[i + 1]
-    return {d.name: (weights[i], d.size, d.lo)
-            for i, d in enumerate(decls)}
+def _table(clauses, row, profiles, col):
+    """Truth of a clause conjunction, [row profiles × every `col` index]."""
+    val = {key: row.column(key, profiles)[:, None] for key in row.keys}
+    val.update((key, col.column(key)[None, :]) for key in col.keys)
+    return functools.reduce(np.logical_and, (_eval(c, val) for c in clauses),
+                            np.ones((len(profiles), col.size), dtype=bool))
 
 
-def _column_from(layout, name, idx):
-    w, size, lo = layout[name]
-    return (idx // w) % size + lo
+def _relation(clauses, row, rows, col):
+    """True cells (row positions, column indices) of a clause conjunction.
+
+    Rows are indices under codec `row`, columns every index of codec `col`.
+    Cells come in row-major order."""
+    groups = {}
+    for c in clauses:
+        refs = sl.expr_refs(c)
+        groups.setdefault(frozenset(k for k in refs if k in col.keys),
+                          []).append((c, refs))
+    tables = []
+    for nxt_keys, group in groups.items():
+        sub = row.sub(set().union(*(refs for _, refs in group)))
+        col_sub = col.sub(nxt_keys)
+        conj = [c for c, _ in group]
+        table = None
+        if sub.size <= len(rows) and sub.size * col_sub.size <= _BLOCK_CELLS:
+            table = _table(conj, sub, np.arange(sub.size, dtype=np.int64),
+                           col_sub)
+        # otherwise each chunk tabulates only the profiles that occur in it,
+        # so no table is larger than a chunk
+        tables.append((conj, sub, col_sub, table,
+                       col.project(np.arange(col.size), col_sub)))
+    step = max(1, _BLOCK_CELLS // col.size)
+    r_parts, c_parts = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    for lo in range(0, len(rows), step):
+        chunk = rows[lo:lo + step]
+        # numpy lays out a column gather column-major; a mask in the same
+        # order keeps the in-place AND contiguous
+        mask = np.ones((len(chunk), col.size), dtype=bool, order="F")
+        for conj, sub, col_sub, table, cols in tables:
+            ri = row.project(chunk, sub)
+            if table is None:
+                profiles, ri = np.unique(ri, return_inverse=True)
+                mask &= _table(conj, sub, profiles, col_sub)[ri][:, cols]
+            else:
+                mask &= table[ri][:, cols]
+        r, c = np.divmod(np.flatnonzero(mask), col.size)
+        r_parts.append(r + lo)
+        c_parts.append(c)
+    return np.concatenate(r_parts), np.concatenate(c_parts)
 
 
-# Clauses usually touch few variables, so their truth tables are tiny
-# compared to the full (state, move) product.  Expressions are evaluated
-# once on a small profile grid indexed by the joint values of the
-# variables they reference, then applied to the big masks by one gather.
+def _indptr(owner, n):
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner, minlength=n), out=indptr[1:])
+    return indptr
 
 
-def _refs_split(clause, cur_order, nxt_order):
-    refs = sl.expr_refs(clause)
-    cur = [n for n in cur_order if (n, False) in refs]
-    nxt = [n for n in nxt_order if (n, True) in refs]
-    return cur, nxt
-
-
-def _profile_layout(layout, names):
-    """Mixed-radix packing of a variable subset, most significant first."""
-    sizes = [layout[n][1] for n in names]
-    weights = [1] * len(names)
-    for i in range(len(names) - 2, -1, -1):
-        weights[i] = weights[i + 1] * sizes[i + 1]
-    total = weights[0] * sizes[0] if names else 1
-    return weights, sizes, total
-
-
-def _profile_index(layout, names, idx, cache):
-    key = tuple(names)
-    if key in cache:
-        return cache[key]
-    weights, sizes, _ = _profile_layout(layout, names)
-    out = np.zeros(len(idx), dtype=np.int64)
-    for n, w2 in zip(names, weights):
-        w, size, _lo = layout[n]
-        out += ((idx // w) % size) * w2
-    cache[key] = out
+def _holds(clauses, codec):
+    """Bool array over every index of `codec`: the clauses all hold."""
+    out = np.zeros(codec.size, dtype=bool)
+    out[_relation(clauses, codec, np.arange(codec.size, dtype=np.int64),
+                  _Codec(()))[0]] = True
     return out
-
-
-def _clause_grid(clause, cur_names, nxt_names, layout, nxt_layout,
-                 sys_scalars=None):
-    """Truth table of a clause over the joint domains of its references.
-
-    Returns a bool array of shape [#cur profiles, #nxt profiles]; primed
-    system variables (when `sys_scalars` is given) come from that mapping
-    instead of the grid axes."""
-    cw, cs, P = _profile_layout(layout, cur_names)
-    nw, ns, Q = _profile_layout(nxt_layout, nxt_names)
-    pi = np.arange(P, dtype=np.int64)
-    qi = np.arange(Q, dtype=np.int64)
-
-    def cur(name):
-        k = cur_names.index(name)
-        return (((pi // cw[k]) % cs[k]) + layout[name][2])[:, None]
-
-    def nxt(name):
-        if sys_scalars is not None and name in sys_scalars:
-            return sys_scalars[name]
-        k = nxt_names.index(name)
-        return (((qi // nw[k]) % ns[k]) + nxt_layout[name][2])[None, :]
-
-    val = _Frame(cur, nxt).eval(clause)
-    if isinstance(val, bool):
-        return np.full((P, Q), val, dtype=bool)
-    return np.broadcast_to(val, (P, Q))
 
 
 def build_arena(doc, cap=1 << 24):
@@ -361,170 +316,30 @@ def build_arena(doc, cap=1 << 24):
     clause-by-clause evaluation through ``speclang.eval_expr``.
     """
     env_decls = tuple(doc.env_vars())
-    sys_decls = tuple(doc.sys_vars())
-    decls = env_decls + sys_decls
+    decls = env_decls + tuple(doc.sys_vars())
+    state = _Codec.of(decls)
+    env_nxt = _Codec.of(env_decls, primed=True)
+    sys_nxt = _Codec.of(decls[len(env_decls):], primed=True)
     # a side with no variables keeps one (empty) assignment: product = 1
-    n_env = 1
-    for d in env_decls:
-        n_env *= d.size
-    n_sys = 1
-    for d in sys_decls:
-        n_sys *= d.size
-    n_states = n_env * n_sys
+    n_env, n_sys = env_nxt.size, sys_nxt.size
+    n_states = state.size
     if n_states > cap:
         raise CapacityExceeded(
             f"valuation space has {n_states} states, cap is {cap}")
 
-    state_layout = _var_layout(decls)
-    env_layout = _var_layout(env_decls) if env_decls else {}
-    sys_layout = _var_layout(sys_decls) if sys_decls else {}
-    env_names = {d.name for d in env_decls}
-    sys_names = {d.name for d in sys_decls}
-
-    # ---- stage 1: legal (state, env') pairs ---------------------------
-    decl_order = [d.name for d in decls]
-    env_order = [d.name for d in env_decls]
-    block = max(1, min(n_states, _BLOCK_CELLS // max(n_env, 1)))
-    s_parts, e_parts = [], []
-    env_idx = np.arange(n_env, dtype=np.int64)
-    for lo in range(0, n_states, block):
-        hi = min(lo + block, n_states)
-        rows = np.arange(lo, hi, dtype=np.int64)
-
-        def cur(name, rows=rows):
-            return _column_from(state_layout, name, rows)[:, None]
-
-        def nxt(name):
-            if name not in env_names:
-                raise AssertionError("validator must forbid primed sys here")
-            return _column_from(env_layout, name, env_idx)[None, :]
-
-        frame = _Frame(cur, nxt)
-        mask = np.ones((hi - lo, n_env), dtype=bool)
-        for clause in doc.env_safety:
-            val = frame.eval(clause)
-            if val is True:
-                continue
-            if val is False:
-                mask[:] = False
-                break
-            mask &= np.broadcast_to(val, mask.shape)
-        r, c = np.nonzero(mask)
-        s_parts.append(r + lo)
-        e_parts.append(c)
-    pair_state = np.concatenate(s_parts) if s_parts else np.zeros(0, np.int64)
-    env_next = (np.concatenate(e_parts) if e_parts else
-                np.zeros(0, np.int64)).astype(np.int64)
-    env_indptr = np.zeros(n_states + 1, dtype=np.int64)
-    np.cumsum(np.bincount(pair_state, minlength=n_states), out=env_indptr[1:])
-
-    # ---- stage 2: sys responses per pair ------------------------------
-    n_pairs = len(pair_state)
-    cur_cache, nxt_cache = {}, {}
-
-    def cur_pairs(name):
-        if name not in cur_cache:
-            cur_cache[name] = _column_from(state_layout, name, pair_state)
-        return cur_cache[name]
-
-    sys_box = {}
-
-    def nxt_dispatch(name):
-        if name in env_names:
-            if name not in nxt_cache:
-                nxt_cache[name] = _column_from(env_layout, name, env_next)
-            return nxt_cache[name]
-        return sys_box[name]
-
-    frame = _Frame(cur_pairs, nxt_dispatch, volatile=sys_names)
-    pair_clauses = [c for c in doc.sys_safety
-                    if not _depends_primed(c, sys_names)]
-    choice_clauses = [c for c in doc.sys_safety
-                      if _depends_primed(c, sys_names)]
-    pair_pi_cache, pair_qi_cache = {}, {}
-
-    alive = np.ones(n_pairs, dtype=bool)
-    for clause in pair_clauses:
-        cur_names, nxt_names = _refs_split(clause, decl_order, env_order)
-        _, _, P = _profile_layout(state_layout, cur_names)
-        _, _, Q = _profile_layout(env_layout, nxt_names)
-        if n_pairs and P * Q * 4 <= n_pairs:
-            grid = _clause_grid(clause, cur_names, nxt_names,
-                                state_layout, env_layout)
-            pi = _profile_index(state_layout, cur_names, pair_state,
-                                pair_pi_cache)
-            qi = _profile_index(env_layout, nxt_names, env_next,
-                                pair_qi_cache)
-            alive &= grid.reshape(-1)[pi * Q + qi]
-            continue
-        val = frame.eval(clause)
-        if val is True:
-            continue
-        if val is False:
-            alive[:] = False
-            break
-        alive &= val
-
-    # the per-choice clauses usually reference few variables, so their
-    # conjunction fits one truth table over (current, next-env, response)
-    cur_u = [n for n in decl_order
-             if any((n, False) in sl.expr_refs(c) for c in choice_clauses)]
-    nxtenv_u = [n for n in env_order
-                if any((n, True) in sl.expr_refs(c) for c in choice_clauses)]
-    _, _, Pu = _profile_layout(state_layout, cur_u)
-    _, _, Qu = _profile_layout(env_layout, nxtenv_u)
-    gridded = (n_pairs > 0 and choice_clauses
-               and Pu * Qu * n_sys <= (1 << 22)
-               and Pu * Qu * 4 <= n_pairs * 3)
-    if gridded:
-        pi = _profile_index(state_layout, cur_u, pair_state, pair_pi_cache)
-        qi = _profile_index(env_layout, nxtenv_u, env_next, pair_qi_cache)
-        flat = pi * Qu + qi
-
-    pair_parts, y_parts = [], []
-    for y in range(n_sys):
-        for d in sys_decls:
-            w, size, lo = sys_layout[d.name]
-            sys_box[d.name] = (y // w) % size + lo
-        if gridded:
-            g = np.ones((Pu, Qu), dtype=bool)
-            for clause in choice_clauses:
-                g &= _clause_grid(clause, cur_u, nxtenv_u, state_layout,
-                                  env_layout, sys_scalars=sys_box)
-            mask = alive & g.reshape(-1)[flat]
-        else:
-            mask = alive
-            dead = False
-            for clause in choice_clauses:
-                val = frame.eval(clause)
-                if val is True:
-                    continue
-                if val is False:
-                    dead = True
-                    break
-                mask = np.logical_and(mask, val)
-            if dead:
-                continue
-        sel = np.nonzero(mask)[0]
-        if len(sel):
-            pair_parts.append(sel)
-            y_parts.append(np.full(len(sel), y, dtype=np.int64))
-    if pair_parts:
-        all_pairs = np.concatenate(pair_parts)
-        all_ys = np.concatenate(y_parts)
-        order = np.argsort(all_pairs, kind="stable")
-        edge_pair = all_pairs[order]
-        sys_next = all_ys[order]
-    else:
-        edge_pair = np.zeros(0, np.int64)
-        sys_next = np.zeros(0, np.int64)
-    sys_indptr = np.zeros(n_pairs + 1, dtype=np.int64)
-    np.cumsum(np.bincount(edge_pair, minlength=n_pairs), out=sys_indptr[1:])
+    # stage 1: legal (state, env') pairs
+    pair_state, env_next = _relation(
+        doc.env_safety, state, np.arange(n_states, dtype=np.int64), env_nxt)
+    # stage 2: sys responses per pair; a row is the pair's (state, env')
+    edge_pair, sys_next = _relation(
+        doc.sys_safety, _Codec(state.fields + env_nxt.fields),
+        pair_state * n_env + env_next, sys_nxt)
 
     arena = GameArena(
         decls=decls, n_env_vars=len(env_decls), n_env=n_env, n_sys=n_sys,
-        env_indptr=env_indptr, env_next=env_next, pair_state=pair_state,
-        sys_indptr=sys_indptr, sys_next=sys_next,
+        env_indptr=_indptr(pair_state, n_states), env_next=env_next,
+        pair_state=pair_state,
+        sys_indptr=_indptr(edge_pair, len(pair_state)), sys_next=sys_next,
         env_init=np.ones(n_env, dtype=bool),
         sys_init=np.ones(n_states, dtype=bool),
         doc=doc)
@@ -537,47 +352,13 @@ def with_inits(arena, doc):
     The move structure is shared; only env_init / sys_init are replaced.
     Useful when scanning initial conditions over one compiled arena.
     """
-    env_decls = arena.env_decls()
-    env_layout = _var_layout(env_decls) if env_decls else {}
-    env_idx = np.arange(arena.n_env, dtype=np.int64)
-
-    def cur_env(name):
-        return _column_from(env_layout, name, env_idx)
-
-    frame = _Frame(cur_env, lambda n: None)
-    env_init = np.ones(arena.n_env, dtype=bool)
-    for clause in doc.env_init:
-        val = frame.eval(clause)
-        if val is True:
-            continue
-        env_init = np.logical_and(env_init, val)
-
-    state_layout = _var_layout(arena.decls)
-    state_idx = np.arange(arena.n_states, dtype=np.int64)
-
-    def cur_state(name):
-        return _column_from(state_layout, name, state_idx)
-
-    frame2 = _Frame(cur_state, lambda n: None)
-    sys_init = np.ones(arena.n_states, dtype=bool)
-    for clause in doc.sys_init:
-        val = frame2.eval(clause)
-        if val is True:
-            continue
-        sys_init = np.logical_and(sys_init, val)
-    return replace(arena, env_init=env_init,
-                   sys_init=sys_init, doc=doc)
+    return replace(arena, env_init=_holds(doc.env_init, arena.env_codec),
+                   sys_init=_holds(doc.sys_init, arena.state_codec), doc=doc)
 
 
 def state_predicate(arena, expr):
     """Evaluate a current-state expression over all states (bool array)."""
-    layout = _var_layout(arena.decls)
-    idx = np.arange(arena.n_states, dtype=np.int64)
-    frame = _Frame(lambda n: _column_from(layout, n, idx), lambda n: None)
-    val = frame.eval(expr)
-    if isinstance(val, bool):
-        return np.full(arena.n_states, val, dtype=bool)
-    return val
+    return _holds([expr], arena.state_codec)
 
 
 # --------------------------------------------------------------------------
@@ -592,13 +373,8 @@ def from_functions(decls, n_env_vars, env_fn, sys_fn,
     sys_fn(s, e) -> iterable of sys assignment indices.
     """
     decls = tuple(decls)
-    env_decls, sys_decls = decls[:n_env_vars], decls[n_env_vars:]
-    n_env = 1
-    for d in env_decls:
-        n_env *= d.size
-    n_sys = 1
-    for d in sys_decls:
-        n_sys *= d.size
+    n_env = _Codec.of(decls[:n_env_vars]).size
+    n_sys = _Codec.of(decls[n_env_vars:]).size
     n_states = n_env * n_sys
     env_indptr = [0]
     env_next, pair_state, sys_indptr, sys_next = [], [], [0], []

@@ -155,9 +155,11 @@ def lasso_check(strategy, adversary, doc):
             loop_start = seen[nid]
             cycle = path[loop_start:]
             cycle_states = [strategy.node_state(q) for q in cycle]
+            # the run falsifies an assumption only if the assumption
+            # fails at every state of the cycle
             vacuous = any(
-                not eval_expr(a, st)
-                for a in assumptions for st in cycle_states)
+                not any(eval_expr(a, st) for st in cycle_states)
+                for a in assumptions)
             for gi, g in enumerate(goals):
                 if any(eval_expr(g, st) for st in cycle_states):
                     continue

@@ -75,6 +75,15 @@ def _load_spec(path):
         return sl.parse_spec(fp.read())
 
 
+def _load_strategy(path):
+    """Strategy from a JSON file, or None after reporting why it is unusable."""
+    try:
+        return gr1.Strategy.load(path)
+    except (OSError, ValueError, LookupError, TypeError, AttributeError) as exc:
+        print(f"error: cannot load strategy {path}: {exc!r}", file=sys.stderr)
+        return None
+
+
 def cmd_synth(args):
     try:
         doc = _load_spec(args.spec)
@@ -111,7 +120,9 @@ def cmd_synth(args):
 
 
 def cmd_simulate(args):
-    strategy = gr1.Strategy.load(args.strategy)
+    strategy = _load_strategy(args.strategy)
+    if strategy is None:
+        return EXIT_PARSE
     events = []
     if args.events:
         with open(args.events) as fp:
@@ -163,7 +174,9 @@ def cmd_check(args):
         if not args.strategy:
             print("error: --strategy required", file=sys.stderr)
             return EXIT_PARSE
-        strategy = gr1.Strategy.load(args.strategy)
+        strategy = _load_strategy(args.strategy)
+        if strategy is None:
+            return EXIT_PARSE
         if args.mode == "lasso":
             adversary = sim.make_adversary(args.adversary)
             try:
@@ -172,7 +185,11 @@ def cmd_check(args):
                 print(f"error: {exc}", file=sys.stderr)
                 return EXIT_PARSE
         else:
-            arena = ar.build_arena(doc)
+            try:
+                arena = ar.build_arena(doc)
+            except CapacityExceeded as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return EXIT_CAPACITY
             result = gr1.solve(arena, doc.env_liveness, doc.sys_liveness)
             verdict = ck.verify_strategy_closure(strategy, arena, result)
     else:
@@ -192,12 +209,12 @@ def cmd_oracle(args):
             for d in exc.diagnostics:
                 print(f"error: {d!r}", file=sys.stderr)
             return EXIT_PARSE
-        arena = ar.build_arena(doc)
         try:
+            arena = ar.build_arena(doc)
             oracle = gr1.brute_force_oracle(
                 arena, doc.env_liveness, doc.sys_liveness,
                 cap=args.max_states)
-        except TooLarge as exc:
+        except (CapacityExceeded, TooLarge) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_CAPACITY
         result = gr1.solve(arena, doc.env_liveness, doc.sys_liveness)

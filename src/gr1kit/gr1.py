@@ -347,13 +347,8 @@ def extract_strategy(result, arena):
     n_sys = a.n_sys
 
     # decoded value tables for all env / sys assignment indices
-    env_mat = np.empty((a.n_env, max(len(env_decls), 1)), dtype=np.int64)
-    for e in range(a.n_env):
-        env_mat[e, :len(env_decls)] = a.decode_env(e)
-    sys_mat = np.empty((n_sys, max(len(sys_decls), 1)), dtype=np.int64)
-    for y in range(n_sys):
-        vals = a.sys_values(y)
-        sys_mat[y, :len(sys_decls)] = [vals[d.name] for d in sys_decls]
+    env_mat = a.env_codec.values()
+    sys_mat = a.sys_codec.values()
 
     node_ids = {}
     order = []       # (state, goal) in discovery order
@@ -372,7 +367,7 @@ def extract_strategy(result, arena):
         if not len(ys):
             raise NotRealizable(f"no winning sys init for env init {e0}")
         s0 = a.successor(int(e0), int(ys[0]))
-        init_env.append(tuple(int(x) for x in env_mat[e0, :len(env_decls)]))
+        init_env.append(tuple(int(x) for x in env_mat[e0]))
         init_node.append(node_of(s0, 0))
 
     # per-pair minimum of key = rank * n_sys + y picks the lowest-ranked
@@ -415,13 +410,12 @@ def extract_strategy(result, arena):
             s2 = a.successor(int(e), y)
             en.append(node_of(s2, jp))
             esv.append(y)
-        edge_env.append(env_mat[es_idx, :len(env_decls)].copy())
-        edge_sys.append(sys_mat[np.array(esv, dtype=np.int64), :len(sys_decls)]
-                        .reshape(-1, len(sys_decls)).copy())
+        edge_env.append(env_mat[es_idx])
+        edge_sys.append(sys_mat[np.array(esv, dtype=np.int64)])
         edge_next.append(np.array(en, dtype=np.int64))
         i += 1
 
-    node_vals = [tuple(a.decode_state(s)) for s, _ in order]
+    node_vals = [a.decode_state(s) for s, _ in order]
     return Strategy(
         env_names=tuple(d.name for d in env_decls),
         sys_names=tuple(d.name for d in sys_decls),

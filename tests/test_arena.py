@@ -1,15 +1,18 @@
+import dataclasses
+import hashlib
 import io
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gr1kit import arena as ar
 from gr1kit.errors import CapacityExceeded
-from gr1kit.speclang import eval_expr, parse_spec
+from gr1kit.speclang import ENV, eval_expr, parse_spec
 
-from genspec import random_document
+from genspec import random_document, random_expr
 
 
 def brute_env_moves(arena, doc, s):
@@ -72,18 +75,52 @@ def test_capacity_cap():
     doc = parse_spec("[ENV_VARS]\nu : 0..99\n[SYS_VARS]\nx : 0..99\n")
     with pytest.raises(CapacityExceeded):
         ar.build_arena(doc, cap=100)
+    # under the cap, a clause over every variable is never tabulated over
+    # its whole [states x env'] domain (here 40M cells): memory stays
+    # within a few chunks
+    tracemalloc.start()
+    try:
+        a = ar.build_arena(parse_spec(full_clause_spec(1999, 9)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert a.n_pairs == 2 * a.n_states - 19
+    assert peak < 16 * ar._BLOCK_CELLS
 
 
-def test_moves_match_clause_by_clause_eval():
+# A sys pair clause and a sys choice clause over every variable: their
+# (state, env') domain is wider than the legal pairs, which u' != u thins.
+WIDE_SPEC = ("[ENV_VARS]\nu : 0..2\nv : bool\n[SYS_VARS]\nx : -1..2\ny : bool\n"
+             "[ENV_TRANS]\nu' != u\n"
+             "[SYS_TRANS]\nu' = x + 1 | v' & !y | u >= 1 & !v\n"
+             "x' >= u' - 1 | (y' <-> v') | x = u & y & v\n")
+
+
+def full_clause_spec(u_hi, x_hi):
+    """An env clause and a sys clause, each over every variable."""
+    return (f"[ENV_VARS]\nu : 0..{u_hi}\n[SYS_VARS]\nx : 0..{x_hi}\n"
+            "[ENV_TRANS]\nu' = u + 1 | u' = x\n"
+            "[SYS_TRANS]\nx' = x | x' = u' & u > x\n")
+
+
+def test_moves_match_clause_by_clause_eval(monkeypatch):
     rng = random.Random(7)
-    checked = 0
-    while checked < 25:
+    docs = [parse_spec(WIDE_SPEC), parse_spec(full_clause_spec(9, 5))]
+    while len(docs) < 60:
         doc = random_document(rng)
-        if len(doc.vars) > 3:
-            continue
+        if len(doc.vars) <= 3:
+            docs.append(doc)
+    checked = 0
+    for doc in docs:
         a = ar.build_arena(doc)
         if a.n_states > 160:
             continue
+        # tiny chunks: every table outgrows a chunk and is built per chunk
+        with monkeypatch.context() as m:
+            m.setattr(ar, "_BLOCK_CELLS", 24)
+            b = ar.build_arena(doc)
+        for field in ARENA_FIELDS:
+            assert np.array_equal(getattr(a, field), getattr(b, field))
         for s in range(a.n_states):
             want_e = brute_env_moves(a, doc, s)
             assert want_e == [int(e) for e in a.env_moves(s)]
@@ -91,6 +128,7 @@ def test_moves_match_clause_by_clause_eval():
                 want_y = brute_sys_moves(a, doc, s, e)
                 assert want_y == [int(y) for y in a.sys_moves(s, e)]
         checked += 1
+    assert checked >= 40
 
 
 def test_adding_clause_never_enlarges_moves():
@@ -143,6 +181,26 @@ def test_init_sets():
     states = np.nonzero(a.sys_init)[0]
     assert all(a.valuation(int(s))["x"] == a.valuation(int(s))["u"]
                for s in states)
+    rng = random.Random(11)
+    for _ in range(40):
+        doc = random_document(rng)
+        env_decls = [d for d in doc.vars if d.owner == ENV]
+        doc2 = dataclasses.replace(
+            doc,
+            env_init=[random_expr(rng, env_decls) for _ in range(2)],
+            sys_init=[random_expr(rng, doc.vars) for _ in range(2)])
+        b = ar.with_inits(ar.build_arena(doc), doc2)
+        for e in range(b.n_env):
+            want = all(eval_expr(c, b.env_values(e)) for c in doc2.env_init)
+            assert b.env_init[e] == want
+        for expr in doc.env_liveness + doc.sys_liveness:
+            pred = ar.state_predicate(b, expr)
+            assert pred.shape == (b.n_states,)
+            assert all(pred[s] == eval_expr(expr, b.valuation(s))
+                       for s in range(b.n_states))
+        for s in range(b.n_states):
+            want = all(eval_expr(c, b.valuation(s)) for c in doc2.sys_init)
+            assert b.sys_init[s] == want
 
 
 def test_with_inits_shares_moves():
@@ -177,12 +235,23 @@ def test_reduced_state_count_by_enumeration(reduced_doc, reduced_arena):
     assert count == reduced_arena.n_states
 
 
+ARENA_FIELDS = ("env_indptr", "env_next", "pair_state", "sys_indptr",
+                "sys_next", "env_init", "sys_init")
+
+
 def test_build_is_deterministic(reduced_doc):
     a1 = ar.build_arena(reduced_doc)
     a2 = ar.build_arena(reduced_doc)
-    for field in ("env_indptr", "env_next", "pair_state", "sys_indptr",
-                  "sys_next", "env_init", "sys_init"):
+    for field in ARENA_FIELDS:
         assert np.array_equal(getattr(a1, field), getattr(a2, field))
+    # the reduced scenario's arena, pinned before the compiler was rewritten
+    h = hashlib.sha256()
+    for field in ARENA_FIELDS:
+        arr = getattr(a1, field)
+        h.update(f"{field} {arr.dtype.str} {arr.shape}".encode())
+        h.update(np.ascontiguousarray(arr).tobytes())
+    assert h.hexdigest() == (
+        "878a1e653c900f328927c6495caf7cd995ce39cb7cffd76ce9d985b6492e0962")
 
 
 def test_random_arena_is_reproducible():

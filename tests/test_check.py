@@ -124,6 +124,23 @@ def test_lasso_vacuous_when_assumption_falsified():
     assert verdict.passed
 
 
+def test_lasso_assumption_must_fail_on_whole_cycle():
+    doc = parse_spec("[ENV_VARS]\nu : bool\n[SYS_VARS]\nx : bool\n"
+                     "[ENV_LIVENESS]\nu\n[SYS_LIVENESS]\nx\n")
+    # u alternates 0/1 along a two-node cycle, so GF u holds while the
+    # goal x never does: a genuine liveness violation
+    st = gr1.Strategy(
+        env_names=("u",), sys_names=("x",), n_goals=1,
+        node_vals=[(0, 0), (1, 0)], node_goal=[0, 0],
+        edge_env=[np.array([[1]]), np.array([[0]])],
+        edge_sys=[np.array([[0]]), np.array([[0]])],
+        edge_next=[np.array([1]), np.array([0])],
+        init_env=[(0,)], init_node=[0])
+    verdict = check.lasso_check(st, sim.make_adversary("min-bl"), doc)
+    assert not verdict.passed
+    assert any("never satisfies" in v[2] for v in verdict.violations)
+
+
 def test_lasso_mutated_workdelivery_strategy(strategy_for, scenario):
     doc, arena, result = scenario(12)
     st = strategy_for(12)

@@ -212,3 +212,41 @@ def test_oracle_capacity_exit5(tmp_path, capsys):
     spec = tmp_path / "big.spec"
     assert run_cli(["emit", "--out", str(spec)]) == 0
     assert run_cli(["oracle", "--spec", str(spec)]) == 5
+
+
+HUGE_SPEC = "[ENV_VARS]\nu : 0..9999\n[SYS_VARS]\nx : 0..9999\n"
+
+
+def test_check_closure_capacity_exit5(workdir, tmp_path, capsys):
+    root, spec, strat = workdir
+    big = tmp_path / "huge.spec"
+    big.write_text(HUGE_SPEC)
+    assert run_cli(["check", "--spec", str(big), "--mode", "closure",
+                    "--strategy", str(strat)]) == 5
+    assert "cap" in capsys.readouterr().err
+
+
+def test_oracle_spec_capacity_exit5(tmp_path, capsys):
+    big = tmp_path / "huge.spec"
+    big.write_text(HUGE_SPEC)
+    assert run_cli(["oracle", "--spec", str(big)]) == 5
+    assert "cap" in capsys.readouterr().err
+
+
+def test_simulate_bad_strategy_exit2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    assert run_cli(["simulate", str(bad), "--steps", "5"]) == 2
+    assert run_cli(["simulate", str(tmp_path / "missing.json")]) == 2
+    assert "cannot load strategy" in capsys.readouterr().err
+
+
+def test_check_bad_strategy_exit2(workdir, tmp_path, capsys):
+    root, spec, strat = workdir
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"vars": ["bl"]}')
+    for path in (bad, tmp_path / "missing.json"):
+        for mode in ("lasso", "closure"):
+            assert run_cli(["check", "--spec", str(spec), "--mode", mode,
+                            "--strategy", str(path)]) == 2
+    assert "cannot load strategy" in capsys.readouterr().err
