@@ -62,9 +62,15 @@ class _Codec:
         """Codec over the given keys, kept in this codec's order."""
         return _Codec(f for f in self.fields if f[0] in keys)
 
-    def encode(self, values):
-        return sum((v - lo) * w
-                   for v, (_, lo, _), w in zip(values, self.fields, self.weights))
+    def index(self, values):
+        """Index of each row of a [n × variables] value matrix; -1 for a
+        row holding a value outside its variable's domain."""
+        lo = np.array([lo for _, lo, _ in self.fields], dtype=np.int64)
+        size = np.array([size for _, _, size in self.fields], dtype=np.int64)
+        off = np.asarray(values, dtype=np.int64) - lo
+        inside = ((off >= 0) & (off < size)).all(axis=1)
+        return np.where(inside, off @ np.array(self.weights, dtype=np.int64),
+                        -1)
 
     def decode(self, i):
         i = int(i)
@@ -121,12 +127,6 @@ class GameArena:
     def names(self):
         return tuple(d.name for d in self.decls)
 
-    def env_decls(self):
-        return self.decls[:self.n_env_vars]
-
-    def sys_decls(self):
-        return self.decls[self.n_env_vars:]
-
     # ---- mixed-radix codec -------------------------------------------
 
     @functools.cached_property
@@ -135,23 +135,15 @@ class GameArena:
 
     @functools.cached_property
     def env_codec(self):
-        return _Codec.of(self.env_decls())
+        return _Codec.of(self.decls[:self.n_env_vars])
 
     @functools.cached_property
     def sys_codec(self):
-        return _Codec.of(self.sys_decls())
-
-    def encode_env(self, values):
-        return self.env_codec.encode(values)
-
-    def encode_sys(self, values):
-        return self.sys_codec.encode(values)
+        return _Codec.of(self.decls[self.n_env_vars:])
 
     def encode_state(self, values):
-        return self.state_codec.encode(values)
-
-    def decode_env(self, e):
-        return self.env_codec.decode(e)
+        """State index of a value tuple; -1 outside the domain."""
+        return int(self.state_codec.index([values])[0])
 
     def decode_state(self, s):
         return self.state_codec.decode(s)
@@ -162,7 +154,8 @@ class GameArena:
 
     def env_values(self, e):
         """Env assignment index as a name -> value dict."""
-        return dict(zip(self.names[:self.n_env_vars], self.decode_env(e)))
+        return dict(zip(self.names[:self.n_env_vars],
+                        self.env_codec.decode(e)))
 
     def sys_values(self, y):
         return dict(zip(self.names[self.n_env_vars:], self.sys_codec.decode(y)))
@@ -447,11 +440,3 @@ def random_arena(seed, max_states=200, max_goals=2):
     sys_live = [np.array([rng.random() < 0.5 for _ in range(n_states)])
                 for _ in range(rng.randint(1, max_goals))]
     return arena, env_live, sys_live
-
-
-def env_moves(arena, s):
-    return arena.env_moves(s)
-
-
-def sys_moves(arena, s, e):
-    return arena.sys_moves(s, e)

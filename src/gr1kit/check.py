@@ -17,7 +17,10 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import AdversaryNotFinite
 from .speclang import eval_expr, format_expr
@@ -133,7 +136,7 @@ def lasso_check(strategy, adversary, doc):
     violations = []
     worst_gap = 0
 
-    for start in dict.fromkeys(strategy.init_node):
+    for start in dict.fromkeys(strategy.init_node.tolist()):
         seen = {}
         path = []
         nid = start
@@ -146,11 +149,7 @@ def lasso_check(strategy, adversary, doc):
                 break
             choice = adversary.choose(0, strategy.node_state(nid),
                                       legal, env_names)
-            resp = strategy.respond(nid, tuple(choice))
-            if resp is None:
-                violations.append((nid, "hole", f"no edge for {choice}"))
-                break
-            nid = resp[1]
+            nid = strategy.respond(nid, legal.index(tuple(choice)))[1]
         else:
             loop_start = seen[nid]
             cycle = path[loop_start:]
@@ -161,9 +160,7 @@ def lasso_check(strategy, adversary, doc):
                 not any(eval_expr(a, st) for st in cycle_states)
                 for a in assumptions)
             for gi, g in enumerate(goals):
-                if any(eval_expr(g, st) for st in cycle_states):
-                    continue
-                if vacuous:
+                if vacuous or any(eval_expr(g, st) for st in cycle_states):
                     continue
                 violations.append(
                     (cycle[0], f"sys_liveness[{gi}]",
@@ -187,59 +184,81 @@ def lasso_check(strategy, adversary, doc):
 # closure
 
 
+def _find(keys, queries):
+    """Position of each query in the sorted array `keys`, -1 where absent."""
+    pos = np.searchsorted(keys, queries)
+    hit = pos < len(keys)
+    hit[hit] = keys[pos[hit]] == queries[hit]
+    return np.where(hit, pos, -1)
+
+
 def verify_strategy_closure(strategy, arena, result=None):
     """Totality and consistency of a controller against an arena.
 
-    Checks, per node: every legal env assignment has exactly one edge, the
-    recorded response is a legal sys move, the successor node carries the
-    combined assignment, and the goal index advances exactly on nodes
-    satisfying their current goal (when `result` is given, which also
-    enables the winning-region membership check)."""
+    Checks, per node: the state lies in the arena's domain, every legal env
+    assignment has exactly one edge, the recorded response is a legal sys
+    move, the successor node carries the combined assignment, and the goal
+    index advances exactly on nodes satisfying their current goal (when
+    `result` is given, which also enables the winning-region membership
+    check).  A value outside its variable's domain is never legal."""
+    st, a = strategy, arena
+    if st.names != a.names:
+        return _verdict([("vars", "order", f"strategy vars {st.names} != "
+                                           f"arena vars {a.names}")])
+    owner = np.repeat(np.arange(st.n_nodes), np.diff(st.edge_indptr))
+    s = a.state_codec.index(st.node_vals)           # -1: outside the domain
+    here = s[owner]
+    e = np.where(here < 0, -1, a.env_codec.index(st.edge_env))
+    y = a.sys_codec.index(st.edge_sys)
+    # the arena's pairs are sorted by state * n_env + env' and its edges by
+    # pair * n_sys + sys'; a key of -1 finds nothing
+    pair = _find(a.pair_state * a.n_env + a.env_next,
+                 np.where(e < 0, -1, here * a.n_env + e))
+    edge_pair = np.repeat(np.arange(a.n_pairs), np.diff(a.sys_indptr))
+    sys_ok = _find(edge_pair * a.n_sys + a.sys_next,
+                   np.where((pair < 0) | (y < 0), -1, pair * a.n_sys + y)) >= 0
+    succ_ok = s[st.edge_next] == e * a.n_sys + y
+    goal_ok, winning = np.ones(len(owner), bool), np.ones(st.n_nodes, bool)
+    if result is not None:
+        j = st.node_goal[owner]
+        known = (here >= 0) & (j >= 0) & (j < len(result.goals))
+        holds = np.zeros(len(owner), dtype=bool)
+        holds[known] = np.array(result.goals)[j[known], here[known]]
+        goal_ok = st.node_goal[st.edge_next] == np.where(
+            holds, (j + 1) % st.n_goals, j)
+        winning = (s < 0) | result.winning[s]
+    legal = pair >= 0
+    per_node = functools.partial(np.bincount, minlength=st.n_nodes)
+    degree = np.diff(a.env_indptr)[s]
+    distinct = np.unique(np.column_stack([owner, pair])[legal], axis=0)[:, 0]
+    bad = ((s < 0) | ~winning | (per_node(owner[legal]) != degree) |
+           (per_node(distinct) != degree) |
+           (per_node(owner[~(sys_ok & succ_ok & goal_ok)]) > 0))
+
     violations = []
-    if tuple(strategy.names) != tuple(arena.names):
-        violations.append(
-            ("vars", "order",
-             f"strategy vars {strategy.names} != arena vars {arena.names}"))
-        return _verdict(violations)
-    n_goals = strategy.n_goals
-    for nid in range(strategy.n_nodes):
-        s = arena.encode_state(strategy.node_vals[nid])
-        legal = [tuple(arena.decode_env(int(e))) for e in arena.env_moves(s)]
-        have = strategy.legal_env_moves(nid)
-        have_set = set(have)
-        if len(have) != len(have_set):
-            violations.append((nid, "closure", "duplicate edges"))
-        for m in legal:
-            if m not in have_set:
-                violations.append(
-                    (nid, "closure", f"no edge for legal env move {m}"))
-        extra = have_set.difference(legal)
-        for m in sorted(extra):
-            violations.append(
-                (nid, "closure", f"edge for illegal env move {m}"))
-        if result is not None and not result.winning[s]:
-            violations.append((nid, "winning", "node state outside the "
-                                               "winning region"))
-        for k, m in enumerate(have):
-            if m not in set(legal):
+    for nid in np.flatnonzero(bad).tolist():
+        def add(detail, clause="closure"):
+            violations.append((nid, clause, detail))
+        if s[nid] < 0:
+            add(f"state {st.node_state(nid)} outside the arena's domain")
+            continue
+        edges = range(st.edge_indptr[nid], st.edge_indptr[nid + 1])
+        have = dict(zip(edges, st.legal_env_moves(nid)))
+        if len(set(have.values())) < len(have):
+            add("duplicate edges")
+        moves = a.env_next[a.env_indptr[s[nid]]:a.env_indptr[s[nid] + 1]]
+        for m in moves[~np.isin(moves, e[edges])]:
+            add(f"no edge for legal env move {a.env_codec.decode(m)}")
+        for m in sorted({have[k] for k in edges if not legal[k]}):
+            add(f"edge for illegal env move {m}")
+        if not winning[nid]:
+            add("node state outside the winning region", "winning")
+        for k in (k for k in edges if legal[k]):
+            if not sys_ok[k]:
+                add(f"illegal sys response to {have[k]}")
                 continue
-            e = arena.encode_env(m)
-            y = arena.encode_sys(tuple(strategy.edge_sys[nid][k]))
-            if y not in set(int(q) for q in arena.sys_moves(s, e)):
-                violations.append(
-                    (nid, "closure", f"illegal sys response to {m}"))
-                continue
-            nxt = int(strategy.edge_next[nid][k])
-            if arena.encode_state(strategy.node_vals[nxt]) != \
-                    arena.successor(e, y):
-                violations.append(
-                    (nid, "closure", f"successor mismatch on {m}"))
-            if result is not None:
-                j = strategy.node_goal[nid]
-                holds = bool(result.goals[j][s])
-                expect = (j + 1) % n_goals if holds else j
-                if strategy.node_goal[nxt] != expect:
-                    violations.append(
-                        (nid, "goal", "goal index must advance exactly on "
-                                      "goal states"))
+            if not succ_ok[k]:
+                add(f"successor mismatch on {have[k]}")
+            if not goal_ok[k]:
+                add("goal index must advance exactly on goal states", "goal")
     return _verdict(violations)

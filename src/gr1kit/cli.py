@@ -35,6 +35,12 @@ EXIT_CAPACITY = 5
 EXIT_UNREALIZABLE = 10
 
 
+def _error(message, code=EXIT_PARSE):
+    """Report on stderr why a command stops; returns its exit code."""
+    print(f"error: {message}", file=sys.stderr)
+    return code
+
+
 def _params_from_args(args):
     items = []
     if getattr(args, "config", None):
@@ -59,9 +65,8 @@ def cmd_emit(args):
     try:
         params = _params_from_args(args)
         text = wd.emit_text(params)
-    except InvalidParams as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    except (InvalidParams, OSError) as exc:
+        return _error(exc)
     if args.out:
         with open(args.out, "w") as fp:
             fp.write(text)
@@ -70,33 +75,39 @@ def cmd_emit(args):
     return EXIT_OK
 
 
+def _load(what, path, parse, mode="r"):
+    """`parse` of an open input file, or None after reporting why the file
+    is unusable."""
+    try:
+        with open(path, mode) as fp:
+            return parse(fp)
+    except SpecError as exc:
+        for d in exc.diagnostics:
+            _error(repr(d))
+    except (OSError, ValueError, LookupError, TypeError, AttributeError,
+            OverflowError) as exc:
+        _error(f"cannot load {what} {path}: {exc!r}")
+    return None
+
+
 def _load_spec(path):
-    with open(path, "rb") as fp:
-        return sl.parse_spec(fp.read())
+    return _load("spec", path, lambda fp: sl.parse_spec(fp.read()), "rb")
 
 
 def _load_strategy(path):
-    """Strategy from a JSON file, or None after reporting why it is unusable."""
-    try:
-        return gr1.Strategy.load(path)
-    except (OSError, ValueError, LookupError, TypeError, AttributeError) as exc:
-        print(f"error: cannot load strategy {path}: {exc!r}", file=sys.stderr)
-        return None
+    return _load("strategy", path,
+                 lambda fp: gr1.Strategy.from_obj(json.load(fp)))
 
 
 def cmd_synth(args):
-    try:
-        doc = _load_spec(args.spec)
-    except SpecError as exc:
-        for d in exc.diagnostics:
-            print(f"error: {d!r}", file=sys.stderr)
+    doc = _load_spec(args.spec)
+    if doc is None:
         return EXIT_PARSE
     t0 = time.perf_counter()
     try:
         arena = ar.build_arena(doc, cap=args.cap)
     except CapacityExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
+        return _error(exc, EXIT_CAPACITY)
     if not gr1.init_feasible(arena):
         print(f"unrealizable: some initial environment assignment admits "
               f"no initial system assignment "
@@ -125,11 +136,12 @@ def cmd_simulate(args):
         return EXIT_PARSE
     events = []
     if args.events:
-        with open(args.events) as fp:
-            events = sim.parse_events(fp.read())
+        events = _load("events", args.events,
+                       lambda fp: sim.parse_events(fp.read()))
+        if events is None:
+            return EXIT_PARSE
     if args.runs > 1 and not args.out:
-        print("error: --runs needs --out", file=sys.stderr)
-        return EXIT_PARSE
+        return _error("--runs needs --out")
     for k in range(args.runs):
         adversary = sim.make_adversary(args.adversary, seed=args.seed + k,
                                        events=events)
@@ -137,8 +149,7 @@ def cmd_simulate(args):
             trace = sim.run(strategy, adversary, args.steps, events=events,
                             td=args.td, pace=args.pace)
         except StrategyHole as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_HOLE
+            return _error(exc, EXIT_HOLE)
         if args.out:
             path = args.out if args.runs == 1 else f"{args.out}.{k:03d}"
             with open(path, "w") as fp:
@@ -149,31 +160,28 @@ def cmd_simulate(args):
 
 
 def cmd_check(args):
-    try:
-        doc = _load_spec(args.spec)
-    except SpecError as exc:
-        for d in exc.diagnostics:
-            print(f"error: {d!r}", file=sys.stderr)
+    doc = _load_spec(args.spec)
+    if doc is None:
         return EXIT_PARSE
     if args.mode in ("safety", "recurrence"):
         if not args.trace:
-            print("error: --trace required", file=sys.stderr)
+            return _error("--trace required")
+        trace = _load("trace", args.trace, sim.read_csv)
+        if trace is None:
             return EXIT_PARSE
-        with open(args.trace) as fp:
-            trace = sim.read_csv(fp)
         if args.mode == "safety":
             verdict = ck.check_safety(trace, doc)
         else:
             if not args.window:
-                print("error: --window required for recurrence",
-                      file=sys.stderr)
-                return EXIT_PARSE
+                return _error("--window required for recurrence")
+            if not 0 <= args.goal < len(doc.sys_liveness):
+                return _error(
+                    f"--goal must be in 0..{len(doc.sys_liveness) - 1}")
             goal = doc.sys_liveness[args.goal]
             verdict = ck.check_recurrence(trace, goal, args.window)
     elif args.mode in ("lasso", "closure"):
         if not args.strategy:
-            print("error: --strategy required", file=sys.stderr)
-            return EXIT_PARSE
+            return _error("--strategy required")
         strategy = _load_strategy(args.strategy)
         if strategy is None:
             return EXIT_PARSE
@@ -182,14 +190,12 @@ def cmd_check(args):
             try:
                 verdict = ck.lasso_check(strategy, adversary, doc)
             except AdversaryNotFinite as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_PARSE
+                return _error(exc)
         else:
             try:
                 arena = ar.build_arena(doc)
             except CapacityExceeded as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_CAPACITY
+                return _error(exc, EXIT_CAPACITY)
             result = gr1.solve(arena, doc.env_liveness, doc.sys_liveness)
             verdict = ck.verify_strategy_closure(strategy, arena, result)
     else:
@@ -203,11 +209,8 @@ def cmd_check(args):
 
 def cmd_oracle(args):
     if args.spec:
-        try:
-            doc = _load_spec(args.spec)
-        except SpecError as exc:
-            for d in exc.diagnostics:
-                print(f"error: {d!r}", file=sys.stderr)
+        doc = _load_spec(args.spec)
+        if doc is None:
             return EXIT_PARSE
         try:
             arena = ar.build_arena(doc)
@@ -215,8 +218,7 @@ def cmd_oracle(args):
                 arena, doc.env_liveness, doc.sys_liveness,
                 cap=args.max_states)
         except (CapacityExceeded, TooLarge) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CAPACITY
+            return _error(exc, EXIT_CAPACITY)
         result = gr1.solve(arena, doc.env_liveness, doc.sys_liveness)
         if np.array_equal(result.winning, oracle):
             print(f"agreement on all {arena.n_states} states")

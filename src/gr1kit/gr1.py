@@ -226,65 +226,70 @@ def init_feasible(arena):
 
 @dataclass
 class Strategy:
+    """A finite-memory controller as flat arrays, in the arena's CSR shape.
+
+    Node ``i`` is a state valuation ``node_vals[i]`` (env variables first)
+    paired with the pursued goal ``node_goal[i]``.  Its edges are the
+    positions ``edge_indptr[i]:edge_indptr[i + 1]``: one per legal env
+    assignment ``edge_env[k]``, with the sys response ``edge_sys[k]`` and
+    the successor node ``edge_next[k]``.  Initial env assignment
+    ``init_env[m]`` starts at node ``init_node[m]``.  Every array holds
+    int64 values, not arena indices, so a strategy needs no arena to run.
+    """
+
     env_names: tuple
     sys_names: tuple
     n_goals: int
-    node_vals: list              # per node: tuple of ints, env vars first
-    node_goal: list              # per node: goal index
-    edge_env: list               # per node: [k][n_env_vars] int array
-    edge_sys: list               # per node: [k][n_sys_vars] int array
-    edge_next: list              # per node: [k] int array
-    init_env: list               # [m] env value tuples
-    init_node: list              # [m] node ids
+    node_vals: np.ndarray        # [nodes × vars]
+    node_goal: np.ndarray        # [nodes]
+    edge_indptr: np.ndarray      # [nodes + 1]
+    edge_env: np.ndarray         # [edges × env vars]
+    edge_sys: np.ndarray         # [edges × sys vars]
+    edge_next: np.ndarray        # [edges]
+    init_env: np.ndarray         # [inits × env vars]
+    init_node: np.ndarray        # [inits]
 
     @property
     def n_nodes(self):
-        return len(self.node_vals)
+        return len(self.node_goal)
 
     @property
     def names(self):
         return tuple(self.env_names) + tuple(self.sys_names)
 
     def node_state(self, nid):
-        return dict(zip(self.names, self.node_vals[nid]))
+        return dict(zip(self.names, self.node_vals[nid].tolist()))
 
     def legal_env_moves(self, nid):
-        """Env assignments with an outgoing edge, as value tuples."""
-        return [tuple(row) for row in self.edge_env[nid]]
+        """Env assignments of the node's edges, in edge order, as tuples."""
+        lo, hi = self.edge_indptr[nid], self.edge_indptr[nid + 1]
+        return list(map(tuple, self.edge_env[lo:hi].tolist()))
 
-    def respond(self, nid, env_tuple):
-        """(sys values, next node) for a committed env assignment."""
-        rows = self.edge_env[nid]
-        for k in range(len(rows)):
-            if tuple(rows[k]) == env_tuple:
-                return tuple(self.edge_sys[nid][k]), int(self.edge_next[nid][k])
-        return None
+    def respond(self, nid, k):
+        """(sys values, next node) of the node's k-th edge."""
+        edge = self.edge_indptr[nid] + k
+        return tuple(self.edge_sys[edge].tolist()), int(self.edge_next[edge])
 
     # ---- serialization (field order is part of the format) ------------
 
     def to_obj(self):
-        nodes = []
-        names = self.names
-        for nid in range(self.n_nodes):
-            edges = []
-            for k in range(len(self.edge_env[nid])):
-                edges.append({
-                    "env": dict(zip(self.env_names,
-                                    (int(v) for v in self.edge_env[nid][k]))),
-                    "sys": dict(zip(self.sys_names,
-                                    (int(v) for v in self.edge_sys[nid][k]))),
-                    "next": int(self.edge_next[nid][k]),
-                })
-            nodes.append({
-                "id": nid,
-                "state": dict(zip(names, (int(v) for v in self.node_vals[nid]))),
-                "goal": int(self.node_goal[nid]),
-                "edges": edges,
-            })
-        init = [{"env": dict(zip(self.env_names, (int(v) for v in ev))),
-                 "node": int(nid)}
-                for ev, nid in zip(self.init_env, self.init_node)]
-        return {"vars": list(names), "goals": self.n_goals,
+        env_names, sys_names = self.env_names, self.sys_names
+        edges = [{"env": dict(zip(env_names, ev)),
+                  "sys": dict(zip(sys_names, sv)),
+                  "next": nxt}
+                 for ev, sv, nxt in zip(self.edge_env.tolist(),
+                                        self.edge_sys.tolist(),
+                                        self.edge_next.tolist())]
+        bounds = self.edge_indptr.tolist()
+        nodes = [{"id": nid, "state": dict(zip(self.names, vals)),
+                  "goal": goal, "edges": edges[lo:hi]}
+                 for nid, (vals, goal, lo, hi) in enumerate(zip(
+                     self.node_vals.tolist(), self.node_goal.tolist(),
+                     bounds, bounds[1:]))]
+        init = [{"env": dict(zip(env_names, ev)), "node": nid}
+                for ev, nid in zip(self.init_env.tolist(),
+                                   self.init_node.tolist())]
+        return {"vars": list(self.names), "goals": int(self.n_goals),
                 "nodes": nodes, "init": init}
 
     def save(self, path):
@@ -294,32 +299,38 @@ class Strategy:
 
     @classmethod
     def from_obj(cls, obj):
+        """Strategy from its JSON object; ValueError on dangling references."""
         names = list(obj["vars"])
-        nodes = obj["nodes"]
-        env_names = list(nodes[0]["edges"][0]["env"].keys()) if (
-            nodes and nodes[0]["edges"]) else []
-        if not env_names and obj["init"]:
-            env_names = list(obj["init"][0]["env"].keys())
-        sys_names = [n for n in names if n not in env_names]
-        env_names = [n for n in names if n in env_names]
-        strat = cls(env_names=tuple(env_names), sys_names=tuple(sys_names),
-                    n_goals=int(obj["goals"]),
-                    node_vals=[], node_goal=[], edge_env=[], edge_sys=[],
-                    edge_next=[], init_env=[], init_node=[])
-        for nd in nodes:
-            strat.node_vals.append(tuple(int(nd["state"][n]) for n in names))
-            strat.node_goal.append(int(nd["goal"]))
-            ee = np.array([[int(e["env"][n]) for n in env_names]
-                           for e in nd["edges"]], dtype=np.int64)
-            es = np.array([[int(e["sys"][n]) for n in sys_names]
-                           for e in nd["edges"]], dtype=np.int64)
-            en = np.array([int(e["next"]) for e in nd["edges"]], dtype=np.int64)
-            strat.edge_env.append(ee.reshape(-1, len(env_names)))
-            strat.edge_sys.append(es.reshape(-1, len(sys_names)))
-            strat.edge_next.append(en)
-        for it in obj["init"]:
-            strat.init_env.append(tuple(int(it["env"][n]) for n in env_names))
-            strat.init_node.append(int(it["node"]))
+        nodes, inits = obj["nodes"], obj["init"]
+        edges = [e for nd in nodes for e in nd["edges"]]
+        env_keys = (edges or inits or [{"env": {}}])[0]["env"]
+        env_names = [n for n in names if n in env_keys]
+        sys_names = [n for n in names if n not in env_keys]
+
+        def table(dicts, keys):
+            return np.array([[int(d[k]) for k in keys] for d in dicts],
+                            dtype=np.int64).reshape(len(dicts), len(keys))
+
+        strat = cls(
+            env_names=tuple(env_names), sys_names=tuple(sys_names),
+            n_goals=int(obj["goals"]),
+            node_vals=table([nd["state"] for nd in nodes], names),
+            node_goal=table(nodes, ["goal"])[:, 0],
+            edge_indptr=np.cumsum([0] + [len(nd["edges"]) for nd in nodes],
+                                  dtype=np.int64),
+            edge_env=table([e["env"] for e in edges], env_names),
+            edge_sys=table([e["sys"] for e in edges], sys_names),
+            edge_next=table(edges, ["next"])[:, 0],
+            init_env=table([it["env"] for it in inits], env_names),
+            init_node=table(inits, ["node"])[:, 0])
+        if [nd["id"] for nd in nodes] != list(range(len(nodes))):
+            raise ValueError("node ids must be 0, 1, ... in list order")
+        for what, refs, n in (("next", strat.edge_next, len(nodes)),
+                              ("init node", strat.init_node, len(nodes)),
+                              ("goal", strat.node_goal, strat.n_goals)):
+            bad = refs[(refs < 0) | (refs >= n)]
+            if len(bad):
+                raise ValueError(f"{what} {bad[0]} outside 0..{n - 1}")
         return strat
 
     @classmethod
@@ -343,43 +354,32 @@ def extract_strategy(result, arena):
     a = arena
     n_goals = len(result.goals)
     winning = result.winning
-    env_decls, sys_decls = a.env_decls(), a.sys_decls()
     n_sys = a.n_sys
-
-    # decoded value tables for all env / sys assignment indices
-    env_mat = a.env_codec.values()
-    sys_mat = a.sys_codec.values()
 
     node_ids = {}
     order = []       # (state, goal) in discovery order
 
     def node_of(s, j):
-        key = (s, j)
-        if key not in node_ids:
-            node_ids[key] = len(order)
-            order.append(key)
-        return node_ids[key]
+        if (s, j) not in node_ids:
+            node_ids[s, j] = len(order)
+            order.append((s, j))
+        return node_ids[s, j]
 
-    init_env, init_node = [], []
+    init_env = np.nonzero(a.env_init)[0]
+    init_node = []
     sys_ok = (winning & a.sys_init).reshape(a.n_env, n_sys)
-    for e0 in np.nonzero(a.env_init)[0]:
+    for e0 in init_env.tolist():
         ys = np.nonzero(sys_ok[e0])[0]
         if not len(ys):
             raise NotRealizable(f"no winning sys init for env init {e0}")
-        s0 = a.successor(int(e0), int(ys[0]))
-        init_env.append(tuple(int(x) for x in env_mat[e0]))
-        init_node.append(node_of(s0, 0))
+        init_node.append(node_of(a.successor(e0, ys[0]), 0))
 
     # per-pair minimum of key = rank * n_sys + y picks the lowest-ranked
     # successor with the lowest sys index; INF keys mark excluded edges
     rank64 = result.y_rank.astype(np.int64)
     INFKEY = np.int64(INF_RANK) * n_sys * 4
-    edge_env, edge_sys, edge_next = [], [], []
-    node_goal_out = []
-    i = 0
-    while i < len(order):
-        s, j = order[i]
-        node_goal_out.append(j)
+    edge_sys, edge_next = [], []     # sys index and next node per edge
+    for s, j in order:               # order grows while it is walked
         goal_holds = bool(result.goals[j][s])
         jp = (j + 1) % n_goals if goal_holds else j
         rank = rank64[jp]
@@ -394,36 +394,37 @@ def extract_strategy(result, arena):
         if not goal_holds:
             key[rank[succ] >= my_rank] = INFKEY
         starts = (a.sys_indptr[plo:phi] - elo).astype(np.int64)
-        if len(key):
-            best = np.minimum.reduceat(key, starts)
-        else:
-            best = np.zeros(0, dtype=np.int64)
-        ee, esv, en = [], [], []
-        for k, e in enumerate(es_idx):
-            if best[k] < INFKEY:
-                y = int(best[k] % n_sys)
+        best = np.minimum.reduceat(key, starts).tolist() if len(key) else []
+        for e, b in zip(es_idx.tolist(), best):
+            if b < INFKEY:
+                y = b % n_sys
             else:
-                y = _loiter_pick(result, a, s, jp, my_rank, int(e))
+                y = _loiter_pick(result, a, s, jp, my_rank, e)
                 if y is None:
                     raise AssertionError(
-                        f"extraction stuck at state {s} goal {jp} env {int(e)}")
-            s2 = a.successor(int(e), y)
-            en.append(node_of(s2, jp))
-            esv.append(y)
-        edge_env.append(env_mat[es_idx])
-        edge_sys.append(sys_mat[np.array(esv, dtype=np.int64)])
-        edge_next.append(np.array(en, dtype=np.int64))
-        i += 1
+                        f"extraction stuck at state {s} goal {jp} env {e}")
+            edge_next.append(node_of(a.successor(e, y), jp))
+            edge_sys.append(y)
 
-    node_vals = [a.decode_state(s) for s, _ in order]
+    states = np.array([s for s, _ in order], dtype=np.int64)
+    degree = np.diff(a.env_indptr)[states]
+    edge_indptr = np.zeros(len(order) + 1, dtype=np.int64)
+    np.cumsum(degree, out=edge_indptr[1:])
+    # each node's edges are its state's (state, env') pairs, in pair order
+    pairs = (np.repeat(a.env_indptr[states] - edge_indptr[:-1], degree) +
+             np.arange(edge_indptr[-1]))
     return Strategy(
-        env_names=tuple(d.name for d in env_decls),
-        sys_names=tuple(d.name for d in sys_decls),
+        env_names=a.names[:a.n_env_vars],
+        sys_names=a.names[a.n_env_vars:],
         n_goals=n_goals,
-        node_vals=node_vals,
-        node_goal=node_goal_out,
-        edge_env=edge_env, edge_sys=edge_sys, edge_next=edge_next,
-        init_env=init_env, init_node=init_node)
+        node_vals=a.state_codec.values(states),
+        node_goal=np.array([j for _, j in order], dtype=np.int64),
+        edge_indptr=edge_indptr,
+        edge_env=a.env_codec.values(a.env_next[pairs]),
+        edge_sys=a.sys_codec.values(np.array(edge_sys, dtype=np.int64)),
+        edge_next=np.array(edge_next, dtype=np.int64),
+        init_env=a.env_codec.values(init_env),
+        init_node=np.array(init_node, dtype=np.int64))
 
 
 def _loiter_pick(result, a, s, jp, my_rank, e):

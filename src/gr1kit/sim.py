@@ -1,12 +1,12 @@
 """Closed-loop execution of synthesized strategies against adversaries.
 
-The strategy is the single source of truth during a run: its per-node edge
-table enumerates the environment assignments legal at that node (closure
-guarantees the table is total), the adversary picks one, and the recorded
-response advances the controller.  Scripted events can pin environment
-variables at given steps and take the human away for a span of steps;
-during such a span the world is frozen in place and only the step counter
-and wall-clock column advance.
+The strategy is the single source of truth during a run: the edges of the
+current node (a slice of its flat edge arrays) enumerate the environment
+assignments legal there (closure guarantees they are total), the adversary
+picks one, and that edge's recorded response advances the controller.
+Scripted events can pin environment variables at given steps and take the
+human away for a span of steps; during such a span the world is frozen in
+place and only the step counter and wall-clock column advance.
 """
 
 from __future__ import annotations
@@ -192,17 +192,9 @@ class TraceRow:
 
 @dataclass
 class Trace:
-    env_names: tuple
-    sys_names: tuple
+    names: tuple                 # variables, in column order
     td: float
     rows: list = field(default_factory=list)
-
-    @property
-    def names(self):
-        return tuple(self.env_names) + tuple(self.sys_names)
-
-    def states(self):
-        return [r.state for r in self.rows]
 
     def n_steps(self):
         return len(self.rows) - 1
@@ -227,16 +219,17 @@ def run(strategy, adversary, max_steps, events=(), td=10.0,
         if ev.overrides:
             set_events.setdefault(ev.step, []).extend(ev.overrides)
 
-    inits = list(dict.fromkeys(strategy.init_env))
+    init_env = list(map(tuple, strategy.init_env.tolist()))
+    inits = list(dict.fromkeys(init_env))
     if not inits:
         raise StrategyHole("strategy has no initial nodes")
     if len(inits) == 1:
         ev0 = inits[0]
     else:
         ev0 = adversary_choice(adversary, None, inits, env_names, step=0)
-    nid = strategy.init_node[strategy.init_env.index(ev0)]
+    nid = int(strategy.init_node[init_env.index(ev0)])
 
-    trace = Trace(tuple(env_names), tuple(strategy.sys_names), td)
+    trace = Trace(strategy.names, td)
     state = strategy.node_state(nid)
     trace.rows.append(TraceRow(0, 0.0, state, None, None))
 
@@ -252,12 +245,12 @@ def run(strategy, adversary, max_steps, events=(), td=10.0,
             trace.rows.append(TraceRow(k, k * td, state, None, None,
                                        human_away=True))
             continue
-        legal = strategy.legal_env_moves(nid)
+        legal = have = strategy.legal_env_moves(nid)
         if arena is not None:
             s_idx = arena.encode_state(strategy.node_vals[nid])
-            truth = [tuple(arena.decode_env(int(e)))
-                     for e in arena.env_moves(s_idx)]
-            missing = [m for m in truth if m not in set(legal)]
+            truth = list(map(tuple, arena.env_codec.values(
+                arena.env_moves(s_idx)).tolist()))
+            missing = [m for m in truth if m not in set(have)]
             if missing:
                 raise StrategyHole(
                     f"node {nid} lacks an edge for legal env move {missing[0]}")
@@ -272,10 +265,7 @@ def run(strategy, adversary, max_steps, events=(), td=10.0,
             if match:
                 pool = match
         choice = adversary_choice(adversary, state, pool, env_names, step=k)
-        resp = strategy.respond(nid, choice)
-        if resp is None:
-            raise StrategyHole(f"node {nid} has no edge for {choice}")
-        sys_vals, nid = resp
+        sys_vals, nid = strategy.respond(nid, have.index(choice))
         state = strategy.node_state(nid)
         trace.rows.append(TraceRow(k, k * td, state, choice, sys_vals))
     return trace
@@ -331,44 +321,42 @@ def _fmt_time(x):
 
 
 def read_csv(fp):
-    """Parse a scenario CSV back into a Trace (inverse of write_csv)."""
+    """Parse a trace CSV back into a Trace (inverse of write_csv)."""
     header = fp.readline().strip().split(",")
     rows = []
     if header[:2] != ["step", "time_s"]:
         raise ValueError("not a trace CSV")
     scenario = "mode" in header and "ACT" in header
-    obstacle_cols = [h for h in header if h.startswith("O") and h[1:].isdigit()]
+    if scenario:
+        obstacles = [h.lower() for h in header
+                     if h.startswith("O") and h[1:].isdigit()]
+        names = ("bl", "s", *obstacles, "stalled", "rs", "act", "hf", "tries")
+    else:
+        names = tuple(h for h in header[2:] if h != "human_away")
     for line in fp:
         line = line.strip()
         if not line:
             continue
-        parts = line.split(",")
-        rec = dict(zip(header, parts))
+        rec = dict(zip(header, line.split(",")))
+        away = bool(int(rec["human_away"]))
         if scenario:
-            state = {"rs": int(rec["RS"]), "bl": int(rec["BL"]),
-                     "hf": int(rec["HF"]), "tries": int(rec["tries"]),
-                     "s": int(rec["S"]),
-                     "act": int(rec["ACT"].replace("Go_S", ""))}
-            for col in obstacle_cols:
-                state[col.lower()] = int(rec[col])
+            state = {"bl": int(rec["BL"]), "s": int(rec["S"])}
+            state.update((o, int(rec[o.upper()])) for o in obstacles)
             # the stalled bit is not a CSV column; rebuild it from its
             # deterministic update (backlog unchanged across the last
             # non-frozen transition)
-            away = bool(int(rec["human_away"]))
             if not rows:
                 state["stalled"] = 0
             elif away:
                 state["stalled"] = rows[-1].state["stalled"]
             else:
                 state["stalled"] = int(state["bl"] == rows[-1].state["bl"])
+            state.update(rs=int(rec["RS"]),
+                         act=int(rec["ACT"].replace("Go_S", "")),
+                         hf=int(rec["HF"]), tries=int(rec["tries"]))
         else:
-            skip = {"step", "time_s", "human_away"}
-            state = {k: int(v) for k, v in rec.items() if k not in skip}
+            state = {k: int(rec[k]) for k in names}
         rows.append(TraceRow(int(rec["step"]), float(rec["time_s"]), state,
-                             None, None, human_away=bool(int(rec["human_away"]))))
-    env_names = tuple(k for k in rows[0].state if k in
-                      ("bl", "s", "stalled") or k.startswith("o")) if rows else ()
-    sys_names = tuple(k for k in rows[0].state if k not in env_names) if rows else ()
+                             None, None, human_away=away))
     td = rows[1].time_s - rows[0].time_s if len(rows) > 1 else 1.0
-    tr = Trace(env_names, sys_names, td, rows)
-    return tr
+    return Trace(names, td, rows)

@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from gr1kit import arena as ar
@@ -72,3 +73,30 @@ def reduced_doc():
 @pytest.fixture(scope="session")
 def reduced_arena(reduced_doc):
     return ar.build_arena(reduced_doc)
+
+
+@pytest.fixture(scope="session")
+def reduced_result(reduced_doc, reduced_arena):
+    return gr1.solve(reduced_arena, reduced_doc.env_liveness,
+                     reduced_doc.sys_liveness)
+
+
+@pytest.fixture(scope="session")
+def reduced_strategy(reduced_arena, reduced_result):
+    return gr1.extract_strategy(reduced_result, reduced_arena)
+
+
+@pytest.fixture(scope="session")
+def keep_edges():
+    """Copy of a strategy with only the edges at the given positions, which
+    must be sorted by node; a repeated position duplicates that edge."""
+    def keep(st, positions):
+        positions = np.asarray(positions, dtype=np.int64)
+        owner = np.repeat(np.arange(st.n_nodes), np.diff(st.edge_indptr))
+        return dataclasses.replace(
+            st, edge_indptr=np.searchsorted(owner[positions],
+                                            np.arange(st.n_nodes + 1)),
+            edge_env=st.edge_env[positions], edge_sys=st.edge_sys[positions],
+            edge_next=st.edge_next[positions])
+
+    return keep

@@ -1,3 +1,7 @@
+import dataclasses
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -10,10 +14,7 @@ from gr1kit.speclang import parse_spec
 
 
 def make_trace(doc_names, rows_states, frozen=()):
-    env_names = tuple(n for n in doc_names if n in ("bl", "s", "stalled")
-                      or n.startswith("o") or n.startswith("u"))
-    sys_names = tuple(n for n in doc_names if n not in env_names)
-    tr = sim.Trace(env_names, sys_names, 10.0)
+    tr = sim.Trace(tuple(doc_names), 10.0)
     for i, st in enumerate(rows_states):
         tr.rows.append(sim.TraceRow(i, i * 10.0, st, None if i == 0 else (),
                                     None if i == 0 else (),
@@ -81,15 +82,22 @@ def tiny_doc():
                       "[SYS_LIVENESS]\nx\n")
 
 
+def ux_strategy(states, edges):
+    """Controller over ``u`` (env) and ``x`` (sys) in the strategy JSON
+    format: `states` holds each node's (u, x), `edges` each node's
+    (u', x', next) triples; node 0 is the initial node."""
+    return gr1.Strategy.from_obj({
+        "vars": ["u", "x"], "goals": 1,
+        "nodes": [{"id": nid, "state": {"u": u, "x": x}, "goal": 0,
+                   "edges": [{"env": {"u": eu}, "sys": {"x": ex},
+                              "next": nxt} for eu, ex, nxt in out]}
+                  for nid, ((u, x), out) in enumerate(zip(states, edges))],
+        "init": [{"env": {"u": states[0][0]}, "node": 0}]})
+
+
 def one_node_strategy(goal_true=True):
-    st = gr1.Strategy(
-        env_names=("u",), sys_names=("x",), n_goals=1,
-        node_vals=[(0, 1 if goal_true else 0)], node_goal=[0],
-        edge_env=[np.array([[0], [1]])],
-        edge_sys=[np.array([[1 if goal_true else 0]] * 2)],
-        edge_next=[np.array([0, 0])],
-        init_env=[(0,)], init_node=[0])
-    return st
+    x = 1 if goal_true else 0
+    return ux_strategy([(0, x)], [[(0, x, 0), (1, x, 0)]])
 
 
 def test_lasso_single_self_loop_gap_one():
@@ -115,11 +123,7 @@ def test_lasso_vacuous_when_assumption_falsified():
     doc = parse_spec("[ENV_VARS]\nu : bool\n[SYS_VARS]\nx : bool\n"
                      "[ENV_LIVENESS]\nu\n[SYS_LIVENESS]\nx\n")
     # cycle never satisfies the goal, but also never satisfies u
-    st = gr1.Strategy(
-        env_names=("u",), sys_names=("x",), n_goals=1,
-        node_vals=[(0, 0)], node_goal=[0],
-        edge_env=[np.array([[0]])], edge_sys=[np.array([[0]])],
-        edge_next=[np.array([0])], init_env=[(0,)], init_node=[0])
+    st = ux_strategy([(0, 0)], [[(0, 0, 0)]])
     verdict = check.lasso_check(st, sim.make_adversary("min-bl"), doc)
     assert verdict.passed
 
@@ -129,13 +133,7 @@ def test_lasso_assumption_must_fail_on_whole_cycle():
                      "[ENV_LIVENESS]\nu\n[SYS_LIVENESS]\nx\n")
     # u alternates 0/1 along a two-node cycle, so GF u holds while the
     # goal x never does: a genuine liveness violation
-    st = gr1.Strategy(
-        env_names=("u",), sys_names=("x",), n_goals=1,
-        node_vals=[(0, 0), (1, 0)], node_goal=[0, 0],
-        edge_env=[np.array([[1]]), np.array([[0]])],
-        edge_sys=[np.array([[0]]), np.array([[0]])],
-        edge_next=[np.array([1]), np.array([0])],
-        init_env=[(0,)], init_node=[0])
+    st = ux_strategy([(0, 0), (1, 0)], [[(1, 0, 1)], [(0, 0, 0)]])
     verdict = check.lasso_check(st, sim.make_adversary("min-bl"), doc)
     assert not verdict.passed
     assert any("never satisfies" in v[2] for v in verdict.violations)
@@ -148,16 +146,10 @@ def test_lasso_mutated_workdelivery_strategy(strategy_for, scenario):
     assert verdict.passed and verdict.max_goal_gap >= 1
     # rewire every edge that would reach a goal node back to the initial
     # node, creating a goal-free loop
-    import copy
-    bad = copy.deepcopy(st)
-    goal_nodes = {nid for nid in range(bad.n_nodes)
-                  if bad.node_vals[nid][bad.names.index("rs")] == 0
-                  and bad.node_vals[nid][bad.names.index("hf")] == 1}
-    for nid in range(bad.n_nodes):
-        nxt = bad.edge_next[nid]
-        for k in range(len(nxt)):
-            if int(nxt[k]) in goal_nodes:
-                nxt[k] = bad.init_node[0]
+    col = {name: st.node_vals[:, k] for k, name in enumerate(st.names)}
+    goal_nodes = np.flatnonzero((col["rs"] == 0) & (col["hf"] == 1))
+    bad = dataclasses.replace(st, edge_next=np.where(
+        np.isin(st.edge_next, goal_nodes), st.init_node[0], st.edge_next))
     verdict = check.lasso_check(bad, sim.make_adversary("min-bl"), doc)
     assert not verdict.passed
     assert any("cycle" in v[2] for v in verdict.violations)
@@ -180,20 +172,91 @@ def test_closure_fresh_strategy(strategy_for, scenario):
     assert verdict.passed
 
 
-def test_closure_missing_edge_named():
-    from gr1kit.speclang import parse_spec as ps
-    doc = ps("[ENV_VARS]\nu : bool\n[SYS_VARS]\nx : bool\n")
+def test_closure_missing_edge_named(keep_edges):
+    doc = parse_spec("[ENV_VARS]\nu : bool\n[SYS_VARS]\nx : bool\n")
     arena = ar.build_arena(doc)
     res = gr1.solve(arena, [], [np.ones(4, bool)])
     st = gr1.extract_strategy(res, arena)
-    nid = st.init_node[0]
-    st.edge_env[nid] = st.edge_env[nid][:1]
-    st.edge_sys[nid] = st.edge_sys[nid][:1]
-    st.edge_next[nid] = st.edge_next[nid][:1]
+    nid = int(st.init_node[0])
+    drop = np.arange(st.edge_indptr[nid] + 1, st.edge_indptr[nid + 1])
+    st = keep_edges(st, np.setdiff1d(np.arange(len(st.edge_next)), drop))
     verdict = check.verify_strategy_closure(st, arena)
     assert not verdict.passed
     assert any("no edge for legal env move" in v[2]
                for v in verdict.violations if v[0] == nid)
+
+
+def _mutate(st, keep_edges, case):
+    """The reduced controller with one defect; node 0 has the two edges
+    env (4, 0, 0, 0) -> node 1 and env (5, 0, 0, 1) -> node 2."""
+    n_edges = len(st.edge_next)
+    if case == "dropped edge":
+        return keep_edges(st, np.delete(np.arange(n_edges), 1))
+    if case == "duplicated edge":
+        return keep_edges(st, np.insert(np.arange(n_edges), 1, 0))
+    bad = dataclasses.replace(
+        st, node_vals=st.node_vals.copy(), node_goal=st.node_goal.copy(),
+        edge_env=st.edge_env.copy(), edge_sys=st.edge_sys.copy(),
+        edge_next=st.edge_next.copy())
+    if case == "illegal env move":
+        bad.edge_env[0, 0] = 0          # bl 5 -> 0 drops too far
+    elif case == "illegal sys response":
+        bad.edge_sys[0, 1] = 2          # act 2 is not adjacent to rs 0
+    elif case == "wrong next":
+        bad.edge_next[0] = 2
+    elif case == "wrong goal index":
+        bad.node_goal[1] = 1            # the only goal index is 0
+    elif case == "out-of-domain node value":
+        bad.node_vals[1, 0] = 99        # bl : 0..10
+    # hf = 0, tries = 3 packs to the index of hf = 1, tries = 0
+    elif case == "aliased node value":
+        bad.node_vals[8, 6:] = (0, 3)   # node 8 has hf = 1, tries = 0
+    elif case == "aliased edge value":
+        bad.edge_sys[8, 2:] = (0, 3)    # edge 8 belongs to node 6
+    return bad
+
+
+@pytest.mark.parametrize("case, expected", [
+    ("dropped edge", (0, "closure", "no edge for legal env move (5, 0, 0, 1)")),
+    ("duplicated edge", (0, "closure", "duplicate edges")),
+    ("illegal env move",
+     (0, "closure", "edge for illegal env move (0, 0, 0, 0)")),
+    ("illegal sys response",
+     (0, "closure", "illegal sys response to (4, 0, 0, 0)")),
+    ("wrong next", (0, "closure", "successor mismatch on (4, 0, 0, 0)")),
+    ("wrong goal index",
+     (0, "goal", "goal index must advance exactly on goal states")),
+    ("out-of-domain node value",
+     (1, "closure", "state {'bl': 99, 's': 0, 'o1': 0, 'stalled': 0, "
+                    "'rs': 0, 'act': 1, 'hf': 0, 'tries': 0} outside the "
+                    "arena's domain")),
+    ("aliased node value",
+     (8, "closure", "state {'bl': 7, 's': 0, 'o1': 0, 'stalled': 0, "
+                    "'rs': 1, 'act': 0, 'hf': 0, 'tries': 3} outside the "
+                    "arena's domain")),
+    ("aliased edge value",
+     (6, "closure", "illegal sys response to (7, 0, 0, 0)")),
+])
+def test_closure_mutations(reduced_strategy, reduced_arena, reduced_result,
+                           keep_edges, case, expected):
+    st = reduced_strategy
+    assert check.verify_strategy_closure(st, reduced_arena,
+                                         reduced_result).passed
+    bad = _mutate(st, keep_edges, case)
+    verdict = check.verify_strategy_closure(bad, reduced_arena,
+                                            reduced_result)
+    assert not verdict.passed
+    assert expected in verdict.violations, verdict.render()
+
+
+def test_reduced_controller_bytes(reduced_strategy, tmp_path):
+    # recorded before strategies moved to the flat CSR layout
+    path = tmp_path / "reduced.json"
+    reduced_strategy.save(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "c5011752c35b508d1f32cd5ea64fc6b935f77ca21c194150bcc370e3e0f8416c")
+    back = gr1.Strategy.from_obj(json.loads(path.read_text()))
+    assert back.to_obj() == reduced_strategy.to_obj()
 
 
 def test_closure_wrong_arena_vars(strategy_for):

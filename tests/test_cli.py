@@ -245,8 +245,52 @@ def test_check_bad_strategy_exit2(workdir, tmp_path, capsys):
     root, spec, strat = workdir
     bad = tmp_path / "bad.json"
     bad.write_text('{"vars": ["bl"]}')
-    for path in (bad, tmp_path / "missing.json"):
+    obj = json.loads(strat.read_text())
+    obj["nodes"][0]["edges"][0]["next"] = 1_000_000
+    dangling = tmp_path / "dangling.json"
+    dangling.write_text(json.dumps(obj))
+    for path in (bad, tmp_path / "missing.json", dangling):
         for mode in ("lasso", "closure"):
             assert run_cli(["check", "--spec", str(spec), "--mode", mode,
                             "--strategy", str(path)]) == 2
+    assert run_cli(["simulate", str(dangling), "--steps", "5"]) == 2
     assert "cannot load strategy" in capsys.readouterr().err
+
+
+CHECK = ["check", "--spec", "{spec}", "--mode"]
+SIMULATE = ["simulate", "{strat}", "--steps", "5", "--adversary", "scripted"]
+
+
+@pytest.mark.parametrize("argv", [
+    CHECK + ["safety", "--trace", "{missing}"],
+    CHECK + ["safety", "--trace", "{not_csv}"],
+    CHECK + ["safety", "--trace", "{bad_row}"],
+    CHECK + ["recurrence", "--window", "5", "--trace", "{missing}"],
+    CHECK + ["recurrence", "--window", "5", "--trace", "{bad_row}"],
+    CHECK + ["recurrence", "--window", "5", "--trace", "{trace}",
+             "--goal", "3"],
+    CHECK + ["recurrence", "--window", "5", "--trace", "{trace}",
+             "--goal", "-1"],
+    CHECK[:2] + ["{missing}", "--mode", "safety", "--trace", "{trace}"],
+    ["emit", "--config", "{missing}"],
+    ["synth", "{missing}"],
+    ["oracle", "--spec", "{missing}"],
+    SIMULATE + ["--events", "{missing}"],
+    SIMULATE + ["--events", "{bad_events}"],
+], ids=["safety-missing", "safety-not-csv", "safety-bad-row",
+        "recurrence-missing", "recurrence-bad-row", "goal-3", "goal-minus-1",
+        "check-spec-missing", "emit-config-missing", "synth-spec-missing", "oracle-spec-missing",
+        "events-missing", "events-malformed"])
+def test_bad_input_exit2(workdir, tmp_path, capsys, argv):
+    root, spec, strat = workdir
+    files = {"missing": tmp_path / "missing.txt",
+             "not_csv": tmp_path / "not.csv", "bad_row": tmp_path / "row.csv",
+             "trace": tmp_path / "ok.csv", "bad_events": tmp_path / "ev.txt"}
+    files["not_csv"].write_text("a,b\n1,2\n")
+    files["bad_row"].write_text("step,time_s,bl,human_away\n0,0,x,0\n")
+    assert run_cli(["simulate", str(strat), "--steps", "5",
+                    "--out", str(files["trace"])]) == 0
+    files["bad_events"].write_text("at=3 set s=0\n")
+    args = [a.format(spec=spec, strat=strat, **files) for a in argv]
+    assert run_cli(args) == 2
+    assert "error" in capsys.readouterr().err

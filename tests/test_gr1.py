@@ -134,6 +134,34 @@ def test_strategy_json_field_order(tmp_path):
     assert st2.to_obj() == st.to_obj()
 
 
+def _break_ids(obj):
+    obj["nodes"][1]["id"] = 0
+
+
+def _break_next(obj):
+    obj["nodes"][0]["edges"][0]["next"] = 1_000_000
+
+
+def _break_init(obj):
+    obj["init"][0]["node"] = -1
+
+
+def _break_goal(obj):
+    obj["nodes"][0]["goal"] = obj["goals"]
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_break_ids, "node ids"), (_break_next, "next 1000000 outside"),
+    (_break_init, "init node -1 outside"), (_break_goal, "goal 1 outside"),
+])
+def test_strategy_from_obj_rejects_dangling_refs(reduced_strategy, corrupt,
+                                                 message):
+    obj = reduced_strategy.to_obj()
+    corrupt(obj)
+    with pytest.raises(ValueError, match=message):
+        gr1.Strategy.from_obj(obj)
+
+
 def test_plays_never_leave_winning_region(strategy_for, scenario):
     import random as _random
     from gr1kit import sim as _sim
@@ -205,8 +233,8 @@ def test_goal_index_advances_only_on_goal_states():
     assert verdict.passed, verdict.render()
     goals = [res.goals[j] for j in range(2)]
     for nid in range(st.n_nodes):
-        s = a.encode_state(st.node_vals[nid])
+        s = a.encode_state(st.node_vals[nid].tolist())
         j = st.node_goal[nid]
         expect = (j + 1) % 2 if goals[j][s] else j
-        for k in range(len(st.edge_next[nid])):
-            assert st.node_goal[int(st.edge_next[nid][k])] == expect
+        edges = range(st.edge_indptr[nid], st.edge_indptr[nid + 1])
+        assert all(st.node_goal[st.edge_next[k]] == expect for k in edges)

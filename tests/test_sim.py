@@ -1,5 +1,6 @@
 import io
 
+import numpy as np
 import pytest
 
 from gr1kit import arena as ar
@@ -107,22 +108,18 @@ def test_freeze_semantics(strategy_for):
     assert tr.rows[-1].time_s == 400
 
 
-def test_strategy_hole_on_emptied_node():
+def test_strategy_hole_on_emptied_node(keep_edges):
     st, arena, doc = tiny_strategy()
-    for nid in range(st.n_nodes):
-        st.edge_env[nid] = st.edge_env[nid][:0]
-        st.edge_sys[nid] = st.edge_sys[nid][:0]
-        st.edge_next[nid] = st.edge_next[nid][:0]
+    st = keep_edges(st, [])
     with pytest.raises(StrategyHole):
         sim.run(st, sim.make_adversary("random", seed=0), 5)
 
 
-def test_strategy_hole_against_arena():
+def test_strategy_hole_against_arena(keep_edges):
     st, arena, doc = tiny_strategy()
-    nid = st.init_node[0]
-    st.edge_env[nid] = st.edge_env[nid][:1]
-    st.edge_sys[nid] = st.edge_sys[nid][:1]
-    st.edge_next[nid] = st.edge_next[nid][:1]
+    nid = int(st.init_node[0])
+    drop = np.arange(st.edge_indptr[nid] + 1, st.edge_indptr[nid + 1])
+    st = keep_edges(st, np.setdiff1d(np.arange(len(st.edge_next)), drop))
     with pytest.raises(StrategyHole):
         sim.run(st, sim.make_adversary("random", seed=0), 5, arena=arena)
 
@@ -140,6 +137,18 @@ def test_csv_header_and_roundtrip(strategy_for):
     for r1, r2 in zip(tr.rows, back.rows):
         assert r1.index == r2.index and r1.human_away == r2.human_away
         assert {k: int(v) for k, v in r1.state.items()} == r2.state
+
+
+def test_generic_csv_roundtrip_keeps_column_order():
+    text = ("step,time_s,x,ok,human_away\n"
+            "0,0,3,1,0\n"
+            "1,10,2,0,0\n"
+            "2,20,2,0,1\n")
+    back = sim.read_csv(io.StringIO(text))
+    assert back.names == ("x", "ok")
+    buf = io.StringIO()
+    sim.write_csv(back, buf)
+    assert buf.getvalue() == text
 
 
 def test_csv_mode_column(strategy_for):

@@ -222,7 +222,8 @@ def test_controller_waits_at_station_on_full_backlog(strategy_for):
         for k, ev in enumerate(st.legal_env_moves(nid)):
             evd = dict(zip(st.env_names, ev))
             if evd["o1"] == 0 and evd["o2"] == 0:
-                sy = dict(zip(st.sys_names, st.edge_sys[nid][k]))
+                sy = dict(zip(st.sys_names,
+                              st.edge_sys[st.edge_indptr[nid] + k]))
                 assert sy["act"] == 0    # hold position, defer delivery
                 checked += 1
     assert checked > 0
