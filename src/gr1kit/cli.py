@@ -68,8 +68,11 @@ def cmd_emit(args):
     except (InvalidParams, OSError) as exc:
         return _error(exc)
     if args.out:
-        with open(args.out, "w") as fp:
-            fp.write(text)
+        try:
+            with open(args.out, "w") as fp:
+                fp.write(text)
+        except OSError as exc:
+            return _error(f"cannot write spec {args.out}: {exc!r}")
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -125,7 +128,10 @@ def cmd_synth(args):
           f"states winning; controller has {strategy.n_nodes} nodes "
           f"({elapsed:.2f}s)")
     if args.out:
-        strategy.save(args.out)
+        try:
+            strategy.save(args.out)
+        except OSError as exc:
+            return _error(f"cannot write strategy {args.out}: {exc!r}")
         print(f"strategy written to {args.out}")
     return EXIT_OK
 
@@ -152,8 +158,11 @@ def cmd_simulate(args):
             return _error(exc, EXIT_HOLE)
         if args.out:
             path = args.out if args.runs == 1 else f"{args.out}.{k:03d}"
-            with open(path, "w") as fp:
-                sim.write_csv(trace, fp)
+            try:
+                with open(path, "w") as fp:
+                    sim.write_csv(trace, fp)
+            except OSError as exc:
+                return _error(f"cannot write trace {path}: {exc!r}")
         else:
             sim.write_csv(trace, sys.stdout)
     return EXIT_OK

@@ -10,8 +10,15 @@ every legal environment commitment, some system response lands in the target
 (environment deadlocks count as controllable, system deadlocks never do).
 
 With no liveness assumptions the inner disjunct vanishes and each mu-Y is a
-plain attractor; that case runs on a linear-time counter/wave schedule so
-the ~5e4-state work-delivery instance solves in well under a second.
+plain attractor, computed in O(edges) by counters: a pair (state, env')
+turns good at its first sys edge into the target, and a state joins once
+none of its pairs is bad.  Assumption games use the same counters for
+cpre(Y), credited once per state as Y grows, and compute each nu-X by the
+dual retreat, seeded from the nu-X of the previous mu-Y round (from below)
+and of the previous Z sweep (from above), so that no level is recomputed
+from scratch (the memoization of Firman, Maoz and Ringert, *Performance
+heuristics for GR(1) synthesis and related algorithms*, Acta Informatica
+2020, on the fixpoint of Piterman, Pnueli and Sa'ar, VMCAI 2006).
 
 ``brute_force_oracle`` recomputes the winning region by a deliberately
 independent route: product the arena with goal counters for both players,
@@ -52,7 +59,7 @@ def _normalize(arena, env_live, sys_live):
 
 
 class _Ctx:
-    """Precomputed edge arrays for vectorized cpre and attractors."""
+    """Precomputed edge arrays for vectorized cpre, attractors and nu-X."""
 
     def __init__(self, arena):
         self.arena = arena
@@ -62,12 +69,15 @@ class _Ctx:
             np.arange(n_pairs, dtype=np.int64), np.diff(arena.sys_indptr))
         self.edge_succ = (arena.env_next[self.edge_pair] * arena.n_sys +
                           arena.sys_next)
-        # incoming sys edges grouped by successor state
+        # incoming sys edges grouped by successor state, as their pairs
         order = np.argsort(self.edge_succ, kind="stable")
-        self.in_edge = order
+        self.in_pair = self.edge_pair[order]
         self.in_indptr = np.zeros(arena.n_states + 1, dtype=np.int64)
         np.cumsum(np.bincount(self.edge_succ, minlength=arena.n_states),
                   out=self.in_indptr[1:])
+        # nu-X edge counters; read only at pairs of undecided states, each
+        # written before it is read, so never cleared
+        self.pair_cnt = np.zeros(n_pairs, dtype=np.int64)
 
     def cpre(self, target):
         """States where sys can force the next state into `target`."""
@@ -77,6 +87,19 @@ class _Ctx:
         bad = np.bincount(a.pair_state[~good], minlength=a.n_states)
         return bad == 0
 
+    def credit(self, joined, pair_good, bad_cnt):
+        """Incremental cpre: the states `joined` have entered the target.
+
+        Marks the pairs with a sys edge into them good, counts each newly
+        good pair off its owner's `bad_cnt` (so ``bad_cnt == 0`` is cpre of
+        the target) and returns those owners, sorted, with repeats."""
+        pairs = self.in_pair[_gather(self.in_indptr, joined)]
+        pairs = _distinct(pairs[~pair_good[pairs]])
+        pair_good[pairs] = True
+        owners = self.arena.pair_state[pairs]
+        np.subtract.at(bad_cnt, owners, 1)
+        return owners
+
     def attractor_ranks(self, seed):
         """Least fixpoint of T -> seed | cpre(T), with wave index per state.
 
@@ -85,31 +108,18 @@ class _Ctx:
         """
         a = self.arena
         rank = np.full(a.n_states, INF_RANK, dtype=np.int32)
-        seed_idx = np.nonzero(seed)[0]
-        rank[seed_idx] = 0
+        frontier = np.nonzero(seed)[0]
+        rank[frontier] = 0
         pair_good = np.zeros(a.n_pairs, dtype=bool)
         bad_cnt = self.env_degree.copy()
-        frontier = seed_idx
         r = 0
         while True:
-            lo = self.in_indptr[frontier]
-            hi = self.in_indptr[frontier + 1]
-            if (hi - lo).sum():
-                gather = np.concatenate(
-                    [self.in_edge[x:y] for x, y in zip(lo, hi) if x != y])
-                pairs = self.edge_pair[gather]
-                pairs = np.unique(pairs[~pair_good[pairs]])
-                pair_good[pairs] = True
-                owners = a.pair_state[pairs]
-                np.subtract.at(bad_cnt, owners, 1)
-                cand = np.unique(owners[bad_cnt[owners] == 0])
-            else:
-                cand = np.zeros(0, dtype=np.int64)
+            owners = self.credit(frontier, pair_good, bad_cnt)
+            cand = owners[bad_cnt[owners] == 0]
             if r == 0:
                 # env-deadlocked states sit in every cpre application
-                dead = np.nonzero((self.env_degree == 0) &
-                                  (rank == INF_RANK))[0]
-                cand = np.union1d(cand, dead)
+                cand = np.concatenate((cand, np.nonzero(bad_cnt == 0)[0]))
+            cand = _distinct(cand)
             cand = cand[rank[cand] == INF_RANK]
             rank[cand] = r + 1
             frontier = cand
@@ -117,6 +127,59 @@ class _Ctx:
             if not len(frontier):
                 break
         return rank
+
+    def nu_x(self, base, not_a, upper, lower):
+        """Greatest fixpoint of X -> base | (not_a & cpre(X)).
+
+        `upper` (None: every state) must contain the fixpoint and `lower`
+        must lie inside it.  Counter-based retreat, the dual of the
+        attractor: every pair of an undecided state counts its sys edges
+        into the candidate set, a removed state takes one off each pair
+        with an edge into it, and a pair at 0 removes its owner.
+        """
+        a = self.arena
+        x = base | not_a
+        if upper is not None:
+            x &= upper
+        undecided = x & ~lower
+        states = np.nonzero(undecided)[0]
+        if not len(states):
+            return x
+        pairs = _gather(a.env_indptr, states)
+        edges = _gather(a.sys_indptr, pairs)
+        cnt = self.pair_cnt
+        cnt[pairs] = 0
+        np.add.at(cnt, self.edge_pair[edges[x[self.edge_succ[edges]]]], 1)
+        dead = pairs[cnt[pairs] == 0]
+        while len(dead):
+            gone = _distinct(a.pair_state[dead])
+            x[gone] = False
+            undecided[gone] = False
+            hit = self.in_pair[_gather(self.in_indptr, gone)]
+            hit = hit[undecided[a.pair_state[hit]]]
+            np.subtract.at(cnt, hit, 1)
+            dead = hit[cnt[hit] == 0]
+        return x
+
+
+def _distinct(idx):
+    """Sorted distinct values of an array of indices.  Same as
+    ``np.unique``, whose hashing made it 10-15x slower than this sort on
+    the arrays of a wave (numpy 2.4)."""
+    idx = np.sort(idx)
+    first = np.ones(len(idx), dtype=bool)
+    np.not_equal(idx[1:], idx[:-1], out=first[1:])
+    return idx[first]
+
+
+def _gather(indptr, rows):
+    """Positions ``indptr[r]:indptr[r + 1]`` of each row in `rows`,
+    concatenated in row order."""
+    lo = indptr[rows]
+    size = indptr[rows + 1] - lo
+    ends = size.cumsum()
+    total = ends[-1] if len(ends) else 0
+    return (lo - ends + size).repeat(size) + np.arange(total)
 
 
 @dataclass
@@ -138,28 +201,33 @@ def solve(arena, env_live, sys_live):
     """
     assumptions, goals = _normalize(arena, env_live, sys_live)
     ctx = _Ctx(arena)
-    trivial = all(a.all() for a in assumptions)
+    # an assumption true everywhere has an empty nu-X disjunct
+    falsifiable = [(i, ~a) for i, a in enumerate(assumptions) if not a.all()]
     n_goals = len(goals)
     Z = np.ones(arena.n_states, dtype=bool)
     y_rank = np.full((n_goals, arena.n_states), INF_RANK, dtype=np.int32)
-    x_witness = None if trivial else [dict() for _ in range(n_goals)]
+    # nu-X layers of every mu-Y round of each goal's previous Z sweep
+    x_layers = [None] * n_goals
 
     while True:
         z_before = Z
         for j, g in enumerate(goals):
             seed = g & ctx.cpre(Z)
-            if trivial:
+            if falsifiable:
+                rank, Y, x_layers[j] = _mu_y_general(
+                    ctx, seed, falsifiable, x_layers[j])
+            else:
                 rank = ctx.attractor_ranks(seed)
                 Y = rank != INF_RANK
-            else:
-                rank, Y, wit = _mu_y_general(ctx, seed, assumptions, Z)
-                x_witness[j] = wit
             y_rank[j] = rank
             Z = Y
         assert not np.any(Z & ~z_before), "Z iterates must shrink"
         if np.array_equal(Z, z_before):
             break
 
+    # the round that added nothing is not a witness
+    x_witness = ([dict(enumerate(layers[:-1])) for layers in x_layers]
+                 if falsifiable else None)
     result = SynthesisResult(
         winning=Z, realizable=False, y_rank=y_rank,
         goals=goals, assumptions=assumptions, x_witness=x_witness)
@@ -167,38 +235,58 @@ def solve(arena, env_live, sys_live):
     return result
 
 
-def _mu_y_general(ctx, seed, assumptions, Z):
-    """mu-Y with per-assumption nu-X disjuncts; small-arena path."""
-    n = ctx.arena.n_states
-    Y = np.zeros(n, dtype=bool)
-    rank = np.full(n, INF_RANK, dtype=np.int32)
-    witness = {}
-    r = 0
+def _mu_y_general(ctx, seed, falsifiable, warm):
+    """mu Y. B(Y) | OR_i nu X. B(Y) | (~a_i & cpre(X)), where B(Y) is
+    seed | cpre(Y), at O(edges) per round.
+
+    `falsifiable` lists (i, ~assumption_i).  Returns the rank of each state
+    (the round it joined Y), Y, and the nu-X layer [(i, X), ...] of every
+    round, the last being the round that added nothing.
+
+    cpre(Y) is kept incrementally: each round credits only the in-edges of
+    the states that joined Y in the round before.  Each nu-X retreats
+    (`_Ctx.nu_x`) between two bounds.  From below: X_{r-1,i} | base, since
+    base and so X grow with r.  From above: `warm`, the layers of the same
+    goal in the previous Z sweep, at round min(r, last) (None in the first
+    sweep).  That bound holds because the Z handed to a goal only shrinks
+    from one sweep to the next.  Number the Zs handed out Z^(0) = all,
+    Z^(1), ...; goal j gets Z^(j), Z^(j+n), ... for n goals, and
+    Z^(m+1) = F_{m mod n}(Z^(m)) with each mu-Y step F_j monotone.  Then
+    Z^(m+n) <= Z^(m) by induction on m: at m = 0 because Z^(0) is every
+    state, and then Z^(m+1+n) = F(Z^(m+n)) <= F(Z^(m)) = Z^(m+1).  A
+    smaller Z gives a smaller seed, hence by induction on r a smaller base,
+    X_{r,i} and Y_r in every round; past its last round the old mu-Y stays
+    at its converged layer.
+    """
+    a = ctx.arena
+    rank = np.full(a.n_states, INF_RANK, dtype=np.int32)
+    Y = np.zeros(a.n_states, dtype=bool)
+    pair_good = np.zeros(a.n_pairs, dtype=bool)
+    bad_cnt = ctx.env_degree.copy()
+    joined = np.zeros(0, dtype=np.int64)
+    layers = []
     while True:
-        base = seed | ctx.cpre(Y)
-        y_new = base.copy()
+        r = len(layers)
+        if len(joined):
+            ctx.credit(joined, pair_good, bad_cnt)
+        base = seed | (bad_cnt == 0)
+        upper = warm[min(r, len(warm) - 1)] if warm else None
         layer = []
-        for i, a in enumerate(assumptions):
-            if a.all():
-                continue   # ~a empty: disjunct vanishes
-            X = np.ones(n, dtype=bool)
-            while True:
-                x_new = base | (~a & ctx.cpre(X))
-                if np.array_equal(x_new, X):
-                    break
-                X = x_new
+        y_new = base.copy()
+        for k, (i, not_a) in enumerate(falsifiable):
+            lower = base | layers[-1][k][1] if layers else base
+            X = ctx.nu_x(base, not_a, upper[k][1] if upper else None, lower)
             layer.append((i, X))
             y_new |= X
+        layers.append(layer)
         assert not np.any(Y & ~y_new), "Y iterates must grow"
         newly = y_new & ~Y
         if not newly.any():
             break
         rank[newly] = r
-        if layer:
-            witness[r] = layer
         Y = y_new
-        r += 1
-    return rank, Y, witness
+        joined = np.nonzero(newly)[0]
+    return rank, Y, layers
 
 
 def is_realizable(result, arena):
@@ -378,6 +466,7 @@ def extract_strategy(result, arena):
     # successor with the lowest sys index; INF keys mark excluded edges
     rank64 = result.y_rank.astype(np.int64)
     INFKEY = np.int64(INF_RANK) * n_sys * 4
+    sys_degree = np.diff(a.sys_indptr)
     edge_sys, edge_next = [], []     # sys index and next node per edge
     for s, j in order:               # order grows while it is walked
         goal_holds = bool(result.goals[j][s])
@@ -388,7 +477,7 @@ def extract_strategy(result, arena):
         elo, ehi = int(a.sys_indptr[plo]), int(a.sys_indptr[phi])
         es_idx = a.env_next[plo:phi]
         ys = a.sys_next[elo:ehi]
-        succ = np.repeat(es_idx, np.diff(a.sys_indptr[plo:phi + 1])) * n_sys + ys
+        succ = np.repeat(es_idx, sys_degree[plo:phi]) * n_sys + ys
         key = rank[succ] * n_sys + ys
         key[~winning[succ]] = INFKEY
         if not goal_holds:

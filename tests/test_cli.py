@@ -277,15 +277,20 @@ SIMULATE = ["simulate", "{strat}", "--steps", "5", "--adversary", "scripted"]
     ["oracle", "--spec", "{missing}"],
     SIMULATE + ["--events", "{missing}"],
     SIMULATE + ["--events", "{bad_events}"],
+    ["emit", "--out", "{unwritable}"],
+    ["synth", "{spec}", "--out", "{unwritable}"],
+    SIMULATE + ["--out", "{unwritable}"],
 ], ids=["safety-missing", "safety-not-csv", "safety-bad-row",
         "recurrence-missing", "recurrence-bad-row", "goal-3", "goal-minus-1",
         "check-spec-missing", "emit-config-missing", "synth-spec-missing", "oracle-spec-missing",
-        "events-missing", "events-malformed"])
+        "events-missing", "events-malformed", "emit-out-unwritable",
+        "synth-out-unwritable", "simulate-out-unwritable"])
 def test_bad_input_exit2(workdir, tmp_path, capsys, argv):
     root, spec, strat = workdir
     files = {"missing": tmp_path / "missing.txt",
              "not_csv": tmp_path / "not.csv", "bad_row": tmp_path / "row.csv",
-             "trace": tmp_path / "ok.csv", "bad_events": tmp_path / "ev.txt"}
+             "trace": tmp_path / "ok.csv", "bad_events": tmp_path / "ev.txt",
+             "unwritable": tmp_path / "no_such_dir" / "out"}
     files["not_csv"].write_text("a,b\n1,2\n")
     files["bad_row"].write_text("step,time_s,bl,human_away\n0,0,x,0\n")
     assert run_cli(["simulate", str(strat), "--steps", "5",

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -238,3 +239,96 @@ def test_goal_index_advances_only_on_goal_states():
         expect = (j + 1) % 2 if goals[j][s] else j
         edges = range(st.edge_indptr[nid], st.edge_indptr[nid + 1])
         assert all(st.node_goal[st.edge_next[k]] == expect for k in edges)
+
+
+def plain_fixpoint(arena, assumptions, goals):
+    """The parent solver's plain iteration, kept as a reference: every mu-Y
+    round recomputes cpre(Y) and every nu-X restarts from all states.
+    Returns (winning, y_rank, x_witness, Z sweeps)."""
+    cpre, n = gr1._Ctx(arena).cpre, arena.n_states
+    Z = np.ones(n, dtype=bool)
+    y_rank = np.full((len(goals), n), gr1.INF_RANK, dtype=np.int32)
+    x_witness = [{} for _ in goals]
+    sweeps = 0
+    while True:
+        z_before, sweeps = Z, sweeps + 1
+        for j, g in enumerate(goals):
+            seed, Y, r = g & cpre(Z), np.zeros(n, dtype=bool), 0
+            y_rank[j] = gr1.INF_RANK
+            x_witness[j] = {}
+            while True:
+                base = seed | cpre(Y)
+                y_new, layer = base.copy(), []
+                for i, a in enumerate(assumptions):
+                    if a.all():
+                        continue
+                    X = np.ones(n, dtype=bool)
+                    while not np.array_equal(X, x_new := base | (~a & cpre(X))):
+                        X = x_new
+                    layer.append((i, X))
+                    y_new |= X
+                newly = y_new & ~Y
+                if not newly.any():
+                    break
+                y_rank[j][newly] = r
+                if layer:
+                    x_witness[j][r] = layer
+                Y, r = y_new, r + 1
+            Z = Y
+        if np.array_equal(Z, z_before):
+            return Z, y_rank, x_witness, sweeps
+
+
+def assert_same_fixpoint(arena, env_live, sys_live):
+    """solve() of an assumption game agrees with plain_fixpoint on every
+    output; returns the plain run's sweep count."""
+    res = gr1.solve(arena, env_live, sys_live)
+    winning, y_rank, x_witness, sweeps = plain_fixpoint(
+        arena, res.assumptions, res.goals)
+    assert np.array_equal(res.winning, winning)
+    assert np.array_equal(res.y_rank, y_rank)
+    assert len(res.x_witness) == len(x_witness)
+    for got, want in zip(res.x_witness, x_witness):
+        assert got.keys() == want.keys()
+        for r in want:
+            assert [i for i, _ in got[r]] == [i for i, _ in want[r]]
+            assert all(np.array_equal(gx, wx)
+                       for (_, gx), (_, wx) in zip(got[r], want[r]))
+    return sweeps
+
+
+def test_incremental_fixpoint_matches_plain_iteration():
+    seen = dict(env_deadlock=0, sys_deadlock=0, two_goals=0, sweeps3=0)
+    for seed in range(600):
+        a, env_live, sys_live = ar.random_arena(seed)
+        if all(e.all() for e in env_live):
+            continue
+        sweeps = assert_same_fixpoint(a, env_live, sys_live)
+        seen["env_deadlock"] += bool((np.diff(a.env_indptr) == 0).any())
+        seen["sys_deadlock"] += bool((np.diff(a.sys_indptr) == 0).any())
+        seen["two_goals"] += len(sys_live) == 2
+        seen["sweeps3"] += sweeps >= 3
+    # not vacuous: the corpus has deadlocks on both sides, two goals, and
+    # games whose Z shrinks after the first sweep, so that a warm-started
+    # sweep runs below the layers it starts from
+    assert all(seen.values()), seen
+
+
+def test_incremental_fixpoint_matches_plain_on_reduced_scenario(
+        reduced_arena, reduced_doc):
+    from gr1kit.speclang import parse_expr
+    env_live = [parse_expr("!o1"), parse_expr("!stalled")]
+    assert_same_fixpoint(reduced_arena, env_live, reduced_doc.sys_liveness)
+
+
+def test_reduced_assumption_game_bytes(reduced_arena, reduced_doc, tmp_path):
+    # recorded with the plain-iteration solver
+    from gr1kit.speclang import parse_expr
+    res = gr1.solve(reduced_arena, [parse_expr("!o1"), parse_expr("!stalled")],
+                    reduced_doc.sys_liveness)
+    assert hashlib.sha256(res.y_rank.tobytes()).hexdigest() == (
+        "6c91300f51823c223e3b5835c0af9135618e1d677f02422c0ffce51f33f8f024")
+    path = tmp_path / "reduced_assume.json"
+    gr1.extract_strategy(res, reduced_arena).save(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "a3ac97ff8bdcb49e4dbe82e1ebbfe219d28bdb99d68f0e12039d2f92f26454a4")
