@@ -19,8 +19,10 @@ evaluates every clause set.  A relation has rows (states in stage 1;
 sets and predicates) and columns (env' assignments in stage 1, sys'
 assignments in stage 2, a single column for predicates).  Clauses are
 grouped by the column variables they reference; each group's conjunction
-is tabulated once over the joint domain of its variables, giving a small
-[row profile × column profile] truth table, and applied to a chunk of rows
+is tabulated once over the joint domain of its variables by
+``speclang.eval_expr``, the toolkit's one evaluator, called with row
+values along one axis and column values along the other.  This gives a
+small [row profile × column profile] truth table, applied to a chunk of rows
 by a row gather followed by a column gather.  A table that would be
 larger than a chunk, or cover more row profiles than there are rows, is
 instead built per chunk over the profiles that occur in it.  True cells
@@ -203,45 +205,15 @@ class GameArena:
 # --------------------------------------------------------------------------
 # clause compilation: clause groups -> truth tables -> gathers
 
-_CMP = {"=": np.equal, "!=": np.not_equal, "<": np.less,
-        "<=": np.less_equal, ">": np.greater, ">=": np.greater_equal}
-
-
-def _term(t, val):
-    return t.offset if t.name is None else val[t.name, t.primed] + t.offset
-
-
-def _eval(e, val):
-    """``speclang.eval_expr`` over arrays: `val` maps (name, primed) to
-    mutually broadcastable value arrays."""
-    if isinstance(e, sl.BoolLit):
-        return e.value
-    if isinstance(e, sl.VarRef):
-        return val[e.name, e.primed] != 0
-    if isinstance(e, sl.Cmp):
-        return _CMP[e.op](_term(e.lhs, val), _term(e.rhs, val))
-    if isinstance(e, sl.Not):
-        return np.logical_not(_eval(e.arg, val))
-    if isinstance(e, sl.And):
-        return functools.reduce(np.logical_and,
-                                (_eval(a, val) for a in e.args), True)
-    if isinstance(e, sl.Or):
-        return functools.reduce(np.logical_or,
-                                (_eval(a, val) for a in e.args), False)
-    if isinstance(e, sl.Implies):
-        return np.logical_or(np.logical_not(_eval(e.lhs, val)),
-                             _eval(e.rhs, val))
-    if isinstance(e, sl.Iff):
-        return np.equal(_eval(e.lhs, val), _eval(e.rhs, val))
-    raise TypeError(f"not an expression: {e!r}")
-
-
 def _table(clauses, row, profiles, col):
     """Truth of a clause conjunction, [row profiles × every `col` index]."""
-    val = {key: row.column(key, profiles)[:, None] for key in row.keys}
-    val.update((key, col.column(key)[None, :]) for key in col.keys)
-    return functools.reduce(np.logical_and, (_eval(c, val) for c in clauses),
-                            np.ones((len(profiles), col.size), dtype=bool))
+    val = [(key, row.column(key, profiles)[:, None]) for key in row.keys]
+    val += [(key, col.column(key)[None, :]) for key in col.keys]
+    cur = {name: v for (name, primed), v in val if not primed}
+    nxt = {name: v for (name, primed), v in val if primed}
+    return functools.reduce(
+        np.logical_and, (sl.eval_expr(c, cur, nxt) for c in clauses),
+        np.ones((len(profiles), col.size), dtype=bool))
 
 
 def _relation(clauses, row, rows, col):
@@ -305,8 +277,9 @@ def build_arena(doc, cap=1 << 24):
     """Compile a validated document into an explicit arena.
 
     Raises CapacityExceeded when the valuation space is larger than `cap`
-    states.  Move relations are computed vectorized; they agree with
-    clause-by-clause evaluation through ``speclang.eval_expr``.
+    states.  Move relations are computed vectorized from truth tables
+    that ``speclang.eval_expr`` fills; the tests check them against a
+    separate scalar evaluator, clause by clause.
     """
     env_decls = tuple(doc.env_vars())
     decls = env_decls + tuple(doc.sys_vars())

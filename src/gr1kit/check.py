@@ -1,8 +1,14 @@
 """Verification of traces and strategies against a specification.
 
+Each clause is evaluated once, by ``speclang.eval_expr`` over columns: a
+trace's rows (the previous row against the next one for transitions) or
+a controller's nodes.  A variable the clause references but the trace or
+controller lacks raises MissingBinding.
+
 * ``check_safety``: every transition of a trace against all safety clauses,
   plus state-invariant clauses (those referencing only next-step values) on
-  every snapshot and the init clauses on the first one.
+  every snapshot, the init clauses on the first one, and every value
+  against its variable's declared domain.
 * ``check_recurrence``: finite-trace approximation of an "infinitely often"
   goal; every window of W consecutive steps must contain a goal state.
   Human-away spans do not count toward windows.
@@ -58,61 +64,60 @@ def _verdict(violations, gap=None):
 # safety
 
 
-def _clauses(doc):
-    for i, c in enumerate(doc.env_init):
-        yield f"env_init[{i}]", c, "init"
-    for i, c in enumerate(doc.sys_init):
-        yield f"sys_init[{i}]", c, "init"
-    for i, c in enumerate(doc.env_safety):
-        yield f"env_trans[{i}]", c, "env"
-    for i, c in enumerate(doc.sys_safety):
-        yield f"sys_trans[{i}]", c, "sys"
+def _columns(trace):
+    """name -> int array of the variable's value at each row."""
+    return {name: np.array([r.state[name] for r in trace.rows],
+                           dtype=np.int64) for name in trace.names}
 
 
 def check_safety(trace, doc):
     """Every consecutive pair against all safety clauses; snapshots against
-    next-only invariants; the first row against the init clauses."""
-    violations = []
+    next-only invariants; the first row against the init clauses; every
+    value against its variable's declared domain.  Violations come in row
+    order, and within a row domain first, then clause order."""
     rows = trace.rows
     if not rows:
         return _verdict([("trace", "empty", "no rows to check")])
-    init_clauses = [(cid, c) for cid, c, kind in _clauses(doc)
-                    if kind == "init"]
-    trans_clauses = [(cid, c) for cid, c, kind in _clauses(doc)
-                     if kind != "init"]
-    for cid, c in init_clauses:
-        if not eval_expr(c, rows[0].state):
-            violations.append((0, cid, f"init violated: {format_expr(c)}"))
+    col = _columns(trace)
+    found = []      # domain, then clause order; a stable sort by row follows
+    for d in doc.vars:
+        if d.name in col:
+            vals = col[d.name]
+            for k in np.flatnonzero((vals < d.lo) | (vals > d.hi)).tolist():
+                found.append((k, "domain", f"{d.name} = {vals[k]} "
+                                           f"outside {d.lo}..{d.hi}"))
     # clauses referencing only next-step values double as invariants on the
     # later snapshot, so the pairwise sweep covers them at every reached row
-    for k in range(1, len(rows)):
-        if rows[k].human_away:
-            continue
-        cur, nxt = rows[k - 1].state, rows[k].state
-        for cid, c in trans_clauses:
-            if not eval_expr(c, cur, nxt):
-                violations.append((k, cid, f"violated: {format_expr(c)}"))
-    return _verdict(violations)
+    steps = np.flatnonzero([not r.human_away for r in rows[1:]]) + 1
+    init = (np.zeros(1, np.int64), {n: v[:1] for n, v in col.items()}, None,
+            "init violated")
+    trans = (steps, {n: v[steps - 1] for n, v in col.items()},
+             {n: v[steps] for n, v in col.items()}, "violated")
+    for kind, clauses, (where, cur, nxt, what) in (
+            ("env_init", doc.env_init, init), ("sys_init", doc.sys_init, init),
+            ("env_trans", doc.env_safety, trans),
+            ("sys_trans", doc.sys_safety, trans)):
+        for i, c in enumerate(clauses):
+            held = np.broadcast_to(eval_expr(c, cur, nxt), where.shape)
+            found += [(k, f"{kind}[{i}]", f"{what}: {format_expr(c)}")
+                      for k in where[~held].tolist()]
+    return _verdict(sorted(found, key=lambda v: v[0]))
 
 
 def check_recurrence(trace, goal, window):
     """Pass iff every `window` consecutive non-frozen rows contain a state
-    satisfying the goal (expression or state-dict predicate)."""
+    satisfying the goal expression."""
     if window < 1:
         raise ValueError("window must be at least 1")
-    test = goal if callable(goal) else (lambda st: bool(eval_expr(goal, st)))
-    eff = [(r.index, test(r.state)) for r in trace.rows if not r.human_away]
-    violations = []
-    if len(eff) >= window:
-        run = 0
-        for idx, hit in eff:
-            run = 0 if hit else run + 1
-            if run >= window:
-                violations.append(
-                    (idx, "recurrence",
-                     f"{window} consecutive steps without the goal"))
-                run = 0    # report each violating stretch once
-    return _verdict(violations)
+    eff = np.flatnonzero([not r.human_away for r in trace.rows])
+    vals = {name: col[eff] for name, col in _columns(trace).items()}
+    hits = np.broadcast_to(eval_expr(goal, vals), eff.shape)
+    # rows since the last goal row; a stretch is reported once per window
+    pos = np.arange(len(eff))
+    run = pos - np.maximum.accumulate(np.where(hits, pos, -1))
+    return _verdict([(trace.rows[k].index, "recurrence",
+                      f"{window} consecutive steps without the goal")
+                     for k in eff[(run > 0) & (run % window == 0)].tolist()])
 
 
 # --------------------------------------------------------------------------
@@ -130,9 +135,14 @@ def lasso_check(strategy, adversary, doc):
     if not getattr(adversary, "deterministic_finite", False):
         raise AdversaryNotFinite(
             f"adversary {getattr(adversary, 'kind', '?')} has unbounded state")
-    goals = list(doc.sys_liveness)
-    assumptions = list(doc.env_liveness)
     env_names = list(strategy.env_names)
+    vals = {name: strategy.node_vals[:, k]
+            for k, name in enumerate(strategy.names)}
+    # truth of each goal and assumption at every node
+    goals = [np.broadcast_to(eval_expr(g, vals), (strategy.n_nodes,))
+             for g in doc.sys_liveness]
+    assumed = [np.broadcast_to(eval_expr(a, vals), (strategy.n_nodes,))
+               for a in doc.env_liveness]
     violations = []
     worst_gap = 0
 
@@ -153,30 +163,24 @@ def lasso_check(strategy, adversary, doc):
         else:
             loop_start = seen[nid]
             cycle = path[loop_start:]
-            cycle_states = [strategy.node_state(q) for q in cycle]
             # the run falsifies an assumption only if the assumption
             # fails at every state of the cycle
-            vacuous = any(
-                not any(eval_expr(a, st) for st in cycle_states)
-                for a in assumptions)
+            vacuous = any(not a[cycle].any() for a in assumed)
             for gi, g in enumerate(goals):
-                if vacuous or any(eval_expr(g, st) for st in cycle_states):
+                if vacuous or g[cycle].any():
                     continue
                 violations.append(
                     (cycle[0], f"sys_liveness[{gi}]",
                      "cycle through nodes "
-                     f"{cycle} never satisfies {format_expr(g)}"))
+                     f"{cycle} never satisfies "
+                     f"{format_expr(doc.sys_liveness[gi])}"))
             # inter-goal gaps over the unrolled run
             unrolled = path + cycle * 2
-            for gi, g in enumerate(goals):
-                hits = [i for i, q in enumerate(unrolled)
-                        if eval_expr(g, strategy.node_state(q))]
-                if not hits:
-                    continue
-                gap = hits[0] + 1
-                for a, b in zip(hits, hits[1:]):
-                    gap = max(gap, b - a)
-                worst_gap = max(worst_gap, gap)
+            for g in goals:
+                hits = np.flatnonzero(g[unrolled])
+                if hits.size:
+                    worst_gap = max(worst_gap,
+                                    int(np.diff(hits, prepend=-1).max()))
     return _verdict(violations, gap=worst_gap if not violations else None)
 
 

@@ -25,7 +25,7 @@ from . import sim
 from . import speclang as sl
 from . import workdelivery as wd
 from .errors import (AdversaryNotFinite, CapacityExceeded, InvalidParams,
-                     SpecError, StrategyHole, TooLarge)
+                     MissingBinding, SpecError, StrategyHole, TooLarge)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -175,19 +175,23 @@ def cmd_check(args):
     if args.mode in ("safety", "recurrence"):
         if not args.trace:
             return _error("--trace required")
-        trace = _load("trace", args.trace, sim.read_csv)
-        if trace is None:
-            return EXIT_PARSE
-        if args.mode == "safety":
-            verdict = ck.check_safety(trace, doc)
-        else:
+        if args.mode == "recurrence":
             if not args.window:
                 return _error("--window required for recurrence")
             if not 0 <= args.goal < len(doc.sys_liveness):
                 return _error(
                     f"--goal must be in 0..{len(doc.sys_liveness) - 1}")
-            goal = doc.sys_liveness[args.goal]
-            verdict = ck.check_recurrence(trace, goal, args.window)
+        trace = _load("trace", args.trace, sim.read_csv)
+        if trace is None:
+            return EXIT_PARSE
+        try:
+            if args.mode == "safety":
+                verdict = ck.check_safety(trace, doc)
+            else:
+                verdict = ck.check_recurrence(
+                    trace, doc.sys_liveness[args.goal], args.window)
+        except (MissingBinding, OverflowError) as exc:
+            return _error(f"cannot check trace {args.trace}: {exc}")
     elif args.mode in ("lasso", "closure"):
         if not args.strategy:
             return _error("--strategy required")
@@ -198,7 +202,7 @@ def cmd_check(args):
             adversary = sim.make_adversary(args.adversary)
             try:
                 verdict = ck.lasso_check(strategy, adversary, doc)
-            except AdversaryNotFinite as exc:
+            except (AdversaryNotFinite, MissingBinding) as exc:
                 return _error(exc)
         else:
             try:

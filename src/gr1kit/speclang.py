@@ -20,8 +20,11 @@ environment variables.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import Diagnostic, MissingBinding, SpecError
 
@@ -582,47 +585,58 @@ def print_spec(doc):
 # evaluation
 
 
-def _term_value(t, current, nxt):
-    if t.name is None:
-        return t.offset
-    env = nxt if t.primed else current
-    where = "next" if t.primed else "current"
-    if env is None or t.name not in env:
-        raise MissingBinding(f"{t.name}{'′' if t.primed else ''} missing from "
-                             f"{where} valuation")
-    return env[t.name] + t.offset
+_COMPARE = {"=": np.equal, "!=": np.not_equal, "<": np.less,
+            "<=": np.less_equal, ">": np.greater, ">=": np.greater_equal}
+
+
+def _binding(ref, current, nxt):
+    """Value of a variable reference (VarRef or IntTerm with a name)."""
+    env = nxt if ref.primed else current
+    if env is None or ref.name not in env:
+        where = "next" if ref.primed else "current"
+        raise MissingBinding(f"{ref.name}{'′' if ref.primed else ''} missing "
+                             f"from {where} valuation")
+    return env[ref.name]
 
 
 def eval_expr(e, current, nxt=None):
     """Evaluate a clause over a current valuation and a (partial) next one.
 
-    Valuations are name -> int mappings with booleans as 0/1.  Integer
-    arithmetic is exact; nothing is clamped here.
+    Valuations map names to ints (booleans as 0/1) or to mutually
+    broadcastable int arrays.  The clause is evaluated element by element
+    into a numpy bool array of the broadcast shape, or a numpy bool where
+    no array is referenced (``true``, say), which callers broadcast.
+    Every operand is evaluated, so a referenced name missing from its
+    valuation always raises MissingBinding.  Integer arithmetic is exact
+    on ints; nothing is clamped here.
+
+    This is the toolkit's only evaluator: the arena compiler calls it over
+    the axes of its truth tables, and the checkers over trace and
+    controller columns.
     """
     if isinstance(e, BoolLit):
-        return e.value
+        return np.bool_(e.value)
     if isinstance(e, VarRef):
-        env = nxt if e.primed else current
-        where = "next" if e.primed else "current"
-        if env is None or e.name not in env:
-            raise MissingBinding(f"{e.name}{'′' if e.primed else ''} missing "
-                                 f"from {where} valuation")
-        return bool(env[e.name])
+        return np.not_equal(_binding(e, current, nxt), 0)
     if isinstance(e, Cmp):
-        a = _term_value(e.lhs, current, nxt)
-        b = _term_value(e.rhs, current, nxt)
-        return {"=": a == b, "!=": a != b, "<": a < b,
-                "<=": a <= b, ">": a > b, ">=": a >= b}[e.op]
+        a, b = (t.offset if t.name is None
+                else _binding(t, current, nxt) + t.offset
+                for t in (e.lhs, e.rhs))
+        return _COMPARE[e.op](a, b)
     if isinstance(e, Not):
-        return not eval_expr(e.arg, current, nxt)
+        return np.logical_not(eval_expr(e.arg, current, nxt))
     if isinstance(e, And):
-        return all(eval_expr(a, current, nxt) for a in e.args)
+        return functools.reduce(np.logical_and, (eval_expr(a, current, nxt)
+                                                 for a in e.args), True)
     if isinstance(e, Or):
-        return any(eval_expr(a, current, nxt) for a in e.args)
+        return functools.reduce(np.logical_or, (eval_expr(a, current, nxt)
+                                                for a in e.args), False)
     if isinstance(e, Implies):
-        return (not eval_expr(e.lhs, current, nxt)) or eval_expr(e.rhs, current, nxt)
+        return np.logical_or(np.logical_not(eval_expr(e.lhs, current, nxt)),
+                             eval_expr(e.rhs, current, nxt))
     if isinstance(e, Iff):
-        return eval_expr(e.lhs, current, nxt) == eval_expr(e.rhs, current, nxt)
+        return np.equal(eval_expr(e.lhs, current, nxt),
+                        eval_expr(e.rhs, current, nxt))
     raise TypeError(f"not an expression: {e!r}")
 
 

@@ -1,8 +1,10 @@
-"""Seeded random spec documents and expressions for round-trip testing."""
+"""Seeded random spec documents and expressions for round-trip testing,
+and a scalar reference evaluator to check the toolkit's evaluator against."""
 
 import random
 
 from gr1kit import speclang as sl
+from gr1kit.errors import MissingBinding
 from gr1kit.speclang import (And, BoolLit, Cmp, Iff, Implies, IntTerm, Not,
                              Or, SpecDocument, VarDecl, VarRef)
 
@@ -85,3 +87,42 @@ def random_document(rng):
 def random_small_spec_text(rng):
     """Small well-formed spec text for arena move-equivalence tests."""
     return sl.print_spec(random_document(rng))
+
+
+def _reference_term(t, current, nxt):
+    if t.name is None:
+        return t.offset
+    env = nxt if t.primed else current
+    if env is None or t.name not in env:
+        raise MissingBinding(f"{t.name} missing")
+    return env[t.name] + t.offset
+
+
+def reference_eval(e, current, nxt=None):
+    """Scalar, short-circuit evaluation of a clause over name -> int
+    valuations: an independent reference for ``speclang.eval_expr``."""
+    if isinstance(e, BoolLit):
+        return e.value
+    if isinstance(e, VarRef):
+        env = nxt if e.primed else current
+        if env is None or e.name not in env:
+            raise MissingBinding(f"{e.name} missing")
+        return bool(env[e.name])
+    if isinstance(e, Cmp):
+        a = _reference_term(e.lhs, current, nxt)
+        b = _reference_term(e.rhs, current, nxt)
+        return {"=": a == b, "!=": a != b, "<": a < b,
+                "<=": a <= b, ">": a > b, ">=": a >= b}[e.op]
+    if isinstance(e, Not):
+        return not reference_eval(e.arg, current, nxt)
+    if isinstance(e, And):
+        return all(reference_eval(a, current, nxt) for a in e.args)
+    if isinstance(e, Or):
+        return any(reference_eval(a, current, nxt) for a in e.args)
+    if isinstance(e, Implies):
+        return (not reference_eval(e.lhs, current, nxt)
+                or reference_eval(e.rhs, current, nxt))
+    if isinstance(e, Iff):
+        return (reference_eval(e.lhs, current, nxt)
+                == reference_eval(e.rhs, current, nxt))
+    raise TypeError(f"not an expression: {e!r}")

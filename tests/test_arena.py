@@ -10,9 +10,9 @@ import pytest
 
 from gr1kit import arena as ar
 from gr1kit.errors import CapacityExceeded
-from gr1kit.speclang import ENV, eval_expr, parse_spec
+from gr1kit.speclang import ENV, parse_spec
 
-from genspec import random_document, random_expr
+from genspec import random_document, random_expr, reference_eval
 
 
 def brute_env_moves(arena, doc, s):
@@ -20,7 +20,7 @@ def brute_env_moves(arena, doc, s):
     out = []
     for e in range(arena.n_env):
         nxt = arena.env_values(e)
-        if all(eval_expr(c, cur, nxt) for c in doc.env_safety):
+        if all(reference_eval(c, cur, nxt) for c in doc.env_safety):
             out.append(e)
     return out
 
@@ -32,7 +32,7 @@ def brute_sys_moves(arena, doc, s, e):
     for y in range(arena.n_sys):
         nxt = dict(base)
         nxt.update(arena.sys_values(y))
-        if all(eval_expr(c, cur, nxt) for c in doc.sys_safety):
+        if all(reference_eval(c, cur, nxt) for c in doc.sys_safety):
             out.append(y)
     return out
 
@@ -191,15 +191,17 @@ def test_init_sets():
             sys_init=[random_expr(rng, doc.vars) for _ in range(2)])
         b = ar.with_inits(ar.build_arena(doc), doc2)
         for e in range(b.n_env):
-            want = all(eval_expr(c, b.env_values(e)) for c in doc2.env_init)
+            want = all(reference_eval(c, b.env_values(e))
+                       for c in doc2.env_init)
             assert b.env_init[e] == want
         for expr in doc.env_liveness + doc.sys_liveness:
             pred = ar.state_predicate(b, expr)
             assert pred.shape == (b.n_states,)
-            assert all(pred[s] == eval_expr(expr, b.valuation(s))
+            assert all(pred[s] == reference_eval(expr, b.valuation(s))
                        for s in range(b.n_states))
         for s in range(b.n_states):
-            want = all(eval_expr(c, b.valuation(s)) for c in doc2.sys_init)
+            want = all(reference_eval(c, b.valuation(s))
+                       for c in doc2.sys_init)
             assert b.sys_init[s] == want
 
 

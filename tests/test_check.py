@@ -10,7 +10,7 @@ from gr1kit import check
 from gr1kit import gr1
 from gr1kit import sim
 from gr1kit.errors import AdversaryNotFinite
-from gr1kit.speclang import parse_spec
+from gr1kit.speclang import parse_expr, parse_spec
 
 
 def make_trace(doc_names, rows_states, frozen=()):
@@ -51,15 +51,58 @@ def test_init_violation_reported(scenario):
     assert any(w == 0 for w, _, _ in verdict.violations)
 
 
+def test_domain_violations_reported():
+    doc = parse_spec("[ENV_VARS]\nu : 0..3\n[SYS_VARS]\nx : 0..3\n"
+                     "[ENV_TRANS]\nu' <= u + 1\n[SYS_TRANS]\nx' = u'\n")
+    tr = make_trace(("u", "x"), [{"u": k, "x": k} for k in range(6)])
+    assert check.check_safety(tr, doc).violations == [
+        (4, "domain", "u = 4 outside 0..3"), (4, "domain", "x = 4 outside 0..3"),
+        (5, "domain", "u = 5 outside 0..3"), (5, "domain", "x = 5 outside 0..3")]
+    # within a row, domain findings come before clause findings
+    tr.rows[5].state = {"u": 5, "x": 1}
+    assert check.check_safety(tr, doc).violations[2:] == [
+        (5, "domain", "u = 5 outside 0..3"), (5, "sys_trans[0]", "violated: x' = u'")]
+
+
+def test_safety_violation_list_pinned(reduced_doc, reduced_strategy):
+    # recorded before the checkers evaluated clauses over trace columns
+    events = sim.parse_events("step=10 human_away=1 duration=3")
+    tr = sim.run(reduced_strategy, sim.make_adversary("random", seed=1), 24,
+                 events=events)
+    rows = tr.rows
+    for k, change in ((0, {"bl": 7}), (4, {"rs": 2}), (8, {"bl": 0}),
+                      (11, {"hf": 1 - rows[11].state["hf"]}),   # frozen row
+                      (16, {"hf": 1 - rows[16].state["hf"], "tries": 2})):
+        rows[k].state = dict(rows[k].state, **change)
+    bl_rule = ("act != 2 & bl >= 1 & !(hf & (act = 0 & rs != 0 | tries = 1 "
+               "& !s)) -> bl' = bl | bl >= 1 & bl' = bl - 1 | bl <= 1 & "
+               "bl' = 0")
+    assert check.check_safety(tr, reduced_doc).violations == [
+        (0, "env_init[0]", "init violated: bl = 5"),
+        (1, "env_trans[10]", f"violated: {bl_rule}"),
+        (4, "sys_trans[0]", "violated: rs' = act"),
+        (4, "sys_trans[2]", "violated: act' >= rs' - 1"),
+        (8, "env_trans[10]", f"violated: {bl_rule}"),
+        (8, "env_trans[12]", "violated: stalled' <-> bl' = bl"),
+        (8, "sys_trans[4]", "violated: bl' >= 1"),
+        (9, "env_trans[8]", "violated: act != 2 & bl = 0 -> bl' = bl"),
+        (16, "sys_trans[8]", "violated: !(rs = 2 & act = 1) & "
+                             "!(rs = 0 & hf & s) -> (hf' <-> hf)"),
+    ]
+
+
 def test_recurrence_trivial_and_violation():
     states = [{"g": 1} for _ in range(10)]
     tr = make_trace(("g",), states)
-    goal = lambda st: st["g"] == 1
+    goal = parse_expr("g = 1")
     assert check.check_recurrence(tr, goal, 1).passed
     states = [{"g": 1 if i == 0 else 0} for i in range(10)]
     tr = make_trace(("g",), states)
     verdict = check.check_recurrence(tr, goal, 4)
-    assert not verdict.passed
+    # each goal-free stretch is reported once per full window
+    assert verdict.violations == [
+        (k, "recurrence", "4 consecutive steps without the goal")
+        for k in (4, 8)]
     # trace shorter than the window passes vacuously
     tr = make_trace(("g",), states[:3])
     assert check.check_recurrence(tr, goal, 5).passed
@@ -71,10 +114,11 @@ def test_recurrence_window_extends_over_freeze():
         states.append({"g": 1 if i in (0, 11) else 0})
     frozen = {3, 4, 5, 6}
     tr = make_trace(("g",), states, frozen=frozen)
-    goal = lambda st: st["g"] == 1
+    goal = parse_expr("g = 1")
     # 8 effective rows, goal at effective positions 0 and 7
     assert check.check_recurrence(tr, goal, 7).passed
-    assert not check.check_recurrence(tr, goal, 6).passed
+    verdict = check.check_recurrence(tr, goal, 6)
+    assert [where for where, _, _ in verdict.violations] == [10]
 
 
 def tiny_doc():
@@ -159,9 +203,10 @@ def test_soundness_link_gap_covers_traces(strategy_for, scenario):
     doc, arena, result = scenario(12)
     st = strategy_for(12)
     goal = doc.sys_liveness[0]
-    for kind in ("min-bl", "max-bl"):
+    # gaps recorded before the checkers evaluated over controller columns
+    for kind, gap in (("min-bl", 14), ("max-bl", 30)):
         lv = check.lasso_check(st, sim.make_adversary(kind), doc)
-        assert lv.passed
+        assert lv.passed and lv.max_goal_gap == gap
         tr = sim.run(st, sim.make_adversary(kind), 180)
         assert check.check_recurrence(tr, goal, lv.max_goal_gap).passed
 

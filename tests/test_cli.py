@@ -259,6 +259,11 @@ def test_check_bad_strategy_exit2(workdir, tmp_path, capsys):
 
 CHECK = ["check", "--spec", "{spec}", "--mode"]
 SIMULATE = ["simulate", "{strat}", "--steps", "5", "--adversary", "scripted"]
+OK_CHECK = ["check", "--spec", "{ok_spec}", "--mode"]
+# `x = 0 | ok` holds on every row of NO_OK_CSV without reading `ok`
+OK_SPEC = ("[ENV_VARS]\nok : bool\n[SYS_VARS]\nx : 0..3\n"
+           "[SYS_TRANS]\nok' -> x' = 0\n[SYS_LIVENESS]\nx = 0 | ok\n")
+NO_OK_CSV = "step,time_s,x,human_away\n0,0,0,0\n1,10,0,0\n2,20,0,0\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -280,18 +285,30 @@ SIMULATE = ["simulate", "{strat}", "--steps", "5", "--adversary", "scripted"]
     ["emit", "--out", "{unwritable}"],
     ["synth", "{spec}", "--out", "{unwritable}"],
     SIMULATE + ["--out", "{unwritable}"],
+    OK_CHECK + ["safety", "--trace", "{no_ok}"],
+    OK_CHECK + ["recurrence", "--window", "2", "--trace", "{no_ok}"],
+    OK_CHECK + ["lasso", "--strategy", "{strat}", "--adversary", "min-bl"],
+    OK_CHECK + ["safety", "--trace", "{huge}"],
 ], ids=["safety-missing", "safety-not-csv", "safety-bad-row",
         "recurrence-missing", "recurrence-bad-row", "goal-3", "goal-minus-1",
         "check-spec-missing", "emit-config-missing", "synth-spec-missing", "oracle-spec-missing",
         "events-missing", "events-malformed", "emit-out-unwritable",
-        "synth-out-unwritable", "simulate-out-unwritable"])
+        "synth-out-unwritable", "simulate-out-unwritable",
+        "safety-trace-lacks-var", "recurrence-trace-lacks-var",
+        "lasso-strategy-lacks-var", "safety-value-overflows"])
 def test_bad_input_exit2(workdir, tmp_path, capsys, argv):
     root, spec, strat = workdir
     files = {"missing": tmp_path / "missing.txt",
              "not_csv": tmp_path / "not.csv", "bad_row": tmp_path / "row.csv",
              "trace": tmp_path / "ok.csv", "bad_events": tmp_path / "ev.txt",
-             "unwritable": tmp_path / "no_such_dir" / "out"}
+             "unwritable": tmp_path / "no_such_dir" / "out",
+             "ok_spec": tmp_path / "ok.spec", "no_ok": tmp_path / "no_ok.csv",
+             "huge": tmp_path / "huge.csv"}
     files["not_csv"].write_text("a,b\n1,2\n")
+    files["ok_spec"].write_text(OK_SPEC)
+    files["no_ok"].write_text(NO_OK_CSV)
+    files["huge"].write_text("step,time_s,ok,x,human_away\n"
+                             "0,0,0,99999999999999999999,0\n")
     files["bad_row"].write_text("step,time_s,bl,human_away\n0,0,x,0\n")
     assert run_cli(["simulate", str(strat), "--steps", "5",
                     "--out", str(files["trace"])]) == 0
@@ -299,3 +316,16 @@ def test_bad_input_exit2(workdir, tmp_path, capsys, argv):
     args = [a.format(spec=spec, strat=strat, **files) for a in argv]
     assert run_cli(args) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode, missing", [
+    (["safety"], "ok′ missing from next valuation"),
+    (["recurrence", "--window", "9"], "ok missing from current valuation"),
+], ids=["safety", "recurrence"])
+def test_check_names_missing_variable(tmp_path, capsys, mode, missing):
+    spec, trace = tmp_path / "ok.spec", tmp_path / "trace.csv"
+    spec.write_text(OK_SPEC)
+    trace.write_text(NO_OK_CSV)
+    assert run_cli(["check", "--spec", str(spec), "--mode", *mode,
+                    "--trace", str(trace)]) == 2
+    assert missing in capsys.readouterr().err

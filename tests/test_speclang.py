@@ -1,6 +1,7 @@
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gr1kit import speclang as sl
@@ -8,7 +9,7 @@ from gr1kit.errors import MissingBinding, SpecError
 from gr1kit.speclang import (eval_expr, format_expr, parse_expr, parse_spec,
                              print_spec)
 
-from genspec import random_document
+from genspec import random_document, reference_eval
 
 DATA = Path(__file__).parent / "data"
 
@@ -94,6 +95,33 @@ def test_eval_missing_binding():
         eval_expr(e, {"bl": 20}, {})
     with pytest.raises(MissingBinding):
         eval_expr(e, {}, {"bl": 19})
+    # no short-circuit: a missing name raises even where it cannot matter
+    with pytest.raises(MissingBinding):
+        eval_expr(parse_expr("x = 0 | ok"), {"x": np.zeros(3, np.int64)})
+    with pytest.raises(MissingBinding):
+        eval_expr(parse_expr("false & ok'"), {}, None)
+
+
+def test_eval_expr_matches_reference_elementwise():
+    rng = random.Random(13)
+    n = 40
+    for _ in range(200):
+        doc = random_document(rng)
+        # values up to 2 outside each domain: evaluation ignores domains
+        cur, nxt = ({d.name: np.array([rng.randint(d.lo - 2, d.hi + 2)
+                                       for _ in range(n)])
+                     for d in doc.vars} for _ in range(2))
+        rows = [({k: int(v[i]) for k, v in cur.items()},
+                 {k: int(v[i]) for k, v in nxt.items()}) for i in range(n)]
+        clauses = (doc.env_init + doc.sys_init + doc.env_safety +
+                   doc.sys_safety + doc.env_liveness + doc.sys_liveness +
+                   [sl.BoolLit(True), sl.BoolLit(False)])
+        for c in clauses:
+            got = eval_expr(c, cur, nxt)
+            assert np.shape(got) in ((), (n,))
+            want = [reference_eval(c, a, b) for a, b in rows]
+            assert np.broadcast_to(got, (n,)).tolist() == want, format_expr(c)
+            assert [bool(eval_expr(c, a, b)) for a, b in rows[:3]] == want[:3]
 
 
 def test_eval_is_exact_integer_arithmetic():
