@@ -1,9 +1,10 @@
 """Verification of traces and strategies against a specification.
 
-Each clause is evaluated once, by ``speclang.eval_expr`` over columns: a
-trace's rows (the previous row against the next one for transitions) or
-a controller's nodes.  A variable the clause references but the trace or
-controller lacks raises MissingBinding.
+Each clause is evaluated once, by ``speclang.eval_expr`` over columns:
+slices of a trace's ``vals`` matrix (the previous row against the next
+one for transitions; rows where the human is away are not transitions) or
+a controller's ``node_vals``.  A variable the clause references but the
+trace or controller lacks raises MissingBinding.
 
 * ``check_safety``: every transition of a trace against all safety clauses,
   plus state-invariant clauses (those referencing only next-step values) on
@@ -64,21 +65,14 @@ def _verdict(violations, gap=None):
 # safety
 
 
-def _columns(trace):
-    """name -> int array of the variable's value at each row."""
-    return {name: np.array([r.state[name] for r in trace.rows],
-                           dtype=np.int64) for name in trace.names}
-
-
 def check_safety(trace, doc):
     """Every consecutive pair against all safety clauses; snapshots against
     next-only invariants; the first row against the init clauses; every
     value against its variable's declared domain.  Violations come in row
     order, and within a row domain first, then clause order."""
-    rows = trace.rows
-    if not rows:
+    if not len(trace.vals):
         return _verdict([("trace", "empty", "no rows to check")])
-    col = _columns(trace)
+    col = dict(zip(trace.names, trace.vals.T))
     found = []      # domain, then clause order; a stable sort by row follows
     for d in doc.vars:
         if d.name in col:
@@ -88,7 +82,7 @@ def check_safety(trace, doc):
                                            f"outside {d.lo}..{d.hi}"))
     # clauses referencing only next-step values double as invariants on the
     # later snapshot, so the pairwise sweep covers them at every reached row
-    steps = np.flatnonzero([not r.human_away for r in rows[1:]]) + 1
+    steps = np.flatnonzero(~trace.human_away[1:]) + 1
     init = (np.zeros(1, np.int64), {n: v[:1] for n, v in col.items()}, None,
             "init violated")
     trans = (steps, {n: v[steps - 1] for n, v in col.items()},
@@ -109,15 +103,16 @@ def check_recurrence(trace, goal, window):
     satisfying the goal expression."""
     if window < 1:
         raise ValueError("window must be at least 1")
-    eff = np.flatnonzero([not r.human_away for r in trace.rows])
-    vals = {name: col[eff] for name, col in _columns(trace).items()}
-    hits = np.broadcast_to(eval_expr(goal, vals), eff.shape)
+    eff = np.flatnonzero(~trace.human_away)
+    hits = np.broadcast_to(
+        eval_expr(goal, dict(zip(trace.names, trace.vals[eff].T))), eff.shape)
     # rows since the last goal row; a stretch is reported once per window
     pos = np.arange(len(eff))
     run = pos - np.maximum.accumulate(np.where(hits, pos, -1))
-    return _verdict([(trace.rows[k].index, "recurrence",
+    ends = eff[(run > 0) & (run % window == 0)]
+    return _verdict([(step, "recurrence",
                       f"{window} consecutive steps without the goal")
-                     for k in eff[(run > 0) & (run % window == 0)].tolist()])
+                     for step in trace.step[ends].tolist()])
 
 
 # --------------------------------------------------------------------------

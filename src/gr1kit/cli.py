@@ -102,6 +102,22 @@ def _load_strategy(path):
                  lambda fp: gr1.Strategy.from_obj(json.load(fp)))
 
 
+def _escape_count(arena, escapes):
+    return (f"{len(escapes)} of {int(arena.env_init.sum())} initial "
+            f"environment assignments")
+
+
+def _unrealizable(arena, escapes, shown=5):
+    """List the first escaping initial env assignments, decoded, and
+    return the unrealizable exit code."""
+    for e in escapes[:shown].tolist():
+        print("  " + ", ".join(f"{name}={val}" for name, val
+                               in arena.env_values(e).items()))
+    if len(escapes) > shown:
+        print(f"  ... and {len(escapes) - shown} more")
+    return EXIT_UNREALIZABLE
+
+
 def cmd_synth(args):
     doc = _load_spec(args.spec)
     if doc is None:
@@ -111,18 +127,19 @@ def cmd_synth(args):
         arena = ar.build_arena(doc, cap=args.cap)
     except CapacityExceeded as exc:
         return _error(exc, EXIT_CAPACITY)
-    if not gr1.init_feasible(arena):
-        print(f"unrealizable: some initial environment assignment admits "
-              f"no initial system assignment "
-              f"({time.perf_counter() - t0:.2f}s)")
-        return EXIT_UNREALIZABLE
+    escapes = gr1._init_escapes(arena)
+    if len(escapes):
+        print(f"unrealizable: {_escape_count(arena, escapes)} admit no initial "
+              f"system assignment ({time.perf_counter() - t0:.2f}s)")
+        return _unrealizable(arena, escapes)
     result = gr1.solve(arena, doc.env_liveness, doc.sys_liveness)
     elapsed = time.perf_counter() - t0
     if not result.realizable:
+        escapes = gr1._init_escapes(arena, result.winning)
         print(f"unrealizable: {int(result.winning.sum())} of "
-              f"{arena.n_states} states winning, but some initial "
-              f"environment assignment escapes ({elapsed:.2f}s)")
-        return EXIT_UNREALIZABLE
+              f"{arena.n_states} states winning, but "
+              f"{_escape_count(arena, escapes)} escape ({elapsed:.2f}s)")
+        return _unrealizable(arena, escapes)
     strategy = gr1.extract_strategy(result, arena)
     print(f"realizable: {int(result.winning.sum())} of {arena.n_states} "
           f"states winning; controller has {strategy.n_nodes} nodes "
@@ -146,6 +163,8 @@ def cmd_simulate(args):
                        lambda fp: sim.parse_events(fp.read()))
         if events is None:
             return EXIT_PARSE
+    if args.steps < 1:
+        return _error("--steps must be at least 1")
     if args.runs > 1 and not args.out:
         return _error("--runs needs --out")
     for k in range(args.runs):
@@ -176,8 +195,8 @@ def cmd_check(args):
         if not args.trace:
             return _error("--trace required")
         if args.mode == "recurrence":
-            if not args.window:
-                return _error("--window required for recurrence")
+            if args.window is None or args.window < 1:
+                return _error("recurrence needs --window of at least 1")
             if not 0 <= args.goal < len(doc.sys_liveness):
                 return _error(
                     f"--goal must be in 0..{len(doc.sys_liveness) - 1}")

@@ -289,23 +289,23 @@ def _mu_y_general(ctx, seed, falsifiable, warm):
     return rank, Y, layers
 
 
+def _init_escapes(arena, winning=True):
+    """Indices of the legal env init assignments with no sys init
+    completion inside `winning` (a state mask; True allows every state)."""
+    ok = (arena.sys_init & winning).reshape(arena.n_env, arena.n_sys)
+    return np.flatnonzero(arena.env_init & ~ok.any(axis=1))
+
+
 def is_realizable(result, arena):
     """Initial-condition check: every legal env init admits a winning
     sys init response."""
-    env_init = arena.env_init
-    if not env_init.any():
-        return True
-    ok = (result.winning & arena.sys_init).reshape(arena.n_env, arena.n_sys)
-    return bool(ok.any(axis=1)[env_init].all())
+    return not len(_init_escapes(arena, result.winning))
 
 
 def init_feasible(arena):
     """False when some env init has no sys init completion at all
     (unrealizable regardless of the game)."""
-    if not arena.env_init.any():
-        return True
-    ok = arena.sys_init.reshape(arena.n_env, arena.n_sys).any(axis=1)
-    return bool(ok[arena.env_init].all())
+    return not len(_init_escapes(arena))
 
 
 # --------------------------------------------------------------------------

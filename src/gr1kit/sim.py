@@ -7,13 +7,20 @@ picks one, and that edge's recorded response advances the controller.
 Scripted events can pin environment variables at given steps and take the
 human away for a span of steps; during such a span the world is frozen in
 place and only the step counter and wall-clock column advance.
+
+A run is a columnar ``Trace``: an int64 matrix gathered once from
+``Strategy.node_vals``, plus step, time and human-away columns.  The CSV
+codec is the only code that knows the scenario's column names.
 """
 
 from __future__ import annotations
 
 import random
 import time as _time
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import AdversaryIllegalMove, StrategyHole
 from . import workdelivery as wd
@@ -180,24 +187,30 @@ def adversary_choice(policy, state, legal_moves, env_names, step=0):
 # traces
 
 
-@dataclass
-class TraceRow:
-    index: int
-    time_s: float
-    state: dict
-    env: tuple | None
-    sys: tuple | None
-    human_away: bool = False
+Row = namedtuple("Row", "index time_s state human_away")
 
 
 @dataclass
 class Trace:
+    """A run as columns: one int64 row of `vals` per snapshot, in `names`
+    order, with its step number, time and human-away flag alongside."""
+
     names: tuple                 # variables, in column order
     td: float
-    rows: list = field(default_factory=list)
+    vals: np.ndarray             # int64 [rows × vars]
+    step: np.ndarray             # int64 [rows]
+    time_s: np.ndarray           # float64 [rows]
+    human_away: np.ndarray       # bool [rows]
 
     def n_steps(self):
-        return len(self.rows) - 1
+        return len(self.step) - 1
+
+    @property
+    def rows(self):
+        """Read-only view, one Row per snapshot with the state as a dict."""
+        return tuple(map(Row, self.step.tolist(), self.time_s.tolist(),
+                         [dict(zip(self.names, v)) for v in self.vals.tolist()],
+                         self.human_away.tolist()))
 
 
 def run(strategy, adversary, max_steps, events=(), td=10.0,
@@ -205,10 +218,10 @@ def run(strategy, adversary, max_steps, events=(), td=10.0,
     """Execute up to max_steps transitions; returns the Trace.
 
     Rows hold the initial snapshot at index 0 followed by one row per
-    transition.  `events` freeze the world for human-away spans and pin
-    environment variables at given steps (where legal).  When `arena` is
-    given, node responses are cross-checked against it and a missing edge
-    raises StrategyHole.
+    transition.  `events` freeze the world for human-away spans (the row
+    repeats the current node) and pin environment variables at given steps
+    (where legal).  When `arena` is given, node responses are cross-checked
+    against it and a missing edge raises StrategyHole.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
@@ -229,10 +242,7 @@ def run(strategy, adversary, max_steps, events=(), td=10.0,
         ev0 = adversary_choice(adversary, None, inits, env_names, step=0)
     nid = int(strategy.init_node[init_env.index(ev0)])
 
-    trace = Trace(strategy.names, td)
-    state = strategy.node_state(nid)
-    trace.rows.append(TraceRow(0, 0.0, state, None, None))
-
+    path, away = [nid], [False]
     frozen = 0
     for k in range(1, max_steps + 1):
         if pace:
@@ -240,10 +250,10 @@ def run(strategy, adversary, max_steps, events=(), td=10.0,
         ev = away_events.get(k)
         if ev is not None:
             frozen = ev.duration if ev.human_away else 0
+        away.append(frozen > 0)
         if frozen > 0:
             frozen -= 1
-            trace.rows.append(TraceRow(k, k * td, state, None, None,
-                                       human_away=True))
+            path.append(nid)
             continue
         legal = have = strategy.legal_env_moves(nid)
         if arena is not None:
@@ -264,11 +274,13 @@ def run(strategy, adversary, max_steps, events=(), td=10.0,
                      if all(m[env_names.index(n)] == v for n, v in want)]
             if match:
                 pool = match
-        choice = adversary_choice(adversary, state, pool, env_names, step=k)
-        sys_vals, nid = strategy.respond(nid, have.index(choice))
-        state = strategy.node_state(nid)
-        trace.rows.append(TraceRow(k, k * td, state, choice, sys_vals))
-    return trace
+        choice = adversary_choice(adversary, strategy.node_state(nid), pool,
+                                  env_names, step=k)
+        nid = strategy.respond(nid, have.index(choice))[1]
+        path.append(nid)
+    step = np.arange(max_steps + 1)
+    return Trace(strategy.names, td, strategy.node_vals[path], step,
+                 step * float(td), np.array(away))
 
 
 # --------------------------------------------------------------------------
@@ -288,32 +300,25 @@ def _scenario_shape(names):
 def write_csv(trace, fp):
     """Render a trace as CSV; work-delivery traces get the scenario header
     with derived mode and action columns."""
-    names = set(trace.names)
-    n = _scenario_shape(names)
+    n = _scenario_shape(set(trace.names))
     if n is None:
-        header = ["step", "time_s"] + list(trace.names) + ["human_away"]
-        fp.write(",".join(header) + "\n")
-        for r in trace.rows:
-            vals = [str(r.index), _fmt_time(r.time_s)]
-            vals += [str(r.state[k]) for k in trace.names]
-            vals.append(str(int(r.human_away)))
-            fp.write(",".join(vals) + "\n")
-        return
-    obstacle_cols = [f"O{j}" for j in range(1, n)]
-    header = (["step", "time_s", "RS", "BL", "HF", "tries", "S"] +
-              obstacle_cols + ["mode", "ACT", "human_away"])
-    fp.write(",".join(header) + "\n")
-    for r in trace.rows:
-        st = r.state
-        world = wd.WorldState.from_valuation(st, n)
-        vals = [str(r.index), _fmt_time(r.time_s), str(st["rs"]),
-                str(st["bl"]), str(int(st["hf"])), str(st["tries"]),
-                str(int(st["s"]))]
-        vals += [str(int(st[f"o{j}"])) for j in range(1, n)]
-        vals.append(wd.human_mode(world))
-        vals.append(f"Go_S{st['act']}")
-        vals.append(str(int(r.human_away)))
-        fp.write(",".join(vals) + "\n")
+        head, cols = list(trace.names), list(range(len(trace.names)))
+    else:
+        obstacles = [f"O{j}" for j in range(1, n)]
+        head = ["RS", "BL", "HF", "tries", "S", *obstacles, "mode", "ACT"]
+        cols = [trace.names.index(k) for k in ("rs", "bl", "hf", "tries", "s",
+                                               *map(str.lower, obstacles),
+                                               "act")]
+    fp.write(",".join(["step", "time_s", *head, "human_away"]) + "\n")
+    for step, t, row, away in zip(trace.step.tolist(), trace.time_s.tolist(),
+                                  trace.vals[:, cols].tolist(),
+                                  trace.human_away.astype(int).tolist()):
+        if n is not None:
+            rs, bl, hf, tries, s, *_, act = row
+            row[-1:] = [wd.human_mode(wd.WorldState(
+                n=n, bl=bl, rs=rs, act=act, hf=bool(hf), tries=tries,
+                s=bool(s))), f"Go_S{act}"]
+        fp.write(",".join(map(str, [step, _fmt_time(t), *row, away])) + "\n")
 
 
 def _fmt_time(x):
@@ -323,40 +328,36 @@ def _fmt_time(x):
 def read_csv(fp):
     """Parse a trace CSV back into a Trace (inverse of write_csv)."""
     header = fp.readline().strip().split(",")
-    rows = []
     if header[:2] != ["step", "time_s"]:
         raise ValueError("not a trace CSV")
+    table = [line.split(",") for line in map(str.strip, fp) if line]
+    if any(len(fields) != len(header) for fields in table):
+        raise ValueError("every row needs one field per header column")
+    col = dict(zip(header, zip(*table) if table else [()] * len(header)))
+    away = np.array(col["human_away"], dtype=np.int64) != 0
     scenario = "mode" in header and "ACT" in header
     if scenario:
-        obstacles = [h.lower() for h in header
-                     if h.startswith("O") and h[1:].isdigit()]
-        names = ("bl", "s", *obstacles, "stalled", "rs", "act", "hf", "tries")
+        obstacles = [h for h in header if h.startswith("O") and h[1:].isdigit()]
+        names = ("bl", "s", *map(str.lower, obstacles), "stalled", "rs", "act",
+                 "hf", "tries")
+        # the stalled bit is not a CSV column: BL stands in for it here
+        columns = ["BL", "S", *obstacles, "BL", "RS", "ACT", "HF", "tries"]
+        col["ACT"] = [act.replace("Go_S", "") for act in col["ACT"]]
     else:
-        names = tuple(h for h in header[2:] if h != "human_away")
-    for line in fp:
-        line = line.strip()
-        if not line:
-            continue
-        rec = dict(zip(header, line.split(",")))
-        away = bool(int(rec["human_away"]))
-        if scenario:
-            state = {"bl": int(rec["BL"]), "s": int(rec["S"])}
-            state.update((o, int(rec[o.upper()])) for o in obstacles)
-            # the stalled bit is not a CSV column; rebuild it from its
-            # deterministic update (backlog unchanged across the last
-            # non-frozen transition)
-            if not rows:
-                state["stalled"] = 0
-            elif away:
-                state["stalled"] = rows[-1].state["stalled"]
-            else:
-                state["stalled"] = int(state["bl"] == rows[-1].state["bl"])
-            state.update(rs=int(rec["RS"]),
-                         act=int(rec["ACT"].replace("Go_S", "")),
-                         hf=int(rec["HF"]), tries=int(rec["tries"]))
-        else:
-            state = {k: int(rec[k]) for k in names}
-        rows.append(TraceRow(int(rec["step"]), float(rec["time_s"]), state,
-                             None, None, human_away=away))
-    td = rows[1].time_s - rows[0].time_s if len(rows) > 1 else 1.0
-    return Trace(names, td, rows)
+        names = columns = tuple(h for h in header[2:] if h != "human_away")
+    vals = np.array([col[h] for h in columns], dtype=np.int64).reshape(
+        len(columns), len(table)).T
+    if scenario:
+        vals[:, names.index("stalled")] = _stalled(vals[:, 0], away)
+    time_s = np.array(col["time_s"], dtype=np.float64)
+    td = float(time_s[1] - time_s[0]) if len(time_s) > 1 else 1.0
+    return Trace(names, td, vals, np.array(col["step"], dtype=np.int64),
+                 time_s, away)
+
+
+def _stalled(bl, away):
+    """The scenario's deterministic stalled update: 0 on the first row,
+    backlog unchanged across a non-frozen row, held through frozen rows."""
+    same = np.r_[False, bl[1:] == bl[:-1]]
+    last = np.maximum.accumulate(np.where(away, 0, np.arange(len(bl))))
+    return same[last]

@@ -14,12 +14,11 @@ from gr1kit.speclang import parse_expr, parse_spec
 
 
 def make_trace(doc_names, rows_states, frozen=()):
-    tr = sim.Trace(tuple(doc_names), 10.0)
-    for i, st in enumerate(rows_states):
-        tr.rows.append(sim.TraceRow(i, i * 10.0, st, None if i == 0 else (),
-                                    None if i == 0 else (),
-                                    human_away=i in frozen))
-    return tr
+    names, step = tuple(doc_names), np.arange(len(rows_states))
+    vals = np.array([[st[k] for k in names] for st in rows_states],
+                    dtype=np.int64).reshape(len(step), len(names))
+    return sim.Trace(names, 10.0, vals, step, step * 10.0,
+                     np.isin(step, list(frozen)))
 
 
 def test_single_step_legal_trace_passes(strategy_for, scenario):
@@ -59,7 +58,7 @@ def test_domain_violations_reported():
         (4, "domain", "u = 4 outside 0..3"), (4, "domain", "x = 4 outside 0..3"),
         (5, "domain", "u = 5 outside 0..3"), (5, "domain", "x = 5 outside 0..3")]
     # within a row, domain findings come before clause findings
-    tr.rows[5].state = {"u": 5, "x": 1}
+    tr.vals[5] = [5, 1]
     assert check.check_safety(tr, doc).violations[2:] == [
         (5, "domain", "u = 5 outside 0..3"), (5, "sys_trans[0]", "violated: x' = u'")]
 
@@ -69,11 +68,12 @@ def test_safety_violation_list_pinned(reduced_doc, reduced_strategy):
     events = sim.parse_events("step=10 human_away=1 duration=3")
     tr = sim.run(reduced_strategy, sim.make_adversary("random", seed=1), 24,
                  events=events)
-    rows = tr.rows
+    col = {name: tr.vals[:, k] for k, name in enumerate(tr.names)}
     for k, change in ((0, {"bl": 7}), (4, {"rs": 2}), (8, {"bl": 0}),
-                      (11, {"hf": 1 - rows[11].state["hf"]}),   # frozen row
-                      (16, {"hf": 1 - rows[16].state["hf"], "tries": 2})):
-        rows[k].state = dict(rows[k].state, **change)
+                      (11, {"hf": 1 - col["hf"][11]}),   # frozen row
+                      (16, {"hf": 1 - col["hf"][16], "tries": 2})):
+        for name, value in change.items():
+            col[name][k] = value
     bl_rule = ("act != 2 & bl >= 1 & !(hf & (act = 0 & rs != 0 | tries = 1 "
                "& !s)) -> bl' = bl | bl >= 1 & bl' = bl - 1 | bl <= 1 & "
                "bl' = 0")
@@ -103,6 +103,10 @@ def test_recurrence_trivial_and_violation():
     assert verdict.violations == [
         (k, "recurrence", "4 consecutive steps without the goal")
         for k in (4, 8)]
+    # findings name the step column, not the row position
+    tr.step += 100
+    assert [where for where, _, _ in
+            check.check_recurrence(tr, goal, 4).violations] == [104, 108]
     # trace shorter than the window passes vacuously
     tr = make_trace(("g",), states[:3])
     assert check.check_recurrence(tr, goal, 5).passed

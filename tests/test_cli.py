@@ -71,6 +71,33 @@ def test_synth_unrealizable_exit10(tmp_path, capsys):
     assert run_cli(["synth", str(spec0)]) == 10
 
 
+# u never changes, so with u : 0..<hi> every u >= 2 loses the goal u <= 1;
+# the sys init clause x = u & x <= 1 has no completion for u >= 2 either
+ESCAPE_SPEC = ("[ENV_VARS]\nu : 0..{hi}\n[SYS_VARS]\nx : 0..3\n"
+               "[ENV_TRANS]\nu' = u\n")
+
+
+@pytest.mark.parametrize("hi, extra, head, tail", [
+    (3, "[SYS_INIT]\nx = u & x <= 1\n",
+     "2 of 4 initial environment assignments admit no initial system "
+     "assignment", []),
+    (3, "[SYS_LIVENESS]\nu <= 1\n",
+     "8 of 16 states winning, but 2 of 4 initial environment assignments "
+     "escape", []),
+    (9, "[SYS_LIVENESS]\nu <= 1\n",
+     "8 of 40 states winning, but 8 of 10 initial environment assignments "
+     "escape", ["  u=4", "  u=5", "  u=6", "  ... and 3 more"]),
+], ids=["init", "game", "capped"])
+def test_synth_unrealizable_names_escapes(tmp_path, capsys, hi, extra, head,
+                                          tail):
+    spec = tmp_path / "escape.spec"
+    spec.write_text(ESCAPE_SPEC.format(hi=hi) + extra)
+    assert run_cli(["synth", str(spec)]) == 10
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith(f"unrealizable: {head} (")
+    assert lines[1:] == ["  u=2", "  u=3"] + tail
+
+
 def test_synth_parse_error_exit2(tmp_path, capsys):
     bad = tmp_path / "bad.spec"
     bad.write_text("[ENV_VARS]\nbl bl bl\n")
@@ -289,13 +316,16 @@ NO_OK_CSV = "step,time_s,x,human_away\n0,0,0,0\n1,10,0,0\n2,20,0,0\n"
     OK_CHECK + ["recurrence", "--window", "2", "--trace", "{no_ok}"],
     OK_CHECK + ["lasso", "--strategy", "{strat}", "--adversary", "min-bl"],
     OK_CHECK + ["safety", "--trace", "{huge}"],
+    ["simulate", "{strat}", "--steps", "0"],
+    CHECK + ["recurrence", "--window", "-3", "--trace", "{trace}"],
 ], ids=["safety-missing", "safety-not-csv", "safety-bad-row",
         "recurrence-missing", "recurrence-bad-row", "goal-3", "goal-minus-1",
         "check-spec-missing", "emit-config-missing", "synth-spec-missing", "oracle-spec-missing",
         "events-missing", "events-malformed", "emit-out-unwritable",
         "synth-out-unwritable", "simulate-out-unwritable",
         "safety-trace-lacks-var", "recurrence-trace-lacks-var",
-        "lasso-strategy-lacks-var", "safety-value-overflows"])
+        "lasso-strategy-lacks-var", "safety-value-overflows",
+        "simulate-steps-0", "recurrence-window-minus-3"])
 def test_bad_input_exit2(workdir, tmp_path, capsys, argv):
     root, spec, strat = workdir
     files = {"missing": tmp_path / "missing.txt",

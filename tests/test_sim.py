@@ -1,4 +1,5 @@
 import io
+import random
 
 import numpy as np
 import pytest
@@ -27,7 +28,9 @@ def test_single_step_trace():
     st, arena, doc = tiny_strategy()
     tr = sim.run(st, sim.make_adversary("random", seed=1), 1)
     assert tr.n_steps() == 1
-    assert tr.rows[0].env is None and tr.rows[1].env is not None
+    # row 1 is a transition, not a frozen copy: the controller echoed u'
+    assert tr.step.tolist() == [0, 1] and not tr.human_away[1]
+    assert tr.rows[1].state["x"] == tr.rows[1].state["u"]
 
 
 def test_replay_determinism():
@@ -108,6 +111,33 @@ def test_freeze_semantics(strategy_for):
     assert tr.rows[-1].time_s == 400
 
 
+def test_trace_rows_contract(strategy_for):
+    # the row view read by perfbench and by tests/test_acceptance.py
+    st = strategy_for(12)
+    events = sim.parse_events("step=6 human_away=1 duration=3")
+    tr = sim.run(st, sim.make_adversary("random", seed=2), 12, events=events)
+    buf = io.StringIO()
+    sim.write_csv(tr, buf)
+    back = sim.read_csv(io.StringIO(buf.getvalue()))
+    for t in (tr, back):
+        rows = t.rows
+        assert t.n_steps() == 12 and len(rows) == 13
+        assert sim.Row._fields == ("index", "time_s", "state", "human_away")
+        assert [r.index for r in rows] == list(range(13))
+        assert [r.time_s for r in rows] == [10.0 * k for k in range(13)]
+        assert [r.human_away for r in rows] == [k in (6, 7, 8)
+                                               for k in range(13)]
+        for r, vals in zip(rows, t.vals.tolist()):
+            assert list(r.state) == list(t.names)
+            assert r.state == dict(zip(t.names, vals))
+        assert all(r.state == rows[5].state for r in rows[6:9])
+        first = rows[0]
+        assert (type(first.index), type(first.time_s),
+                type(first.human_away)) == (int, float, bool)
+        assert {type(v) for r in rows for v in r.state.values()} == {int}
+    assert back.rows == tr.rows
+
+
 def test_strategy_hole_on_emptied_node(keep_edges):
     st, arena, doc = tiny_strategy()
     st = keep_edges(st, [])
@@ -149,6 +179,31 @@ def test_generic_csv_roundtrip_keeps_column_order():
     buf = io.StringIO()
     sim.write_csv(back, buf)
     assert buf.getvalue() == text
+
+
+@pytest.mark.parametrize("row", ["1,10,2,0,0,7", "1,10,2,0"],
+                         ids=["extra-field", "missing-field"])
+def test_read_csv_rejects_ragged_rows(row):
+    text = f"step,time_s,x,ok,human_away\n0,0,3,1,0\n{row}\n"
+    with pytest.raises(ValueError):
+        sim.read_csv(io.StringIO(text))
+
+
+def test_read_csv_stalled_matches_row_loop():
+    # reference: the row-by-row rule for the stalled bit, which read_csv
+    # rebuilds with array operations
+    rng = random.Random(5)
+    for _ in range(300):
+        bl = [rng.randint(0, 2) for _ in range(rng.randint(1, 30))]
+        away = [rng.random() < 0.3 for _ in bl]
+        expect = [0]
+        for k in range(1, len(bl)):
+            expect.append(expect[-1] if away[k] else int(bl[k] == bl[k - 1]))
+        text = "step,time_s,RS,BL,HF,tries,S,mode,ACT,human_away\n" + "".join(
+            f"{k},{10 * k},0,{b},0,0,0,work,Go_S0,{int(a)}\n"
+            for k, (b, a) in enumerate(zip(bl, away)))
+        tr = sim.read_csv(io.StringIO(text))
+        assert [r.state["stalled"] for r in tr.rows] == expect
 
 
 def test_csv_mode_column(strategy_for):
