@@ -14,7 +14,8 @@ trace or controller lacks raises MissingBinding.
   goal; every window of W consecutive steps must contain a goal state.
   Human-away spans do not count toward windows.
 * ``lasso_check``: exact liveness for a strategy driven by a deterministic
-  finite adversary; the product run is eventually periodic, so each
+  finite adversary, stepped by the same edge-index step as ``sim.run``;
+  the product run is eventually periodic, so each
   reachable cycle either visits every system goal or falsifies some
   environment assumption.  Reports the worst inter-goal gap, which is a
   sound window for ``check_recurrence`` under the same adversary.
@@ -29,7 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AdversaryNotFinite
+from .errors import AdversaryNotFinite, StrategyHole
+from .sim import _advance
 from .speclang import eval_expr, format_expr
 
 
@@ -130,7 +132,6 @@ def lasso_check(strategy, adversary, doc):
     if not getattr(adversary, "deterministic_finite", False):
         raise AdversaryNotFinite(
             f"adversary {getattr(adversary, 'kind', '?')} has unbounded state")
-    env_names = list(strategy.env_names)
     vals = {name: strategy.node_vals[:, k]
             for k, name in enumerate(strategy.names)}
     # truth of each goal and assumption at every node
@@ -148,13 +149,11 @@ def lasso_check(strategy, adversary, doc):
         while nid not in seen:
             seen[nid] = len(path)
             path.append(nid)
-            legal = strategy.legal_env_moves(nid)
-            if not legal:
+            try:
+                nid = _advance(strategy, nid, adversary)
+            except StrategyHole:
                 violations.append((nid, "deadlock", "node has no edges"))
                 break
-            choice = adversary.choose(0, strategy.node_state(nid),
-                                      legal, env_names)
-            nid = strategy.respond(nid, legal.index(tuple(choice)))[1]
         else:
             loop_start = seen[nid]
             cycle = path[loop_start:]
@@ -239,10 +238,11 @@ def verify_strategy_closure(strategy, arena, result=None):
         def add(detail, clause="closure"):
             violations.append((nid, clause, detail))
         if s[nid] < 0:
-            add(f"state {st.node_state(nid)} outside the arena's domain")
+            add(f"state {dict(zip(st.names, st.node_vals[nid].tolist()))} "
+                "outside the arena's domain")
             continue
         edges = range(st.edge_indptr[nid], st.edge_indptr[nid + 1])
-        have = dict(zip(edges, st.legal_env_moves(nid)))
+        have = dict(zip(edges, map(tuple, st.edge_env[edges].tolist())))
         if len(set(have.values())) < len(have):
             add("duplicate edges")
         moves = a.env_next[a.env_indptr[s[nid]]:a.env_indptr[s[nid] + 1]]

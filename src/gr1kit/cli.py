@@ -175,6 +175,8 @@ def cmd_simulate(args):
                             td=args.td, pace=args.pace)
         except StrategyHole as exc:
             return _error(exc, EXIT_HOLE)
+        except ValueError as exc:        # a `set` event on a non-env variable
+            return _error(exc)
         if args.out:
             path = args.out if args.runs == 1 else f"{args.out}.{k:03d}"
             try:

@@ -345,19 +345,6 @@ class Strategy:
     def names(self):
         return tuple(self.env_names) + tuple(self.sys_names)
 
-    def node_state(self, nid):
-        return dict(zip(self.names, self.node_vals[nid].tolist()))
-
-    def legal_env_moves(self, nid):
-        """Env assignments of the node's edges, in edge order, as tuples."""
-        lo, hi = self.edge_indptr[nid], self.edge_indptr[nid + 1]
-        return list(map(tuple, self.edge_env[lo:hi].tolist()))
-
-    def respond(self, nid, k):
-        """(sys values, next node) of the node's k-th edge."""
-        edge = self.edge_indptr[nid] + k
-        return tuple(self.edge_sys[edge].tolist()), int(self.edge_next[edge])
-
     # ---- serialization (field order is part of the format) ------------
 
     def to_obj(self):

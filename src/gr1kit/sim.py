@@ -3,10 +3,12 @@
 The strategy is the single source of truth during a run: the edges of the
 current node (a slice of its flat edge arrays) enumerate the environment
 assignments legal there (closure guarantees they are total), the adversary
-picks one, and that edge's recorded response advances the controller.
-Scripted events can pin environment variables at given steps and take the
-human away for a span of steps; during such a span the world is frozen in
-place and only the step counter and wall-clock column advance.
+picks one by its row index in that slice, and the edge's successor node
+advances the controller.  Values are decoded only for printing and I/O.
+Events pin environment variables at given steps, from step 0 on and under
+every adversary, and take the human away for a span of steps; during such
+a span the world is frozen in place and only the step counter and
+wall-clock column advance.
 
 A run is a columnar ``Trace``: an int64 matrix gathered once from
 ``Strategy.node_vals``, plus step, time and human-away columns.  The CSV
@@ -47,6 +49,8 @@ def parse_events(text):
             if not toks[0].startswith("step="):
                 raise ValueError("line must start with step=<n>")
             step = int(toks[0][5:])
+            if step < 0:
+                raise ValueError("step must be at least 0")
             if toks[1] == "set":
                 pairs = []
                 for assign in toks[2:]:
@@ -57,9 +61,13 @@ def parse_events(text):
                 events.append(ScriptedEvent(step, overrides=tuple(pairs)))
             elif toks[1].startswith("human_away="):
                 away = int(toks[1].split("=", 1)[1])
+                if away not in (0, 1):
+                    raise ValueError("human_away must be 0 or 1")
                 duration = 0
                 if len(toks) > 2 and toks[2].startswith("duration="):
                     duration = int(toks[2].split("=", 1)[1])
+                if duration < 0:
+                    raise ValueError("duration must be at least 0")
                 events.append(ScriptedEvent(step, human_away=away,
                                             duration=duration))
             else:
@@ -71,6 +79,14 @@ def parse_events(text):
 
 # --------------------------------------------------------------------------
 # adversary policies
+#
+# An adversary is any object with ``choose(step, state, moves, names)``
+# returning the index of one row of ``moves``, an int64 [k × env vars]
+# array of the environment assignments it may pick from.  ``state`` is the
+# current node's value row (None for the initial choice) and ``names`` the
+# strategy's variables, env variables first, so column j of both is
+# ``names[j]``.  ``deterministic_finite`` marks a policy whose pick depends
+# on nothing but these arguments, which ``check.lasso_check`` requires.
 
 
 class UniformRandomPolicy:
@@ -81,13 +97,13 @@ class UniformRandomPolicy:
         self.seed = seed
         self.rng = random.Random(seed)
 
-    def choose(self, step, state, legal, env_names):
-        return legal[self.rng.randrange(len(legal))]
+    def choose(self, step, state, moves, names):
+        return self.rng.randrange(len(moves))
 
 
 class GreedyBLPolicy:
     """Deterministic: pick the move minimizing (or maximizing) the next
-    backlog value, breaking ties toward the lowest assignment index."""
+    backlog value, breaking ties toward the lowest row."""
 
     deterministic_finite = True
 
@@ -95,37 +111,11 @@ class GreedyBLPolicy:
         self.maximize = maximize
         self.kind = "max-bl" if maximize else "min-bl"
 
-    def choose(self, step, state, legal, env_names):
-        if "bl" in env_names:
-            pos = env_names.index("bl")
-            key = (lambda m: -m[pos]) if self.maximize else (lambda m: m[pos])
-            best = min(range(len(legal)), key=lambda k: (key(legal[k]), k))
-            return legal[best]
-        return legal[0]
-
-
-class ScriptedPolicy:
-    """Uniform random with per-step variable overrides applied when legal."""
-
-    kind = "scripted"
-    deterministic_finite = False
-
-    def __init__(self, events=(), seed=0):
-        self.rng = random.Random(seed)
-        self.overrides = {}
-        for ev in events:
-            if ev.overrides:
-                self.overrides.setdefault(ev.step, []).extend(ev.overrides)
-
-    def choose(self, step, state, legal, env_names):
-        want = self.overrides.get(step)
-        pool = legal
-        if want:
-            match = [m for m in legal
-                     if all(m[env_names.index(n)] == v for n, v in want)]
-            if match:
-                pool = match
-        return pool[self.rng.randrange(len(pool))]
+    def choose(self, step, state, moves, names):
+        if "bl" not in names[:moves.shape[1]]:
+            return 0
+        bl = moves[:, names.index("bl")]
+        return int(bl.argmax() if self.maximize else bl.argmin())
 
 
 class InteractivePolicy:
@@ -137,50 +127,79 @@ class InteractivePolicy:
         self.out = out or sys.stdout
         self.inp = inp or sys.stdin
 
-    def choose(self, step, state, legal, env_names):
+    def choose(self, step, state, moves, names):
+        if state is not None:
+            state = dict(zip(names, state.tolist()))
         self.out.write(f"\nstep {step} | state: {state}\n")
-        for k, m in enumerate(legal):
-            vals = ", ".join(f"{n}={v}" for n, v in zip(env_names, m))
+        for k, m in enumerate(moves.tolist()):
+            vals = ", ".join(f"{n}={v}" for n, v in zip(names, m))
             self.out.write(f"  [{k}] {vals}\n")
         while True:
-            self.out.write(f"environment move 0..{len(legal) - 1}> ")
+            self.out.write(f"environment move 0..{len(moves) - 1}> ")
             self.out.flush()
             line = self.inp.readline()
             if not line:
-                return legal[0]
+                return 0
             try:
                 k = int(line.strip())
-                if 0 <= k < len(legal):
-                    return legal[k]
+                if 0 <= k < len(moves):
+                    return k
             except ValueError:
                 pass
 
 
 def make_adversary(kind, seed=0, events=()):
-    if kind == "random":
+    """Policy of the given kind.  ``scripted`` is the uniform random policy:
+    ``run`` applies the `set` pins of `events` under every adversary."""
+    if kind in ("random", "scripted"):
         return UniformRandomPolicy(seed)
     if kind == "min-bl":
         return GreedyBLPolicy(maximize=False)
     if kind == "max-bl":
         return GreedyBLPolicy(maximize=True)
-    if kind == "scripted":
-        return ScriptedPolicy(events, seed)
     if kind == "interactive":
         return InteractivePolicy()
     raise ValueError(f"unknown adversary kind {kind!r}")
 
 
-def adversary_choice(policy, state, legal_moves, env_names, step=0):
-    """Resolve one environment choice; the result must come from
-    `legal_moves` or the caller aborts with AdversaryIllegalMove."""
-    if not legal_moves:
-        raise ValueError("no legal moves to choose from")
-    pick = policy.choose(step, state, list(legal_moves), list(env_names))
-    pick = tuple(pick)
-    if pick not in set(map(tuple, legal_moves)):
+def _pick(adversary, step, state, moves, names, pin=None):
+    """Row of `moves` the adversary picks.  A pin, (env columns, values),
+    first narrows the choice to the rows that match it, when any do."""
+    if pin is not None:
+        rows = np.flatnonzero((moves[:, pin[0]] == pin[1]).all(axis=1))
+        if len(rows):
+            return int(rows[_pick(adversary, step, state, moves[rows], names)])
+    k = adversary.choose(step, state, moves, names)
+    if not isinstance(k, int) or not 0 <= k < len(moves):
         raise AdversaryIllegalMove(
-            f"policy {getattr(policy, 'kind', '?')} returned {pick}")
-    return pick
+            f"policy {getattr(adversary, 'kind', '?')} returned {k!r} "
+            f"for {len(moves)} moves")
+    return k
+
+
+def _advance(strategy, nid, adversary, step=0, pin=None):
+    """Node reached from node `nid` along the edge the adversary picks; the
+    one closed-loop step of `run` and `check.lasso_check`."""
+    lo, hi = strategy.edge_indptr[nid], strategy.edge_indptr[nid + 1]
+    if lo == hi:
+        raise StrategyHole(f"node {nid} has no outgoing edges")
+    k = _pick(adversary, step, strategy.node_vals[nid],
+              strategy.edge_env[lo:hi], strategy.names, pin)
+    return int(strategy.edge_next[lo + k])
+
+
+def _pins(events, env_names):
+    """{step: (env columns, values)} of the `set` events; ValueError on a
+    variable that is not an environment variable."""
+    pins = {}
+    for ev in events:
+        for name, val in ev.overrides:
+            if name not in env_names:
+                raise ValueError(
+                    f"event at step {ev.step} sets {name!r}, which is not "
+                    f"an environment variable ({', '.join(env_names)})")
+            pins.setdefault(ev.step, []).append((env_names.index(name), val))
+    return {step: tuple(map(list, zip(*pairs))) for step, pairs in pins.items()}
 
 
 # --------------------------------------------------------------------------
@@ -213,34 +232,28 @@ class Trace:
                          self.human_away.tolist()))
 
 
-def run(strategy, adversary, max_steps, events=(), td=10.0,
-        arena=None, pace=False):
+def run(strategy, adversary, max_steps, events=(), td=10.0, pace=False):
     """Execute up to max_steps transitions; returns the Trace.
 
     Rows hold the initial snapshot at index 0 followed by one row per
     transition.  `events` freeze the world for human-away spans (the row
-    repeats the current node) and pin environment variables at given steps
-    (where legal).  When `arena` is given, node responses are cross-checked
-    against it and a missing edge raises StrategyHole.
+    repeats the current node) and pin environment variables at given
+    steps, from step 0 on and under every adversary: the adversary then
+    picks among the matching moves, or among all of them when none match.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
-    env_names = list(strategy.env_names)
+    pins = _pins(events, strategy.env_names)
     away_events = {ev.step: ev for ev in events if ev.human_away is not None}
-    set_events = {}
-    for ev in events:
-        if ev.overrides:
-            set_events.setdefault(ev.step, []).extend(ev.overrides)
 
-    init_env = list(map(tuple, strategy.init_env.tolist()))
-    inits = list(dict.fromkeys(init_env))
-    if not inits:
+    first = np.sort(np.unique(strategy.init_env, axis=0, return_index=True)[1])
+    if not len(first):
         raise StrategyHole("strategy has no initial nodes")
-    if len(inits) == 1:
-        ev0 = inits[0]
-    else:
-        ev0 = adversary_choice(adversary, None, inits, env_names, step=0)
-    nid = int(strategy.init_node[init_env.index(ev0)])
+    k = 0
+    if len(first) > 1:
+        k = _pick(adversary, 0, None, strategy.init_env[first],
+                  strategy.names, pins.get(0))
+    nid = int(strategy.init_node[first[k]])
 
     path, away = [nid], [False]
     frozen = 0
@@ -253,30 +266,8 @@ def run(strategy, adversary, max_steps, events=(), td=10.0,
         away.append(frozen > 0)
         if frozen > 0:
             frozen -= 1
-            path.append(nid)
-            continue
-        legal = have = strategy.legal_env_moves(nid)
-        if arena is not None:
-            s_idx = arena.encode_state(strategy.node_vals[nid])
-            truth = list(map(tuple, arena.env_codec.values(
-                arena.env_moves(s_idx)).tolist()))
-            missing = [m for m in truth if m not in set(have)]
-            if missing:
-                raise StrategyHole(
-                    f"node {nid} lacks an edge for legal env move {missing[0]}")
-            legal = truth
-        if not legal:
-            raise StrategyHole(f"node {nid} has no outgoing edges")
-        pool = legal
-        want = set_events.get(k)
-        if want:
-            match = [m for m in legal
-                     if all(m[env_names.index(n)] == v for n, v in want)]
-            if match:
-                pool = match
-        choice = adversary_choice(adversary, strategy.node_state(nid), pool,
-                                  env_names, step=k)
-        nid = strategy.respond(nid, have.index(choice))[1]
+        else:
+            nid = _advance(strategy, nid, adversary, k, pins.get(k))
         path.append(nid)
     step = np.arange(max_steps + 1)
     return Trace(strategy.names, td, strategy.node_vals[path], step,
@@ -310,14 +301,13 @@ def write_csv(trace, fp):
                                                *map(str.lower, obstacles),
                                                "act")]
     fp.write(",".join(["step", "time_s", *head, "human_away"]) + "\n")
+    rows = trace.vals[:, cols].tolist()
+    if n is not None:
+        modes = wd.human_mode(trace.vals[:, cols[0]], trace.vals[:, cols[1]], n)
+        for row, mode in zip(rows, modes):
+            row[-1:] = [mode, f"Go_S{row[-1]}"]
     for step, t, row, away in zip(trace.step.tolist(), trace.time_s.tolist(),
-                                  trace.vals[:, cols].tolist(),
-                                  trace.human_away.astype(int).tolist()):
-        if n is not None:
-            rs, bl, hf, tries, s, *_, act = row
-            row[-1:] = [wd.human_mode(wd.WorldState(
-                n=n, bl=bl, rs=rs, act=act, hf=bool(hf), tries=tries,
-                s=bool(s))), f"Go_S{act}"]
+                                  rows, trace.human_away.astype(int).tolist()):
         fp.write(",".join(map(str, [step, _fmt_time(t), *row, away])) + "\n")
 
 

@@ -32,6 +32,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvalidParams
 from . import speclang as sl
 from .speclang import (Cmp, Iff, Implies, Not, SpecDocument, VarDecl,
@@ -291,14 +293,11 @@ class WorldState:
                    stalled=bool(vals.get("stalled", 0)))
 
 
-def human_mode(state: WorldState) -> str:
-    """Derived human mode: refill at the workstation, wait on empty
-    backlog, work otherwise."""
-    if state.rs == state.n:
-        return REFILL
-    if state.bl == 0:
-        return WAIT
-    return WORK
+def human_mode(rs, bl, n):
+    """Derived human mode, from robot position `rs` and backlog `bl` (ints,
+    or int arrays giving a list): refill at the workstation `n`, wait on
+    empty backlog, work otherwise."""
+    return np.where(rs == n, REFILL, np.where(bl == 0, WAIT, WORK)).tolist()
 
 
 def dropoff_attempt(state: WorldState) -> bool:

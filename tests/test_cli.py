@@ -318,6 +318,13 @@ NO_OK_CSV = "step,time_s,x,human_away\n0,0,0,0\n1,10,0,0\n2,20,0,0\n"
     OK_CHECK + ["safety", "--trace", "{huge}"],
     ["simulate", "{strat}", "--steps", "0"],
     CHECK + ["recurrence", "--window", "-3", "--trace", "{trace}"],
+    SIMULATE + ["--events", "{set_unknown}"],
+    SIMULATE + ["--events", "{set_sys}"],
+    SIMULATE[:5] + ["min-bl", "--events", "{set_unknown}"],
+    SIMULATE[:5] + ["min-bl", "--events", "{set_sys}"],
+    SIMULATE + ["--events", "{away_5}"],
+    SIMULATE + ["--events", "{duration_minus_3}"],
+    SIMULATE + ["--events", "{step_minus_1}"],
 ], ids=["safety-missing", "safety-not-csv", "safety-bad-row",
         "recurrence-missing", "recurrence-bad-row", "goal-3", "goal-minus-1",
         "check-spec-missing", "emit-config-missing", "synth-spec-missing", "oracle-spec-missing",
@@ -325,7 +332,10 @@ NO_OK_CSV = "step,time_s,x,human_away\n0,0,0,0\n1,10,0,0\n2,20,0,0\n"
         "synth-out-unwritable", "simulate-out-unwritable",
         "safety-trace-lacks-var", "recurrence-trace-lacks-var",
         "lasso-strategy-lacks-var", "safety-value-overflows",
-        "simulate-steps-0", "recurrence-window-minus-3"])
+        "simulate-steps-0", "recurrence-window-minus-3",
+        "set-unknown-var", "set-sys-var", "min-bl-set-unknown-var",
+        "min-bl-set-sys-var", "human-away-5", "duration-minus-3",
+        "step-minus-1"])
 def test_bad_input_exit2(workdir, tmp_path, capsys, argv):
     root, spec, strat = workdir
     files = {"missing": tmp_path / "missing.txt",
@@ -334,6 +344,13 @@ def test_bad_input_exit2(workdir, tmp_path, capsys, argv):
              "unwritable": tmp_path / "no_such_dir" / "out",
              "ok_spec": tmp_path / "ok.spec", "no_ok": tmp_path / "no_ok.csv",
              "huge": tmp_path / "huge.csv"}
+    for name, text in (("set_unknown", "step=2 set foo=1"),
+                       ("set_sys", "step=2 set rs=1"),
+                       ("away_5", "step=2 human_away=5"),
+                       ("duration_minus_3", "step=2 human_away=1 duration=-3"),
+                       ("step_minus_1", "step=-1 set s=0")):
+        files[name] = tmp_path / f"{name}.txt"
+        files[name].write_text(text + "\n")
     files["not_csv"].write_text("a,b\n1,2\n")
     files["ok_spec"].write_text(OK_SPEC)
     files["no_ok"].write_text(NO_OK_CSV)

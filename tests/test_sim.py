@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import io
 import random
 
@@ -5,9 +7,13 @@ import numpy as np
 import pytest
 
 from gr1kit import arena as ar
+from gr1kit import check
 from gr1kit import gr1
 from gr1kit import sim
+from gr1kit import workdelivery as wd
 from gr1kit.errors import AdversaryIllegalMove, StrategyHole
+
+from conftest import REDUCED
 
 
 def tiny_strategy():
@@ -44,46 +50,64 @@ def test_replay_determinism():
     assert out[0] == out[1]
 
 
+NAMES = ("bl", "s", "x")       # env vars bl and s, then one sys var
+
+
 def test_singleton_moves_taken_by_all_policies():
     for kind in ("random", "min-bl", "max-bl", "scripted"):
         policy = sim.make_adversary(kind, seed=3)
-        pick = sim.adversary_choice(policy, {}, [(4, 1)], ["bl", "s"])
-        assert pick == (4, 1)
+        assert sim._pick(policy, 1, None, np.array([[4, 1]]), NAMES) == 0
 
 
 def test_greedy_bl_policies():
-    legal = [(10, 0), (8, 0), (9, 1), (8, 1)]
-    lo = sim.make_adversary("min-bl").choose(0, {}, legal, ["bl", "s"])
-    hi = sim.make_adversary("max-bl").choose(0, {}, legal, ["bl", "s"])
-    assert lo == (8, 0)        # lowest bl, then lowest index
-    assert hi == (10, 0)
+    moves = np.array([[10, 0], [8, 0], [9, 1], [8, 1], [10, 1]])
+    lo = sim.make_adversary("min-bl").choose(0, None, moves, NAMES)
+    hi = sim.make_adversary("max-bl").choose(0, None, moves, NAMES)
+    assert (lo, hi) == (1, 0)      # lowest (highest) bl, then lowest row
+    assert type(lo) is int and type(hi) is int
+    # no env column named bl: the first row
+    assert sim.make_adversary("max-bl").choose(
+        0, None, moves, ("u", "v", "bl")) == 0
 
 
 def test_greedy_deterministic_twice():
-    legal = [(3, 0), (2, 1)]
+    moves = np.array([[3, 0], [2, 1]])
     p = sim.make_adversary("min-bl")
-    assert p.choose(0, {}, legal, ["bl", "x"]) == \
-        p.choose(0, {}, legal, ["bl", "x"])
+    assert p.choose(0, None, moves, NAMES) == \
+        p.choose(0, None, moves, NAMES) == 1
 
 
 def test_scripted_override_and_fallback():
-    events = sim.parse_events("step=2 set s=1")
-    p = sim.make_adversary("scripted", seed=0, events=events)
-    legal = [(5, 0), (5, 1)]
-    assert p.choose(2, {}, legal, ["bl", "s"]) == (5, 1)
-    # override impossible -> falls back to a legal move
-    assert p.choose(2, {}, [(5, 0)], ["bl", "s"]) == (5, 0)
+    # a `set` pin narrows the choice of every adversary, scripted included
+    moves = np.array([[5, 0], [5, 1], [6, 1]])
+    pin = (np.array([1]), np.array([1]))         # s = 1
+    for seed in range(8):
+        policy = sim.make_adversary("scripted", seed=seed)
+        assert sim._pick(policy, 2, None, moves, NAMES, pin) in (1, 2)
+    assert sim._pick(sim.make_adversary("min-bl"), 2, None, moves, NAMES,
+                     pin) == 1
+    # pin impossible -> falls back to any legal move
+    none = (np.array([0]), np.array([7]))
+    picks = {sim._pick(sim.make_adversary("scripted", seed=seed), 2, None,
+                       moves, NAMES, none) for seed in range(20)}
+    assert picks == {0, 1, 2}
 
 
 def test_adversary_illegal_move_detected():
     class Evil:
         kind = "evil"
 
-        def choose(self, step, state, legal, env_names):
-            return (99, 99)
+        def choose(self, step, state, moves, names):
+            return self.pick
 
-    with pytest.raises(AdversaryIllegalMove):
-        sim.adversary_choice(Evil(), {}, [(0, 0)], ["a", "b"])
+    evil = Evil()
+    st, arena, doc = tiny_strategy()
+    for evil.pick in (3, -1, 1.0, None, (5, 1)):
+        with pytest.raises(AdversaryIllegalMove):
+            sim._pick(evil, 1, None, np.array([[0, 0], [5, 1], [6, 1]]),
+                      NAMES)
+        with pytest.raises(AdversaryIllegalMove):
+            sim.run(st, evil, 3)
 
 
 def test_parse_events():
@@ -95,6 +119,49 @@ def test_parse_events():
         sim.parse_events("step=x set s=0")
     with pytest.raises(ValueError):
         sim.parse_events("at=3 set s=0")
+    for bad in ("step=3 human_away=5", "step=3 human_away=1 duration=-3",
+                "step=-1 set s=0"):
+        with pytest.raises(ValueError):
+            sim.parse_events(bad)
+    assert sim.parse_events("step=0 human_away=0 duration=0")[0].step == 0
+
+
+def test_set_event_names_env_variable(strategy_for):
+    st = strategy_for(12)
+    # unknown, and owned by the system; rejected before the run starts
+    for var in ("foo", "rs"):
+        events = sim.parse_events(f"step=50 set {var}=1")
+        for kind in ("scripted", "min-bl"):
+            with pytest.raises(ValueError, match=repr(var)):
+                sim.run(st, sim.make_adversary(kind, events=events), 5,
+                        events=events)
+
+
+def test_step0_pin_under_every_adversary(reduced_arena, reduced_result):
+    # bl_init 3..7 gives five initial env assignments; a step-0 pin picks one
+    doc = wd.emit_spec(wd.WorkDeliveryParams(bl_init=(3, 7), **REDUCED))
+    arena = ar.with_inits(reduced_arena, doc)
+    st = gr1.extract_strategy(reduced_result, arena)
+    assert len(st.init_env) == 5
+    for bl in range(3, 8):
+        events = sim.parse_events(f"step=0 set bl={bl}")
+        for kind, seed in [("random", s) for s in range(4)] + [
+                ("scripted", 0), ("min-bl", 0), ("max-bl", 0)]:
+            tr = sim.run(st, sim.make_adversary(kind, seed, events), 3,
+                         events=events)
+            assert tr.rows[0].state["bl"] == bl, (kind, seed)
+    # unpinned, the greedy policies take the extremes, and `random` picks a
+    # row of the distinct initial assignments in first-occurrence order
+    firsts = {kind: sim.run(st, sim.make_adversary(kind), 1).rows[0]
+              for kind in ("min-bl", "max-bl")}
+    assert {k: r.state["bl"] for k, r in firsts.items()} == \
+        {"min-bl": 3, "max-bl": 7}
+    flipped = dataclasses.replace(st, init_env=st.init_env[::-1],
+                                  init_node=st.init_node[::-1])
+    for strat, want in ((st, [6, 4, 3, 4, 4, 7, 7, 5]),
+                        (flipped, [4, 6, 7, 6, 6, 3, 3, 5])):
+        assert [sim.run(strat, sim.make_adversary("random", seed), 1)
+                .rows[0].state["bl"] for seed in range(8)] == want
 
 
 def test_freeze_semantics(strategy_for):
@@ -143,15 +210,38 @@ def test_strategy_hole_on_emptied_node(keep_edges):
     st = keep_edges(st, [])
     with pytest.raises(StrategyHole):
         sim.run(st, sim.make_adversary("random", seed=0), 5)
+    verdict = check.lasso_check(st, sim.make_adversary("min-bl"), doc)
+    assert [v[1] for v in verdict.violations] == ["deadlock"]
 
 
-def test_strategy_hole_against_arena(keep_edges):
-    st, arena, doc = tiny_strategy()
-    nid = int(st.init_node[0])
-    drop = np.arange(st.edge_indptr[nid] + 1, st.edge_indptr[nid + 1])
-    st = keep_edges(st, np.setdiff1d(np.arange(len(st.edge_next)), drop))
-    with pytest.raises(StrategyHole):
-        sim.run(st, sim.make_adversary("random", seed=0), 5, arena=arena)
+REDUCED_TRACE_SHA256 = {
+    ("random", 0): "7c5ed61389e4d7ab0e2a08197bb1bdc88da598cbf644bcde9d947474d36665e3",
+    ("random", 1): "84b7774607bf93dc050f0ebe74bd850076602080f7fc91616a9dd361e22f433e",
+    ("random", 2): "8b44f510ee75a9472fcc6692a9e817bd9169542249f212f20a9509d3d1da04c5",
+    ("random", 3): "2a1f0a75d9e7d71b036827e1289ad300b11db67c75986df2a1137f8c7ac937c7",
+    ("min-bl", 0): "01e943403fdfdfc58d77337a6b2b4262ba6e50751de52c9604b98382cf2c5584",
+    ("max-bl", 0): "63f978fbd967dc3323b5b00fcc45c1bd96736829b8198d62856ab4e86aa66c58",
+    ("scripted", 7): "e9f3e0e037a1c297eb34128d1bb82aa85cda25a2cbf681fd3a2ae8fb549ec2e9",
+}
+
+
+def test_reduced_trace_bytes(reduced_strategy, reduced_doc):
+    # CSV bytes of the reduced controller's closed loop; the scripted run
+    # pins s at step 5, which changes its course, and has an away span
+    events = sim.parse_events("step=5 set s=1\nstep=9 human_away=1 duration=4")
+    for (kind, seed), want in REDUCED_TRACE_SHA256.items():
+        ev = events if kind == "scripted" else ()
+        tr = sim.run(reduced_strategy,
+                     sim.make_adversary(kind, seed=seed, events=ev), 40,
+                     events=ev)
+        buf = io.StringIO()
+        sim.write_csv(tr, buf)
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == want, \
+            (kind, seed)
+    gaps = {kind: check.lasso_check(reduced_strategy, sim.make_adversary(kind),
+                                    reduced_doc).max_goal_gap
+            for kind in ("min-bl", "max-bl")}
+    assert gaps == {"min-bl": 9, "max-bl": 10}
 
 
 def test_csv_header_and_roundtrip(strategy_for):
@@ -226,9 +316,15 @@ def test_csv_mode_column(strategy_for):
 def test_interactive_policy_prompts():
     out, inp = io.StringIO(), io.StringIO("1\n")
     p = sim.InteractivePolicy(out=out, inp=inp)
-    pick = p.choose(0, {"bl": 5}, [(0,), (1,)], ["u"])
-    assert pick == (1,)
-    assert "environment move" in out.getvalue()
+    pick = p.choose(3, np.array([5, 0]), np.array([[0], [1]]), ("u", "x"))
+    assert pick == 1
+    text = out.getvalue()
+    assert "environment move" in text
+    assert "step 3 | state: {'u': 5, 'x': 0}" in text
+    assert "[0] u=0" in text and "[1] u=1" in text
+    # end of input: the first move
+    p = sim.InteractivePolicy(out=io.StringIO(), inp=io.StringIO(""))
+    assert p.choose(0, None, np.array([[0], [1]]), ("u", "x")) == 0
 
 
 def test_max_steps_validation(strategy_for):

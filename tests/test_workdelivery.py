@@ -103,9 +103,12 @@ def test_backlog_successors_stalled(paper_params):
 
 
 def test_human_mode(paper_params):
-    assert wd.human_mode(world(paper_params, rs=3)) == wd.REFILL
-    assert wd.human_mode(world(paper_params, bl=0, rs=1)) == wd.WAIT
-    assert wd.human_mode(world(paper_params, bl=12, rs=0)) == wd.WORK
+    n = paper_params.n
+    assert wd.human_mode(3, 10, n) == wd.REFILL
+    assert wd.human_mode(1, 0, n) == wd.WAIT
+    assert wd.human_mode(0, 12, n) == wd.WORK
+    assert wd.human_mode(np.array([3, 1, 0, 3]), np.array([10, 0, 12, 0]),
+                         n) == [wd.REFILL, wd.WAIT, wd.WORK, wd.REFILL]
 
 
 def test_arena_backlog_successors_match_reference(paper_params, paper_arena):
@@ -219,11 +222,10 @@ def test_controller_waits_at_station_on_full_backlog(strategy_for):
         if not (v["rs"] == 0 and v["bl"] == 26
                 and v["o1"] == 0 and v["o2"] == 0):
             continue
-        for k, ev in enumerate(st.legal_env_moves(nid)):
-            evd = dict(zip(st.env_names, ev))
+        for edge in range(st.edge_indptr[nid], st.edge_indptr[nid + 1]):
+            evd = dict(zip(st.env_names, st.edge_env[edge]))
             if evd["o1"] == 0 and evd["o2"] == 0:
-                sy = dict(zip(st.sys_names,
-                              st.edge_sys[st.edge_indptr[nid] + k]))
+                sy = dict(zip(st.sys_names, st.edge_sys[edge]))
                 assert sy["act"] == 0    # hold position, defer delivery
                 checked += 1
     assert checked > 0
