@@ -21,12 +21,22 @@ assignments in stage 2, a single column for predicates).  Clauses are
 grouped by the column variables they reference; each group's conjunction
 is tabulated once over the joint domain of its variables by
 ``speclang.eval_expr``, the toolkit's one evaluator, called with row
-values along one axis and column values along the other.  This gives a
-small [row profile × column profile] truth table, applied to a chunk of rows
-by a row gather followed by a column gather.  A table that would be
-larger than a chunk, or cover more row profiles than there are rows, is
-instead built per chunk over the profiles that occur in it.  True cells
-are read off per chunk, so no full [rows × columns] matrix is held.
+values along one axis and column values along the other.  A table that
+would be larger than ``_BLOCK_CELLS``, or cover more row profiles than
+there are rows, is instead built per chunk of rows over the profiles that
+occur in it.
+
+The tables are then joined one column variable at a time, in codec order
+(a partitioned transition relation with early quantification, done on
+explicit arrays).  Groups without column variables filter the rows.  Each
+partial assignment, a (row, column index prefix) pair, is extended by the
+allowed values of the next variable, read from the sparsest group that
+ends at that variable as a CSR keyed by row profile and the group's
+earlier column values (the whole domain when no group ends there); the
+other groups ending there filter the extensions by one gather each.  The
+work follows the surviving partial assignments, not the [rows × columns]
+grid, and the partials are expanded depth first in pieces of about
+``_BLOCK_CELLS // 8`` entries, so memory stays bounded.
 """
 
 from __future__ import annotations
@@ -94,11 +104,22 @@ class _Codec:
         return np.stack(cols, axis=1) if cols else np.zeros((n, 0), np.int64)
 
     def project(self, idx, sub):
-        """Index under `sub` (a codec over a subset of our keys) of each index."""
+        """Index under `sub` (a codec over a subset of our keys) of each
+        index.  Keys adjacent in both codecs are read off as one digit."""
         out = np.zeros(len(idx), dtype=np.int64)
-        for key, w in zip(sub.keys, sub.weights):
-            k = self._pos[key]
-            out += idx // self.weights[k] % self.fields[k][2] * w
+        pos = [self._pos[key] for key in sub.keys] + [None]
+        first = 0
+        for n, k in enumerate(pos[:-1]):
+            if pos[n + 1] == k + 1:
+                continue
+            digit = idx // self.weights[k]
+            if pos[first]:
+                # drop the keys above the run: two divisions are faster
+                # than a modulo
+                w = self.weights[pos[first] - 1]
+                digit -= idx // w * (w // self.weights[k])
+            out += digit * sub.weights[n]
+            first = n + 1
         return out
 
 
@@ -203,7 +224,8 @@ class GameArena:
 
 
 # --------------------------------------------------------------------------
-# clause compilation: clause groups -> truth tables -> gathers
+# clause compilation: clause groups -> truth tables -> a join over column
+# variables
 
 def _table(clauses, row, profiles, col):
     """Truth of a clause conjunction, [row profiles × every `col` index]."""
@@ -216,17 +238,58 @@ def _table(clauses, row, profiles, col):
         np.ones((len(profiles), col.size), dtype=bool))
 
 
+def _indptr(owner, n):
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner, minlength=n), out=indptr[1:])
+    return indptr
+
+
+def _gather(indptr, rows):
+    """Positions ``indptr[r]:indptr[r + 1]`` of each row in `rows`,
+    concatenated in row order."""
+    lo = indptr[rows]
+    size = indptr[rows + 1] - lo
+    ends = size.cumsum()
+    total = ends[-1] if len(ends) else 0
+    return (lo - ends + size).repeat(size) + np.arange(total)
+
+
+def _generator(table, size):
+    """True cells of a table read as [keys × `size` values]: a CSR (indptr,
+    values), plus each key's value (-1 for none) if no key has two."""
+    owner, values = np.divmod(np.flatnonzero(table), size)
+    n = table.size // size
+    first = None
+    if not (owner[1:] == owner[:-1]).any():
+        first = np.full(n, -1)
+        first[owner] = values
+    return _indptr(owner, n), values, first
+
+
+def _cells(ri, sub, r, c, col):
+    """Cell of each partial assignment (row position `r`, column index `c`)
+    in a [row profile `ri` × `sub` index] table, flattened."""
+    return ri[r] * sub.size + col.project(c, sub)
+
+
 def _relation(clauses, row, rows, col):
     """True cells (row positions, column indices) of a clause conjunction.
 
     Rows are indices under codec `row`, columns every index of codec `col`.
-    Cells come in row-major order."""
+    Cells come in row-major order: the column variables are bound one at a
+    time, most significant first, so the partial assignments stay sorted
+    by (row, column index) from the first variable to the last."""
     groups = {}
     for c in clauses:
         refs = sl.expr_refs(c)
         groups.setdefault(frozenset(k for k in refs if k in col.keys),
                           []).append((c, refs))
-    tables = []
+    # level k (from 1) binds the k-th variable of `col`; each group joins at
+    # its last one, or at level 0 to filter the rows if it has none
+    sizes = (1,) + tuple(size for _, _, size in col.fields)
+    weights = (0,) + col.weights
+    levels = [[] for _ in sizes]
+    widest = 1
     for nxt_keys, group in groups.items():
         sub = row.sub(set().union(*(refs for _, refs in group)))
         col_sub = col.sub(nxt_keys)
@@ -235,34 +298,81 @@ def _relation(clauses, row, rows, col):
         if sub.size <= len(rows) and sub.size * col_sub.size <= _BLOCK_CELLS:
             table = _table(conj, sub, np.arange(sub.size, dtype=np.int64),
                            col_sub)
-        # otherwise each chunk tabulates only the profiles that occur in it,
-        # so no table is larger than a chunk
-        tables.append((conj, sub, col_sub, table,
-                       col.project(np.arange(col.size), col_sub)))
-    step = max(1, _BLOCK_CELLS // col.size)
+        else:
+            # each chunk tabulates only the profiles that occur in it, so
+            # no table is larger than _BLOCK_CELLS
+            widest = max(widest, col_sub.size)
+        levels[max(map(col.keys.index, nxt_keys), default=-1) + 1].append(
+            (conj, sub, col_sub, table))
+    # a piece of partial assignments expands to about `piece` int64 entries;
+    # a chunk of rows is smaller still, so that its per-group profile arrays
+    # and the pieces it expands to stay in cache
+    piece = max(1, _BLOCK_CELLS // 8)
+    step = max(1, min(piece // 8, _BLOCK_CELLS // widest))
     r_parts, c_parts = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
     for lo in range(0, len(rows), step):
         chunk = rows[lo:lo + step]
-        # numpy lays out a column gather column-major; a mask in the same
-        # order keeps the in-place AND contiguous
-        mask = np.ones((len(chunk), col.size), dtype=bool, order="F")
-        for conj, sub, col_sub, table, cols in tables:
-            ri = row.project(chunk, sub)
-            if table is None:
-                profiles, ri = np.unique(ri, return_inverse=True)
-                mask &= _table(conj, sub, profiles, col_sub)[ri][:, cols]
+        plan = []
+        for k, (level, size) in enumerate(zip(levels, sizes)):
+            bound = []
+            for conj, sub, col_sub, table in level:
+                ri = row.project(chunk, sub)
+                if table is None:
+                    profiles, ri = np.unique(ri, return_inverse=True)
+                    table = _table(conj, sub, profiles, col_sub)
+                bound.append((ri, table, col_sub))
+            # the sparsest group generates the level's values, keyed by
+            # (row profile, the group's earlier column values); the others
+            # filter them.  With no group, the whole domain.
+            if len(bound) > 1:
+                bound.sort(key=lambda g: g[1].mean())
+            gen, csr = None, (np.array([0, size]), np.arange(size), None)
+            if bound and k:
+                ri, table, col_sub = bound.pop(0)
+                gen = (ri, col_sub.sub(col_sub.keys[:-1]))
+                csr = _generator(table, size)
+            plan.append((gen, *csr, [(ri, table.ravel(), col_sub)
+                                     for ri, table, col_sub in bound]))
+        r = np.arange(len(chunk))
+        for ri, table, _ in plan[0][4]:
+            r = r[table[ri[r]]]
+        # depth first and in order; an entry's `key`, each partial
+        # assignment's generator key, is None until it has been cut
+        stack = [(1, r, np.zeros(len(r), np.int64), None)]
+        while stack:
+            k, r, c, key = stack.pop()
+            if k == len(levels) or not len(r):
+                r_parts.append(r + lo)
+                c_parts.append(c)
+                continue
+            gen, indptr, values, first, filters = plan[k]
+            uncut = key is None
+            if uncut:
+                key = (_cells(*gen, r, c, col) if gen
+                       else np.zeros(len(r), np.int64))
+            if first is not None:
+                # at most one value each, the common case: no repeat
+                digit = first[key]
+                keep = digit >= 0
+                r, c = r[keep], c[keep] + digit[keep] * weights[k]
             else:
-                mask &= table[ri][:, cols]
-        r, c = np.divmod(np.flatnonzero(mask), col.size)
-        r_parts.append(r + lo)
-        c_parts.append(c)
+                cnt = indptr[key + 1] - indptr[key]
+                total = cnt.sum()
+                if uncut and total > piece:
+                    cuts = np.append(np.searchsorted(
+                        np.cumsum(cnt) - cnt, np.arange(0, total, piece)),
+                        len(r))
+                    stack.extend((k, r[a:b], c[a:b], key[a:b]) for a, b in
+                                 reversed(list(zip(cuts[:-1], cuts[1:])))
+                                 if a < b)
+                    continue
+                r = r.repeat(cnt)
+                c = c.repeat(cnt) + values[_gather(indptr, key)] * weights[k]
+            for ri, table, col_sub in filters:
+                keep = table[_cells(ri, col_sub, r, c, col)]
+                r, c = r[keep], c[keep]
+            stack.append((k + 1, r, c, None))
     return np.concatenate(r_parts), np.concatenate(c_parts)
-
-
-def _indptr(owner, n):
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(owner, minlength=n), out=indptr[1:])
-    return indptr
 
 
 def _holds(clauses, codec):
@@ -277,9 +387,11 @@ def build_arena(doc, cap=1 << 24):
     """Compile a validated document into an explicit arena.
 
     Raises CapacityExceeded when the valuation space is larger than `cap`
-    states.  Move relations are computed vectorized from truth tables
-    that ``speclang.eval_expr`` fills; the tests check them against a
-    separate scalar evaluator, clause by clause.
+    states.  Stage 1 joins the env safety clauses over (state, env')
+    cells, stage 2 the sys safety clauses over ((state, env'), sys')
+    cells, each binding the primed variables one at a time from truth
+    tables that ``speclang.eval_expr`` fills; the tests check the moves
+    against a separate scalar evaluator, clause by clause.
     """
     env_decls = tuple(doc.env_vars())
     decls = env_decls + tuple(doc.sys_vars())

@@ -93,7 +93,7 @@ class _Ctx:
         Marks the pairs with a sys edge into them good, counts each newly
         good pair off its owner's `bad_cnt` (so ``bad_cnt == 0`` is cpre of
         the target) and returns those owners, sorted, with repeats."""
-        pairs = self.in_pair[_gather(self.in_indptr, joined)]
+        pairs = self.in_pair[ar._gather(self.in_indptr, joined)]
         pairs = _distinct(pairs[~pair_good[pairs]])
         pair_good[pairs] = True
         owners = self.arena.pair_state[pairs]
@@ -145,8 +145,8 @@ class _Ctx:
         states = np.nonzero(undecided)[0]
         if not len(states):
             return x
-        pairs = _gather(a.env_indptr, states)
-        edges = _gather(a.sys_indptr, pairs)
+        pairs = ar._gather(a.env_indptr, states)
+        edges = ar._gather(a.sys_indptr, pairs)
         cnt = self.pair_cnt
         cnt[pairs] = 0
         np.add.at(cnt, self.edge_pair[edges[x[self.edge_succ[edges]]]], 1)
@@ -155,7 +155,7 @@ class _Ctx:
             gone = _distinct(a.pair_state[dead])
             x[gone] = False
             undecided[gone] = False
-            hit = self.in_pair[_gather(self.in_indptr, gone)]
+            hit = self.in_pair[ar._gather(self.in_indptr, gone)]
             hit = hit[undecided[a.pair_state[hit]]]
             np.subtract.at(cnt, hit, 1)
             dead = hit[cnt[hit] == 0]
@@ -170,16 +170,6 @@ def _distinct(idx):
     first = np.ones(len(idx), dtype=bool)
     np.not_equal(idx[1:], idx[:-1], out=first[1:])
     return idx[first]
-
-
-def _gather(indptr, rows):
-    """Positions ``indptr[r]:indptr[r + 1]`` of each row in `rows`,
-    concatenated in row order."""
-    lo = indptr[rows]
-    size = indptr[rows + 1] - lo
-    ends = size.cumsum()
-    total = ends[-1] if len(ends) else 0
-    return (lo - ends + size).repeat(size) + np.arange(total)
 
 
 @dataclass
@@ -487,8 +477,7 @@ def extract_strategy(result, arena):
     edge_indptr = np.zeros(len(order) + 1, dtype=np.int64)
     np.cumsum(degree, out=edge_indptr[1:])
     # each node's edges are its state's (state, env') pairs, in pair order
-    pairs = (np.repeat(a.env_indptr[states] - edge_indptr[:-1], degree) +
-             np.arange(edge_indptr[-1]))
+    pairs = ar._gather(a.env_indptr, states)
     return Strategy(
         env_names=a.names[:a.n_env_vars],
         sys_names=a.names[a.n_env_vars:],

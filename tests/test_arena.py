@@ -86,6 +86,20 @@ def test_capacity_cap():
         tracemalloc.stop()
     assert a.n_pairs == 2 * a.n_states - 19
     assert peak < 16 * ar._BLOCK_CELLS
+    # one joint env clause over two env vars, and none over u' alone: u' is
+    # bound over its whole domain (1M partial assignments) before v' prunes
+    # them, so the join must expand in pieces to stay within the bound
+    tracemalloc.start()
+    try:
+        a = ar.build_arena(parse_spec(
+            "[ENV_VARS]\nu : 0..499\nv : bool\n[SYS_VARS]\nx : bool\n"
+            "[ENV_TRANS]\nu' = 0 & v' | u' = u + 1 & !v'\n"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a reset from every state, a step up from all but the 4 with u = 499
+    assert a.n_pairs == 2 * a.n_states - 4
+    assert peak < 16 * ar._BLOCK_CELLS
 
 
 # A sys pair clause and a sys choice clause over every variable: their
@@ -254,6 +268,23 @@ def test_build_is_deterministic(reduced_doc):
         h.update(np.ascontiguousarray(arr).tobytes())
     assert h.hexdigest() == (
         "878a1e653c900f328927c6495caf7cd995ce39cb7cffd76ce9d985b6492e0962")
+
+
+def test_ladder_arena_is_pinned(paper_doc, paper_arena):
+    # the n=3 arena and its sys goal predicate, pinned before the relation
+    # compile became a join; unlike the reduced pin, this one covers the
+    # wide bl' drop-option group
+    h = hashlib.sha256()
+    for field in ARENA_FIELDS:
+        arr = getattr(paper_arena, field)
+        h.update(f"{field} {arr.dtype.str} {arr.shape}".encode())
+        h.update(np.ascontiguousarray(arr).tobytes())
+    for goal in paper_doc.sys_liveness:
+        arr = ar.state_predicate(paper_arena, goal)
+        h.update(f"goal {arr.dtype.str} {arr.shape}".encode())
+        h.update(arr.tobytes())
+    assert h.hexdigest() == (
+        "f26ba95e05f1d515efe9da2db763362b2a5ccd2dfd986ab6e90665ecc66e4694")
 
 
 def test_random_arena_is_reproducible():
