@@ -15,7 +15,12 @@ turns good at its first sys edge into the target, and a state joins once
 none of its pairs is bad.  Assumption games use the same counters for
 cpre(Y), credited once per state as Y grows, and compute each nu-X by the
 dual retreat, seeded from the nu-X of the previous mu-Y round (from below)
-and of the previous Z sweep (from above), so that no level is recomputed
+and of the previous Z sweep (from above).  At the outer level, every Z
+handed to a goal lies inside the one before it, so cpre(Z) is kept across
+all sweeps and goals by decremental counters, in O(edges) in all; and a
+goal whose seed equals its seed of the previous sweep keeps that sweep's
+mu-Y instead of running it again, which makes the sweep that only confirms
+the fixpoint cheap.  So only the attractor of a changed seed is computed
 from scratch (the memoization of Firman, Maoz and Ringert, *Performance
 heuristics for GR(1) synthesis and related algorithms*, Acta Informatica
 2020, on the fixpoint of Piterman, Pnueli and Sa'ar, VMCAI 2006).
@@ -65,27 +70,25 @@ class _Ctx:
         self.arena = arena
         n_pairs = arena.n_pairs
         self.env_degree = np.diff(arena.env_indptr)
-        self.edge_pair = np.repeat(
-            np.arange(n_pairs, dtype=np.int64), np.diff(arena.sys_indptr))
-        self.edge_succ = (arena.env_next[self.edge_pair] * arena.n_sys +
+        edge_pair = np.repeat(np.arange(n_pairs, dtype=np.int64),
+                              np.diff(arena.sys_indptr))
+        self.edge_succ = (arena.env_next[edge_pair] * arena.n_sys +
                           arena.sys_next)
-        # incoming sys edges grouped by successor state, as their pairs
-        order = np.argsort(self.edge_succ, kind="stable")
-        self.in_pair = self.edge_pair[order]
+        # incoming sys edges grouped by successor state, as their pairs in
+        # pair order: sorting (succ, pair) keys gives the stable argsort's
+        # order at a third of its time and half its memory (numpy 2.4)
+        assert arena.n_states * n_pairs < 2 ** 63, "sort keys overflow"
+        key = self.edge_succ * n_pairs
+        key += edge_pair
+        key.sort()
+        key %= n_pairs
+        self.in_pair = key
         self.in_indptr = np.zeros(arena.n_states + 1, dtype=np.int64)
         np.cumsum(np.bincount(self.edge_succ, minlength=arena.n_states),
                   out=self.in_indptr[1:])
         # nu-X edge counters; read only at pairs of undecided states, each
         # written before it is read, so never cleared
         self.pair_cnt = np.zeros(n_pairs, dtype=np.int64)
-
-    def cpre(self, target):
-        """States where sys can force the next state into `target`."""
-        a = self.arena
-        good = np.zeros(a.n_pairs, dtype=bool)
-        good[self.edge_pair[target[self.edge_succ]]] = True
-        bad = np.bincount(a.pair_state[~good], minlength=a.n_states)
-        return bad == 0
 
     def credit(self, joined, pair_good, bad_cnt):
         """Incremental cpre: the states `joined` have entered the target.
@@ -149,7 +152,9 @@ class _Ctx:
         edges = ar._gather(a.sys_indptr, pairs)
         cnt = self.pair_cnt
         cnt[pairs] = 0
-        np.add.at(cnt, self.edge_pair[edges[x[self.edge_succ[edges]]]], 1)
+        edge_pair = np.repeat(pairs, a.sys_indptr[pairs + 1] -
+                              a.sys_indptr[pairs])
+        np.add.at(cnt, edge_pair[x[self.edge_succ[edges]]], 1)
         dead = pairs[cnt[pairs] == 0]
         while len(dead):
             gone = _distinct(a.pair_state[dead])
@@ -160,6 +165,38 @@ class _Ctx:
             np.subtract.at(cnt, hit, 1)
             dead = hit[cnt[hit] == 0]
         return x
+
+
+class _ShrinkingCpre:
+    """cpre of a target that only shrinks, kept by decremental counters.
+
+    Each pair counts its sys edges into the current target.  When states
+    leave the target, every pair with an edge into them loses one, and a
+    pair at 0 takes its owner out of cpre for good, since a shrinking
+    target never gives the pair an edge back.  O(edges) over all calls.
+    """
+
+    def __init__(self, ctx):
+        a = ctx.arena
+        self.ctx = ctx
+        self.target = np.ones(a.n_states, dtype=bool)
+        self.cnt = np.diff(a.sys_indptr).astype(np.int32)
+        self.cpre = np.bincount(a.pair_state[self.cnt == 0],
+                                minlength=a.n_states) == 0
+
+    def __call__(self, target):
+        """cpre(`target`), which must lie inside the previous target.
+        The returned array is the tracker's own: do not modify it."""
+        assert not (target & ~self.target).any(), "cpre targets must shrink"
+        gone = (self.target & ~target).nonzero()[0]
+        if len(gone):
+            ctx = self.ctx
+            self.target[gone] = False
+            hit = ctx.in_pair[ar._gather(ctx.in_indptr, gone)]
+            # an int32 scalar keeps subtract.at on its fast path (numpy 2.4)
+            np.subtract.at(self.cnt, hit, np.int32(1))
+            self.cpre[ctx.arena.pair_state[hit[self.cnt[hit] == 0]]] = False
+        return self.cpre
 
 
 def _distinct(idx):
@@ -196,21 +233,31 @@ def solve(arena, env_live, sys_live):
     n_goals = len(goals)
     Z = np.ones(arena.n_states, dtype=bool)
     y_rank = np.full((n_goals, arena.n_states), INF_RANK, dtype=np.int32)
-    # nu-X layers of every mu-Y round of each goal's previous Z sweep
+    # Every Z handed to a goal lies inside the one before it, so one
+    # decremental cpre serves them all.  A Z handed on is a fixpoint
+    # Y = B_j(Y) of the previous goal's mu-Y step B_j, with B(Y) = seed |
+    # cpre(Y) | OR_i nu X. (seed | cpre(Y) | (~a_i & cpre(X))).  So
+    # cpre(Y) <= Y, the next seed g & cpre(Y) lies in cpre(Y), hence
+    # B_{j+1}(Y) <= B_j(Y) = Y, and the least fixpoint of B_{j+1} lies in Y.
+    cpre = _ShrinkingCpre(ctx)
+    # each goal's seed and nu-X layers of every mu-Y round, from its
+    # previous Z sweep
+    seeds = [None] * n_goals
     x_layers = [None] * n_goals
 
     while True:
         z_before = Z
         for j, g in enumerate(goals):
-            seed = g & ctx.cpre(Z)
-            if falsifiable:
-                rank, Y, x_layers[j] = _mu_y_general(
-                    ctx, seed, falsifiable, x_layers[j])
-            else:
-                rank = ctx.attractor_ranks(seed)
-                Y = rank != INF_RANK
-            y_rank[j] = rank
-            Z = Y
+            seed = g & cpre(Z)
+            # a mu-Y is a function of its seed alone
+            if not np.array_equal(seed, seeds[j]):
+                seeds[j] = seed
+                if falsifiable:
+                    y_rank[j], x_layers[j] = _mu_y_general(
+                        ctx, seed, falsifiable, x_layers[j])
+                else:
+                    y_rank[j] = ctx.attractor_ranks(seed)
+            Z = y_rank[j] != INF_RANK
         assert not np.any(Z & ~z_before), "Z iterates must shrink"
         if np.array_equal(Z, z_before):
             break
@@ -230,8 +277,9 @@ def _mu_y_general(ctx, seed, falsifiable, warm):
     seed | cpre(Y), at O(edges) per round.
 
     `falsifiable` lists (i, ~assumption_i).  Returns the rank of each state
-    (the round it joined Y), Y, and the nu-X layer [(i, X), ...] of every
-    round, the last being the round that added nothing.
+    (the round it joined Y, INF_RANK outside Y) and the nu-X layer
+    [(i, X), ...] of every round, the last being the round that added
+    nothing.
 
     cpre(Y) is kept incrementally: each round credits only the in-edges of
     the states that joined Y in the round before.  Each nu-X retreats
@@ -239,14 +287,10 @@ def _mu_y_general(ctx, seed, falsifiable, warm):
     base and so X grow with r.  From above: `warm`, the layers of the same
     goal in the previous Z sweep, at round min(r, last) (None in the first
     sweep).  That bound holds because the Z handed to a goal only shrinks
-    from one sweep to the next.  Number the Zs handed out Z^(0) = all,
-    Z^(1), ...; goal j gets Z^(j), Z^(j+n), ... for n goals, and
-    Z^(m+1) = F_{m mod n}(Z^(m)) with each mu-Y step F_j monotone.  Then
-    Z^(m+n) <= Z^(m) by induction on m: at m = 0 because Z^(0) is every
-    state, and then Z^(m+1+n) = F(Z^(m+n)) <= F(Z^(m)) = Z^(m+1).  A
-    smaller Z gives a smaller seed, hence by induction on r a smaller base,
-    X_{r,i} and Y_r in every round; past its last round the old mu-Y stays
-    at its converged layer.
+    from one sweep to the next: every Z handed out lies inside the one
+    before it (see `solve`).  A smaller Z gives a smaller seed, hence by
+    induction on r a smaller base, X_{r,i} and Y_r in every round; past its
+    last round the old mu-Y stays at its converged layer.
     """
     a = ctx.arena
     rank = np.full(a.n_states, INF_RANK, dtype=np.int32)
@@ -276,7 +320,7 @@ def _mu_y_general(ctx, seed, falsifiable, warm):
         rank[newly] = r
         Y = y_new
         joined = np.nonzero(newly)[0]
-    return rank, Y, layers
+    return rank, layers
 
 
 def _init_escapes(arena, winning=True):
@@ -358,9 +402,9 @@ class Strategy:
                 "nodes": nodes, "init": init}
 
     def save(self, path):
+        # json.dumps takes the C encoder; json.dump would not
         with open(path, "w") as fp:
-            json.dump(self.to_obj(), fp)
-            fp.write("\n")
+            fp.write(json.dumps(self.to_obj()) + "\n")
 
     @classmethod
     def from_obj(cls, obj):

@@ -241,11 +241,33 @@ def test_goal_index_advances_only_on_goal_states():
         assert all(st.node_goal[st.edge_next[k]] == expect for k in edges)
 
 
+def dense_cpre(arena, target):
+    """States from which sys can force the next state into `target`,
+    computed from scratch over every edge; shares no code with the solver."""
+    edge_pair = np.repeat(np.arange(arena.n_pairs), np.diff(arena.sys_indptr))
+    succ = arena.env_next[edge_pair] * arena.n_sys + arena.sys_next
+    good = np.zeros(arena.n_pairs, dtype=bool)
+    good[edge_pair[target[succ]]] = True
+    bad = np.bincount(arena.pair_state[~good], minlength=arena.n_states)
+    return bad == 0
+
+
 def plain_fixpoint(arena, assumptions, goals):
     """The parent solver's plain iteration, kept as a reference: every mu-Y
-    round recomputes cpre(Y) and every nu-X restarts from all states.
-    Returns (winning, y_rank, x_witness, Z sweeps)."""
-    cpre, n = gr1._Ctx(arena).cpre, arena.n_states
+    round recomputes cpre(Y), every nu-X restarts from all states and every
+    Z sweep recomputes cpre(Z).  Returns (winning, y_rank, x_witness,
+    Z sweeps).
+
+    With every assumption true everywhere, the mu-Y is an attractor, which
+    ranks the seed alone 0 and cpre of the seed 1; otherwise round 0 is the
+    seed plus cpre of nothing (the env-deadlocked states).  The two
+    numberings differ only on games with env deadlocks."""
+    n = arena.n_states
+    attractor = all(a.all() for a in assumptions)
+
+    def cpre(target):
+        return dense_cpre(arena, target)
+
     Z = np.ones(n, dtype=bool)
     y_rank = np.full((len(goals), n), gr1.INF_RANK, dtype=np.int32)
     x_witness = [{} for _ in goals]
@@ -253,8 +275,9 @@ def plain_fixpoint(arena, assumptions, goals):
     while True:
         z_before, sweeps = Z, sweeps + 1
         for j, g in enumerate(goals):
-            seed, Y, r = g & cpre(Z), np.zeros(n, dtype=bool), 0
-            y_rank[j] = gr1.INF_RANK
+            seed = g & cpre(Z)
+            Y, r = (seed, 1) if attractor else (np.zeros(n, dtype=bool), 0)
+            y_rank[j] = np.where(Y, 0, gr1.INF_RANK)
             x_witness[j] = {}
             while True:
                 base = seed | cpre(Y)
@@ -280,13 +303,18 @@ def plain_fixpoint(arena, assumptions, goals):
 
 
 def assert_same_fixpoint(arena, env_live, sys_live):
-    """solve() of an assumption game agrees with plain_fixpoint on every
-    output; returns the plain run's sweep count."""
+    """solve() agrees with plain_fixpoint on every output; returns the
+    plain run's sweep count."""
     res = gr1.solve(arena, env_live, sys_live)
     winning, y_rank, x_witness, sweeps = plain_fixpoint(
         arena, res.assumptions, res.goals)
     assert np.array_equal(res.winning, winning)
     assert np.array_equal(res.y_rank, y_rank)
+    if res.x_witness is None:
+        # every assumption holds everywhere: no nu-X region is recorded
+        assert all(a.all() for a in res.assumptions)
+        assert x_witness == [{} for _ in res.goals]
+        return sweeps
     assert len(res.x_witness) == len(x_witness)
     for got, want in zip(res.x_witness, x_witness):
         assert got.keys() == want.keys()
@@ -298,27 +326,54 @@ def assert_same_fixpoint(arena, env_live, sys_live):
 
 
 def test_incremental_fixpoint_matches_plain_iteration():
-    seen = dict(env_deadlock=0, sys_deadlock=0, two_goals=0, sweeps3=0)
+    seen = {(kind, what): 0 for kind in ("trivial", "assumption")
+            for what in ("env_deadlock", "sys_deadlock", "two_goals",
+                         "sweeps3")}
     for seed in range(600):
         a, env_live, sys_live = ar.random_arena(seed)
-        if all(e.all() for e in env_live):
-            continue
+        kind = ("trivial" if all(e.all() for e in env_live)
+                else "assumption")
         sweeps = assert_same_fixpoint(a, env_live, sys_live)
-        seen["env_deadlock"] += bool((np.diff(a.env_indptr) == 0).any())
-        seen["sys_deadlock"] += bool((np.diff(a.sys_indptr) == 0).any())
-        seen["two_goals"] += len(sys_live) == 2
-        seen["sweeps3"] += sweeps >= 3
-    # not vacuous: the corpus has deadlocks on both sides, two goals, and
-    # games whose Z shrinks after the first sweep, so that a warm-started
-    # sweep runs below the layers it starts from
+        seen[kind, "env_deadlock"] += bool((np.diff(a.env_indptr) == 0).any())
+        seen[kind, "sys_deadlock"] += bool((np.diff(a.sys_indptr) == 0).any())
+        seen[kind, "two_goals"] += len(sys_live) == 2
+        seen[kind, "sweeps3"] += sweeps >= 3
+    # not vacuous: on both solver paths the corpus has deadlocks on both
+    # sides, two goals, and games whose Z shrinks after the first sweep, so
+    # that the cpre(Z) counters decrement and a warm-started sweep runs
+    # below the layers it starts from
     assert all(seen.values()), seen
+
+
+def test_shrinking_cpre_matches_dense():
+    steps = 0
+    for seed in range(60):
+        a, _, _ = ar.random_arena(seed)
+        cpre = gr1._ShrinkingCpre(gr1._Ctx(a))
+        rng = np.random.default_rng(seed)
+        target = np.ones(a.n_states, dtype=bool)
+        while True:
+            assert np.array_equal(cpre(target), dense_cpre(a, target)), seed
+            if not target.any():
+                break
+            # drop at least one and at most half of the remaining states
+            kept = np.flatnonzero(target)
+            target = target.copy()
+            target[rng.choice(kept, rng.integers(1, (len(kept) + 3) // 2),
+                              replace=False)] = False
+            steps += 1
+        with pytest.raises(AssertionError, match="must shrink"):
+            cpre(np.ones(a.n_states, dtype=bool))
+    # chains of several steps, not just all-then-nothing
+    assert steps >= 3 * 60, steps
 
 
 def test_incremental_fixpoint_matches_plain_on_reduced_scenario(
         reduced_arena, reduced_doc):
     from gr1kit.speclang import parse_expr
-    env_live = [parse_expr("!o1"), parse_expr("!stalled")]
-    assert_same_fixpoint(reduced_arena, env_live, reduced_doc.sys_liveness)
+    for env_live in ((), ("!o1", "!stalled")):
+        assert_same_fixpoint(reduced_arena, [parse_expr(e) for e in env_live],
+                             reduced_doc.sys_liveness)
 
 
 def test_reduced_assumption_game_bytes(reduced_arena, reduced_doc, tmp_path):
