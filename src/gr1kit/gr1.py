@@ -14,12 +14,17 @@ plain attractor, computed in O(edges) by counters: a pair (state, env')
 turns good at its first sys edge into the target, and a state joins once
 none of its pairs is bad.  Assumption games use the same counters for
 cpre(Y), credited once per state as Y grows, and compute each nu-X by the
-dual retreat, seeded from the nu-X of the previous mu-Y round (from below)
-and of the previous Z sweep (from above).  At the outer level, every Z
-handed to a goal lies inside the one before it, so cpre(Z) is kept across
-all sweeps and goals by decremental counters, in O(edges) in all; and a
-goal whose seed equals its seed of the previous sweep keeps that sweep's
-mu-Y instead of running it again, which makes the sweep that only confirms
+dual retreat.  The retreat keeps the nu-X of the previous mu-Y round (from
+below) and starts from one step of its operator applied to every state
+the nu-X may hold: the base plus the states that falsify the assumption
+inside the same nu-X of the previous Z sweep (all of them in the first
+sweep).  That set only grows across the rounds of a mu-Y, so its cpre is
+kept by the same counters as cpre(Y), one set per assumption, and the
+step costs O(edges) per mu-Y in all.  At the outer level, every Z handed
+to a goal lies inside the one before it, so cpre(Z) is kept across all
+sweeps and goals by decremental counters, in O(edges) in all; and a goal
+whose seed equals its seed of the previous sweep keeps that sweep's mu-Y
+instead of running it again, which makes the sweep that only confirms
 the fixpoint cheap.  So only the attractor of a changed seed is computed
 from scratch (the memoization of Firman, Maoz and Ringert, *Performance
 heuristics for GR(1) synthesis and related algorithms*, Acta Informatica
@@ -69,7 +74,8 @@ class _Ctx:
     def __init__(self, arena):
         self.arena = arena
         n_pairs = arena.n_pairs
-        self.env_degree = np.diff(arena.env_indptr)
+        # int32: every growing cpre copies it as its counters
+        self.env_degree = np.diff(arena.env_indptr).astype(np.int32)
         edge_pair = np.repeat(np.arange(n_pairs, dtype=np.int64),
                               np.diff(arena.sys_indptr))
         self.edge_succ = (arena.env_next[edge_pair] * arena.n_sys +
@@ -100,7 +106,8 @@ class _Ctx:
         pairs = _distinct(pairs[~pair_good[pairs]])
         pair_good[pairs] = True
         owners = self.arena.pair_state[pairs]
-        np.subtract.at(bad_cnt, owners, 1)
+        # an int32 scalar keeps subtract.at on its fast path (numpy 2.4)
+        np.subtract.at(bad_cnt, owners, np.int32(1))
         return owners
 
     def attractor_ranks(self, seed):
@@ -131,19 +138,19 @@ class _Ctx:
                 break
         return rank
 
-    def nu_x(self, base, not_a, upper, lower):
-        """Greatest fixpoint of X -> base | (not_a & cpre(X)).
+    def nu_x(self, x, lower):
+        """Greatest fixpoint of X -> lower | (x & cpre(X)), in place in `x`.
 
-        `upper` (None: every state) must contain the fixpoint and `lower`
-        must lie inside it.  Counter-based retreat, the dual of the
+        `lower` must lie inside `x`.  Counter-based retreat, the dual of the
         attractor: every pair of an undecided state counts its sys edges
         into the candidate set, a removed state takes one off each pair
         with an edge into it, and a pair at 0 removes its owner.
+
+        This is the nu-X of the mu-Y round, the greatest fixpoint X* of
+        X -> base | (not_a & cpre(X)), whenever base lies in `lower`,
+        `lower` in X*, X* in `x`, and `x` in base | not_a.
         """
         a = self.arena
-        x = base | not_a
-        if upper is not None:
-            x &= upper
         undecided = x & ~lower
         states = np.nonzero(undecided)[0]
         if not len(states):
@@ -165,6 +172,33 @@ class _Ctx:
             np.subtract.at(cnt, hit, 1)
             dead = hit[cnt[hit] == 0]
         return x
+
+
+class _GrowingCpre:
+    """cpre of a target that only grows, kept by the attractor's counters.
+
+    When states enter the target, `_Ctx.credit` marks each pair with a sys
+    edge into them good, once, and counts it off its owner; a state whose
+    pairs are all good is in cpre and stays there, since a growing target
+    never takes the edge away.  O(edges) over all calls.
+    """
+
+    def __init__(self, ctx):
+        a = ctx.arena
+        self.ctx = ctx
+        self.target = np.zeros(a.n_states, dtype=bool)
+        self.pair_good = np.zeros(a.n_pairs, dtype=bool)
+        self.bad_cnt = ctx.env_degree.copy()
+
+    def __call__(self, target):
+        """cpre(`target`), which must contain the previous target."""
+        # on bools, a > b is a & ~b in one call
+        assert not (self.target > target).any(), "cpre targets must grow"
+        joined = (target > self.target).nonzero()[0]
+        if len(joined):
+            self.target[joined] = True
+            self.ctx.credit(joined, self.pair_good, self.bad_cnt)
+        return self.bad_cnt == 0
 
 
 class _ShrinkingCpre:
@@ -281,35 +315,52 @@ def _mu_y_general(ctx, seed, falsifiable, warm):
     [(i, X), ...] of every round, the last being the round that added
     nothing.
 
-    cpre(Y) is kept incrementally: each round credits only the in-edges of
-    the states that joined Y in the round before.  Each nu-X retreats
-    (`_Ctx.nu_x`) between two bounds.  From below: X_{r-1,i} | base, since
-    base and so X grow with r.  From above: `warm`, the layers of the same
-    goal in the previous Z sweep, at round min(r, last) (None in the first
-    sweep).  That bound holds because the Z handed to a goal only shrinks
-    from one sweep to the next: every Z handed out lies inside the one
-    before it (see `solve`).  A smaller Z gives a smaller seed, hence by
-    induction on r a smaller base, X_{r,i} and Y_r in every round; past its
-    last round the old mu-Y stays at its converged layer.
+    cpre(Y) is kept by a `_GrowingCpre`, which credits each round only the
+    in-edges of the states that joined Y in the round before, so base_r =
+    seed | cpre(Y_r) grows with r.  Round r's nu-X for assumption i,
+    X_{r,i}, is the greatest fixpoint of F_r(X) = base_r | (~a_i &
+    cpre(X)), and `_Ctx.nu_x` finds it by a retreat between two bounds.
+
+    From below: X_{r-1,i} | base_r, since base and so X grow with r.
+
+    From above, first a warm bound upper_r: the layer of the same goal and
+    assumption in the previous Z sweep at round min(r, last), from `warm`
+    (every state in the first sweep).  It holds because the Z handed to a
+    goal only shrinks from one sweep to the next: every Z handed out lies
+    inside the one before it (see `solve`).  A smaller Z gives a smaller
+    seed, hence by induction on r a smaller base, X_{r,i} and Y_r in every
+    round; past its last round the old mu-Y stays at its converged layer.
+    So X_{r,i} and base_r lie in upper_r, and upper_r grows with r.
+
+    Then one step of the operator below that: X_{r,i} = F_r(X_{r,i}) lies
+    in base_r | ~a_i and in upper_r, that is in T_r = base_r | (~a_i &
+    upper_r).  F_r is monotone, so X_{r,i} = F_r(X_{r,i}) lies in F_r(T_r),
+    and the retreat starts from B_r = F_r(T_r) & upper_r = base_r | (~a_i &
+    upper_r & cpre(T_r)).  T_r grows with r, as base_r and upper_r do, so
+    cpre(T_r) is kept by one `_GrowingCpre` per assumption, which credits
+    each state's in-edges once per mu-Y: O(edges) in all, where counting
+    the edges of every undecided state in every round was not.
     """
     a = ctx.arena
     rank = np.full(a.n_states, INF_RANK, dtype=np.int32)
     Y = np.zeros(a.n_states, dtype=bool)
-    pair_good = np.zeros(a.n_pairs, dtype=bool)
-    bad_cnt = ctx.env_degree.copy()
-    joined = np.zeros(0, dtype=np.int64)
+    cpre_y = _GrowingCpre(ctx)
+    cpre_t = [_GrowingCpre(ctx) for _ in falsifiable]
     layers = []
     while True:
         r = len(layers)
-        if len(joined):
-            ctx.credit(joined, pair_good, bad_cnt)
-        base = seed | (bad_cnt == 0)
+        base = seed | cpre_y(Y)
         upper = warm[min(r, len(warm) - 1)] if warm else None
         layer = []
         y_new = base.copy()
         for k, (i, not_a) in enumerate(falsifiable):
+            # T_r and B_r of the docstring, with not_a cut to upper
+            if upper:
+                not_a = not_a & upper[k][1]
+            x = not_a & cpre_t[k](base | not_a)
+            x |= base
             lower = base | layers[-1][k][1] if layers else base
-            X = ctx.nu_x(base, not_a, upper[k][1] if upper else None, lower)
+            X = ctx.nu_x(x, lower)
             layer.append((i, X))
             y_new |= X
         layers.append(layer)
@@ -319,7 +370,6 @@ def _mu_y_general(ctx, seed, falsifiable, warm):
             break
         rank[newly] = r
         Y = y_new
-        joined = np.nonzero(newly)[0]
     return rank, layers
 
 

@@ -325,10 +325,20 @@ def assert_same_fixpoint(arena, env_live, sys_live):
     return sweeps
 
 
-def test_incremental_fixpoint_matches_plain_iteration():
+def test_incremental_fixpoint_matches_plain_iteration(monkeypatch):
     seen = {(kind, what): 0 for kind in ("trivial", "assumption")
             for what in ("env_deadlock", "sys_deadlock", "two_goals",
                          "sweeps3")}
+    seen["assumption", "retreat_below_bound"] = 0
+    nu_x = gr1._Ctx.nu_x
+
+    def counting_nu_x(ctx, x, lower):
+        start = x.copy()
+        out = nu_x(ctx, x, lower)
+        seen["assumption", "retreat_below_bound"] += bool((start & ~out).any())
+        return out
+
+    monkeypatch.setattr(gr1._Ctx, "nu_x", counting_nu_x)
     for seed in range(600):
         a, env_live, sys_live = ar.random_arena(seed)
         kind = ("trivial" if all(e.all() for e in env_live)
@@ -341,7 +351,8 @@ def test_incremental_fixpoint_matches_plain_iteration():
     # not vacuous: on both solver paths the corpus has deadlocks on both
     # sides, two goals, and games whose Z shrinks after the first sweep, so
     # that the cpre(Z) counters decrement and a warm-started sweep runs
-    # below the layers it starts from
+    # below the layers it starts from; and some nu-X retreats below its
+    # one-step bound, so that the retreat itself is compared
     assert all(seen.values()), seen
 
 
@@ -365,6 +376,29 @@ def test_shrinking_cpre_matches_dense():
         with pytest.raises(AssertionError, match="must shrink"):
             cpre(np.ones(a.n_states, dtype=bool))
     # chains of several steps, not just all-then-nothing
+    assert steps >= 3 * 60, steps
+
+
+def test_growing_cpre_matches_dense():
+    steps = 0
+    for seed in range(60):
+        a, _, _ = ar.random_arena(seed)
+        cpre = gr1._GrowingCpre(gr1._Ctx(a))
+        rng = np.random.default_rng(seed)
+        target = np.zeros(a.n_states, dtype=bool)
+        while True:
+            assert np.array_equal(cpre(target), dense_cpre(a, target)), seed
+            if target.all():
+                break
+            # add at least one and at most half of the missing states
+            missing = np.flatnonzero(~target)
+            target = target.copy()
+            added = rng.integers(1, (len(missing) + 3) // 2)
+            target[rng.choice(missing, added, replace=False)] = True
+            steps += 1
+        with pytest.raises(AssertionError, match="must grow"):
+            cpre(np.zeros(a.n_states, dtype=bool))
+    # chains of several steps, not just nothing-then-all
     assert steps >= 3 * 60, steps
 
 
