@@ -33,7 +33,9 @@ heuristics for GR(1) synthesis and related algorithms*, Acta Informatica
 ``brute_force_oracle`` recomputes the winning region by a deliberately
 independent route: product the arena with goal counters for both players,
 assign three parity priorities, and run Zielonka's attractor recursion over
-the explicit product graph.
+the explicit product graph.  Its product nodes are integer ids built
+straight from the arena's CSR arrays, and it shares no code with the
+solver beyond reading the liveness predicates.
 """
 
 from __future__ import annotations
@@ -386,12 +388,6 @@ def is_realizable(result, arena):
     return not len(_init_escapes(arena, result.winning))
 
 
-def init_feasible(arena):
-    """False when some env init has no sys init completion at all
-    (unrealizable regardless of the game)."""
-    return not len(_init_escapes(arena))
-
-
 # --------------------------------------------------------------------------
 # strategies
 
@@ -606,65 +602,58 @@ def _loiter_pick(result, a, s, jp, my_rank, e):
 
 def brute_force_oracle(arena, env_live, sys_live, cap=10_000):
     """Winning region by explicit parity-game solving on the goal-counter
-    product; maximally naive on purpose.  Raises TooLarge above `cap`."""
+    product; maximally naive on purpose.  Raises TooLarge above `cap`.
+
+    Env node (s, c, d) is ``(s * ng + c) * na + d``: state s, pursued goal
+    c, awaited assumption d.  Sys nodes come after the env nodes: (p, c2,
+    d2) is ``n_states * ng * na + (p * ng + c2) * na + d2``, for the pair
+    p = (s, env') and the counters after s.  WIN and LOSE come last."""
     if arena.n_states > cap:
         raise TooLarge(f"{arena.n_states} states exceeds oracle cap {cap}")
     assumptions, goals = _normalize(arena, env_live, sys_live)
     ng, na = len(goals), len(assumptions)
-    n_sys = arena.n_sys
+    m = ng * na
+    n_env = arena.n_states * m
+    WIN = n_env + arena.n_pairs * m
+    LOSE = WIN + 1
+    env_indptr = arena.env_indptr.tolist()
+    sys_indptr = arena.sys_indptr.tolist()
+    # the env node at counters k = c2 * na + d2 after each sys edge
+    edge_to = (np.repeat(arena.env_next, np.diff(arena.sys_indptr)) *
+               arena.n_sys + arena.sys_next) * m
+    to = [(edge_to + k).tolist() for k in range(m)]
+    goal = [g.tolist() for g in goals]
+    assume = [a.tolist() for a in assumptions]
 
-    succ = {}
-    pri = {}
-    owner = {}
-    WIN, LOSE = ("win",), ("lose",)
-    succ[WIN] = [WIN]
-    pri[WIN] = 2
-    owner[WIN] = 0
-    succ[LOSE] = [LOSE]
-    pri[LOSE] = 1
-    owner[LOSE] = 1
-
+    succ, pri = [], []
     for s in range(arena.n_states):
+        lo, hi = env_indptr[s], env_indptr[s + 1]
         for c in range(ng):
+            c2 = (c + 1) % ng if goal[c][s] else c
             for d in range(na):
-                v = ("e", s, c, d)
-                owner[v] = 1
-                if c == ng - 1 and goals[ng - 1][s]:
-                    pri[v] = 2
-                elif d == na - 1 and assumptions[na - 1][s]:
-                    pri[v] = 1
+                if c == ng - 1 and goal[ng - 1][s]:
+                    pri.append(2)
+                elif d == na - 1 and assume[na - 1][s]:
+                    pri.append(1)
                 else:
-                    pri[v] = 0
-                c2 = (c + 1) % ng if goals[c][s] else c
-                d2 = (d + 1) % na if assumptions[d][s] else d
-                es = arena.env_moves(s)
-                if len(es) == 0:
-                    succ[v] = [WIN]
-                    continue
-                succ[v] = []
-                for e in es:
-                    e = int(e)
-                    u = ("y", s, c2, d2, e)
-                    succ[v].append(u)
-                    owner[u] = 0
-                    pri[u] = 0
-                    ys = arena.sys_moves(s, e)
-                    if len(ys) == 0:
-                        succ[u] = [LOSE]
-                    else:
-                        succ[u] = [("e", e * n_sys + int(y), c2, d2)
-                                   for y in ys]
+                    pri.append(0)
+                d2 = (d + 1) % na if assume[d][s] else d
+                k = n_env + c2 * na + d2
+                succ.append(list(range(lo * m + k, hi * m + k, m)) or [WIN])
+    # counters move by a bijection, so every sys node has an env parent
+    for lo, hi in zip(sys_indptr, sys_indptr[1:]):
+        succ += [t[lo:hi] or [LOSE] for t in to]
+    succ += [[WIN], [LOSE]]
+    pri += [0] * (arena.n_pairs * m) + [2, 1]
+    owner = [1] * n_env + [0] * (arena.n_pairs * m) + [0, 1]
 
-    preds = {v: [] for v in succ}
-    for u, ws in succ.items():
+    preds = [[] for _ in succ]
+    for u, ws in enumerate(succ):
         for w in ws:
             preds[w].append(u)
 
-    w0, _w1 = _zielonka(succ, preds, owner, pri, set(succ))
-    out = np.zeros(arena.n_states, dtype=bool)
-    for s in range(arena.n_states):
-        out[s] = ("e", s, 0, 0) in w0
-    return out
+    w0, _w1 = _zielonka(succ, preds, owner, pri, set(range(len(succ))))
+    return np.array([s * m in w0 for s in range(arena.n_states)], dtype=bool)
 
 
 def _zielonka(succ, preds, owner, pri, alive):
@@ -672,12 +661,13 @@ def _zielonka(succ, preds, owner, pri, alive):
     W0, W1 = set(), set()
     alive = set(alive)
     while alive:
-        p = max(pri[v] for v in alive)
+        p = max(map(pri.__getitem__, alive))
         player = p % 2
         top = {v for v in alive if pri[v] == p}
         A = _attr(succ, preds, owner, player, top, alive)
-        sub0, sub1 = (_zielonka(succ, preds, owner, pri, alive - A)
-                      if alive - A else (set(), set()))
+        rest = alive - A
+        sub0, sub1 = (_zielonka(succ, preds, owner, pri, rest)
+                      if rest else (set(), set()))
         opp = sub1 if player == 0 else sub0
         if not opp:
             if player == 0:
@@ -695,6 +685,8 @@ def _zielonka(succ, preds, owner, pri, alive):
 
 
 def _attr(succ, preds, owner, player, target, alive):
+    """Attractor of `target` for `player` inside `alive`, by counting each
+    opponent node's successors that are still outside it."""
     A = set(target)
     cnt = {}
     stack = list(target)
@@ -703,14 +695,13 @@ def _attr(succ, preds, owner, player, target, alive):
         for u in preds[v]:
             if u not in alive or u in A:
                 continue
-            if owner[u] == player:
-                A.add(u)
-                stack.append(u)
-            else:
-                if u not in cnt:
-                    cnt[u] = sum(1 for w in succ[u] if w in alive)
-                cnt[u] -= 1
-                if cnt[u] == 0:
-                    A.add(u)
-                    stack.append(u)
+            if owner[u] != player:
+                # successor lists hold no repeats
+                n = (cnt[u] if u in cnt else
+                     len(alive.intersection(succ[u]))) - 1
+                cnt[u] = n
+                if n:
+                    continue
+            A.add(u)
+            stack.append(u)
     return A

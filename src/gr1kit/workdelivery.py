@@ -284,14 +284,6 @@ class WorldState:
     obstacles: tuple = ()
     stalled: bool = False
 
-    @classmethod
-    def from_valuation(cls, vals, n):
-        return cls(n=n, bl=vals["bl"], rs=vals["rs"], act=vals["act"],
-                   hf=bool(vals["hf"]), tries=vals["tries"],
-                   s=bool(vals["s"]),
-                   obstacles=tuple(bool(vals[f"o{j}"]) for j in range(1, n)),
-                   stalled=bool(vals.get("stalled", 0)))
-
 
 def human_mode(rs, bl, n):
     """Derived human mode, from robot position `rs` and backlog `bl` (ints,

@@ -68,6 +68,59 @@ def test_oracle_capacity():
         gr1.brute_force_oracle(a, [], [np.ones(16, bool)], cap=10)
 
 
+# Max-parity games solved by hand, as (succ, owner, pri, W0): player 0 owns
+# the nodes with owner 0 and wins a play whose highest priority seen
+# infinitely often is even.
+PARITY_GAMES = {
+    # 0 reaches the priority-2 loop at 2 only through 1, where player 1
+    # turns back by 3, so only the play from 2 sees priority 2 forever
+    "priority_2_behind_player_1": (
+        [[0, 1], [2, 3], [2], [0]], [0, 1, 0, 1], [1, 0, 2, 1], {2}),
+    # the same game with 3 at priority 2: turning back now loses for 1
+    "turning_back_loses": (
+        [[0, 1], [2, 3], [2], [0]], [0, 1, 0, 1], [1, 0, 2, 2], {0, 1, 2, 3}),
+    # player 1 leaves the priority-2 loop at 0 for the priority-1 loop at
+    # 1; player 0 stays out of both by looping at 2
+    "player_1_escapes": (
+        [[0, 1], [1], [0, 2]], [1, 0, 0], [2, 1, 0], {2}),
+    # the top attractor is {0} alone; the subgame {1, 2, 3} gives 1 and 2
+    # to player 1, whose attractor B then takes 0 as well, although 0 has
+    # the top priority; player 0 keeps 3 by looping there
+    "second_attractor": (
+        [[1], [0, 2], [2], [3, 2]], [0, 1, 1, 0], [2, 0, 1, 0], {3}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARITY_GAMES))
+def test_zielonka_on_hand_solved_parity_games(name):
+    succ, owner, pri, w0 = PARITY_GAMES[name]
+    preds = [[] for _ in succ]
+    for u, ws in enumerate(succ):
+        for w in ws:
+            preds[w].append(u)
+    nodes = set(range(len(succ)))
+    assert gr1._zielonka(succ, preds, owner, pri, nodes) == (w0, nodes - w0)
+
+
+def test_oracle_reduced_scenario_under_assumptions(reduced_arena, reduced_doc,
+                                                   reduced_result):
+    from gr1kit.speclang import parse_expr
+    regions = []
+    # under {GF !o1, GF !stalled} the winning region is the safety region,
+    # so an oracle that never advanced its assumption counter would agree
+    # there; under {GF stalled, GF !o1} the region is smaller and it would not
+    for env_live in (("!o1",), ("stalled", "!o1"), ("!o1", "!stalled")):
+        env_live = [parse_expr(e) for e in env_live]
+        res = gr1.solve(reduced_arena, env_live, reduced_doc.sys_liveness)
+        oracle = gr1.brute_force_oracle(reduced_arena, env_live,
+                                        reduced_doc.sys_liveness)
+        assert np.array_equal(res.winning, oracle)
+        regions.append(oracle)
+    # the assumptions change the answer, so the check is not vacuous
+    assert not np.array_equal(regions[2], reduced_result.winning)
+    assert not np.array_equal(regions[1], regions[2])
+
+
 def test_solver_determinism():
     a, env_live, sys_live = ar.random_arena(7)
     r1 = gr1.solve(a, env_live, sys_live)
