@@ -15,16 +15,22 @@ deadlocks, not missing environment options.
 One codec, ``_Codec``, converts between indices and values everywhere: it
 packs a list of (name, primed) variables in mixed radix.  One compile path
 evaluates every clause set.  A relation has rows (states in stage 1;
-(state, env') pairs in stage 2; states or env assignments for the init
-sets and predicates) and columns (env' assignments in stage 1, sys'
-assignments in stage 2, a single column for predicates).  Clauses are
-grouped by the column variables they reference; each group's conjunction
-is tabulated once over the joint domain of its variables by
-``speclang.eval_expr``, the toolkit's one evaluator, called with row
-values along one axis and column values along the other.  A table that
-would be larger than ``_BLOCK_CELLS``, or cover more row profiles than
-there are rows, is instead built per chunk of rows over the profiles that
-occur in it.
+(state, env') pairs in stage 2) and columns (env' assignments in stage 1,
+sys' assignments in stage 2).  It does not depend on the row variables its
+clauses do not read, so the rows are quotiented: projected onto the
+variables read and deduplicated into distinct profiles, which are joined;
+each row then gathers its profile's cells, in pieces of about
+``_BLOCK_CELLS // 8``, and the result comes back as a CSR (an indptr over
+the rows, column indices ascending within each row).  Rows whose clauses
+read every row variable are joined as they are.  The init sets and state
+predicates have no columns: their clauses are tabulated once over the
+variables they read.  For the join, clauses are grouped by the column
+variables they reference; each group's conjunction is tabulated once over
+the joint domain of its variables by ``speclang.eval_expr``, the toolkit's
+one evaluator, called with row values along one axis and column values
+along the other.  A table that would be larger than ``_BLOCK_CELLS``, or
+cover more row profiles than there are rows, is instead built per chunk of
+rows over the profiles that occur in it.
 
 The tables are then joined one column variable at a time, in codec order
 (a partitioned transition relation with early quantification, done on
@@ -164,10 +170,6 @@ class GameArena:
     def sys_codec(self):
         return _Codec.of(self.decls[self.n_env_vars:])
 
-    def encode_state(self, values):
-        """State index of a value tuple; -1 outside the domain."""
-        return int(self.state_codec.index([values])[0])
-
     def decode_state(self, s):
         return self.state_codec.decode(s)
 
@@ -179,9 +181,6 @@ class GameArena:
         """Env assignment index as a name -> value dict."""
         return dict(zip(self.names[:self.n_env_vars],
                         self.env_codec.decode(e)))
-
-    def sys_values(self, y):
-        return dict(zip(self.names[self.n_env_vars:], self.sys_codec.decode(y)))
 
     # ---- moves --------------------------------------------------------
 
@@ -209,10 +208,6 @@ class GameArena:
     def column(self, name, idx=None):
         """Values of a variable across all states (or the given indices)."""
         return self.state_codec.column((name, False), idx)
-
-    def env_column(self, name, idx=None):
-        """Values of an env variable across env assignment indices."""
-        return self.env_codec.column((name, False), idx)
 
     def dump(self, fp):
         """Adjacency dump: one ``state TAB env TAB sys`` line per edge."""
@@ -273,15 +268,40 @@ def _cells(ri, sub, r, c, col):
 
 
 def _relation(clauses, row, rows, col):
-    """True cells (row positions, column indices) of a clause conjunction.
+    """True cells of a clause conjunction as a CSR: (indptr over `rows`,
+    column indices ascending within each row).  Rows are indices under
+    codec `row`, columns every index of codec `col`."""
+    refs = [sl.expr_refs(c) for c in clauses]
+    sub = row.sub(set().union(*refs))
+    if sub.keys == row.keys:
+        r, c = _join(zip(clauses, refs), row, rows, col)
+        return _indptr(r, len(rows)), c
+    prof = row.project(rows, sub)
+    if sub.size <= len(rows):           # a mask over the profiles: no sort
+        seen = np.bincount(prof, minlength=sub.size).astype(bool)
+        profiles, inverse = seen.nonzero()[0], (seen.cumsum() - 1)[prof]
+    else:
+        profiles, inverse = np.unique(prof, return_inverse=True)
+    r, c = _join(zip(clauses, refs), sub, profiles, col)
+    n_cells = np.bincount(r, minlength=len(profiles))
+    profile_indptr = np.concatenate(([0], n_cells.cumsum()))
+    indptr = np.concatenate(([0], n_cells[inverse].cumsum()))
+    out = np.empty(indptr[-1], dtype=np.int64)
+    # whole rows, in pieces of about `piece` cells
+    piece = max(1, _BLOCK_CELLS // 8)
+    cuts = indptr.searchsorted(np.arange(0, indptr[-1], piece)).tolist()
+    for a, b in zip(cuts, cuts[1:] + [len(rows)]):
+        out[indptr[a]:indptr[b]] = c[_gather(profile_indptr, inverse[a:b])]
+    return indptr, out
 
-    Rows are indices under codec `row`, columns every index of codec `col`.
-    Cells come in row-major order: the column variables are bound one at a
+
+def _join(clause_refs, row, rows, col):
+    """True cells (row positions, column indices) of (clause, references)
+    pairs, in row-major order: the column variables are bound one at a
     time, most significant first, so the partial assignments stay sorted
     by (row, column index) from the first variable to the last."""
     groups = {}
-    for c in clauses:
-        refs = sl.expr_refs(c)
+    for c, refs in clause_refs:
         groups.setdefault(frozenset(k for k in refs if k in col.keys),
                           []).append((c, refs))
     # level k (from 1) binds the k-th variable of `col`; each group joins at
@@ -377,10 +397,10 @@ def _relation(clauses, row, rows, col):
 
 def _holds(clauses, codec):
     """Bool array over every index of `codec`: the clauses all hold."""
-    out = np.zeros(codec.size, dtype=bool)
-    out[_relation(clauses, codec, np.arange(codec.size, dtype=np.int64),
-                  _Codec(()))[0]] = True
-    return out
+    sub = codec.sub(set().union(*map(sl.expr_refs, clauses)))
+    table = _table(clauses, sub, np.arange(sub.size, dtype=np.int64),
+                   _Codec(()))
+    return table[codec.project(np.arange(codec.size, dtype=np.int64), sub), 0]
 
 
 def build_arena(doc, cap=1 << 24):
@@ -406,22 +426,20 @@ def build_arena(doc, cap=1 << 24):
             f"valuation space has {n_states} states, cap is {cap}")
 
     # stage 1: legal (state, env') pairs
-    pair_state, env_next = _relation(
-        doc.env_safety, state, np.arange(n_states, dtype=np.int64), env_nxt)
+    states = np.arange(n_states, dtype=np.int64)
+    env_indptr, env_next = _relation(doc.env_safety, state, states, env_nxt)
+    pair_state = states.repeat(np.diff(env_indptr))
     # stage 2: sys responses per pair; a row is the pair's (state, env')
-    edge_pair, sys_next = _relation(
+    sys_indptr, sys_next = _relation(
         doc.sys_safety, _Codec(state.fields + env_nxt.fields),
         pair_state * n_env + env_next, sys_nxt)
 
-    arena = GameArena(
+    return GameArena(
         decls=decls, n_env_vars=len(env_decls), n_env=n_env, n_sys=n_sys,
-        env_indptr=_indptr(pair_state, n_states), env_next=env_next,
-        pair_state=pair_state,
-        sys_indptr=_indptr(edge_pair, len(pair_state)), sys_next=sys_next,
-        env_init=np.ones(n_env, dtype=bool),
-        sys_init=np.ones(n_states, dtype=bool),
-        doc=doc)
-    return with_inits(arena, doc)
+        env_indptr=env_indptr, env_next=env_next, pair_state=pair_state,
+        sys_indptr=sys_indptr, sys_next=sys_next,
+        env_init=_holds(doc.env_init, _Codec.of(env_decls)),
+        sys_init=_holds(doc.sys_init, state), doc=doc)
 
 
 def with_inits(arena, doc):

@@ -260,13 +260,18 @@ def cmd_oracle(args):
         diff = int(np.sum(result.winning != oracle))
         print(f"MISMATCH on {diff} of {arena.n_states} states")
         return EXIT_CHECK
+    if args.random < 0:
+        return _error("--random must not be negative")
     mismatches = 0
     for k in range(args.random):
         seed = args.seed + k
         arena, env_live, sys_live = ar.random_arena(seed)
         result = gr1.solve(arena, env_live, sys_live)
-        oracle = gr1.brute_force_oracle(arena, env_live, sys_live,
-                                        cap=args.max_states)
+        try:
+            oracle = gr1.brute_force_oracle(arena, env_live, sys_live,
+                                            cap=args.max_states)
+        except TooLarge as exc:
+            return _error(f"seed {seed}: {exc}", EXIT_CAPACITY)
         if not np.array_equal(result.winning, oracle):
             mismatches += 1
             print(f"MISMATCH at seed {seed}")

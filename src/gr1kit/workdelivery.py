@@ -95,18 +95,22 @@ def params_from_items(items):
     for key, raw in items:
         if key not in PARAM_KEYS:
             raise InvalidParams(f"unknown parameter {key!r}")
-        if key == "bl_init":
-            if ".." in raw:
-                lo, hi = raw.split("..", 1)
-                kwargs[key] = (int(lo), int(hi))
+        try:
+            if key == "bl_init":
+                if ".." in raw:
+                    lo, hi = raw.split("..", 1)
+                    kwargs[key] = (int(lo), int(hi))
+                else:
+                    kwargs[key] = int(raw)
+            elif key == "td_seconds":
+                kwargs[key] = float(raw)
+            elif key == "hf_init":
+                kwargs[key] = raw.strip().lower() in ("1", "true", "yes")
             else:
                 kwargs[key] = int(raw)
-        elif key == "td_seconds":
-            kwargs[key] = float(raw)
-        elif key == "hf_init":
-            kwargs[key] = raw.strip().lower() in ("1", "true", "yes")
-        else:
-            kwargs[key] = int(raw)
+        except ValueError:
+            raise InvalidParams(
+                f"parameter {key} has a bad value {raw!r}") from None
     return WorkDeliveryParams(**kwargs).validate()
 
 

@@ -7,6 +7,23 @@ from gr1kit import arena as ar
 from gr1kit import gr1
 from gr1kit import workdelivery as wd
 
+
+def encode_state(arena, values):
+    """State index of a value tuple; -1 outside the domain."""
+    return int(arena.state_codec.index([values])[0])
+
+
+def sys_values(arena, y):
+    """Sys assignment index as a name -> value dict."""
+    return dict(zip(arena.names[arena.n_env_vars:],
+                    arena.sys_codec.decode(y)))
+
+
+def env_column(arena, name, idx=None):
+    """Values of an env variable across env assignment indices."""
+    return arena.env_codec.column((name, False), idx)
+
+
 REDUCED = dict(n=2, bl_max=10, gamma_units=1, delta_units=5,
                bl_upper=9, k_move=1, k_drop=2)
 

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import io
@@ -9,9 +10,11 @@ import numpy as np
 import pytest
 
 from gr1kit import arena as ar
+from gr1kit import speclang as sl
 from gr1kit.errors import CapacityExceeded
 from gr1kit.speclang import ENV, parse_spec
 
+from conftest import encode_state, sys_values
 from genspec import random_document, random_expr, reference_eval
 
 
@@ -31,7 +34,7 @@ def brute_sys_moves(arena, doc, s, e):
     out = []
     for y in range(arena.n_sys):
         nxt = dict(base)
-        nxt.update(arena.sys_values(y))
+        nxt.update(sys_values(arena, y))
         if all(reference_eval(c, cur, nxt) for c in doc.sys_safety):
             out.append(y)
     return out
@@ -56,7 +59,7 @@ def test_sys_projection_clause():
         for e in a.env_moves(s):
             ys = a.sys_moves(s, int(e))
             assert len(ys) == 1
-            assert a.sys_values(int(ys[0]))["rs"] == rs
+            assert sys_values(a, int(ys[0]))["rs"] == rs
 
 
 def test_state_index_bijection():
@@ -65,9 +68,9 @@ def test_state_index_bijection():
     a = ar.build_arena(doc)
     for s in range(a.n_states):
         vals = a.decode_state(s)
-        assert a.encode_state(vals) == s
+        assert encode_state(a, vals) == s
     # the codec is mixed radix over the declared order, env side first
-    assert a.encode_state(a.decode_state(0)) == 0
+    assert encode_state(a, a.decode_state(0)) == 0
     assert a.n_states == 3 * 2 * 5
 
 
@@ -117,13 +120,37 @@ def full_clause_spec(u_hi, x_hi):
             "[SYS_TRANS]\nx' = x | x' = u' & u > x\n")
 
 
+# u' = u leaves 72 pairs, fewer than the 216 (u, x, u') profiles that the
+# sys clause reads; it does not read y
+SPARSE_SPEC = ("[ENV_VARS]\nu : 0..5\n[SYS_VARS]\nx : 0..5\ny : bool\n"
+               "[ENV_TRANS]\nu' = u\n"
+               "[SYS_TRANS]\nx' = u' | x' = x & u != x\n")
+
+
+def _path(clauses, row, rows):
+    """Which way `_relation` dedupes its rows: none, mask or unique."""
+    sub = row.sub(set().union(*map(sl.expr_refs, clauses)))
+    if sub.keys == row.keys:
+        return "identity"
+    return "mask" if sub.size <= len(rows) else "unique"
+
+
 def test_moves_match_clause_by_clause_eval(monkeypatch):
     rng = random.Random(7)
-    docs = [parse_spec(WIDE_SPEC), parse_spec(full_clause_spec(9, 5))]
+    docs = [parse_spec(WIDE_SPEC), parse_spec(full_clause_spec(9, 5)),
+            parse_spec(SPARSE_SPEC)]
     while len(docs) < 60:
         doc = random_document(rng)
         if len(doc.vars) <= 3:
             docs.append(doc)
+    relation = ar._relation
+    paths = collections.Counter()
+
+    def counted(clauses, row, rows, col):
+        paths[_path(clauses, row, rows)] += 1
+        return relation(clauses, row, rows, col)
+
+    monkeypatch.setattr(ar, "_relation", counted)
     checked = 0
     for doc in docs:
         a = ar.build_arena(doc)
@@ -143,6 +170,42 @@ def test_moves_match_clause_by_clause_eval(monkeypatch):
                 assert want_y == [int(y) for y in a.sys_moves(s, e)]
         checked += 1
     assert checked >= 40
+    assert {"identity", "mask", "unique"} <= set(paths)
+
+
+def test_stage2_joins_distinct_profiles(monkeypatch, paper_doc):
+    join = ar._join
+    calls = []
+
+    def recorded(clause_refs, row, rows, col):
+        calls.append((row.keys, len(rows)))
+        return join(clause_refs, row, rows, col)
+
+    monkeypatch.setattr(ar, "_join", recorded)
+    a = ar.build_arena(paper_doc)
+    (keys1, rows1), (keys2, rows2) = calls
+    # stage 1 reads every state variable: the states are joined as they are
+    assert keys1 == a.state_codec.keys and rows1 == a.n_states == 47_616
+    # stage 2 reads a part of (state, env'): 162,300 pairs, 7,464 profiles
+    assert a.n_pairs == 162_300 and rows2 == 7_464
+    assert len(keys2) < len(a.state_codec.keys) + a.n_env_vars
+
+
+def test_reduced_predicates_and_inits(reduced_doc, reduced_arena):
+    a, doc = reduced_arena, reduced_doc
+    preds = [ar.state_predicate(a, e)
+             for e in doc.env_liveness + doc.sys_liveness]
+    assert preds and all(p.any() and not p.all() for p in preds)
+    assert 0 < a.sys_init.sum() < a.n_states
+    for s in range(a.n_states):
+        cur = a.valuation(s)
+        for expr, pred in zip(doc.env_liveness + doc.sys_liveness, preds):
+            assert pred[s] == reference_eval(expr, cur)
+        assert a.sys_init[s] == all(reference_eval(c, cur)
+                                    for c in doc.sys_init)
+    for e in range(a.n_env):
+        assert a.env_init[e] == all(reference_eval(c, a.env_values(e))
+                                    for c in doc.env_init)
 
 
 def test_adding_clause_never_enlarges_moves():
@@ -170,9 +233,9 @@ def test_env_deadlock_possible():
     doc = parse_spec(
         "[ENV_VARS]\nu : bool\n[SYS_VARS]\nx : bool\n[ENV_TRANS]\nu -> u' & !u'\n")
     a = ar.build_arena(doc)
-    dead = a.encode_state([1, 0])
+    dead = encode_state(a, [1, 0])
     assert len(a.env_moves(dead)) == 0
-    live = a.encode_state([0, 0])
+    live = encode_state(a, [0, 0])
     assert len(a.env_moves(live)) == 2
 
 
@@ -180,7 +243,7 @@ def test_sys_deadlock_keeps_pair():
     doc = parse_spec(
         "[ENV_VARS]\nu : bool\n[SYS_VARS]\nx : bool\n[SYS_TRANS]\nu' -> x' & !x'\n")
     a = ar.build_arena(doc)
-    s = a.encode_state([0, 0])
+    s = encode_state(a, [0, 0])
     assert [int(e) for e in a.env_moves(s)] == [0, 1]
     assert len(a.sys_moves(s, 0)) == 2
     assert len(a.sys_moves(s, 1)) == 0

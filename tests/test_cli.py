@@ -45,6 +45,19 @@ def test_emit_rejects_unknown_param(capsys):
     assert run_cli(["emit", "--param", "bogus=3"]) == 2
 
 
+@pytest.mark.parametrize("item", ["n=abc", "n=2.5", "bl_init=3..x",
+                                  "td_seconds=fast"])
+def test_emit_rejects_bad_param_value(tmp_path, capsys, item):
+    key, value = item.split("=")
+    assert run_cli(["emit", "--param", item]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err and repr(value) in err
+    cfg = tmp_path / "params.cfg"
+    cfg.write_text(f"{item}\n")
+    assert run_cli(["emit", "--config", str(cfg)]) == 2
+    assert key in capsys.readouterr().err
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "params.cfg"
     cfg.write_text("n = 2\nbl_init = 4   # comment\n")
@@ -227,6 +240,19 @@ def test_check_closure(workdir, tmp_path, capsys):
 def test_oracle_random_corpus(capsys):
     assert run_cli(["oracle", "--random", "10", "--seed", "0"]) == 0
     assert "0 mismatches" in capsys.readouterr().out
+
+
+def test_oracle_random_capacity_exit5(capsys):
+    # the arena of seed 0 has 64 states
+    assert run_cli(["oracle", "--random", "5", "--max-states", "50"]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed ") and "cap 50" in err
+
+
+def test_oracle_negative_random_exit2(capsys):
+    assert run_cli(["oracle", "--random", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "--random" in captured.err and "checked" not in captured.out
 
 
 def test_oracle_spec_instance(workdir, capsys):

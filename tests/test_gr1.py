@@ -10,6 +10,8 @@ from gr1kit import gr1
 from gr1kit.errors import NotRealizable, TooLarge
 from gr1kit.speclang import ENV, SYS, VarDecl
 
+from conftest import encode_state
+
 
 def mono_arena(env_fn, sys_fn, env_sizes=(1,), sys_sizes=(2,)):
     decls = tuple(
@@ -227,7 +229,7 @@ def test_plays_never_leave_winning_region(strategy_for, scenario):
                                               seed=rng.randrange(10 ** 6)),
                       120)
         for row in tr.rows:
-            s = arena.encode_state(tuple(row.state[n] for n in arena.names))
+            s = encode_state(arena, tuple(row.state[n] for n in arena.names))
             assert result.winning[s]
 
 
@@ -287,7 +289,7 @@ def test_goal_index_advances_only_on_goal_states():
     assert verdict.passed, verdict.render()
     goals = [res.goals[j] for j in range(2)]
     for nid in range(st.n_nodes):
-        s = a.encode_state(st.node_vals[nid].tolist())
+        s = encode_state(a, st.node_vals[nid].tolist())
         j = st.node_goal[nid]
         expect = (j + 1) % 2 if goals[j][s] else j
         edges = range(st.edge_indptr[nid], st.edge_indptr[nid + 1])

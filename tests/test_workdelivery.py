@@ -8,7 +8,7 @@ from gr1kit import workdelivery as wd
 from gr1kit.errors import InvalidParams
 from gr1kit.speclang import parse_spec, print_spec
 
-from conftest import REDUCED
+from conftest import REDUCED, encode_state, env_column, sys_values
 
 
 def world(p, **kw):
@@ -116,7 +116,7 @@ def test_arena_backlog_successors_match_reference(paper_params, paper_arena):
     a = paper_arena
     p = paper_params
     cols = {name: a.column(name) for name in a.names}
-    bl_of_env = a.env_column("bl")
+    bl_of_env = env_column(a, "bl")
     for s in range(a.n_states):
         state = wd.WorldState(
             n=p.n, bl=int(cols["bl"][s]), rs=int(cols["rs"][s]),
@@ -134,7 +134,7 @@ def test_obstacle_lifetime_invariant(paper_arena):
     a = paper_arena
     for name in ("o1", "o2"):
         cur = a.column(name, a.pair_state)
-        nxt = a.env_column(name, a.env_next)
+        nxt = env_column(a, name, a.env_next)
         assert not np.any((cur == 1) & (nxt == 1))
 
 
@@ -143,7 +143,7 @@ def test_obstacles_never_appear_near_robot(paper_arena):
     rs = a.column("rs", a.pair_state)
     for j, name in ((1, "o1"), (2, "o2")):
         cur = a.column(name, a.pair_state)
-        nxt = a.env_column(name, a.env_next)
+        nxt = env_column(a, name, a.env_next)
         rising = (cur == 0) & (nxt == 1)
         assert np.all(np.abs(rs[rising] - j) >= 2)
 
@@ -189,10 +189,10 @@ def test_refill_admissibility_on_strategy(strategy_for, paper_params):
 
 def test_sys_moves_adjacency_at_station(paper_arena):
     a = paper_arena
-    s = a.encode_state([15, 0, 0, 0, 0, 0, 0, 0, 0])   # robot idle at cell 0
+    s = encode_state(a, [15, 0, 0, 0, 0, 0, 0, 0, 0])   # robot idle at cell 0
     e = next(int(e) for e in a.env_moves(s)
              if a.env_values(int(e))["o1"] == 0)
-    acts = {a.sys_values(int(y))["act"] for y in a.sys_moves(s, e)}
+    acts = {sys_values(a, int(y))["act"] for y in a.sys_moves(s, e)}
     assert acts == {0, 1}
 
 
@@ -200,16 +200,16 @@ def test_sys_moves_obstacle_blocks_launch(paper_arena):
     # departing the workstation: cell 1 placements are legal (the robot is
     # far away) and exclude the matching launch from the next cell
     a = paper_arena
-    s = a.encode_state([15, 0, 0, 0, 0, 3, 2, 1, 0])
+    s = encode_state(a, [15, 0, 0, 0, 0, 3, 2, 1, 0])
     moves = {int(e): a.env_values(int(e)) for e in a.env_moves(s)}
     blocked = [e for e, v in moves.items() if v["o1"] == 1]
     clear = [e for e, v in moves.items() if v["o1"] == 0]
     assert blocked and clear
     for e in blocked:
-        acts = {a.sys_values(int(y))["act"] for y in a.sys_moves(s, e)}
+        acts = {sys_values(a, int(y))["act"] for y in a.sys_moves(s, e)}
         assert acts == {2, 3}
     for e in clear:
-        acts = {a.sys_values(int(y))["act"] for y in a.sys_moves(s, e)}
+        acts = {sys_values(a, int(y))["act"] for y in a.sys_moves(s, e)}
         assert acts == {1, 2, 3}
 
 
