@@ -128,7 +128,9 @@ def lasso_check(strategy, adversary, doc):
     run from every initial node is eventually periodic; the cycle must
     visit every system liveness goal unless it falsifies some environment
     assumption.  `max_goal_gap` is the largest number of consecutive steps
-    without a given goal over all runs, a sound recurrence window."""
+    without a given goal over all runs: a recurrence window that is sound
+    for runs against that deterministic adversary, not for every
+    environment behaviour (ROADMAP direction 1 gives the exact bound)."""
     if not getattr(adversary, "deterministic_finite", False):
         raise AdversaryNotFinite(
             f"adversary {getattr(adversary, 'kind', '?')} has unbounded state")

@@ -9,24 +9,15 @@ over the controllable-predecessor operator ``cpre``: states from which, for
 every legal environment commitment, some system response lands in the target
 (environment deadlocks count as controllable, system deadlocks never do).
 
-With no liveness assumptions the inner disjunct vanishes and each mu-Y is a
-plain attractor, computed in O(edges) by counters: a pair (state, env')
-turns good at its first sys edge into the target, and a state joins once
-none of its pairs is bad.  Assumption games use the same counters for
-cpre(Y), credited once per state as Y grows, and compute each nu-X by the
-dual retreat.  The retreat keeps the nu-X of the previous mu-Y round (from
-below) and starts from one step of its operator applied to every state
-the nu-X may hold: the base plus the states that falsify the assumption
-inside the same nu-X of the previous Z sweep (all of them in the first
-sweep).  That set only grows across the rounds of a mu-Y, so its cpre is
-kept by the same counters as cpre(Y), one set per assumption, and the
-step costs O(edges) per mu-Y in all.  At the outer level, every Z handed
-to a goal lies inside the one before it, so cpre(Z) is kept across all
-sweeps and goals by decremental counters, in O(edges) in all; and a goal
-whose seed equals its seed of the previous sweep keeps that sweep's mu-Y
-instead of running it again, which makes the sweep that only confirms
-the fixpoint cheap.  So only the attractor of a changed seed is computed
-from scratch (the memoization of Firman, Maoz and Ringert, *Performance
+Every cpre is kept by one edge counter, `_Cpre`, over a target that only
+grows or only shrinks, so a state crossing it costs its in-edges once (the
+linear-time attractor of Grädel, Thomas and Wilke (eds.), *Automata, Logics,
+and Infinite Games*, LNCS 2500, ch. 2).  Growing ones give the attractors
+and, with liveness assumptions, cpre(Y) and the bound each nu-X retreats
+from; shrinking ones give the nu-X retreats and cpre(Z), as every Z handed
+to a goal lies inside the one before it.  A goal whose seed did not change
+keeps its mu-Y, and each nu-X starts between its layers of the previous
+round and sweep (the memoization of Firman, Maoz and Ringert, *Performance
 heuristics for GR(1) synthesis and related algorithms*, Acta Informatica
 2020, on the fixpoint of Piterman, Pnueli and Sa'ar, VMCAI 2006).
 
@@ -40,6 +31,7 @@ solver beyond reading the liveness predicates.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -76,8 +68,9 @@ class _Ctx:
     def __init__(self, arena):
         self.arena = arena
         n_pairs = arena.n_pairs
-        # int32: every growing cpre copies it as its counters
+        # int32: every growing cpre copies it as its dead counts
         self.env_degree = np.diff(arena.env_indptr).astype(np.int32)
+        self.stuck = (self.env_degree == 0).nonzero()[0]
         edge_pair = np.repeat(np.arange(n_pairs, dtype=np.int64),
                               np.diff(arena.sys_indptr))
         self.edge_succ = (arena.env_next[edge_pair] * arena.n_sys +
@@ -94,23 +87,6 @@ class _Ctx:
         self.in_indptr = np.zeros(arena.n_states + 1, dtype=np.int64)
         np.cumsum(np.bincount(self.edge_succ, minlength=arena.n_states),
                   out=self.in_indptr[1:])
-        # nu-X edge counters; read only at pairs of undecided states, each
-        # written before it is read, so never cleared
-        self.pair_cnt = np.zeros(n_pairs, dtype=np.int64)
-
-    def credit(self, joined, pair_good, bad_cnt):
-        """Incremental cpre: the states `joined` have entered the target.
-
-        Marks the pairs with a sys edge into them good, counts each newly
-        good pair off its owner's `bad_cnt` (so ``bad_cnt == 0`` is cpre of
-        the target) and returns those owners, sorted, with repeats."""
-        pairs = self.in_pair[ar._gather(self.in_indptr, joined)]
-        pairs = _distinct(pairs[~pair_good[pairs]])
-        pair_good[pairs] = True
-        owners = self.arena.pair_state[pairs]
-        # an int32 scalar keeps subtract.at on its fast path (numpy 2.4)
-        np.subtract.at(bad_cnt, owners, np.int32(1))
-        return owners
 
     def attractor_ranks(self, seed):
         """Least fixpoint of T -> seed | cpre(T), with wave index per state.
@@ -118,129 +94,117 @@ class _Ctx:
         Returns an int32 array: 0 on seed, k for states joining at wave k,
         INF_RANK outside the fixpoint.  Runs in O(edges) overall.
         """
-        a = self.arena
-        rank = np.full(a.n_states, INF_RANK, dtype=np.int32)
-        frontier = np.nonzero(seed)[0]
+        rank = np.full(self.arena.n_states, INF_RANK, dtype=np.int32)
+        cpre = _Cpre(self)
+        frontier = seed.nonzero()[0]
         rank[frontier] = 0
-        pair_good = np.zeros(a.n_pairs, dtype=bool)
-        bad_cnt = self.env_degree.copy()
-        r = 0
-        while True:
-            owners = self.credit(frontier, pair_good, bad_cnt)
-            cand = owners[bad_cnt[owners] == 0]
-            if r == 0:
-                # env-deadlocked states sit in every cpre application
-                cand = np.concatenate((cand, np.nonzero(bad_cnt == 0)[0]))
-            cand = _distinct(cand)
+        # env-deadlocked states sit in every cpre application
+        cand = np.concatenate((cpre.add(frontier), self.stuck))
+        for r in itertools.count(1):
             cand = cand[rank[cand] == INF_RANK]
-            rank[cand] = r + 1
-            frontier = cand
-            r += 1
-            if not len(frontier):
-                break
-        return rank
+            if not len(cand):
+                return rank
+            rank[cand] = r
+            cand = cpre.add(cand)
 
     def nu_x(self, x, lower):
         """Greatest fixpoint of X -> lower | (x & cpre(X)), in place in `x`.
 
-        `lower` must lie inside `x`.  Counter-based retreat, the dual of the
-        attractor: every pair of an undecided state counts its sys edges
-        into the candidate set, a removed state takes one off each pair
-        with an edge into it, and a pair at 0 removes its owner.
-
+        `lower` must lie inside `x`.  The attractor's dual: a shrinking cpre
+        of `x` over the undecided states drops those that leave cpre(x).
         This is the nu-X of the mu-Y round, the greatest fixpoint X* of
         X -> base | (not_a & cpre(X)), whenever base lies in `lower`,
         `lower` in X*, X* in `x`, and `x` in base | not_a.
         """
-        a = self.arena
-        undecided = x & ~lower
-        states = np.nonzero(undecided)[0]
+        states = (x & ~lower).nonzero()[0]
         if not len(states):
             return x
-        pairs = ar._gather(a.env_indptr, states)
-        edges = ar._gather(a.sys_indptr, pairs)
-        cnt = self.pair_cnt
-        cnt[pairs] = 0
-        edge_pair = np.repeat(pairs, a.sys_indptr[pairs + 1] -
-                              a.sys_indptr[pairs])
-        np.add.at(cnt, edge_pair[x[self.edge_succ[edges]]], 1)
-        dead = pairs[cnt[pairs] == 0]
-        while len(dead):
-            gone = _distinct(a.pair_state[dead])
-            x[gone] = False
-            undecided[gone] = False
-            hit = self.in_pair[ar._gather(self.in_indptr, gone)]
-            hit = hit[undecided[a.pair_state[hit]]]
-            np.subtract.at(cnt, hit, 1)
-            dead = hit[cnt[hit] == 0]
+        cpre = _Cpre(self, scope=states, target=x)
+        gone = states[cpre.dead[states] > 0]
+        while len(gone):
+            gone = cpre.remove(gone)
         return x
 
 
-class _GrowingCpre:
-    """cpre of a target that only grows, kept by the attractor's counters.
+class _Cpre:
+    """cpre of a target that only grows or only shrinks, by edge counters.
 
-    When states enter the target, `_Ctx.credit` marks each pair with a sys
-    edge into them good, once, and counts it off its owner; a state whose
-    pairs are all good is in cpre and stays there, since a growing target
-    never takes the edge away.  O(edges) over all calls.
+    Each pair counts its sys edges into the target (`cnt`), each state its
+    pairs at 0 (`dead`): cpre is ``dead == 0``.  Built on a `target` and a
+    `scope`, the tracker shrinks the target in place; else it grows one from
+    empty.  `add` and `remove` move states across at the cost of their
+    in-edges, O(edges) in all, and return the states entering or leaving
+    cpre, each once.  A counter need be exact only where it counts down to
+    0: growing, `cnt` is a flag per pair; shrinking, `dead` saturates.  cpre
+    is defined only on the `scope` (every state if None), and only its pairs
+    do work: growing, the others start flagged; shrinking, their hits are
+    dropped and the scope's edges into `target` are counted at the start, so
+    a nu-X retreat costs O(edges of its undecided states).
     """
 
-    def __init__(self, ctx):
-        a = ctx.arena
-        self.ctx = ctx
-        self.target = np.zeros(a.n_states, dtype=bool)
-        self.pair_good = np.zeros(a.n_pairs, dtype=bool)
-        self.bad_cnt = ctx.env_degree.copy()
+    def __init__(self, ctx, scope=None, target=None):
+        a = self.arena = ctx.arena
+        self.ctx, self.grows = ctx, target is None
+        if scope is not None:
+            self.scope = np.zeros(a.n_states, dtype=bool)
+            self.scope[scope] = True
+        if self.grows:
+            self.target = np.zeros(a.n_states, dtype=bool)
+            self.cnt = (np.zeros(a.n_pairs, dtype=bool) if scope is None
+                        else ~self.scope[a.pair_state])
+            self.dead = ctx.env_degree.copy()
+            return
+        self.target = target
+        pairs = ar._gather(a.env_indptr, scope)
+        edges = ar._gather(a.sys_indptr, pairs)
+        # only cells in the scope are ever read: the rest stays unwritten
+        self.cnt = np.empty(a.n_pairs, dtype=np.int32)
+        self.dead = np.empty(a.n_states, dtype=np.int32)
+        self.cnt[pairs] = 0
+        edge_pair = pairs.repeat(a.sys_indptr[pairs + 1] - a.sys_indptr[pairs])
+        into = target[ctx.edge_succ[edges]]
+        # an int32 scalar keeps ufunc.at on its fast path (numpy 2.4)
+        np.add.at(self.cnt, edge_pair[into], np.int32(1))
+        self.dead[scope] = 0
+        self.dead[a.pair_state[pairs[self.cnt[pairs] == 0]]] = 1
 
-    def __call__(self, target):
-        """cpre(`target`), which must contain the previous target."""
-        # on bools, a > b is a & ~b in one call
-        assert not (self.target > target).any(), "cpre targets must grow"
-        joined = (target > self.target).nonzero()[0]
-        if len(joined):
-            self.target[joined] = True
-            self.ctx.credit(joined, self.pair_good, self.bad_cnt)
-        return self.bad_cnt == 0
+    def add(self, states):
+        """Put `states` in the target; returns the states entering cpre."""
+        assert self.grows, "cpre targets must shrink"
+        if not len(states):
+            return states
+        self.target[states] = True
+        hit = self.ctx.in_pair[ar._gather(self.ctx.in_indptr, states)]
+        fresh = hit[~self.cnt[hit]]
+        fresh.sort()
+        fresh = _distinct(fresh)
+        self.cnt[fresh] = True
+        owners = self.arena.pair_state[fresh]
+        np.subtract.at(self.dead, owners, np.int32(1))
+        return _distinct(owners[self.dead[owners] == 0])
 
-
-class _ShrinkingCpre:
-    """cpre of a target that only shrinks, kept by decremental counters.
-
-    Each pair counts its sys edges into the current target.  When states
-    leave the target, every pair with an edge into them loses one, and a
-    pair at 0 takes its owner out of cpre for good, since a shrinking
-    target never gives the pair an edge back.  O(edges) over all calls.
-    """
-
-    def __init__(self, ctx):
-        a = ctx.arena
-        self.ctx = ctx
-        self.target = np.ones(a.n_states, dtype=bool)
-        self.cnt = np.diff(a.sys_indptr).astype(np.int32)
-        self.cpre = np.bincount(a.pair_state[self.cnt == 0],
-                                minlength=a.n_states) == 0
-
-    def __call__(self, target):
-        """cpre(`target`), which must lie inside the previous target.
-        The returned array is the tracker's own: do not modify it."""
-        assert not (target & ~self.target).any(), "cpre targets must shrink"
-        gone = (self.target & ~target).nonzero()[0]
-        if len(gone):
-            ctx = self.ctx
-            self.target[gone] = False
-            hit = ctx.in_pair[ar._gather(ctx.in_indptr, gone)]
-            # an int32 scalar keeps subtract.at on its fast path (numpy 2.4)
-            np.subtract.at(self.cnt, hit, np.int32(1))
-            self.cpre[ctx.arena.pair_state[hit[self.cnt[hit] == 0]]] = False
-        return self.cpre
+    def remove(self, states):
+        """Take `states` out of the target; returns the states leaving cpre."""
+        assert not self.grows, "cpre targets must grow"
+        if not len(states):
+            return states
+        self.target[states] = False
+        hit = self.ctx.in_pair[ar._gather(self.ctx.in_indptr, states)]
+        hit = hit[self.scope[self.arena.pair_state[hit]]]
+        np.subtract.at(self.cnt, hit, np.int32(1))
+        owners = self.arena.pair_state[hit[self.cnt[hit] == 0]]
+        gone = owners[self.dead[owners] == 0]
+        self.dead[owners] = 1
+        gone.sort()
+        return _distinct(gone)
 
 
 def _distinct(idx):
-    """Sorted distinct values of an array of indices.  Same as
-    ``np.unique``, whose hashing made it 10-15x slower than this sort on
-    the arrays of a wave (numpy 2.4)."""
-    idx = np.sort(idx)
-    first = np.ones(len(idx), dtype=bool)
+    """Distinct values of a sorted array.  Sorting and then calling this
+    replaces ``np.unique``, whose hashing made it 10-15x slower on the
+    arrays of a wave (numpy 2.4)."""
+    first = np.empty(len(idx), dtype=bool)
+    first[:1] = True
     np.not_equal(idx[1:], idx[:-1], out=first[1:])
     return idx[first]
 
@@ -270,12 +234,14 @@ def solve(arena, env_live, sys_live):
     Z = np.ones(arena.n_states, dtype=bool)
     y_rank = np.full((n_goals, arena.n_states), INF_RANK, dtype=np.int32)
     # Every Z handed to a goal lies inside the one before it, so one
-    # decremental cpre serves them all.  A Z handed on is a fixpoint
+    # shrinking cpre serves them all.  A Z handed on is a fixpoint
     # Y = B_j(Y) of the previous goal's mu-Y step B_j, with B(Y) = seed |
     # cpre(Y) | OR_i nu X. (seed | cpre(Y) | (~a_i & cpre(X))).  So
     # cpre(Y) <= Y, the next seed g & cpre(Y) lies in cpre(Y), hence
     # B_{j+1}(Y) <= B_j(Y) = Y, and the least fixpoint of B_{j+1} lies in Y.
-    cpre = _ShrinkingCpre(ctx)
+    # cpre(Z) is read only inside the goals, so they are its scope.
+    cpre = _Cpre(ctx, scope=np.any(goals, axis=0).nonzero()[0],
+                 target=np.ones(arena.n_states, dtype=bool))
     # each goal's seed and nu-X layers of every mu-Y round, from its
     # previous Z sweep
     seeds = [None] * n_goals
@@ -284,7 +250,9 @@ def solve(arena, env_live, sys_live):
     while True:
         z_before = Z
         for j, g in enumerate(goals):
-            seed = g & cpre(Z)
+            # on bools, a > b is a & ~b in one call
+            cpre.remove((cpre.target > Z).nonzero()[0])
+            seed = g & (cpre.dead == 0)
             # a mu-Y is a function of its seed alone
             if not np.array_equal(seed, seeds[j]):
                 seeds[j] = seed
@@ -317,41 +285,36 @@ def _mu_y_general(ctx, seed, falsifiable, warm):
     [(i, X), ...] of every round, the last being the round that added
     nothing.
 
-    cpre(Y) is kept by a `_GrowingCpre`, which credits each round only the
-    in-edges of the states that joined Y in the round before, so base_r =
-    seed | cpre(Y_r) grows with r.  Round r's nu-X for assumption i,
-    X_{r,i}, is the greatest fixpoint of F_r(X) = base_r | (~a_i &
-    cpre(X)), and `_Ctx.nu_x` finds it by a retreat between two bounds.
-
-    From below: X_{r-1,i} | base_r, since base and so X grow with r.
+    Y grows, so a growing `_Cpre` keeps cpre(Y), and base_r = seed |
+    cpre(Y_r) grows with r.  Round r's nu-X for assumption i, X_{r,i}, is
+    the greatest fixpoint of F_r(X) = base_r | (~a_i & cpre(X)), and
+    `_Ctx.nu_x` finds it by a retreat between two bounds.  From below:
+    X_{r-1,i} | base_r, since base and so X grow with r.
 
     From above, first a warm bound upper_r: the layer of the same goal and
     assumption in the previous Z sweep at round min(r, last), from `warm`
-    (every state in the first sweep).  It holds because the Z handed to a
-    goal only shrinks from one sweep to the next: every Z handed out lies
-    inside the one before it (see `solve`).  A smaller Z gives a smaller
-    seed, hence by induction on r a smaller base, X_{r,i} and Y_r in every
-    round; past its last round the old mu-Y stays at its converged layer.
-    So X_{r,i} and base_r lie in upper_r, and upper_r grows with r.
+    (every state in the first sweep).  It holds because every Z handed to a
+    goal lies inside the one before it (see `solve`): a smaller Z gives a
+    smaller seed, hence by induction on r a smaller base, X_{r,i} and Y_r in
+    every round; past its last round the old mu-Y stays at its converged
+    layer.  So X_{r,i} and base_r lie in upper_r, which grows with r.
 
-    Then one step of the operator below that: X_{r,i} = F_r(X_{r,i}) lies
-    in base_r | ~a_i and in upper_r, that is in T_r = base_r | (~a_i &
-    upper_r).  F_r is monotone, so X_{r,i} = F_r(X_{r,i}) lies in F_r(T_r),
-    and the retreat starts from B_r = F_r(T_r) & upper_r = base_r | (~a_i &
-    upper_r & cpre(T_r)).  T_r grows with r, as base_r and upper_r do, so
-    cpre(T_r) is kept by one `_GrowingCpre` per assumption, which credits
-    each state's in-edges once per mu-Y: O(edges) in all, where counting
-    the edges of every undecided state in every round was not.
+    Then one step of the operator below that: X_{r,i} = F_r(X_{r,i}) lies in
+    base_r | ~a_i and in upper_r, that is in T_r = base_r | (~a_i &
+    upper_r).  F_r is monotone, so X_{r,i} lies in F_r(T_r), and the retreat
+    starts from B_r = F_r(T_r) & upper_r = base_r | (~a_i & upper_r &
+    cpre(T_r)).  T_r grows with r, as base_r and upper_r do, so a growing
+    `_Cpre` per assumption, scoped to ~a_i where it is read, keeps cpre(T_r)
+    at O(edges) per mu-Y, where counting the edges of every undecided state
+    in every round was not.
     """
-    a = ctx.arena
-    rank = np.full(a.n_states, INF_RANK, dtype=np.int32)
-    Y = np.zeros(a.n_states, dtype=bool)
-    cpre_y = _GrowingCpre(ctx)
-    cpre_t = [_GrowingCpre(ctx) for _ in falsifiable]
+    rank = np.full(ctx.arena.n_states, INF_RANK, dtype=np.int32)
+    cpre_y = _Cpre(ctx)
+    cpre_t = [_Cpre(ctx, scope=not_a.nonzero()[0]) for _, not_a in falsifiable]
     layers = []
     while True:
         r = len(layers)
-        base = seed | cpre_y(Y)
+        base = seed | (cpre_y.dead == 0)
         upper = warm[min(r, len(warm) - 1)] if warm else None
         layer = []
         y_new = base.copy()
@@ -359,19 +322,22 @@ def _mu_y_general(ctx, seed, falsifiable, warm):
             # T_r and B_r of the docstring, with not_a cut to upper
             if upper:
                 not_a = not_a & upper[k][1]
-            x = not_a & cpre_t[k](base | not_a)
+            cpre = cpre_t[k]
+            cpre.add(((base | not_a) > cpre.target).nonzero()[0])
+            x = not_a & (cpre.dead == 0)
             x |= base
             lower = base | layers[-1][k][1] if layers else base
             X = ctx.nu_x(x, lower)
             layer.append((i, X))
             y_new |= X
         layers.append(layer)
-        assert not np.any(Y & ~y_new), "Y iterates must grow"
-        newly = y_new & ~Y
-        if not newly.any():
+        # Y is the target of cpre_y
+        assert not np.any(cpre_y.target > y_new), "Y iterates must grow"
+        newly = (y_new > cpre_y.target).nonzero()[0]
+        if not len(newly):
             break
         rank[newly] = r
-        Y = y_new
+        cpre_y.add(newly)
     return rank, layers
 
 

@@ -411,50 +411,91 @@ def test_incremental_fixpoint_matches_plain_iteration(monkeypatch):
     assert all(seen.values()), seen
 
 
+def _scopes(a, rng):
+    """Every state, then a random scope, as (kind, state indices)."""
+    return (("full", np.arange(a.n_states)),
+            ("random", rng.choice(a.n_states, rng.integers(1, a.n_states + 1),
+                                  replace=False)))
+
+
 def test_shrinking_cpre_matches_dense():
-    steps = 0
+    steps = {"full": 0, "random": 0}
+    moved = dict(steps)
     for seed in range(60):
         a, _, _ = ar.random_arena(seed)
-        cpre = gr1._ShrinkingCpre(gr1._Ctx(a))
         rng = np.random.default_rng(seed)
-        target = np.ones(a.n_states, dtype=bool)
-        while True:
-            assert np.array_equal(cpre(target), dense_cpre(a, target)), seed
-            if not target.any():
-                break
-            # drop at least one and at most half of the remaining states
-            kept = np.flatnonzero(target)
-            target = target.copy()
-            target[rng.choice(kept, rng.integers(1, (len(kept) + 3) // 2),
-                              replace=False)] = False
-            steps += 1
-        with pytest.raises(AssertionError, match="must shrink"):
-            cpre(np.ones(a.n_states, dtype=bool))
-    # chains of several steps, not just all-then-nothing
-    assert steps >= 3 * 60, steps
+        for kind, scope in _scopes(a, rng):
+            inside = np.zeros(a.n_states, dtype=bool)
+            inside[scope] = True
+            # the full scope starts from every state, as cpre(Z) does; the
+            # random one from a random target, as a nu-X retreat does
+            target = (np.ones(a.n_states, dtype=bool) if kind == "full"
+                      else rng.random(a.n_states) < 0.7)
+            cpre = gr1._Cpre(gr1._Ctx(a), scope=scope, target=target.copy())
+            want = dense_cpre(a, target)
+            while True:
+                assert np.array_equal(cpre.target, target), seed
+                assert np.array_equal((cpre.dead == 0)[inside],
+                                      want[inside]), seed
+                if not target.any():
+                    break
+                # drop at least one and at most half of the remaining states
+                kept = np.flatnonzero(target)
+                gone = rng.choice(kept, rng.integers(1, (len(kept) + 3) // 2),
+                                  replace=False)
+                target = target.copy()
+                target[gone] = False
+                left = cpre.remove(gone)
+                before, want = want, dense_cpre(a, target)
+                assert np.array_equal(
+                    left, np.flatnonzero(before & ~want & inside)), seed
+                steps[kind] += 1
+                moved[kind] += len(left) > 0
+            with pytest.raises(AssertionError, match="must shrink"):
+                cpre.add(np.arange(1))
+    # chains of several steps, not just all-then-nothing, and returns that
+    # are not all empty
+    assert min(steps.values()) >= 3 * 60 and min(moved.values()), (steps,
+                                                                    moved)
 
 
 def test_growing_cpre_matches_dense():
-    steps = 0
+    steps = {"full": 0, "random": 0}
+    moved = dict(steps)
     for seed in range(60):
         a, _, _ = ar.random_arena(seed)
-        cpre = gr1._GrowingCpre(gr1._Ctx(a))
         rng = np.random.default_rng(seed)
-        target = np.zeros(a.n_states, dtype=bool)
-        while True:
-            assert np.array_equal(cpre(target), dense_cpre(a, target)), seed
-            if target.all():
-                break
-            # add at least one and at most half of the missing states
-            missing = np.flatnonzero(~target)
-            target = target.copy()
-            added = rng.integers(1, (len(missing) + 3) // 2)
-            target[rng.choice(missing, added, replace=False)] = True
-            steps += 1
-        with pytest.raises(AssertionError, match="must grow"):
-            cpre(np.zeros(a.n_states, dtype=bool))
-    # chains of several steps, not just nothing-then-all
-    assert steps >= 3 * 60, steps
+        for kind, scope in _scopes(a, rng):
+            inside = np.zeros(a.n_states, dtype=bool)
+            inside[scope] = True
+            cpre = gr1._Cpre(gr1._Ctx(a), scope=None if kind == "full"
+                             else scope)
+            target = np.zeros(a.n_states, dtype=bool)
+            want = dense_cpre(a, target)
+            while True:
+                assert np.array_equal(cpre.target, target), seed
+                assert np.array_equal((cpre.dead == 0)[inside],
+                                      want[inside]), seed
+                if target.all():
+                    break
+                # add at least one and at most half of the missing states
+                missing = np.flatnonzero(~target)
+                added = rng.choice(missing, rng.integers(
+                    1, (len(missing) + 3) // 2), replace=False)
+                target = target.copy()
+                target[added] = True
+                entered = cpre.add(added)
+                before, want = want, dense_cpre(a, target)
+                assert np.array_equal(
+                    entered, np.flatnonzero(want & ~before & inside)), seed
+                steps[kind] += 1
+                moved[kind] += len(entered) > 0
+            with pytest.raises(AssertionError, match="must grow"):
+                cpre.remove(np.arange(1))
+    # chains of several steps, not just nothing-then-all, and returns that
+    # are not all empty
+    assert min(steps.values()) >= 3 * 60 and min(moved.values()), (steps,
+                                                                    moved)
 
 
 def test_incremental_fixpoint_matches_plain_on_reduced_scenario(
