@@ -8,9 +8,10 @@ combined assignment.  ``env_moves`` and ``sys_moves`` are exactly the
 assignments passing every environment / system safety clause.
 
 The move relations are stored in CSR form over (state, env-choice) pairs so
-that solvers can run vectorized fixpoints.  Environment moves with no legal
-system response are kept as pairs with empty system slices: they are system
-deadlocks, not missing environment options.
+that solvers can run vectorized fixpoints.  Each edge holds its successor
+state: no other module combines env and sys indices.  Environment moves with
+no legal system response are kept as pairs with empty system slices: they
+are system deadlocks, not missing environment options.
 
 One codec, ``_Codec``, converts between indices and values everywhere: it
 packs a list of (name, primed) variables in mixed radix.  One compile path
@@ -138,8 +139,8 @@ class GameArena:
     env_indptr: np.ndarray       # [n_states+1] -> slice into env_next
     env_next: np.ndarray         # env assignment index per (state, choice) pair
     pair_state: np.ndarray       # state index per pair
-    sys_indptr: np.ndarray       # [n_pairs+1] -> slice into sys_next
-    sys_next: np.ndarray         # sys assignment index per edge
+    sys_indptr: np.ndarray       # [n_pairs+1] -> slice into edge_succ
+    edge_succ: np.ndarray        # successor state per edge, ascending in a pair
     env_init: np.ndarray         # bool over env assignments
     sys_init: np.ndarray         # bool over states
     doc: object = None
@@ -155,6 +156,11 @@ class GameArena:
     @property
     def names(self):
         return tuple(d.name for d in self.decls)
+
+    @property
+    def sys_next(self):
+        """Sys assignment index per edge, derived from `edge_succ`."""
+        return self.edge_succ % self.n_sys
 
     # ---- mixed-radix codec -------------------------------------------
 
@@ -188,20 +194,21 @@ class GameArena:
         """Legal next env assignments at state s (ascending indices)."""
         return self.env_next[self.env_indptr[s]:self.env_indptr[s + 1]]
 
-    def pair_index(self, s, e):
-        lo, hi = self.env_indptr[s], self.env_indptr[s + 1]
-        pos = lo + np.searchsorted(self.env_next[lo:hi], e)
-        if pos >= hi or self.env_next[pos] != e:
-            raise ValueError(f"env assignment {e} not legal at state {s}")
-        return int(pos)
-
     def sys_moves(self, s, e):
         """Legal sys responses at state s given committed env assignment e."""
-        p = self.pair_index(s, e)
-        return self.sys_next[self.sys_indptr[p]:self.sys_indptr[p + 1]]
+        lo, hi = self.env_indptr[s], self.env_indptr[s + 1]
+        p = lo + np.searchsorted(self.env_next[lo:hi], e)
+        if p >= hi or self.env_next[p] != e:
+            raise ValueError(f"env assignment {e} not legal at state {s}")
+        succ = self.edge_succ[self.sys_indptr[p]:self.sys_indptr[p + 1]]
+        return succ % self.n_sys
 
-    def successor(self, e, y):
-        return int(e) * self.n_sys + int(y)
+    def init_states(self, inside):
+        """Lowest initial state of each env assignment inside the state
+        mask `inside` (True allows every state), or -1 where there is none."""
+        ok = (self.sys_init & inside).reshape(self.n_env, self.n_sys)
+        first = np.arange(self.n_env) * self.n_sys + ok.argmax(axis=1)
+        return np.where(ok.any(axis=1), first, -1)
 
     # ---- misc ---------------------------------------------------------
 
@@ -214,8 +221,8 @@ class GameArena:
         for p in range(self.n_pairs):
             s = self.pair_state[p]
             e = self.env_next[p]
-            for y in self.sys_next[self.sys_indptr[p]:self.sys_indptr[p + 1]]:
-                fp.write(f"{s}\t{e}\t{y}\n")
+            for t in self.edge_succ[self.sys_indptr[p]:self.sys_indptr[p + 1]]:
+                fp.write(f"{s}\t{e}\t{t % self.n_sys}\n")
 
 
 # --------------------------------------------------------------------------
@@ -430,14 +437,16 @@ def build_arena(doc, cap=1 << 24):
     env_indptr, env_next = _relation(doc.env_safety, state, states, env_nxt)
     pair_state = states.repeat(np.diff(env_indptr))
     # stage 2: sys responses per pair; a row is the pair's (state, env')
-    sys_indptr, sys_next = _relation(
+    sys_indptr, edge_succ = _relation(
         doc.sys_safety, _Codec(state.fields + env_nxt.fields),
         pair_state * n_env + env_next, sys_nxt)
+    # each sys' index becomes its successor state: the pair's env' on top
+    edge_succ += (env_next * n_sys).repeat(np.diff(sys_indptr))
 
     return GameArena(
         decls=decls, n_env_vars=len(env_decls), n_env=n_env, n_sys=n_sys,
         env_indptr=env_indptr, env_next=env_next, pair_state=pair_state,
-        sys_indptr=sys_indptr, sys_next=sys_next,
+        sys_indptr=sys_indptr, edge_succ=edge_succ,
         env_init=_holds(doc.env_init, _Codec.of(env_decls)),
         sys_init=_holds(doc.sys_init, state), doc=doc)
 
@@ -473,15 +482,13 @@ def from_functions(decls, n_env_vars, env_fn, sys_fn,
     n_sys = _Codec.of(decls[n_env_vars:]).size
     n_states = n_env * n_sys
     env_indptr = [0]
-    env_next, pair_state, sys_indptr, sys_next = [], [], [0], []
+    env_next, pair_state, sys_indptr, edge_succ = [], [], [0], []
     for s in range(n_states):
-        es = sorted(set(env_fn(s)))
-        for e in es:
+        for e in sorted(set(env_fn(s))):
             env_next.append(e)
             pair_state.append(s)
-            ys = sorted(set(sys_fn(s, e)))
-            sys_next.extend(ys)
-            sys_indptr.append(len(sys_next))
+            edge_succ.extend(e * n_sys + y for y in sorted(set(sys_fn(s, e))))
+            sys_indptr.append(len(edge_succ))
         env_indptr.append(len(env_next))
     if env_init is None:
         env_init = np.ones(n_env, dtype=bool)
@@ -493,7 +500,7 @@ def from_functions(decls, n_env_vars, env_fn, sys_fn,
         env_next=np.asarray(env_next, dtype=np.int64),
         pair_state=np.asarray(pair_state, dtype=np.int64),
         sys_indptr=np.asarray(sys_indptr, dtype=np.int64),
-        sys_next=np.asarray(sys_next, dtype=np.int64),
+        edge_succ=np.asarray(edge_succ, dtype=np.int64),
         env_init=np.asarray(env_init, dtype=bool),
         sys_init=np.asarray(sys_init, dtype=bool))
 

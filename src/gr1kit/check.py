@@ -209,15 +209,17 @@ def verify_strategy_closure(strategy, arena, result=None):
     s = a.state_codec.index(st.node_vals)           # -1: outside the domain
     here = s[owner]
     e = np.where(here < 0, -1, a.env_codec.index(st.edge_env))
-    y = a.sys_codec.index(st.edge_sys)
+    # each edge's claimed successor state, -1 outside the domain
+    t = a.state_codec.index(np.hstack([st.edge_env, st.edge_sys]))
     # the arena's pairs are sorted by state * n_env + env' and its edges by
-    # pair * n_sys + sys'; a key of -1 finds nothing
+    # pair * n_states + successor; a key of -1 finds nothing
     pair = _find(a.pair_state * a.n_env + a.env_next,
                  np.where(e < 0, -1, here * a.n_env + e))
     edge_pair = np.repeat(np.arange(a.n_pairs), np.diff(a.sys_indptr))
-    sys_ok = _find(edge_pair * a.n_sys + a.sys_next,
-                   np.where((pair < 0) | (y < 0), -1, pair * a.n_sys + y)) >= 0
-    succ_ok = s[st.edge_next] == e * a.n_sys + y
+    sys_ok = _find(edge_pair * a.n_states + a.edge_succ,
+                   np.where((pair < 0) | (t < 0), -1,
+                            pair * a.n_states + t)) >= 0
+    succ_ok = s[st.edge_next] == t
     goal_ok, winning = np.ones(len(owner), bool), np.ones(st.n_nodes, bool)
     if result is not None:
         j = st.node_goal[owner]

@@ -165,6 +165,10 @@ def cmd_simulate(args):
             return EXIT_PARSE
     if args.steps < 1:
         return _error("--steps must be at least 1")
+    if args.runs < 1:
+        return _error("--runs must be at least 1")
+    if not 0 < args.td < float("inf"):   # also false for nan
+        return _error("--td must be a finite positive number of seconds")
     if args.runs > 1 and not args.out:
         return _error("--runs needs --out")
     for k in range(args.runs):

@@ -71,21 +71,17 @@ class _Ctx:
         # int32: every growing cpre copies it as its dead counts
         self.env_degree = np.diff(arena.env_indptr).astype(np.int32)
         self.stuck = (self.env_degree == 0).nonzero()[0]
-        edge_pair = np.repeat(np.arange(n_pairs, dtype=np.int64),
-                              np.diff(arena.sys_indptr))
-        self.edge_succ = (arena.env_next[edge_pair] * arena.n_sys +
-                          arena.sys_next)
         # incoming sys edges grouped by successor state, as their pairs in
         # pair order: sorting (succ, pair) keys gives the stable argsort's
         # order at a third of its time and half its memory (numpy 2.4)
         assert arena.n_states * n_pairs < 2 ** 63, "sort keys overflow"
-        key = self.edge_succ * n_pairs
-        key += edge_pair
+        key = arena.edge_succ * n_pairs
+        key += np.arange(n_pairs).repeat(np.diff(arena.sys_indptr))
         key.sort()
         key %= n_pairs
         self.in_pair = key
         self.in_indptr = np.zeros(arena.n_states + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self.edge_succ, minlength=arena.n_states),
+        np.cumsum(np.bincount(arena.edge_succ, minlength=arena.n_states),
                   out=self.in_indptr[1:])
 
     def attractor_ranks(self, seed):
@@ -162,7 +158,7 @@ class _Cpre:
         self.dead = np.empty(a.n_states, dtype=np.int32)
         self.cnt[pairs] = 0
         edge_pair = pairs.repeat(a.sys_indptr[pairs + 1] - a.sys_indptr[pairs])
-        into = target[ctx.edge_succ[edges]]
+        into = target[a.edge_succ[edges]]
         # an int32 scalar keeps ufunc.at on its fast path (numpy 2.4)
         np.add.at(self.cnt, edge_pair[into], np.int32(1))
         self.dead[scope] = 0
@@ -344,8 +340,7 @@ def _mu_y_general(ctx, seed, falsifiable, warm):
 def _init_escapes(arena, winning=True):
     """Indices of the legal env init assignments with no sys init
     completion inside `winning` (a state mask; True allows every state)."""
-    ok = (arena.sys_init & winning).reshape(arena.n_env, arena.n_sys)
-    return np.flatnonzero(arena.env_init & ~ok.any(axis=1))
+    return np.flatnonzero(arena.env_init & (arena.init_states(winning) < 0))
 
 
 def is_realizable(result, arena):
@@ -475,7 +470,7 @@ def extract_strategy(result, arena):
     a = arena
     n_goals = len(result.goals)
     winning = result.winning
-    n_sys = a.n_sys
+    n_states = a.n_states
 
     node_ids = {}
     order = []       # (state, goal) in discovery order
@@ -488,19 +483,19 @@ def extract_strategy(result, arena):
 
     init_env = np.nonzero(a.env_init)[0]
     init_node = []
-    sys_ok = (winning & a.sys_init).reshape(a.n_env, n_sys)
-    for e0 in init_env.tolist():
-        ys = np.nonzero(sys_ok[e0])[0]
-        if not len(ys):
+    for e0, s0 in zip(init_env.tolist(),
+                      a.init_states(winning)[init_env].tolist()):
+        if s0 < 0:
             raise NotRealizable(f"no winning sys init for env init {e0}")
-        init_node.append(node_of(a.successor(e0, ys[0]), 0))
+        init_node.append(node_of(s0, 0))
 
-    # per-pair minimum of key = rank * n_sys + y picks the lowest-ranked
-    # successor with the lowest sys index; INF keys mark excluded edges
+    # per-pair minimum of key = rank * n_states + succ picks the
+    # lowest-ranked successor with the lowest sys index, as a pair's
+    # successors share their env part; INF keys mark excluded edges
     rank64 = result.y_rank.astype(np.int64)
-    INFKEY = np.int64(INF_RANK) * n_sys * 4
-    sys_degree = np.diff(a.sys_indptr)
-    edge_sys, edge_next = [], []     # sys index and next node per edge
+    INFKEY = np.int64(INF_RANK) * n_states * 4
+    edge_succ, edge_next = [], []    # successor state and node per edge
+    edge_indptr = [0]
     for s, j in order:               # order grows while it is walked
         goal_holds = bool(result.goals[j][s])
         jp = (j + 1) % n_goals if goal_holds else j
@@ -508,58 +503,50 @@ def extract_strategy(result, arena):
         my_rank = rank[s]
         plo, phi = int(a.env_indptr[s]), int(a.env_indptr[s + 1])
         elo, ehi = int(a.sys_indptr[plo]), int(a.sys_indptr[phi])
-        es_idx = a.env_next[plo:phi]
-        ys = a.sys_next[elo:ehi]
-        succ = np.repeat(es_idx, sys_degree[plo:phi]) * n_sys + ys
-        key = rank[succ] * n_sys + ys
+        succ = a.edge_succ[elo:ehi]
+        key = rank[succ] * n_states + succ
         key[~winning[succ]] = INFKEY
         if not goal_holds:
             key[rank[succ] >= my_rank] = INFKEY
         starts = (a.sys_indptr[plo:phi] - elo).astype(np.int64)
         best = np.minimum.reduceat(key, starts).tolist() if len(key) else []
-        for e, b in zip(es_idx.tolist(), best):
-            if b < INFKEY:
-                y = b % n_sys
-            else:
-                y = _loiter_pick(result, a, s, jp, my_rank, e)
-                if y is None:
-                    raise AssertionError(
-                        f"extraction stuck at state {s} goal {jp} env {e}")
-            edge_next.append(node_of(a.successor(e, y), jp))
-            edge_sys.append(y)
+        for p, b in zip(range(plo, phi), best):
+            t = (b % n_states if b < INFKEY
+                 else _loiter_pick(result, a, s, jp, my_rank, p))
+            edge_next.append(node_of(t, jp))
+            edge_succ.append(t)
+        edge_indptr.append(len(edge_next))
 
     states = np.array([s for s, _ in order], dtype=np.int64)
-    degree = np.diff(a.env_indptr)[states]
-    edge_indptr = np.zeros(len(order) + 1, dtype=np.int64)
-    np.cumsum(degree, out=edge_indptr[1:])
-    # each node's edges are its state's (state, env') pairs, in pair order
-    pairs = ar._gather(a.env_indptr, states)
+    # a successor's env part is its edge's env assignment
+    edge_vals = a.state_codec.values(np.array(edge_succ, dtype=np.int64))
     return Strategy(
         env_names=a.names[:a.n_env_vars],
         sys_names=a.names[a.n_env_vars:],
         n_goals=n_goals,
         node_vals=a.state_codec.values(states),
         node_goal=np.array([j for _, j in order], dtype=np.int64),
-        edge_indptr=edge_indptr,
-        edge_env=a.env_codec.values(a.env_next[pairs]),
-        edge_sys=a.sys_codec.values(np.array(edge_sys, dtype=np.int64)),
+        edge_indptr=np.array(edge_indptr, dtype=np.int64),
+        edge_env=edge_vals[:, :a.n_env_vars],
+        edge_sys=edge_vals[:, a.n_env_vars:],
         edge_next=np.array(edge_next, dtype=np.int64),
         init_env=a.env_codec.values(init_env),
         init_node=np.array(init_node, dtype=np.int64))
 
 
-def _loiter_pick(result, a, s, jp, my_rank, e):
-    """Same-rank response inside a recorded nu-X region (assumption games)."""
-    if result.x_witness is None:
-        return None
-    ys = a.sys_moves(s, e)
-    succ = e * a.n_sys + ys
-    for wi, xset in result.x_witness[jp].get(int(my_rank), ()):
+def _loiter_pick(result, a, s, jp, my_rank, p):
+    """Successor of pair `p` at the same rank inside a recorded nu-X region
+    (assumption games)."""
+    succ = a.edge_succ[a.sys_indptr[p]:a.sys_indptr[p + 1]]
+    layers = (result.x_witness[jp].get(int(my_rank), ())
+              if result.x_witness else ())
+    for wi, xset in layers:
         if not result.assumptions[wi][s] and xset[s]:
             stay = np.nonzero(xset[succ])[0]
             if len(stay):
-                return int(ys[stay[0]])
-    return None
+                return int(succ[stay[0]])
+    raise AssertionError(f"extraction stuck at state {s} goal {jp} "
+                         f"env {a.env_next[p]}")
 
 
 # --------------------------------------------------------------------------
@@ -585,8 +572,7 @@ def brute_force_oracle(arena, env_live, sys_live, cap=10_000):
     env_indptr = arena.env_indptr.tolist()
     sys_indptr = arena.sys_indptr.tolist()
     # the env node at counters k = c2 * na + d2 after each sys edge
-    edge_to = (np.repeat(arena.env_next, np.diff(arena.sys_indptr)) *
-               arena.n_sys + arena.sys_next) * m
+    edge_to = arena.edge_succ * m
     to = [(edge_to + k).tolist() for k in range(m)]
     goal = [g.tolist() for g in goals]
     assume = [a.tolist() for a in assumptions]

@@ -40,6 +40,17 @@ def brute_sys_moves(arena, doc, s, e):
     return out
 
 
+def assert_successor_values(arena, s, e, ys):
+    """The edges of pair (s, e) lead, by value, to states holding env
+    assignment e in their env columns and the sys moves `ys` in their sys
+    columns."""
+    p = arena.env_indptr[s] + arena.env_moves(s).tolist().index(e)
+    succ = arena.edge_succ[arena.sys_indptr[p]:arena.sys_indptr[p + 1]]
+    env = list(arena.env_values(e).values())
+    assert arena.state_codec.values(succ).tolist() == [
+        env + list(sys_values(arena, y).values()) for y in ys]
+
+
 def test_two_booleans_no_clauses():
     doc = parse_spec("[ENV_VARS]\ne : bool\n[SYS_VARS]\nx : bool\n")
     a = ar.build_arena(doc)
@@ -168,9 +179,37 @@ def test_moves_match_clause_by_clause_eval(monkeypatch):
             for e in want_e:
                 want_y = brute_sys_moves(a, doc, s, e)
                 assert want_y == [int(y) for y in a.sys_moves(s, e)]
+                assert_successor_values(a, s, e, want_y)
         checked += 1
     assert checked >= 40
     assert {"identity", "mask", "unique"} <= set(paths)
+
+
+def test_successors_carry_pair_values(monkeypatch, reduced_doc,
+                                      reduced_arena):
+    # random arenas, against the move functions they were built from
+    from_functions = ar.from_functions
+    moves = {}
+
+    def recorded(decls, n_env_vars, env_fn, sys_fn, **kwargs):
+        moves.update(env=env_fn, sys=sys_fn)
+        return from_functions(decls, n_env_vars, env_fn, sys_fn, **kwargs)
+
+    monkeypatch.setattr(ar, "from_functions", recorded)
+    edges = 0
+    for seed in range(80):
+        a, _, _ = ar.random_arena(seed, max_states=40)
+        for s in range(a.n_states):
+            for e in sorted(set(moves["env"](s))):
+                ys = sorted(set(moves["sys"](s, e)))
+                assert_successor_values(a, s, e, ys)
+                edges += len(ys)
+    assert edges > 2000
+    # the reduced arena, a sample of its pairs against the clauses
+    a, rng = reduced_arena, random.Random(3)
+    for p in rng.sample(range(a.n_pairs), 150):
+        s, e = int(a.pair_state[p]), int(a.env_next[p])
+        assert_successor_values(a, s, e, brute_sys_moves(a, reduced_doc, s, e))
 
 
 def test_stage2_joins_distinct_profiles(monkeypatch, paper_doc):

@@ -351,6 +351,12 @@ NO_OK_CSV = "step,time_s,x,human_away\n0,0,0,0\n1,10,0,0\n2,20,0,0\n"
     SIMULATE + ["--events", "{away_5}"],
     SIMULATE + ["--events", "{duration_minus_3}"],
     SIMULATE + ["--events", "{step_minus_1}"],
+    ["simulate", "{strat}", "--runs", "0", "--out", "{trace}"],
+    ["simulate", "{strat}", "--runs", "-3", "--out", "{trace}"],
+    ["simulate", "{strat}", "--td", "0"],
+    ["simulate", "{strat}", "--td", "-5"],
+    ["simulate", "{strat}", "--td", "nan"],
+    ["simulate", "{strat}", "--td", "inf"],
 ], ids=["safety-missing", "safety-not-csv", "safety-bad-row",
         "recurrence-missing", "recurrence-bad-row", "goal-3", "goal-minus-1",
         "check-spec-missing", "emit-config-missing", "synth-spec-missing", "oracle-spec-missing",
@@ -361,7 +367,9 @@ NO_OK_CSV = "step,time_s,x,human_away\n0,0,0,0\n1,10,0,0\n2,20,0,0\n"
         "simulate-steps-0", "recurrence-window-minus-3",
         "set-unknown-var", "set-sys-var", "min-bl-set-unknown-var",
         "min-bl-set-sys-var", "human-away-5", "duration-minus-3",
-        "step-minus-1"])
+        "step-minus-1", "simulate-runs-0", "simulate-runs-minus-3",
+        "simulate-td-0", "simulate-td-minus-5", "simulate-td-nan",
+        "simulate-td-inf"])
 def test_bad_input_exit2(workdir, tmp_path, capsys, argv):
     root, spec, strat = workdir
     files = {"missing": tmp_path / "missing.txt",

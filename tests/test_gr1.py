@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from gr1kit.errors import NotRealizable, TooLarge
 from gr1kit.speclang import ENV, SYS, VarDecl
 
 from conftest import encode_state
+from genspec import random_document
 
 
 def mono_arena(env_fn, sys_fn, env_sizes=(1,), sys_sizes=(2,)):
@@ -121,6 +123,53 @@ def test_oracle_reduced_scenario_under_assumptions(reduced_arena, reduced_doc,
     # the assumptions change the answer, so the check is not vacuous
     assert not np.array_equal(regions[2], reduced_result.winning)
     assert not np.array_equal(regions[1], regions[2])
+
+
+def brute_init_states(arena, inside):
+    """Lowest state inside `inside` and the initial set for each env
+    assignment, or -1, by a loop over valuations in index order."""
+    env_names = arena.names[:arena.n_env_vars]
+    first = {}
+    for s in range(arena.n_states):
+        if arena.sys_init[s] and inside[s]:
+            val = arena.valuation(s)
+            first.setdefault(tuple(val[n] for n in env_names), s)
+    return [first.get(tuple(arena.env_values(e).values()), -1)
+            for e in range(arena.n_env)]
+
+
+def test_init_states_match_brute_loop():
+    rng = random.Random(5)
+    extracted = 0
+    for _ in range(60):
+        doc = random_document(rng)
+        a = ar.build_arena(doc)
+        masks = [np.ones(a.n_states, dtype=bool)] + [
+            np.array([rng.random() < 0.6 for _ in range(a.n_states)])
+            for _ in range(3)]
+        for mask in masks:
+            lowest = brute_init_states(a, mask)
+            assert a.init_states(mask).tolist() == lowest
+            assert gr1._init_escapes(a, mask).tolist() == [
+                e for e in range(a.n_env) if a.env_init[e] and lowest[e] < 0]
+        assert a.init_states(True).tolist() == brute_init_states(a, masks[0])
+        res = gr1.solve(a, doc.env_liveness,
+                        doc.sys_liveness or [np.ones(a.n_states, bool)])
+        if not res.realizable:
+            continue
+        # each initial env assignment starts at its lowest winning
+        # initial state, pursuing goal 0
+        st = gr1.extract_strategy(res, a)
+        env_init = [e for e in range(a.n_env) if a.env_init[e]]
+        lowest = brute_init_states(a, res.winning)
+        assert [dict(zip(st.env_names, row)) for row in st.init_env.tolist()
+                ] == [a.env_values(e) for e in env_init]
+        assert [dict(zip(st.names, st.node_vals[n].tolist()))
+                for n in st.init_node] == [a.valuation(lowest[e])
+                                           for e in env_init]
+        assert not st.node_goal[st.init_node].any()
+        extracted += 1
+    assert extracted >= 15
 
 
 def test_solver_determinism():
