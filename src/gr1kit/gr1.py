@@ -34,6 +34,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -388,58 +389,87 @@ class Strategy:
 
     # ---- serialization (field order is part of the format) ------------
 
-    def to_obj(self):
-        env_names, sys_names = self.env_names, self.sys_names
-        edges = [{"env": dict(zip(env_names, ev)),
-                  "sys": dict(zip(sys_names, sv)),
-                  "next": nxt}
-                 for ev, sv, nxt in zip(self.edge_env.tolist(),
-                                        self.edge_sys.tolist(),
-                                        self.edge_next.tolist())]
+    def _json_text(self):
+        """The JSON text `save` writes.  It equals ``json.dumps`` of the
+        object form plus a newline, byte for byte: one ``%`` template per
+        edge, node and init entry, built from the quoted variable names and
+        filled a row at a time."""
+        def fields(names):
+            return "{%s}" % ", ".join(json.dumps(n).replace("%", "%%") + ": %d"
+                                      for n in names)
+
+        env, sys_ = fields(self.env_names), fields(self.sys_names)
+        edge_t = f'{{"env": {env}, "sys": {sys_}, "next": %d}}'
+        node_t = (f'{{"id": %d, "state": {fields(self.names)}, "goal": %d, '
+                  f'"edges": [%s]}}')
+        init_t = f'{{"env": {env}, "node": %d}}'
+        edges = list(map(edge_t.__mod__, zip(*self.edge_env.T.tolist(),
+                                             *self.edge_sys.T.tolist(),
+                                             self.edge_next.tolist())))
         bounds = self.edge_indptr.tolist()
-        nodes = [{"id": nid, "state": dict(zip(self.names, vals)),
-                  "goal": goal, "edges": edges[lo:hi]}
-                 for nid, (vals, goal, lo, hi) in enumerate(zip(
-                     self.node_vals.tolist(), self.node_goal.tolist(),
-                     bounds, bounds[1:]))]
-        init = [{"env": dict(zip(env_names, ev)), "node": nid}
-                for ev, nid in zip(self.init_env.tolist(),
-                                   self.init_node.tolist())]
-        return {"vars": list(self.names), "goals": int(self.n_goals),
-                "nodes": nodes, "init": init}
+        nodes = map(node_t.__mod__, zip(
+            range(self.n_nodes), *self.node_vals.T.tolist(),
+            self.node_goal.tolist(),
+            [", ".join(edges[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]))
+        inits = map(init_t.__mod__, zip(*self.init_env.T.tolist(),
+                                        self.init_node.tolist()))
+        return '{"vars": %s, "goals": %d, "nodes": [%s], "init": [%s]}\n' % (
+            json.dumps(list(self.names)), self.n_goals, ", ".join(nodes),
+            ", ".join(inits))
+
+    def to_obj(self):
+        """The JSON object of the text `save` writes."""
+        return json.loads(self._json_text())
 
     def save(self, path):
-        # json.dumps takes the C encoder; json.dump would not
         with open(path, "w") as fp:
-            fp.write(json.dumps(self.to_obj()) + "\n")
+            fp.write(self._json_text())
 
     @classmethod
     def from_obj(cls, obj):
-        """Strategy from its JSON object; ValueError on dangling references."""
+        """Strategy from its JSON object; ValueError on a value that is not
+        a JSON integer and on dangling references."""
         names = list(obj["vars"])
         nodes, inits = obj["nodes"], obj["init"]
-        edges = [e for nd in nodes for e in nd["edges"]]
+        node_edges = list(map(itemgetter("edges"), nodes))
+        edges = list(itertools.chain.from_iterable(node_edges))
         env_keys = (edges or inits or [{"env": {}}])[0]["env"]
         env_names = [n for n in names if n in env_keys]
         sys_names = [n for n in names if n not in env_keys]
 
-        def table(dicts, keys):
-            return np.array([[int(d[k]) for k in keys] for d in dicts],
-                            dtype=np.int64).reshape(len(dicts), len(keys))
+        def table(field, dicts, keys, part=None):
+            """int64 [dicts × keys] of ``d[k]``, or of ``d[part][k]``;
+            bools are not integers."""
+            if part is not None:
+                field = f"{field} {part}"
+                dicts = list(map(itemgetter(part), dicts))
+            if not keys:
+                return np.zeros((len(dicts), 0), dtype=np.int64)
+            rows = list(map(itemgetter(*keys), dicts))
+            cells = (itertools.chain.from_iterable(rows) if len(keys) > 1
+                     else rows)
+            if not set(map(type, cells)) <= {int}:
+                k, v = next((k, d[k]) for d in dicts for k in keys
+                            if type(d[k]) is not int)
+                raise ValueError(f"{field}[{k!r}] = {v!r} is not an integer")
+            return np.array(rows, dtype=np.int64).reshape(len(dicts), len(keys))
 
+        n_goals = obj["goals"]
+        if type(n_goals) is not int:
+            raise ValueError(f"goals = {n_goals!r} is not an integer")
         strat = cls(
             env_names=tuple(env_names), sys_names=tuple(sys_names),
-            n_goals=int(obj["goals"]),
-            node_vals=table([nd["state"] for nd in nodes], names),
-            node_goal=table(nodes, ["goal"])[:, 0],
-            edge_indptr=np.cumsum([0] + [len(nd["edges"]) for nd in nodes],
-                                  dtype=np.int64),
-            edge_env=table([e["env"] for e in edges], env_names),
-            edge_sys=table([e["sys"] for e in edges], sys_names),
-            edge_next=table(edges, ["next"])[:, 0],
-            init_env=table([it["env"] for it in inits], env_names),
-            init_node=table(inits, ["node"])[:, 0])
-        if [nd["id"] for nd in nodes] != list(range(len(nodes))):
+            n_goals=n_goals,
+            node_vals=table("node", nodes, names, "state"),
+            node_goal=table("node", nodes, ("goal",))[:, 0],
+            edge_indptr=np.cumsum([0, *map(len, node_edges)], dtype=np.int64),
+            edge_env=table("edge", edges, env_names, "env"),
+            edge_sys=table("edge", edges, sys_names, "sys"),
+            edge_next=table("edge", edges, ("next",))[:, 0],
+            init_env=table("init", inits, env_names, "env"),
+            init_node=table("init", inits, ("node",))[:, 0])
+        if not np.array_equal(table("node", nodes, ("id",))[:, 0],
+                              np.arange(len(nodes))):
             raise ValueError("node ids must be 0, 1, ... in list order")
         for what, refs, n in (("next", strat.edge_next, len(nodes)),
                               ("init node", strat.init_node, len(nodes)),

@@ -290,25 +290,28 @@ def _scenario_shape(names):
 
 def write_csv(trace, fp):
     """Render a trace as CSV; work-delivery traces get the scenario header
-    with derived mode and action columns."""
+    with derived mode and action columns.  One row template formats every
+    row, and the whole text goes out in one write."""
     n = _scenario_shape(set(trace.names))
     if n is None:
         head, cols = list(trace.names), list(range(len(trace.names)))
+        cells = ["%d"] * len(cols)
     else:
         obstacles = [f"O{j}" for j in range(1, n)]
         head = ["RS", "BL", "HF", "tries", "S", *obstacles, "mode", "ACT"]
         cols = [trace.names.index(k) for k in ("rs", "bl", "hf", "tries", "s",
                                                *map(str.lower, obstacles),
                                                "act")]
-    fp.write(",".join(["step", "time_s", *head, "human_away"]) + "\n")
-    rows = trace.vals[:, cols].tolist()
+        cells = ["%d"] * (len(cols) - 1) + ["%s", "Go_S%d"]
+    columns = trace.vals[:, cols].T.tolist()
     if n is not None:
-        modes = wd.human_mode(trace.vals[:, cols[0]], trace.vals[:, cols[1]], n)
-        for row, mode in zip(rows, modes):
-            row[-1:] = [mode, f"Go_S{row[-1]}"]
-    for step, t, row, away in zip(trace.step.tolist(), trace.time_s.tolist(),
-                                  rows, trace.human_away.astype(int).tolist()):
-        fp.write(",".join(map(str, [step, _fmt_time(t), *row, away])) + "\n")
+        columns.insert(-1, wd.human_mode(trace.vals[:, cols[0]],
+                                         trace.vals[:, cols[1]], n))
+    row = ",".join(["%d", "%s", *cells, "%d"]) + "\n"
+    fp.write(",".join(["step", "time_s", *head, "human_away"]) + "\n" + "".join(
+        map(row.__mod__, zip(trace.step.tolist(),
+                             map(_fmt_time, trace.time_s.tolist()), *columns,
+                             trace.human_away.astype(int).tolist()))))
 
 
 def _fmt_time(x):

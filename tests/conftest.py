@@ -1,10 +1,12 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
 from gr1kit import arena as ar
 from gr1kit import gr1
+from gr1kit import sim
 from gr1kit import workdelivery as wd
 
 
@@ -22,6 +24,61 @@ def sys_values(arena, y):
 def env_column(arena, name, idx=None):
     """Values of an env variable across env assignment indices."""
     return arena.env_codec.column((name, False), idx)
+
+
+# --------------------------------------------------------------------------
+# reference codecs: a dict per node, edge and assignment for the strategy
+# JSON, and a row loop for the trace CSV, which `Strategy.save` and
+# `sim.write_csv` must match byte for byte
+
+
+def reference_to_obj(st):
+    """The strategy's JSON object, built dict by dict."""
+    env_names, sys_names = st.env_names, st.sys_names
+    edges = [{"env": dict(zip(env_names, ev)),
+              "sys": dict(zip(sys_names, sv)),
+              "next": nxt}
+             for ev, sv, nxt in zip(st.edge_env.tolist(),
+                                    st.edge_sys.tolist(),
+                                    st.edge_next.tolist())]
+    bounds = st.edge_indptr.tolist()
+    nodes = [{"id": nid, "state": dict(zip(st.names, vals)),
+              "goal": goal, "edges": edges[lo:hi]}
+             for nid, (vals, goal, lo, hi) in enumerate(zip(
+                 st.node_vals.tolist(), st.node_goal.tolist(),
+                 bounds, bounds[1:]))]
+    init = [{"env": dict(zip(env_names, ev)), "node": nid}
+            for ev, nid in zip(st.init_env.tolist(), st.init_node.tolist())]
+    return {"vars": list(st.names), "goals": int(st.n_goals),
+            "nodes": nodes, "init": init}
+
+
+def reference_json(st):
+    """The bytes `Strategy.save` must write."""
+    return json.dumps(reference_to_obj(st)) + "\n"
+
+
+def reference_write_csv(trace, fp):
+    """The trace CSV, one row at a time."""
+    n = sim._scenario_shape(set(trace.names))
+    if n is None:
+        head, cols = list(trace.names), list(range(len(trace.names)))
+    else:
+        obstacles = [f"O{j}" for j in range(1, n)]
+        head = ["RS", "BL", "HF", "tries", "S", *obstacles, "mode", "ACT"]
+        cols = [trace.names.index(k) for k in ("rs", "bl", "hf", "tries", "s",
+                                               *map(str.lower, obstacles),
+                                               "act")]
+    fp.write(",".join(["step", "time_s", *head, "human_away"]) + "\n")
+    rows = trace.vals[:, cols].tolist()
+    if n is not None:
+        modes = wd.human_mode(trace.vals[:, cols[0]], trace.vals[:, cols[1]], n)
+        for row, mode in zip(rows, modes):
+            row[-1:] = [mode, f"Go_S{row[-1]}"]
+    for step, t, row, away in zip(trace.step.tolist(), trace.time_s.tolist(),
+                                  rows, trace.human_away.astype(int).tolist()):
+        time_s = str(int(t)) if float(t).is_integer() else f"{t:g}"
+        fp.write(",".join(map(str, [step, time_s, *row, away])) + "\n")
 
 
 REDUCED = dict(n=2, bl_max=10, gamma_units=1, delta_units=5,

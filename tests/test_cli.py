@@ -357,6 +357,7 @@ NO_OK_CSV = "step,time_s,x,human_away\n0,0,0,0\n1,10,0,0\n2,20,0,0\n"
     ["simulate", "{strat}", "--td", "-5"],
     ["simulate", "{strat}", "--td", "nan"],
     ["simulate", "{strat}", "--td", "inf"],
+    CHECK + ["closure", "--strategy", "{float_strat}"],
 ], ids=["safety-missing", "safety-not-csv", "safety-bad-row",
         "recurrence-missing", "recurrence-bad-row", "goal-3", "goal-minus-1",
         "check-spec-missing", "emit-config-missing", "synth-spec-missing", "oracle-spec-missing",
@@ -369,7 +370,7 @@ NO_OK_CSV = "step,time_s,x,human_away\n0,0,0,0\n1,10,0,0\n2,20,0,0\n"
         "min-bl-set-sys-var", "human-away-5", "duration-minus-3",
         "step-minus-1", "simulate-runs-0", "simulate-runs-minus-3",
         "simulate-td-0", "simulate-td-minus-5", "simulate-td-nan",
-        "simulate-td-inf"])
+        "simulate-td-inf", "closure-float-value"])
 def test_bad_input_exit2(workdir, tmp_path, capsys, argv):
     root, spec, strat = workdir
     files = {"missing": tmp_path / "missing.txt",
@@ -391,6 +392,10 @@ def test_bad_input_exit2(workdir, tmp_path, capsys, argv):
     files["huge"].write_text("step,time_s,ok,x,human_away\n"
                              "0,0,0,99999999999999999999,0\n")
     files["bad_row"].write_text("step,time_s,bl,human_away\n0,0,x,0\n")
+    obj = json.loads(strat.read_text())
+    obj["nodes"][0]["state"]["bl"] += 0.7
+    files["float_strat"] = tmp_path / "float.json"
+    files["float_strat"].write_text(json.dumps(obj))
     assert run_cli(["simulate", str(strat), "--steps", "5",
                     "--out", str(files["trace"])]) == 0
     files["bad_events"].write_text("at=3 set s=0\n")

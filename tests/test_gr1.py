@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -8,10 +10,11 @@ import pytest
 from gr1kit import arena as ar
 from gr1kit import check
 from gr1kit import gr1
+from gr1kit import workdelivery as wd
 from gr1kit.errors import NotRealizable, TooLarge
-from gr1kit.speclang import ENV, SYS, VarDecl
+from gr1kit.speclang import ENV, SYS, VarDecl, parse_spec
 
-from conftest import encode_state
+from conftest import encode_state, reference_json
 from genspec import random_document
 
 
@@ -255,16 +258,135 @@ def _break_goal(obj):
     obj["nodes"][0]["goal"] = obj["goals"]
 
 
+def _set(*path):
+    """Corruption writing path[-1] at the key path path[:-1]."""
+    def corrupt(obj):
+        for key in path[:-2]:
+            obj = obj[key]
+        obj[path[-2]] = path[-1]
+    return corrupt
+
+
+def _non_int(message, *path):
+    return pytest.param(_set(*path), message,
+                        id="-".join(map(str, path)).replace(" ", ""))
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (_break_ids, "node ids"), (_break_next, "next 1000000 outside"),
     (_break_init, "init node -1 outside"), (_break_goal, "goal 1 outside"),
+    # values that are not JSON integers: int() used to truncate or parse them
+    _non_int("node state['bl'] = 3.7 ", "nodes", 0, "state", "bl", 3.7),
+    _non_int("node state['bl'] = '3' ", "nodes", 2, "state", "bl", "3"),
+    _non_int("node state['rs'] = True ", "nodes", 1, "state", "rs", True),
+    _non_int("edge['next'] = 1.9 ", "nodes", 0, "edges", 0, "next", 1.9),
+    _non_int("edge['next'] = '1' ", "nodes", 0, "edges", 0, "next", "1"),
+    _non_int("edge env['bl'] = '3' ", "nodes", 0, "edges", 1, "env", "bl", "3"),
+    _non_int("edge env['o1'] = False ", "nodes", 1, "edges", 0, "env", "o1",
+             False),
+    _non_int("edge sys['act'] = 2.0 ", "nodes", 0, "edges", 0, "sys", "act",
+             2.0),
+    _non_int("edge sys['hf'] = None ", "nodes", 0, "edges", 0, "sys", "hf",
+             None),
+    _non_int("node['goal'] = 0.0 ", "nodes", 0, "goal", 0.0),
+    _non_int("node['goal'] = False ", "nodes", 3, "goal", False),
+    _non_int("node['id'] = 1.0 ", "nodes", 1, "id", 1.0),
+    _non_int("init['node'] = True ", "init", 0, "node", True),
+    _non_int("init env['bl'] = 5.0 ", "init", 0, "env", "bl", 5.0),
+    _non_int("goals = 1.5 ", "goals", 1.5),
+    _non_int("goals = True ", "goals", True),
 ])
 def test_strategy_from_obj_rejects_dangling_refs(reduced_strategy, corrupt,
                                                  message):
     obj = reduced_strategy.to_obj()
     corrupt(obj)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         gr1.Strategy.from_obj(obj)
+
+
+def assert_json_codec(st, path):
+    """`save` writes the reference writer's bytes, `to_obj` is its object,
+    and `load` gives back every array with its int64 dtype and shape."""
+    want = reference_json(st)
+    st.save(path)
+    # compared piece by piece: a diff of two long one-line texts is slow
+    assert path.read_text().split(", ") == want.split(", ")
+    assert st.to_obj() == json.loads(want)
+    back = gr1.Strategy.load(path)
+    if not len(st.edge_next) and not len(st.init_node):
+        # no edge and no init entry carries an env dict, so the file does
+        # not say which variables are the environment's: all load as sys
+        assert (back.n_nodes, back.env_names, back.sys_names) == (
+            0, (), st.names)
+    else:
+        for field in dataclasses.fields(gr1.Strategy):
+            got, was = getattr(back, field.name), getattr(st, field.name)
+            if isinstance(was, np.ndarray):
+                assert got.dtype == np.int64 and got.shape == was.shape, field
+                assert np.array_equal(got, was), field
+            else:
+                assert got == was, field
+    back.save(path)
+    assert path.read_text().split(", ") == want.split(", ")
+
+
+def test_strategy_json_matches_reference_writer_on_corpora(tmp_path):
+    path = tmp_path / "s.json"
+    saved = 0
+    for seed in range(300):
+        a, env_live, sys_live = ar.random_arena(seed)
+        res = gr1.solve(a, env_live, sys_live)
+        if res.realizable:
+            assert_json_codec(gr1.extract_strategy(res, a), path)
+            saved += 1
+    rng = random.Random(11)
+    for _ in range(150):
+        doc = random_document(rng)
+        a = ar.build_arena(doc)
+        res = gr1.solve(a, doc.env_liveness,
+                        doc.sys_liveness or [np.ones(a.n_states, bool)])
+        if res.realizable:
+            assert_json_codec(gr1.extract_strategy(res, a), path)
+            saved += 1
+    assert saved >= 200
+
+
+def test_strategy_json_matches_reference_writer_on_ladder(
+        strategy_for, scenario, tmp_path):
+    from gr1kit.speclang import parse_expr
+    path = tmp_path / "s.json"
+    for bl_init in (9, 12, 26):
+        assert_json_codec(strategy_for(bl_init), path)
+    doc = wd.emit_spec(wd.WorkDeliveryParams(n=4, k_move=1, k_drop=3))
+    a = ar.build_arena(doc)
+    assert_json_codec(gr1.extract_strategy(
+        gr1.solve(a, doc.env_liveness, doc.sys_liveness), a), path)
+    # the assumption sets of the assume-solve benchmark workload
+    doc, a, _ = scenario(12)
+    for env_live in (("!o1",), ("!o1", "!o2"), ("!o1", "!o2", "!stalled")):
+        res = gr1.solve(a, [parse_expr(e) for e in env_live],
+                        doc.sys_liveness)
+        assert_json_codec(gr1.extract_strategy(res, a), path)
+
+
+@pytest.mark.parametrize("text, empty", [
+    ("[ENV_VARS]\n[SYS_VARS]\nx : 0..3\n[SYS_TRANS]\nx' != x\n"
+     "[SYS_LIVENESS]\nx = 0\n", "env"),
+    ("[ENV_VARS]\nu : 0..3\n[SYS_VARS]\n[ENV_TRANS]\nu' != u\n"
+     "[SYS_LIVENESS]\nu = 0 | u = 1 | u = 2 | u = 3\n", "sys"),
+], ids=["no-env-vars", "no-sys-vars"])
+def test_strategy_json_side_without_variables(text, empty, tmp_path):
+    doc = parse_spec(text)
+    a = ar.build_arena(doc)
+    st = gr1.extract_strategy(
+        gr1.solve(a, doc.env_liveness, doc.sys_liveness), a)
+    table = st.edge_env if empty == "env" else st.edge_sys
+    assert table.shape == (len(st.edge_next), 0)
+    path = tmp_path / "s.json"
+    assert_json_codec(st, path)
+    obj = json.loads(path.read_text())
+    assert {e[empty] == {} for nd in obj["nodes"] for e in nd["edges"]} == {True}
+    assert obj["nodes"][0]["edges"]
 
 
 def test_plays_never_leave_winning_region(strategy_for, scenario):

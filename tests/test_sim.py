@@ -13,7 +13,7 @@ from gr1kit import sim
 from gr1kit import workdelivery as wd
 from gr1kit.errors import AdversaryIllegalMove, StrategyHole
 
-from conftest import REDUCED
+from conftest import REDUCED, reference_write_csv
 
 
 def tiny_strategy():
@@ -242,6 +242,46 @@ def test_reduced_trace_bytes(reduced_strategy, reduced_doc):
                                     reduced_doc).max_goal_gap
             for kind in ("min-bl", "max-bl")}
     assert gaps == {"min-bl": 9, "max-bl": 10}
+
+
+def test_write_csv_matches_reference_writer(reduced_strategy, strategy_for):
+    # generic and scenario traces, with frozen rows and pins, at integer and
+    # non-integer steps (0.5 and 1/3 print through %g), and read back
+    events = sim.parse_events("step=2 human_away=1 duration=3\n"
+                              "step=9 human_away=1 duration=1")
+    pinned = events + sim.parse_events("step=4 set s=1")
+    cases = [(tiny_strategy()[0], events)]
+    for seed in range(40):
+        a, env_live, sys_live = ar.random_arena(seed)
+        res = gr1.solve(a, env_live, sys_live)
+        if res.realizable:
+            cases.append((gr1.extract_strategy(res, a), events))
+        if len(cases) == 8:
+            break
+    cases += [(reduced_strategy, pinned), (strategy_for(12), pinned)]
+    written = 0
+    for st, ev in cases:
+        for kind, td in (("random", 10.0), ("min-bl", 0.5), ("max-bl", 1 / 3),
+                         ("scripted", 7)):
+            try:
+                tr = sim.run(st, sim.make_adversary(kind, seed=written), 30,
+                             events=ev, td=td)
+            except StrategyHole:
+                continue
+            assert tr.human_away.any()
+            for t in (tr, sim.read_csv(io.StringIO(csv_text(tr)))):
+                want = io.StringIO()
+                reference_write_csv(t, want)
+                assert csv_text(t).splitlines(keepends=True) == \
+                    want.getvalue().splitlines(keepends=True), (kind, td)
+            written += 1
+    assert written >= 20
+
+
+def csv_text(trace):
+    buf = io.StringIO()
+    sim.write_csv(trace, buf)
+    return buf.getvalue()
 
 
 def test_csv_header_and_roundtrip(strategy_for):
