@@ -1,9 +1,9 @@
 """Verification of traces and strategies against a specification.
 
 Each clause is evaluated once, by ``speclang.eval_expr`` over columns:
-slices of a trace's ``vals`` matrix (the previous row against the next
-one for transitions; rows where the human is away are not transitions) or
-a controller's ``node_vals``.  A variable the clause references but the
+the previous-row and next-row matrices of a trace's ``vals``, each
+gathered once (rows where the human is away are not transitions), or a
+controller's ``node_vals``.  A variable the clause references but the
 trace or controller lacks raises MissingBinding.
 
 * ``check_safety``: every transition of a trace against all safety clauses,
@@ -20,7 +20,12 @@ trace or controller lacks raises MissingBinding.
   environment assumption.  Reports the worst inter-goal gap, which is a
   sound window for ``check_recurrence`` under the same adversary.
 * ``verify_strategy_closure``: structural totality of a controller against
-  an arena, optionally with winning-region membership.
+  an arena, optionally with winning-region membership, and its initial
+  entries: exactly one per legal initial env assignment, each at an
+  initial (and winning) state carrying that assignment.  Pairs and edges
+  are looked up among the pairs of the controller's own states only, so
+  a call costs O(nodes + edges of those pairs + env assignments), not
+  O(arena edges).
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .arena import _gather
 from .errors import AdversaryNotFinite, StrategyHole
 from .sim import _advance
 from .speclang import eval_expr, format_expr
@@ -74,29 +80,33 @@ def check_safety(trace, doc):
     order, and within a row domain first, then clause order."""
     if not len(trace.vals):
         return _verdict([("trace", "empty", "no rows to check")])
-    col = dict(zip(trace.names, trace.vals.T))
-    found = []      # domain, then clause order; a stable sort by row follows
-    for d in doc.vars:
-        if d.name in col:
-            vals = col[d.name]
-            for k in np.flatnonzero((vals < d.lo) | (vals > d.hi)).tolist():
-                found.append((k, "domain", f"{d.name} = {vals[k]} "
-                                           f"outside {d.lo}..{d.hi}"))
+    column = {name: k for k, name in enumerate(trace.names)}
+    decls = [d for d in doc.vars if d.name in column]
+    vals = trace.vals[:, [column[d.name] for d in decls]]
+    bounds = np.array([(d.lo, d.hi) for d in decls], np.int64).reshape(-1, 2)
+    rows, cols = np.nonzero((vals < bounds[:, 0]) | (vals > bounds[:, 1]))
+    found = [(k, "domain", f"{decls[j].name} = {vals[k, j]} outside "
+                           f"{decls[j].lo}..{decls[j].hi}")
+             for k, j in zip(rows.tolist(), cols.tolist())]
     # clauses referencing only next-step values double as invariants on the
     # later snapshot, so the pairwise sweep covers them at every reached row
     steps = np.flatnonzero(~trace.human_away[1:]) + 1
-    init = (np.zeros(1, np.int64), {n: v[:1] for n, v in col.items()}, None,
-            "init violated")
-    trans = (steps, {n: v[steps - 1] for n, v in col.items()},
-             {n: v[steps] for n, v in col.items()}, "violated")
+    init = (np.zeros(1, np.int64), dict(zip(trace.names, trace.vals[:1].T)),
+            None, "init violated")
+    trans = (steps, dict(zip(trace.names, trace.vals[steps - 1].T)),
+             dict(zip(trace.names, trace.vals[steps].T)), "violated")
     for kind, clauses, (where, cur, nxt, what) in (
             ("env_init", doc.env_init, init), ("sys_init", doc.sys_init, init),
             ("env_trans", doc.env_safety, trans),
             ("sys_trans", doc.sys_safety, trans)):
         for i, c in enumerate(clauses):
-            held = np.broadcast_to(eval_expr(c, cur, nxt), where.shape)
+            held = eval_expr(c, cur, nxt)
+            if held.all():
+                continue
+            bad = where[~np.broadcast_to(held, where.shape)]
             found += [(k, f"{kind}[{i}]", f"{what}: {format_expr(c)}")
-                      for k in where[~held].tolist()]
+                      for k in bad.tolist()]
+    # a stable sort: within a row, domain findings stay first
     return _verdict(sorted(found, key=lambda v: v[0]))
 
 
@@ -192,6 +202,11 @@ def _find(keys, queries):
     return np.where(hit, pos, -1)
 
 
+def _span(indptr, rows):
+    """Length of each row's slice of a CSR `indptr`."""
+    return indptr[rows + 1] - indptr[rows]
+
+
 def verify_strategy_closure(strategy, arena, result=None):
     """Totality and consistency of a controller against an arena.
 
@@ -200,41 +215,57 @@ def verify_strategy_closure(strategy, arena, result=None):
     move, the successor node carries the combined assignment, and the goal
     index advances exactly on nodes satisfying their current goal (when
     `result` is given, which also enables the winning-region membership
-    check).  A value outside its variable's domain is never legal."""
+    check).  A value outside its variable's domain is never legal.  Then
+    the initial entries: one per legal initial env assignment and none
+    other, each at a node whose state carries the entry's env values, is
+    initial and, when `result` is given, winning.
+
+    Pairs and edges are looked up only among the pairs of the controller's
+    own states, so a call costs O(nodes + edges of those pairs + env
+    assignments), not O(arena edges)."""
     st, a = strategy, arena
     if st.names != a.names:
         return _verdict([("vars", "order", f"strategy vars {st.names} != "
                                            f"arena vars {a.names}")])
-    owner = np.repeat(np.arange(st.n_nodes), np.diff(st.edge_indptr))
+    nodes = np.arange(st.n_nodes)
+    owner = np.repeat(nodes, np.diff(st.edge_indptr))
     s = a.state_codec.index(st.node_vals)           # -1: outside the domain
     here = s[owner]
     e = np.where(here < 0, -1, a.env_codec.index(st.edge_env))
     # each edge's claimed successor state, -1 outside the domain
     t = a.state_codec.index(np.hstack([st.edge_env, st.edge_sys]))
-    # the arena's pairs are sorted by state * n_env + env' and its edges by
-    # pair * n_states + successor; a key of -1 finds nothing
-    pair = _find(a.pair_state * a.n_env + a.env_next,
-                 np.where(e < 0, -1, here * a.n_env + e))
-    edge_pair = np.repeat(np.arange(a.n_pairs), np.diff(a.sys_indptr))
-    sys_ok = _find(edge_pair * a.n_states + a.edge_succ,
-                   np.where((pair < 0) | (t < 0), -1,
-                            pair * a.n_states + t)) >= 0
+    # the pairs of each node's state, env' ascending, so node * n_env + env'
+    # ascends along them: one search finds each edge's pair, and a key of
+    # -1 finds nothing
+    degree = np.where(s < 0, 0, _span(a.env_indptr, s))
+    move_node = np.repeat(nodes, degree)
+    move_pair = _gather(a.env_indptr, s[s >= 0])
+    pos = _find(move_node * a.n_env + a.env_next[move_pair],
+                np.where(e < 0, -1, owner * a.n_env + e))
+    legal = pos >= 0
+    pair = np.where(legal, move_pair[pos], -1)
+    answered = np.zeros(len(move_pair), dtype=bool)
+    answered[pos[legal]] = True
+    # a legal response is one of its pair's successors
+    ask = np.flatnonzero(legal & (t >= 0))
+    asker = np.repeat(ask, _span(a.sys_indptr, pair[ask]))
+    sys_ok = np.zeros(len(owner), dtype=bool)
+    sys_ok[asker[a.edge_succ[_gather(a.sys_indptr, pair[ask])]
+                 == t[asker]]] = True
     succ_ok = s[st.edge_next] == t
     goal_ok, winning = np.ones(len(owner), bool), np.ones(st.n_nodes, bool)
     if result is not None:
+        holds = np.zeros(st.n_nodes, dtype=bool)
+        for j, goal in enumerate(result.goals):
+            at = np.flatnonzero((st.node_goal == j) & (s >= 0))
+            holds[at] = goal[s[at]]
         j = st.node_goal[owner]
-        known = (here >= 0) & (j >= 0) & (j < len(result.goals))
-        holds = np.zeros(len(owner), dtype=bool)
-        holds[known] = np.array(result.goals)[j[known], here[known]]
         goal_ok = st.node_goal[st.edge_next] == np.where(
-            holds, (j + 1) % st.n_goals, j)
+            holds[owner], (j + 1) % st.n_goals, j)
         winning = (s < 0) | result.winning[s]
-    legal = pair >= 0
     per_node = functools.partial(np.bincount, minlength=st.n_nodes)
-    degree = np.diff(a.env_indptr)[s]
-    distinct = np.unique(np.column_stack([owner, pair])[legal], axis=0)[:, 0]
     bad = ((s < 0) | ~winning | (per_node(owner[legal]) != degree) |
-           (per_node(distinct) != degree) |
+           (per_node(move_node[~answered]) > 0) |
            (per_node(owner[~(sys_ok & succ_ok & goal_ok)]) > 0))
 
     violations = []
@@ -264,4 +295,39 @@ def verify_strategy_closure(strategy, arena, result=None):
                 add(f"successor mismatch on {have[k]}")
             if not goal_ok[k]:
                 add("goal index must advance exactly on goal states", "goal")
-    return _verdict(violations)
+    return _verdict(violations + _init_violations(st, a, s, result))
+
+
+def _init_violations(st, a, s, result):
+    """Findings on the initial entries; `s` is each node's state index."""
+    entry = a.env_codec.index(st.init_env)          # -1: outside the domain
+    count = np.bincount(entry[entry >= 0], minlength=a.n_env)
+    found = [("init", "init", f"no init entry for legal env assignment "
+                              f"{a.env_codec.decode(m)}")
+             for m in np.flatnonzero(a.env_init & (count == 0)).tolist()]
+    found += [("init", "init", f"duplicate init entries for env assignment "
+                               f"{a.env_codec.decode(m)}")
+              for m in np.flatnonzero(count > 1).tolist()]
+    node = st.init_node
+    state = s[node]
+    legal = (entry >= 0) & a.env_init[entry]
+    carried = (st.node_vals[node, :a.n_env_vars] == st.init_env).all(axis=1)
+    initial = (state >= 0) & a.sys_init[state]
+    winning = ((state < 0) | result.winning[state] if result is not None
+               else np.ones(len(node), bool))
+    for k in np.flatnonzero(~(legal & carried & initial & winning)).tolist():
+        env, nid = tuple(st.init_env[k].tolist()), int(node[k])
+        if not legal[k]:
+            found.append(("init", "init",
+                          f"init entry for illegal env assignment {env}"))
+            continue
+        if not initial[k]:
+            found.append(("init", "init",
+                          f"init node {nid} state is not initial"))
+        if not carried[k]:
+            found.append(("init", "init", f"init node {nid} does not carry "
+                                          f"env assignment {env}"))
+        if not winning[k]:
+            found.append(("init", "winning", f"init node {nid} state outside "
+                                             "the winning region"))
+    return found

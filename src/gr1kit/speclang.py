@@ -20,7 +20,6 @@ environment variables.
 
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass, field
 
@@ -56,13 +55,23 @@ class VarDecl:
         return self.hi - self.lo + 1
 
 
+class _Clause:
+    """Base of the boolean expression nodes.  ``eval_expr`` caches a node's
+    compiled form in its instance dict; equality and hashing read only the
+    dataclass fields, and the state that copying and pickling take leaves
+    the cache out."""
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_compiled"}
+
+
 @dataclass(frozen=True)
-class BoolLit:
+class BoolLit(_Clause):
     value: bool
 
 
 @dataclass(frozen=True)
-class VarRef:
+class VarRef(_Clause):
     """A variable used as a boolean atom."""
     name: str
     primed: bool
@@ -77,35 +86,35 @@ class IntTerm:
 
 
 @dataclass(frozen=True)
-class Cmp:
+class Cmp(_Clause):
     op: str               # = != < <= > >=
     lhs: IntTerm
     rhs: IntTerm
 
 
 @dataclass(frozen=True)
-class Not:
+class Not(_Clause):
     arg: object
 
 
 @dataclass(frozen=True)
-class And:
+class And(_Clause):
     args: tuple
 
 
 @dataclass(frozen=True)
-class Or:
+class Or(_Clause):
     args: tuple
 
 
 @dataclass(frozen=True)
-class Implies:
+class Implies(_Clause):
     lhs: object
     rhs: object
 
 
 @dataclass(frozen=True)
-class Iff:
+class Iff(_Clause):
     lhs: object
     rhs: object
 
@@ -589,14 +598,75 @@ _COMPARE = {"=": np.equal, "!=": np.not_equal, "<": np.less,
             "<=": np.less_equal, ">": np.greater, ">=": np.greater_equal}
 
 
-def _binding(ref, current, nxt):
-    """Value of a variable reference (VarRef or IntTerm with a name)."""
-    env = nxt if ref.primed else current
-    if env is None or ref.name not in env:
-        where = "next" if ref.primed else "current"
-        raise MissingBinding(f"{ref.name}{'′' if ref.primed else ''} missing "
-                             f"from {where} valuation")
-    return env[ref.name]
+def _missing(name, primed):
+    where = "next" if primed else "current"
+    return MissingBinding(f"{name}{'′' if primed else ''} missing from "
+                          f"{where} valuation")
+
+
+# The closures below take their operands as default arguments: those are
+# read as locals, and a closure needs no cell per operand, which keeps the
+# compile of a freshly parsed document cheap.
+
+
+def _term(t):
+    """Closure for an integer term: its constant, or its variable's value
+    from the valuation plus the offset."""
+    if t.name is None:
+        return lambda current, nxt, offset=t.offset: offset
+
+    def term(current, nxt, name=t.name, primed=t.primed, offset=t.offset):
+        env = nxt if primed else current
+        if env is None or name not in env:
+            raise _missing(name, primed)
+        return env[name] + offset
+    return term
+
+
+def _compile(e):
+    """The expression as one closure ``(current, nxt) -> value``.  The
+    closures hold names, offsets, ufuncs and each other, never an
+    expression node, so caching one in its node makes no cycle."""
+    kind = type(e)
+    if kind is Cmp:
+        op, lhs = _COMPARE[e.op], _term(e.lhs)
+        if e.rhs.name is None:          # the usual ``variable op constant``
+            return lambda current, nxt, op=op, lhs=lhs, k=e.rhs.offset: op(
+                lhs(current, nxt), k)
+        return lambda current, nxt, op=op, lhs=lhs, rhs=_term(e.rhs): op(
+            lhs(current, nxt), rhs(current, nxt))
+    if kind is VarRef:
+        def ref(current, nxt, name=e.name, primed=e.primed):
+            env = nxt if primed else current
+            if env is None or name not in env:
+                raise _missing(name, primed)
+            return np.not_equal(env[name], 0)
+        return ref
+    if kind is And or kind is Or:
+        def fold(current, nxt, parts=tuple(map(_compile, e.args)),
+                 ufunc=np.logical_and if kind is And else np.logical_or,
+                 start=np.True_ if kind is And else np.False_):
+            out = start
+            for part in parts:
+                out = ufunc(out, part(current, nxt))
+            return out
+        return fold
+    if kind is Not:
+        def not_(current, nxt, arg=_compile(e.arg)):
+            return np.logical_not(arg(current, nxt))
+        return not_
+    if kind is Implies:
+        def implies(current, nxt, lhs=_compile(e.lhs), rhs=_compile(e.rhs)):
+            return np.logical_or(np.logical_not(lhs(current, nxt)),
+                                 rhs(current, nxt))
+        return implies
+    if kind is Iff:
+        def iff(current, nxt, lhs=_compile(e.lhs), rhs=_compile(e.rhs)):
+            return np.equal(lhs(current, nxt), rhs(current, nxt))
+        return iff
+    if kind is BoolLit:
+        return lambda current, nxt, value=np.bool_(e.value): value
+    raise TypeError(f"not an expression: {e!r}")
 
 
 def eval_expr(e, current, nxt=None):
@@ -610,34 +680,22 @@ def eval_expr(e, current, nxt=None):
     valuation always raises MissingBinding.  Integer arithmetic is exact
     on ints; nothing is clamped here.
 
+    An expression is compiled once, on its first evaluation, into a tree
+    of closures that make the same ufunc calls in the same order as a walk
+    over its nodes would, and the root closure is cached in the node's
+    instance dict; later calls look it up there, without hashing the
+    tree.  Equality, hashing, copying and pickling of expressions do not
+    see that cache.
+
     This is the toolkit's only evaluator: the arena compiler calls it over
     the axes of its truth tables, and the checkers over trace and
     controller columns.
     """
-    if isinstance(e, BoolLit):
-        return np.bool_(e.value)
-    if isinstance(e, VarRef):
-        return np.not_equal(_binding(e, current, nxt), 0)
-    if isinstance(e, Cmp):
-        a, b = (t.offset if t.name is None
-                else _binding(t, current, nxt) + t.offset
-                for t in (e.lhs, e.rhs))
-        return _COMPARE[e.op](a, b)
-    if isinstance(e, Not):
-        return np.logical_not(eval_expr(e.arg, current, nxt))
-    if isinstance(e, And):
-        return functools.reduce(np.logical_and, (eval_expr(a, current, nxt)
-                                                 for a in e.args), True)
-    if isinstance(e, Or):
-        return functools.reduce(np.logical_or, (eval_expr(a, current, nxt)
-                                                for a in e.args), False)
-    if isinstance(e, Implies):
-        return np.logical_or(np.logical_not(eval_expr(e.lhs, current, nxt)),
-                             eval_expr(e.rhs, current, nxt))
-    if isinstance(e, Iff):
-        return np.equal(eval_expr(e.lhs, current, nxt),
-                        eval_expr(e.rhs, current, nxt))
-    raise TypeError(f"not an expression: {e!r}")
+    try:
+        fn = e.__dict__["_compiled"]
+    except (AttributeError, KeyError):
+        fn = e.__dict__["_compiled"] = _compile(e)
+    return fn(current, nxt)
 
 
 def expr_refs(e):

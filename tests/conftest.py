@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from gr1kit import arena as ar
 from gr1kit import gr1
 from gr1kit import sim
+from gr1kit import speclang as sl
 from gr1kit import workdelivery as wd
 
 
@@ -79,6 +81,113 @@ def reference_write_csv(trace, fp):
                                   rows, trace.human_away.astype(int).tolist()):
         time_s = str(int(t)) if float(t).is_integer() else f"{t:g}"
         fp.write(",".join(map(str, [step, time_s, *row, away])) + "\n")
+
+
+# --------------------------------------------------------------------------
+# reference checkers: a clause-by-clause loop over per-variable columns for
+# trace safety, and a closure check that builds search keys over every pair
+# and edge of the arena; `check.check_safety` and the node findings of
+# `check.verify_strategy_closure` must match them, order included
+
+
+def reference_check_safety(trace, doc):
+    """The violation list of `check.check_safety`."""
+    if not len(trace.vals):
+        return [("trace", "empty", "no rows to check")]
+    col = dict(zip(trace.names, trace.vals.T))
+    found = []
+    for d in doc.vars:
+        if d.name in col:
+            vals = col[d.name]
+            for k in np.flatnonzero((vals < d.lo) | (vals > d.hi)).tolist():
+                found.append((k, "domain", f"{d.name} = {vals[k]} "
+                                           f"outside {d.lo}..{d.hi}"))
+    steps = np.flatnonzero(~trace.human_away[1:]) + 1
+    init = (np.zeros(1, np.int64), {n: v[:1] for n, v in col.items()}, None,
+            "init violated")
+    trans = (steps, {n: v[steps - 1] for n, v in col.items()},
+             {n: v[steps] for n, v in col.items()}, "violated")
+    for kind, clauses, (where, cur, nxt, what) in (
+            ("env_init", doc.env_init, init), ("sys_init", doc.sys_init, init),
+            ("env_trans", doc.env_safety, trans),
+            ("sys_trans", doc.sys_safety, trans)):
+        for i, c in enumerate(clauses):
+            held = np.broadcast_to(sl.eval_expr(c, cur, nxt), where.shape)
+            found += [(k, f"{kind}[{i}]", f"{what}: {sl.format_expr(c)}")
+                      for k in where[~held].tolist()]
+    return sorted(found, key=lambda v: v[0])
+
+
+def _reference_find(keys, queries):
+    pos = np.searchsorted(keys, queries)
+    hit = pos < len(keys)
+    hit[hit] = keys[pos[hit]] == queries[hit]
+    return np.where(hit, pos, -1)
+
+
+def reference_closure(st, a, result=None):
+    """The node findings of `check.verify_strategy_closure`: everything but
+    the initial entries."""
+    if st.names != a.names:
+        return [("vars", "order", f"strategy vars {st.names} != "
+                                  f"arena vars {a.names}")]
+    owner = np.repeat(np.arange(st.n_nodes), np.diff(st.edge_indptr))
+    s = a.state_codec.index(st.node_vals)
+    here = s[owner]
+    e = np.where(here < 0, -1, a.env_codec.index(st.edge_env))
+    t = a.state_codec.index(np.hstack([st.edge_env, st.edge_sys]))
+    pair = _reference_find(a.pair_state * a.n_env + a.env_next,
+                           np.where(e < 0, -1, here * a.n_env + e))
+    edge_pair = np.repeat(np.arange(a.n_pairs), np.diff(a.sys_indptr))
+    sys_ok = _reference_find(edge_pair * a.n_states + a.edge_succ,
+                             np.where((pair < 0) | (t < 0), -1,
+                                      pair * a.n_states + t)) >= 0
+    succ_ok = s[st.edge_next] == t
+    goal_ok, winning = np.ones(len(owner), bool), np.ones(st.n_nodes, bool)
+    if result is not None:
+        j = st.node_goal[owner]
+        known = (here >= 0) & (j >= 0) & (j < len(result.goals))
+        holds = np.zeros(len(owner), dtype=bool)
+        holds[known] = np.array(result.goals)[j[known], here[known]]
+        goal_ok = st.node_goal[st.edge_next] == np.where(
+            holds, (j + 1) % st.n_goals, j)
+        winning = (s < 0) | result.winning[s]
+    legal = pair >= 0
+    per_node = functools.partial(np.bincount, minlength=st.n_nodes)
+    degree = np.diff(a.env_indptr)[s]
+    distinct = np.unique(np.column_stack([owner, pair])[legal], axis=0)[:, 0]
+    bad = ((s < 0) | ~winning | (per_node(owner[legal]) != degree) |
+           (per_node(distinct) != degree) |
+           (per_node(owner[~(sys_ok & succ_ok & goal_ok)]) > 0))
+
+    violations = []
+    for nid in np.flatnonzero(bad).tolist():
+        def add(detail, clause="closure"):
+            violations.append((nid, clause, detail))
+        if s[nid] < 0:
+            add(f"state {dict(zip(st.names, st.node_vals[nid].tolist()))} "
+                "outside the arena's domain")
+            continue
+        edges = range(st.edge_indptr[nid], st.edge_indptr[nid + 1])
+        have = dict(zip(edges, map(tuple, st.edge_env[edges].tolist())))
+        if len(set(have.values())) < len(have):
+            add("duplicate edges")
+        moves = a.env_next[a.env_indptr[s[nid]]:a.env_indptr[s[nid] + 1]]
+        for m in moves[~np.isin(moves, e[edges])]:
+            add(f"no edge for legal env move {a.env_codec.decode(m)}")
+        for m in sorted({have[k] for k in edges if not legal[k]}):
+            add(f"edge for illegal env move {m}")
+        if not winning[nid]:
+            add("node state outside the winning region", "winning")
+        for k in (k for k in edges if legal[k]):
+            if not sys_ok[k]:
+                add(f"illegal sys response to {have[k]}")
+                continue
+            if not succ_ok[k]:
+                add(f"successor mismatch on {have[k]}")
+            if not goal_ok[k]:
+                add("goal index must advance exactly on goal states", "goal")
+    return violations
 
 
 REDUCED = dict(n=2, bl_max=10, gamma_units=1, delta_units=5,

@@ -12,6 +12,8 @@ from gr1kit import sim
 from gr1kit.errors import AdversaryNotFinite
 from gr1kit.speclang import parse_expr, parse_spec
 
+from conftest import reference_check_safety, reference_closure
+
 
 def make_trace(doc_names, rows_states, frozen=()):
     names, step = tuple(doc_names), np.arange(len(rows_states))
@@ -262,10 +264,24 @@ def _mutate(st, keep_edges, case):
         bad.node_vals[8, 6:] = (0, 3)   # node 8 has hf = 1, tries = 0
     elif case == "aliased edge value":
         bad.edge_sys[8, 2:] = (0, 3)    # edge 8 belongs to node 6
+    elif case == "no init entry":
+        bad = dataclasses.replace(st, init_env=st.init_env[:0],
+                                  init_node=st.init_node[:0])
+    elif case == "init node not initial":
+        bad = dataclasses.replace(st, init_node=np.array([1]))
+    elif case == "init env not legal":
+        bad = dataclasses.replace(st, init_env=np.array([[6, 1, 1, 1]]))
+    elif case == "duplicate init entry":
+        bad = dataclasses.replace(st, init_env=st.init_env[[0, 0]],
+                                  init_node=st.init_node[[0, 0]])
     return bad
 
 
-@pytest.mark.parametrize("case, expected", [
+INIT_CASES = ("no init entry", "init node not initial", "init env not legal",
+              "duplicate init entry")
+
+
+MUTATIONS = [
     ("dropped edge", (0, "closure", "no edge for legal env move (5, 0, 0, 1)")),
     ("duplicated edge", (0, "closure", "duplicate edges")),
     ("illegal env move",
@@ -285,7 +301,20 @@ def _mutate(st, keep_edges, case):
                     "arena's domain")),
     ("aliased edge value",
      (6, "closure", "illegal sys response to (7, 0, 0, 0)")),
-])
+    # the one legal initial env assignment is (5, 0, 0, 0), at node 0;
+    # node 1 has bl = 4 and act = 1
+    ("no init entry", ("init", "init", "no init entry for legal env "
+                                       "assignment (5, 0, 0, 0)")),
+    ("init node not initial",
+     ("init", "init", "init node 1 state is not initial")),
+    ("init env not legal",
+     ("init", "init", "init entry for illegal env assignment (6, 1, 1, 1)")),
+    ("duplicate init entry", ("init", "init", "duplicate init entries for "
+                                              "env assignment (5, 0, 0, 0)")),
+]
+
+
+@pytest.mark.parametrize("case, expected", MUTATIONS)
 def test_closure_mutations(reduced_strategy, reduced_arena, reduced_result,
                            keep_edges, case, expected):
     st = reduced_strategy
@@ -321,3 +350,119 @@ def test_verdict_render_and_summary():
     text = v.render()
     assert "FAIL" in text and "broken" in text and "7" in text
     assert v.summary()["violations"][0]["where"] == 3
+
+
+# --------------------------------------------------------------------------
+# the checkers against the reference checkers in conftest.py
+
+
+def node_findings(violations):
+    return [v for v in violations if v[0] != "init"]
+
+
+def scenario_traces(strategy):
+    """Random, greedy and scripted runs of 180 steps, two of them with a
+    human-away span."""
+    away = sim.parse_events("step=20 human_away=1 duration=6")
+    runs = [(sim.make_adversary("random", seed=k), ()) for k in range(3)]
+    runs += [(sim.make_adversary(kind), ()) for kind in ("min-bl", "max-bl")]
+    runs += [(sim.make_adversary("random", seed=7), away),
+             (sim.make_adversary("scripted", 3, away), away)]
+    return [sim.run(strategy, adv, 180, events=ev) for adv, ev in runs]
+
+
+def test_safety_matches_reference(strategy_for, scenario, reduced_doc,
+                                  reduced_strategy):
+    rng = np.random.default_rng(0)
+    cases = [(scenario(b)[0], strategy_for(b)) for b in (9, 12, 26)]
+    cases.append((reduced_doc, reduced_strategy))
+    failing = 0
+    for doc, st in cases:
+        lo = np.array([doc.decl(n).lo for n in st.names])
+        hi = np.array([doc.decl(n).hi for n in st.names])
+        for tr in scenario_traces(st):
+            assert (check.check_safety(tr, doc).violations ==
+                    reference_check_safety(tr, doc))
+            frozen = np.flatnonzero(tr.human_away)
+            for m in range(30):
+                kind = ("in domain", "out of domain", "frozen row")[m % 3]
+                rows = (frozen if kind == "frozen row" and len(frozen)
+                        else np.arange(len(tr.vals)))
+                k, j = rng.choice(rows), rng.integers(len(st.names))
+                value = (rng.integers(lo[j], hi[j] + 1)
+                         if kind != "out of domain" else
+                         rng.choice([lo[j] - 1 - rng.integers(3),
+                                     hi[j] + 1 + rng.integers(3)]))
+                bad = dataclasses.replace(tr, vals=tr.vals.copy())
+                bad.vals[k, j] = value
+                got = check.check_safety(bad, doc).violations
+                assert got == reference_check_safety(bad, doc), (kind, k, j)
+                failing += bool(got)
+    assert failing > 300
+
+
+def test_closure_matches_reference_on_mutation_cases(
+        reduced_strategy, reduced_arena, reduced_result, keep_edges):
+    for case, _ in MUTATIONS:
+        bad = _mutate(reduced_strategy, keep_edges, case)
+        for result in (None, reduced_result):
+            got = check.verify_strategy_closure(bad, reduced_arena,
+                                                result).violations
+            want = reference_closure(bad, reduced_arena, result)
+            assert node_findings(got) == want, case
+            assert (got != want) == (case in INIT_CASES), case
+
+
+def test_closure_matches_reference_on_random_mutations(
+        reduced_strategy, reduced_arena, reduced_result):
+    st, a = reduced_strategy, reduced_arena
+    rng = np.random.default_rng(1)
+    lo = np.array([d.lo for d in a.decls])
+    hi = np.array([d.hi for d in a.decls])
+    n_env = a.n_env_vars
+    init_nodes = set(st.init_node.tolist())
+    failing = 0
+    for m in range(1000):
+        bad = dataclasses.replace(
+            st, node_vals=st.node_vals.copy(), edge_env=st.edge_env.copy(),
+            edge_sys=st.edge_sys.copy(), edge_next=st.edge_next.copy())
+        field = ("edge_env", "edge_sys", "edge_next", "node_vals")[m % 4]
+        arr = getattr(bad, field)
+        k = rng.integers(len(arr))
+        if field == "edge_next":
+            arr[k] = rng.integers(st.n_nodes)
+        else:
+            j = rng.integers(arr.shape[1])
+            v = j + (n_env if field == "edge_sys" else 0)
+            arr[k, j] = rng.integers(lo[v] - 1, hi[v] + 2)
+        result = reduced_result if m // 4 % 2 else None
+        got = check.verify_strategy_closure(bad, a, result).violations
+        assert node_findings(got) == reference_closure(bad, a, result), m
+        if not (field == "node_vals" and k in init_nodes):
+            assert got == node_findings(got), m
+        failing += bool(got)
+    assert failing > 500
+
+
+def test_closure_matches_reference_on_random_arenas():
+    rng = np.random.default_rng(2)
+    realizable = failing = 0
+    for seed in range(600):
+        a, env_live, sys_live = ar.random_arena(seed)
+        res = gr1.solve(a, env_live, sys_live)
+        if not res.realizable:
+            continue
+        realizable += 1
+        st = gr1.extract_strategy(res, a)
+        # and one successor redirected, which the init entries do not see
+        bad = dataclasses.replace(st, edge_next=st.edge_next.copy())
+        if len(bad.edge_next):
+            bad.edge_next[rng.integers(len(bad.edge_next))] = rng.integers(
+                st.n_nodes)
+        for result in (None, res):
+            got = check.verify_strategy_closure(st, a, result).violations
+            assert got == reference_closure(st, a, result) == [], seed
+            got = check.verify_strategy_closure(bad, a, result).violations
+            assert got == reference_closure(bad, a, result), seed
+            failing += bool(got)
+    assert realizable > 300 and failing > 100, (realizable, failing)

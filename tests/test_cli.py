@@ -237,6 +237,20 @@ def test_check_closure(workdir, tmp_path, capsys):
                     "--strategy", str(broken)]) == 4
 
 
+def test_check_closure_reads_init_entries(workdir, tmp_path, capsys):
+    root, spec, strat = workdir
+    obj = json.loads(strat.read_text())
+    (entry,) = obj["init"]
+    for init in ([], [dict(entry, node=1)],
+                 [dict(entry, env=dict(entry["env"], bl=6, s=1, o1=1,
+                                       stalled=1))]):
+        broken = tmp_path / "init.json"
+        broken.write_text(json.dumps(dict(obj, init=init)))
+        assert run_cli(["check", "--spec", str(spec), "--mode", "closure",
+                        "--strategy", str(broken)]) == 4
+        assert "at init: [init]" in capsys.readouterr().out
+
+
 def test_oracle_random_corpus(capsys):
     assert run_cli(["oracle", "--random", "10", "--seed", "0"]) == 0
     assert "0 mismatches" in capsys.readouterr().out

@@ -1,4 +1,7 @@
+import copy
+import pickle
 import random
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -122,6 +125,31 @@ def test_eval_expr_matches_reference_elementwise():
             want = [reference_eval(c, a, b) for a, b in rows]
             assert np.broadcast_to(got, (n,)).tolist() == want, format_expr(c)
             assert [bool(eval_expr(c, a, b)) for a, b in rows[:3]] == want[:3]
+
+
+def test_evaluated_document_compares_copies_and_pickles():
+    def clauses(doc):
+        return (doc.env_init + doc.sys_init + doc.env_safety + doc.sys_safety
+                + doc.env_liveness + doc.sys_liveness)
+
+    text = (DATA / "work_delivery_n3.spec").read_text()
+    doc, fresh = parse_spec(text), parse_spec(text)
+    vals = {d.name: np.array([d.lo, d.hi]) for d in doc.vars}
+    before = [eval_expr(c, vals, vals).tolist() for c in clauses(doc)]
+    assert doc == fresh
+    assert list(map(hash, clauses(doc))) == list(map(hash, clauses(fresh)))
+    for back in (copy.deepcopy(doc), pickle.loads(pickle.dumps(doc))):
+        assert back == doc and print_spec(back) == text
+        assert [eval_expr(c, vals, vals).tolist()
+                for c in clauses(back)] == before
+
+
+def test_compiled_clause_leaves_with_its_expression():
+    e = parse_expr("x' = x + 1 & !ok")
+    assert eval_expr(e, {"x": 1, "ok": 0}, {"x": 2})
+    gone = weakref.ref(e)
+    del e
+    assert gone() is None
 
 
 def test_eval_is_exact_integer_arithmetic():
