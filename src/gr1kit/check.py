@@ -140,7 +140,8 @@ def lasso_check(strategy, adversary, doc):
     assumption.  `max_goal_gap` is the largest number of consecutive steps
     without a given goal over all runs: a recurrence window that is sound
     for runs against that deterministic adversary, not for every
-    environment behaviour (ROADMAP direction 1 gives the exact bound)."""
+    environment behaviour (ROADMAP direction 1 gives the exact bound).
+    A strategy without initial nodes has no run to check, and fails."""
     if not getattr(adversary, "deterministic_finite", False):
         raise AdversaryNotFinite(
             f"adversary {getattr(adversary, 'kind', '?')} has unbounded state")
@@ -151,7 +152,8 @@ def lasso_check(strategy, adversary, doc):
              for g in doc.sys_liveness]
     assumed = [np.broadcast_to(eval_expr(a, vals), (strategy.n_nodes,))
                for a in doc.env_liveness]
-    violations = []
+    violations = [] if len(strategy.init_node) else [
+        ("init", "init", "strategy has no initial nodes")]
     worst_gap = 0
 
     for start in dict.fromkeys(strategy.init_node.tolist()):

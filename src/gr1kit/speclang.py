@@ -12,6 +12,14 @@ between a variable (optionally offset by ``+ k`` / ``- k``) or a literal,
 next-step references written ``name'``, and parentheses.  ``#`` starts a
 comment.
 
+One validator serves parsed and built documents alike: ``parse_spec`` only
+builds declarations and clauses, then runs the checker that
+``validate_document`` runs, so the printed text of an accepted document
+parses back to an equal one.  A name must be an identifier other than the
+reserved words ``true`` and ``false``, declared once, owned by env or sys,
+over a non-empty range; a ``bool`` ranges over exactly ``0..1``.  A
+document without system liveness clauses gets the goal ``true``.
+
 Ownership discipline: environment transition clauses may not mention
 next-step system variables, init and liveness clauses may not mention
 next-step variables at all, and environment init clauses may only mention
@@ -22,6 +30,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -29,11 +38,18 @@ from .errors import Diagnostic, MissingBinding, SpecError
 
 ENV = "env"
 SYS = "sys"
+_OWNERS = (ENV, SYS)
 
-SECTIONS = (
-    "[ENV_VARS]", "[SYS_VARS]", "[ENV_INIT]", "[SYS_INIT]",
-    "[ENV_TRANS]", "[SYS_TRANS]", "[ENV_LIVENESS]", "[SYS_LIVENESS]",
-)
+# Every section header, in canonical order, with what its lines fill: the
+# owner of the variables it declares, or the document field of its clauses.
+_SECTION_FIELD = {
+    "[ENV_VARS]": ENV, "[SYS_VARS]": SYS,
+    "[ENV_INIT]": "env_init", "[SYS_INIT]": "sys_init",
+    "[ENV_TRANS]": "env_safety", "[SYS_TRANS]": "sys_safety",
+    "[ENV_LIVENESS]": "env_liveness", "[SYS_LIVENESS]": "sys_liveness",
+}
+SECTIONS = tuple(_SECTION_FIELD)
+_CLAUSE_FIELDS = tuple(f for f in _SECTION_FIELD.values() if f not in _OWNERS)
 
 _IDENT_RE = re.compile(r"[a-zA-Z_][a-zA-Z0-9_]*")
 
@@ -150,6 +166,7 @@ _TOKEN_SPEC = [
     ("NAME", r"[a-zA-Z_][a-zA-Z0-9_]*"),
     ("OP", r"<->|->|<=|>=|!=|\.\.|[!&|=<>+\-():']"),
     ("WS", r"[ \t\r]+"),
+    ("BAD", r"[\s\S]"),
 ]
 _TOKEN_RE = re.compile("|".join(f"(?P<{k}>{v})" for k, v in _TOKEN_SPEC))
 
@@ -164,20 +181,23 @@ class _Tok:
         self.col = col
 
 
-def _lex_line(text, line_no, diags):
-    """Tokenize one source line; returns None if a bad character is hit."""
+def _syntax_error(message, line, col, text=""):
+    return SpecError([Diagnostic(Diagnostic.SYNTAX, message, line, col, text)])
+
+
+def _lex_line(text, line_no):
+    """Tokens of one source line, closed by an END token that stands at the
+    last token's column; raises SpecError at the first illegal character."""
     toks = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            diags.append(Diagnostic(Diagnostic.SYNTAX, "illegal character",
-                                    line_no, pos + 1, text[pos]))
-            return None
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        if kind != "WS":
-            toks.append(_Tok(kind, m.group(), line_no, pos + 1))
-        pos = m.end()
+        if kind == "WS":
+            continue
+        if kind == "BAD":
+            raise _syntax_error("illegal character", line_no, m.start() + 1,
+                                m.group())
+        toks.append(_Tok(kind, m.group(), line_no, m.start() + 1))
+    toks.append(_Tok("END", "", line_no, toks[-1].col if toks else 1))
     return toks
 
 
@@ -186,64 +206,57 @@ def _lex_line(text, line_no, diags):
 
 
 class _ExprParser:
-    def __init__(self, toks, line_no):
+    def __init__(self, toks):
         self.toks = toks
         self.i = 0
-        self.line = line_no
 
     def _peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else None
+        return self.toks[self.i]
 
     def _take(self):
-        t = self._peek()
-        if t is not None:
-            self.i += 1
-        return t
+        self.i += 1
+        return self.toks[self.i - 1]
 
     def _fail(self, message, tok=None):
         tok = tok or self._peek()
-        col = tok.col if tok else (self.toks[-1].col if self.toks else 1)
-        text = tok.text if tok else ""
-        raise _ParseAbort(Diagnostic(Diagnostic.SYNTAX, message,
-                                     self.line, col, text))
+        raise _syntax_error(message, tok.line, tok.col, tok.text)
 
     def parse(self):
         e = self._iff()
-        if self._peek() is not None:
+        if self._peek().kind != "END":
             self._fail("unexpected trailing token")
         return e
 
     def _iff(self):
         e = self._implies()
-        while self._peek() and self._peek().text == "<->":
+        while self._peek().text == "<->":
             self._take()
             e = Iff(e, self._implies())
         return e
 
     def _implies(self):
         e = self._or()
-        if self._peek() and self._peek().text == "->":
+        if self._peek().text == "->":
             self._take()
             return Implies(e, self._implies())
         return e
 
     def _or(self):
         args = [self._and()]
-        while self._peek() and self._peek().text == "|":
+        while self._peek().text == "|":
             self._take()
             args.append(self._and())
         return args[0] if len(args) == 1 else Or(tuple(args))
 
     def _and(self):
         args = [self._unary()]
-        while self._peek() and self._peek().text == "&":
+        while self._peek().text == "&":
             self._take()
             args.append(self._unary())
         return args[0] if len(args) == 1 else And(tuple(args))
 
     def _unary(self):
-        t = self._peek()
-        if t and t.text == "!":
+        if self._peek().text == "!":
             self._take()
             return Not(self._unary())
         return self._atom()
@@ -252,28 +265,23 @@ class _ExprParser:
 
     def _atom(self):
         t = self._peek()
-        if t is None:
+        if t.kind == "END":
             self._fail("expected expression")
         if t.text == "(":
             self._take()
             e = self._iff()
             close = self._take()
-            if close is None or close.text != ")":
-                self._fail("expected ')'", close or t)
+            if close.text != ")":
+                self._fail("expected ')'", t if close.kind == "END" else close)
             return e
-        if t.kind == "NAME" and t.text == "true":
+        if t.kind == "NAME" and t.text in ("true", "false"):
             self._take()
-            return BoolLit(True)
-        if t.kind == "NAME" and t.text == "false":
-            self._take()
-            return BoolLit(False)
+            return BoolLit(t.text == "true")
         # a term, possibly the left side of a comparison
         lhs = self._term()
-        nxt = self._peek()
-        if nxt is not None and nxt.text in self._CMP_OPS:
+        if self._peek().text in self._CMP_OPS:
             op = self._take().text
-            rhs = self._term()
-            return Cmp(op, lhs, rhs)
+            return Cmp(op, lhs, self._term())
         # bare boolean variable reference
         if lhs.name is None or lhs.offset != 0:
             self._fail("integer term needs a comparison", t)
@@ -281,147 +289,100 @@ class _ExprParser:
 
     def _term(self):
         t = self._take()
-        if t is None:
-            self._fail("expected term")
-        neg = False
-        if t.text == "-":
-            neg = True
+        neg = t.text == "-"
+        if neg:
             t = self._take()
-            if t is None:
-                self._fail("expected integer after '-'")
         if t.kind == "INT":
             base = IntTerm(None, False, -int(t.text) if neg else int(t.text))
         elif t.kind == "NAME" and not neg:
-            primed = False
-            if self._peek() and self._peek().text == "'":
+            primed = self._peek().text == "'"
+            if primed:
                 self._take()
-                primed = True
             base = IntTerm(t.text, primed, 0)
+        elif t.kind == "END":
+            self._fail("expected integer after '-'" if neg else "expected term",
+                       t)
         else:
             self._fail("expected variable or integer", t)
         # optional +k / -k chain (constant folding)
-        while self._peek() and self._peek().text in ("+", "-"):
+        while self._peek().text in ("+", "-"):
             sign = 1 if self._take().text == "+" else -1
             t2 = self._take()
-            if t2 is None or t2.kind != "INT":
+            if t2.kind != "INT":
                 self._fail("expected integer offset", t2)
             base = IntTerm(base.name, base.primed, base.offset + sign * int(t2.text))
         return base
 
 
-class _ParseAbort(Exception):
-    def __init__(self, diagnostic):
-        self.diagnostic = diagnostic
+def _parse_clause(text, line_no):
+    """Lex and parse one clause line; raises SpecError on bad syntax.
+    ``parse_spec`` calls this rather than the public ``parse_expr``, so a
+    wrapper that times the public functions sees one call per document."""
+    toks = _lex_line(text, line_no)
+    if len(toks) == 1:
+        raise _syntax_error("empty expression", line_no, 1)
+    return _ExprParser(toks).parse()
 
 
 def parse_expr(text, line_no=1):
     """Parse a single clause; raises SpecError on bad syntax."""
-    diags = []
-    toks = _lex_line(text, line_no, diags)
-    if toks is None:
-        raise SpecError(diags)
-    if not toks:
-        raise SpecError([Diagnostic(Diagnostic.SYNTAX, "empty expression", line_no, 1)])
-    try:
-        return _ExprParser(toks, line_no).parse()
-    except _ParseAbort as a:
-        raise SpecError([a.diagnostic]) from None
+    return _parse_clause(text, line_no)
 
 
 # --------------------------------------------------------------------------
 # document parser
 
 
-_SECTION_FIELD = {
-    "[ENV_INIT]": "env_init",
-    "[SYS_INIT]": "sys_init",
-    "[ENV_TRANS]": "env_safety",
-    "[SYS_TRANS]": "sys_safety",
-    "[ENV_LIVENESS]": "env_liveness",
-    "[SYS_LIVENESS]": "sys_liveness",
-}
+_DECL_RE = re.compile(
+    rf"^({_IDENT_RE.pattern})\s*:\s*(bool|(-?\d+)\s*\.\.\s*(-?\d+))$")
 
 
 def parse_spec(text):
     """Parse and validate spec text into a SpecDocument.
 
-    Raises SpecError carrying positioned diagnostics on any problem; never
-    raises anything else, for arbitrary byte input decoded as UTF-8.
+    Raises SpecError carrying positioned diagnostics, in line order, on any
+    problem; never raises anything else, for arbitrary byte input decoded
+    as UTF-8.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8", errors="replace")
     doc = SpecDocument()
+    lines = {f: [] for f in ("vars",) + _CLAUSE_FIELDS}   # source line of each item
     diags = []
     section = None
-    clause_lines = []   # (section-field, expr, line_no) resolved after decls
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("["):
-            if line in SECTIONS:
-                section = line
-            else:
+            section = _SECTION_FIELD.get(line)
+            if section is None:
                 diags.append(Diagnostic(Diagnostic.SYNTAX, "unknown section header",
                                         line_no, 1, line))
-                section = None
-            continue
-        if section is None:
+        elif section is None:
             diags.append(Diagnostic(Diagnostic.SYNTAX, "clause outside any section",
                                     line_no, 1, line.split()[0]))
-            continue
-        if section in ("[ENV_VARS]", "[SYS_VARS]"):
-            _parse_decl(line, line_no, ENV if section == "[ENV_VARS]" else SYS,
-                        doc, diags)
+        elif section in _OWNERS:
+            m = _DECL_RE.match(line)
+            if m is None:
+                diags.append(Diagnostic(Diagnostic.SYNTAX, "bad declaration",
+                                        line_no, 1, line))
+                continue
+            name, dom, lo, hi = m.groups()
+            doc.vars.append(VarDecl(name, section, 0, 1, True) if dom == "bool"
+                            else VarDecl(name, section, int(lo), int(hi), False))
+            lines["vars"].append(line_no)
         else:
-            toks = _lex_line(line, line_no, diags)
-            if toks is None or not toks:
-                continue
             try:
-                expr = _ExprParser(toks, line_no).parse()
-            except _ParseAbort as a:
-                diags.append(a.diagnostic)
+                getattr(doc, section).append(_parse_clause(line, line_no))
+            except SpecError as e:
+                diags += e.diagnostics
                 continue
-            clause_lines.append((_SECTION_FIELD[section], expr, line_no))
-    for fieldname, expr, line_no in clause_lines:
-        getattr(doc, fieldname).append(expr)
-        _validate_clause(doc, fieldname, expr, line_no, diags)
-    if not doc.sys_liveness:
-        doc.sys_liveness.append(BoolLit(True))
+            lines[section].append(line_no)
+    diags += _check(doc, lines)
     if diags:
-        raise SpecError(diags)
+        raise SpecError(sorted(diags, key=lambda d: d.line))
     return doc
-
-
-_DECL_RE = re.compile(
-    r"^([a-zA-Z_][a-zA-Z0-9_]*)\s*:\s*(bool|(-?\d+)\s*\.\.\s*(-?\d+))$")
-
-
-def _parse_decl(line, line_no, owner, doc, diags):
-    m = _DECL_RE.match(line)
-    if m is None:
-        diags.append(Diagnostic(Diagnostic.SYNTAX, "bad declaration",
-                                line_no, 1, line))
-        return
-    name = m.group(1)
-    if name in ("true", "false"):
-        diags.append(Diagnostic(Diagnostic.SYNTAX, "reserved word as name",
-                                line_no, 1, name))
-        return
-    if doc.decl(name) is not None:
-        diags.append(Diagnostic(Diagnostic.DUPLICATE,
-                                f"variable {name!r} declared twice",
-                                line_no, 1, name))
-        return
-    if m.group(2) == "bool":
-        doc.vars.append(VarDecl(name, owner, 0, 1, True))
-    else:
-        lo, hi = int(m.group(3)), int(m.group(4))
-        if lo > hi:
-            diags.append(Diagnostic(Diagnostic.TYPE_MISMATCH,
-                                    f"empty range {lo}..{hi}", line_no, 1, name))
-            return
-        doc.vars.append(VarDecl(name, owner, lo, hi, False))
 
 
 # --------------------------------------------------------------------------
@@ -450,62 +411,74 @@ def _walk_refs(expr):
             stack.append(e.rhs)
 
 
-def _validate_clause(doc, fieldname, expr, line_no, diags):
-    init_or_live = fieldname in ("env_init", "sys_init",
-                                 "env_liveness", "sys_liveness")
-    for name, primed, as_bool in _walk_refs(expr):
-        d = doc.decl(name)
-        if d is None:
-            diags.append(Diagnostic(Diagnostic.UNKNOWN_VARIABLE,
-                                    f"undeclared variable {name!r}",
-                                    line_no, 1, name))
-            continue
-        if as_bool and not d.is_bool:
-            diags.append(Diagnostic(Diagnostic.TYPE_MISMATCH,
-                                    f"integer variable {name!r} used as boolean",
-                                    line_no, 1, name))
-        if not as_bool and d.is_bool:
-            diags.append(Diagnostic(Diagnostic.TYPE_MISMATCH,
-                                    f"boolean variable {name!r} used in arithmetic",
-                                    line_no, 1, name))
-        if primed and init_or_live:
-            diags.append(Diagnostic(Diagnostic.PRIMED_NOT_ALLOWED,
-                                    f"next-step reference {name}' not allowed here",
-                                    line_no, 1, name))
-        if fieldname == "env_safety" and primed and d.owner == SYS:
-            diags.append(Diagnostic(Diagnostic.OWNERSHIP,
-                                    f"environment clause references next-step "
-                                    f"system variable {name}'",
-                                    line_no, 1, name))
-        if fieldname == "env_init" and d.owner == SYS:
-            diags.append(Diagnostic(Diagnostic.OWNERSHIP,
-                                    f"environment init references system "
-                                    f"variable {name!r}",
-                                    line_no, 1, name))
+def _check(doc, lines):
+    """The one validator of a document, parsed or built; returns its
+    diagnostics and gives a document without system liveness clauses the
+    goal ``true``.  ``lines`` maps "vars" and each clause field to the source
+    lines of its items; an item without one is reported at line 0.  A
+    declaration that fails a check counts as undeclared in the clauses."""
+    diags = []
+
+    def report(kind, message, line, name):
+        diags.append(Diagnostic(kind, message, line, 1 if line else 0, name))
+
+    decls = {}
+    for d, line in zip(doc.vars, lines.get("vars", repeat(0))):
+        if not _IDENT_RE.fullmatch(d.name):
+            report(Diagnostic.SYNTAX, f"bad identifier {d.name!r}", line, d.name)
+        elif d.name in ("true", "false"):
+            report(Diagnostic.SYNTAX, "reserved word as name", line, d.name)
+        elif d.name in decls:
+            report(Diagnostic.DUPLICATE, f"variable {d.name!r} declared twice",
+                   line, d.name)
+        elif d.owner not in _OWNERS:
+            report(Diagnostic.OWNERSHIP, f"owner {d.owner!r} is neither "
+                   f"{ENV!r} nor {SYS!r}", line, d.name)
+        elif d.lo > d.hi:
+            report(Diagnostic.TYPE_MISMATCH, f"empty range {d.lo}..{d.hi}",
+                   line, d.name)
+        elif d.is_bool and (d.lo, d.hi) != (0, 1):
+            report(Diagnostic.TYPE_MISMATCH, f"boolean variable over "
+                   f"{d.lo}..{d.hi}, not 0..1", line, d.name)
+        else:
+            decls[d.name] = d
+    for fieldname in _CLAUSE_FIELDS:
+        unprimed = not fieldname.endswith("_safety")     # init and liveness
+        for expr, line in zip(getattr(doc, fieldname),
+                              lines.get(fieldname, repeat(0))):
+            for name, primed, as_bool in _walk_refs(expr):
+                d = decls.get(name)
+                if d is None:
+                    report(Diagnostic.UNKNOWN_VARIABLE,
+                           f"undeclared variable {name!r}", line, name)
+                    continue
+                if as_bool and not d.is_bool:
+                    report(Diagnostic.TYPE_MISMATCH,
+                           f"integer variable {name!r} used as boolean",
+                           line, name)
+                if not as_bool and d.is_bool:
+                    report(Diagnostic.TYPE_MISMATCH,
+                           f"boolean variable {name!r} used in arithmetic",
+                           line, name)
+                if primed and unprimed:
+                    report(Diagnostic.PRIMED_NOT_ALLOWED,
+                           f"next-step reference {name}' not allowed here",
+                           line, name)
+                if fieldname == "env_safety" and primed and d.owner == SYS:
+                    report(Diagnostic.OWNERSHIP, f"environment clause references "
+                           f"next-step system variable {name}'", line, name)
+                if fieldname == "env_init" and d.owner == SYS:
+                    report(Diagnostic.OWNERSHIP, f"environment init references "
+                           f"system variable {name!r}", line, name)
+    if not doc.sys_liveness:
+        doc.sys_liveness.append(BoolLit(True))
+    return diags
 
 
 def validate_document(doc):
-    """Validate a programmatically built document; raises SpecError."""
-    diags = []
-    seen = set()
-    for d in doc.vars:
-        if d.name in seen:
-            diags.append(Diagnostic(Diagnostic.DUPLICATE,
-                                    f"variable {d.name!r} declared twice",
-                                    0, 0, d.name))
-        seen.add(d.name)
-        if not _IDENT_RE.fullmatch(d.name):
-            diags.append(Diagnostic(Diagnostic.SYNTAX,
-                                    f"bad identifier {d.name!r}", 0, 0, d.name))
-        if d.lo > d.hi:
-            diags.append(Diagnostic(Diagnostic.TYPE_MISMATCH,
-                                    f"empty range for {d.name!r}", 0, 0, d.name))
-    for fieldname in ("env_init", "sys_init", "env_safety", "sys_safety",
-                      "env_liveness", "sys_liveness"):
-        for expr in getattr(doc, fieldname):
-            _validate_clause(doc, fieldname, expr, 0, diags)
-    if not doc.sys_liveness:
-        doc.sys_liveness.append(BoolLit(True))
+    """Validate a programmatically built document with the checker that
+    ``parse_spec`` runs; raises SpecError with unpositioned diagnostics."""
+    diags = _check(doc, {})
     if diags:
         raise SpecError(diags)
     return doc
@@ -565,27 +538,18 @@ def format_expr(e):
 def print_spec(doc):
     """Render a document in canonical text form.
 
-    The output parses back to a structurally equal document, and printing
+    The output of any document that ``parse_spec`` or ``validate_document``
+    accepted parses back to a structurally equal document, and printing
     that parse reproduces the same bytes.
     """
     out = []
-    for header, owner in (("[ENV_VARS]", ENV), ("[SYS_VARS]", SYS)):
+    for header, fieldname in _SECTION_FIELD.items():
         out.append(header)
-        for d in doc.vars:
-            if d.owner != owner:
-                continue
-            dom = "bool" if d.is_bool else f"{d.lo}..{d.hi}"
-            out.append(f"{d.name} : {dom}")
-        out.append("")
-    for header, fieldname in (("[ENV_INIT]", "env_init"),
-                              ("[SYS_INIT]", "sys_init"),
-                              ("[ENV_TRANS]", "env_safety"),
-                              ("[SYS_TRANS]", "sys_safety"),
-                              ("[ENV_LIVENESS]", "env_liveness"),
-                              ("[SYS_LIVENESS]", "sys_liveness")):
-        out.append(header)
-        for expr in getattr(doc, fieldname):
-            out.append(format_expr(expr))
+        if fieldname in _OWNERS:
+            out += [f"{d.name} : {'bool' if d.is_bool else f'{d.lo}..{d.hi}'}"
+                    for d in doc.vars if d.owner == fieldname]
+        else:
+            out += map(format_expr, getattr(doc, fieldname))
         out.append("")
     return "\n".join(out)
 

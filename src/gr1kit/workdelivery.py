@@ -30,7 +30,7 @@ inventory station with completed work infinitely often.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -85,8 +85,9 @@ class WorkDeliveryParams:
         return [f"o{j}" for j in self.interior()]
 
 
-PARAM_KEYS = ("n", "bl_max", "gamma_units", "delta_units", "bl_upper",
-              "k_move", "k_drop", "bl_init", "td_seconds", "hf_init")
+PARAM_KEYS = tuple(f.name for f in fields(WorkDeliveryParams))
+_FLAGS = {"1": True, "true": True, "yes": True,
+          "0": False, "false": False, "no": False}
 
 
 def params_from_items(items):
@@ -105,10 +106,10 @@ def params_from_items(items):
             elif key == "td_seconds":
                 kwargs[key] = float(raw)
             elif key == "hf_init":
-                kwargs[key] = raw.strip().lower() in ("1", "true", "yes")
+                kwargs[key] = _FLAGS[raw.strip().lower()]
             else:
                 kwargs[key] = int(raw)
-        except ValueError:
+        except (KeyError, ValueError):
             raise InvalidParams(
                 f"parameter {key} has a bad value {raw!r}") from None
     return WorkDeliveryParams(**kwargs).validate()

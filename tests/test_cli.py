@@ -46,7 +46,8 @@ def test_emit_rejects_unknown_param(capsys):
 
 
 @pytest.mark.parametrize("item", ["n=abc", "n=2.5", "bl_init=3..x",
-                                  "td_seconds=fast"])
+                                  "td_seconds=fast", "hf_init=banana",
+                                  "hf_init=2"])
 def test_emit_rejects_bad_param_value(tmp_path, capsys, item):
     key, value = item.split("=")
     assert run_cli(["emit", "--param", item]) == 2
@@ -249,6 +250,16 @@ def test_check_closure_reads_init_entries(workdir, tmp_path, capsys):
         assert run_cli(["check", "--spec", str(spec), "--mode", "closure",
                         "--strategy", str(broken)]) == 4
         assert "at init: [init]" in capsys.readouterr().out
+
+
+def test_check_lasso_without_initial_nodes_exit4(workdir, tmp_path, capsys):
+    root, spec, strat = workdir
+    broken = tmp_path / "noinit.json"
+    broken.write_text(json.dumps(dict(json.loads(strat.read_text()), init=[])))
+    assert run_cli(["check", "--spec", str(spec), "--mode", "lasso",
+                    "--strategy", str(broken)]) == 4
+    out = capsys.readouterr().out
+    assert "strategy has no initial nodes" in out and "PASS" not in out
 
 
 def test_oracle_random_corpus(capsys):

@@ -158,6 +158,38 @@ def test_eval_is_exact_integer_arithmetic():
     assert eval_expr(e, {"k": 1000000}, {"k": 1000007})
 
 
+@pytest.mark.parametrize("decl, kind", [
+    (sl.VarDecl("true", sl.ENV, 0, 1, True), "SyntaxError"),
+    (sl.VarDecl("b", sl.ENV, 0, 5, True), "TypeMismatch"),
+    (sl.VarDecl("r", "robot", 0, 2, False), "OwnershipViolation"),
+])
+def test_validate_document_rejects_what_cannot_print(decl, kind):
+    # each document's printed text fails to parse or parses to another one
+    with pytest.raises(SpecError) as exc:
+        sl.validate_document(sl.SpecDocument(vars=[decl]))
+    assert [(d.kind, d.token) for d in exc.value.diagnostics] == [
+        (kind, decl.name)]
+
+
+def test_parse_and_validate_share_one_checker():
+    # a declaration that fails a check counts as undeclared in the clauses
+    with pytest.raises(SpecError) as exc:
+        parse_spec("[ENV_VARS]\nk : 3..1\n[ENV_TRANS]\nk' = 2\n")
+    assert [(d.kind, d.line) for d in exc.value.diagnostics] == [
+        ("TypeMismatch", 2), ("UnknownVariable", 4)]
+    doc = sl.SpecDocument(vars=[sl.VarDecl("k", sl.ENV, 3, 1, False)],
+                          env_safety=[parse_expr("k' = 2")])
+    with pytest.raises(SpecError) as exc:
+        sl.validate_document(doc)
+    assert [(d.kind, d.line) for d in exc.value.diagnostics] == [
+        ("TypeMismatch", 0), ("UnknownVariable", 0)]
+    # diagnostics come in line order, whichever stage found them
+    with pytest.raises(SpecError) as exc:
+        parse_spec("[ENV_VARS]\na : bool\n[ENV_TRANS]\nb\n@\n")
+    assert [(d.kind, d.line) for d in exc.value.diagnostics] == [
+        ("UnknownVariable", 4), ("SyntaxError", 5)]
+
+
 def test_empty_sections_print():
     doc = sl.SpecDocument()
     sl.validate_document(doc)
@@ -202,9 +234,12 @@ def test_fuzz_never_panics():
                     blob[rng.randrange(len(blob))] = rng.randrange(256)
             blob = bytes(blob)
         try:
-            parse_spec(blob)
+            doc = parse_spec(blob)
         except SpecError:
-            pass
+            continue
+        # an accepted blob prints to text that reparses to the same bytes
+        text = print_spec(doc)
+        assert parse_spec(text) == doc and print_spec(parse_spec(text)) == text
 
 
 def test_expression_precedence():

@@ -40,6 +40,12 @@ def test_params_from_items():
     assert p.n == 2 and p.bl_init == (3, 7) and p.hf_init
     with pytest.raises(InvalidParams):
         wd.params_from_items([("mystery", "1")])
+    for raw, flag in (("1", True), ("TRUE", True), (" yes ", True),
+                      ("0", False), ("False", False), ("No", False)):
+        assert wd.params_from_items([("hf_init", raw)]).hf_init is flag
+    for raw in ("banana", "2", "", "on"):
+        with pytest.raises(InvalidParams):
+            wd.params_from_items([("hf_init", raw)])
 
 
 def test_emitted_document_parses_cleanly(paper_params):
