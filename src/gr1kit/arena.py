@@ -4,8 +4,9 @@ A state is a full valuation of all declared variables, indexed by its
 mixed-radix encoding with environment variables first (most significant).
 Each step, the environment commits next values for its variables, then the
 system responds with next values for its own; the successor state is the
-combined assignment.  ``env_moves`` and ``sys_moves`` are exactly the
-assignments passing every environment / system safety clause.
+combined assignment.  The environment's moves at a state, and the system's
+responses to each, are exactly the assignments passing every environment /
+system safety clause.
 
 The move relations are stored in CSR form over (state, env-choice) pairs so
 that solvers can run vectorized fixpoints.  Each edge holds its successor
@@ -143,7 +144,6 @@ class GameArena:
     edge_succ: np.ndarray        # successor state per edge, ascending in a pair
     env_init: np.ndarray         # bool over env assignments
     sys_init: np.ndarray         # bool over states
-    doc: object = None
 
     @property
     def n_states(self):
@@ -172,36 +172,10 @@ class GameArena:
     def env_codec(self):
         return _Codec.of(self.decls[:self.n_env_vars])
 
-    @functools.cached_property
-    def sys_codec(self):
-        return _Codec.of(self.decls[self.n_env_vars:])
-
-    def decode_state(self, s):
-        return self.state_codec.decode(s)
-
-    def valuation(self, s):
-        """State as a name -> value dict."""
-        return dict(zip(self.names, self.decode_state(s)))
-
     def env_values(self, e):
         """Env assignment index as a name -> value dict."""
         return dict(zip(self.names[:self.n_env_vars],
                         self.env_codec.decode(e)))
-
-    # ---- moves --------------------------------------------------------
-
-    def env_moves(self, s):
-        """Legal next env assignments at state s (ascending indices)."""
-        return self.env_next[self.env_indptr[s]:self.env_indptr[s + 1]]
-
-    def sys_moves(self, s, e):
-        """Legal sys responses at state s given committed env assignment e."""
-        lo, hi = self.env_indptr[s], self.env_indptr[s + 1]
-        p = lo + np.searchsorted(self.env_next[lo:hi], e)
-        if p >= hi or self.env_next[p] != e:
-            raise ValueError(f"env assignment {e} not legal at state {s}")
-        succ = self.edge_succ[self.sys_indptr[p]:self.sys_indptr[p + 1]]
-        return succ % self.n_sys
 
     def init_states(self, inside):
         """Lowest initial state of each env assignment inside the state
@@ -209,20 +183,6 @@ class GameArena:
         ok = (self.sys_init & inside).reshape(self.n_env, self.n_sys)
         first = np.arange(self.n_env) * self.n_sys + ok.argmax(axis=1)
         return np.where(ok.any(axis=1), first, -1)
-
-    # ---- misc ---------------------------------------------------------
-
-    def column(self, name, idx=None):
-        """Values of a variable across all states (or the given indices)."""
-        return self.state_codec.column((name, False), idx)
-
-    def dump(self, fp):
-        """Adjacency dump: one ``state TAB env TAB sys`` line per edge."""
-        for p in range(self.n_pairs):
-            s = self.pair_state[p]
-            e = self.env_next[p]
-            for t in self.edge_succ[self.sys_indptr[p]:self.sys_indptr[p + 1]]:
-                fp.write(f"{s}\t{e}\t{t % self.n_sys}\n")
 
 
 # --------------------------------------------------------------------------
@@ -448,7 +408,7 @@ def build_arena(doc, cap=1 << 24):
         env_indptr=env_indptr, env_next=env_next, pair_state=pair_state,
         sys_indptr=sys_indptr, edge_succ=edge_succ,
         env_init=_holds(doc.env_init, _Codec.of(env_decls)),
-        sys_init=_holds(doc.sys_init, state), doc=doc)
+        sys_init=_holds(doc.sys_init, state))
 
 
 def with_inits(arena, doc):
@@ -458,7 +418,7 @@ def with_inits(arena, doc):
     Useful when scanning initial conditions over one compiled arena.
     """
     return replace(arena, env_init=_holds(doc.env_init, arena.env_codec),
-                   sys_init=_holds(doc.sys_init, arena.state_codec), doc=doc)
+                   sys_init=_holds(doc.sys_init, arena.state_codec))
 
 
 def state_predicate(arena, expr):
@@ -505,11 +465,15 @@ def from_functions(decls, n_env_vars, env_fn, sys_fn,
         sys_init=np.asarray(sys_init, dtype=bool))
 
 
-def random_arena(seed, max_states=200, max_goals=2):
+_MAX_GOALS = 2
+
+
+def random_arena(seed, max_states=200):
     """Seeded random arena plus liveness predicates, for oracle testing.
 
     Returns (arena, env_live, sys_live) where the liveness lists hold
-    boolean state arrays (between 1 and max_goals each side).
+    boolean state arrays: 0 to _MAX_GOALS assumptions and 1 to _MAX_GOALS
+    goals.
     """
     rng = random.Random(seed)
     while True:
@@ -546,7 +510,7 @@ def random_arena(seed, max_states=200, max_goals=2):
                            lambda s: env_table[s],
                            lambda s, e: sys_table[(s, e)])
     env_live = [np.array([rng.random() < 0.5 for _ in range(n_states)])
-                for _ in range(rng.randint(0, max_goals))]
+                for _ in range(rng.randint(0, _MAX_GOALS))]
     sys_live = [np.array([rng.random() < 0.5 for _ in range(n_states)])
-                for _ in range(rng.randint(1, max_goals))]
+                for _ in range(rng.randint(1, _MAX_GOALS))]
     return arena, env_live, sys_live

@@ -81,9 +81,7 @@ class _Ctx:
         key.sort()
         key %= n_pairs
         self.in_pair = key
-        self.in_indptr = np.zeros(arena.n_states + 1, dtype=np.int64)
-        np.cumsum(np.bincount(arena.edge_succ, minlength=arena.n_states),
-                  out=self.in_indptr[1:])
+        self.in_indptr = ar._indptr(arena.edge_succ, arena.n_states)
 
     def attractor_ranks(self, seed):
         """Least fixpoint of T -> seed | cpre(T), with wave index per state.

@@ -10,7 +10,8 @@ Declarations are ``name : bool`` or ``name : lo..hi``.  Clauses are boolean
 expressions over ``! & | -> <->``, integer comparisons ``= != < <= > >=``
 between a variable (optionally offset by ``+ k`` / ``- k``) or a literal,
 next-step references written ``name'``, and parentheses.  ``#`` starts a
-comment.
+comment.  Names and integers are ASCII: an integer is written in the digits
+``0-9`` only.
 
 One validator serves parsed and built documents alike: ``parse_spec`` only
 builds declarations and clauses, then runs the checker that
@@ -168,7 +169,8 @@ _TOKEN_SPEC = [
     ("WS", r"[ \t\r]+"),
     ("BAD", r"[\s\S]"),
 ]
-_TOKEN_RE = re.compile("|".join(f"(?P<{k}>{v})" for k, v in _TOKEN_SPEC))
+_TOKEN_RE = re.compile("|".join(f"(?P<{k}>{v})" for k, v in _TOKEN_SPEC),
+                       re.ASCII)
 
 
 class _Tok:
@@ -334,7 +336,8 @@ def parse_expr(text, line_no=1):
 
 
 _DECL_RE = re.compile(
-    rf"^({_IDENT_RE.pattern})\s*:\s*(bool|(-?\d+)\s*\.\.\s*(-?\d+))$")
+    rf"^({_IDENT_RE.pattern})\s*:\s*(bool|(-?\d+)\s*\.\.\s*(-?\d+))$",
+    re.ASCII)
 
 
 def parse_spec(text):
@@ -665,39 +668,3 @@ def eval_expr(e, current, nxt=None):
 def expr_refs(e):
     """Set of (name, primed) pairs referenced by an expression."""
     return {(name, primed) for name, primed, _ in _walk_refs(e)}
-
-
-# convenience constructors used by generators and tests
-
-def v(name):
-    return VarRef(name, False)
-
-
-def vp(name):
-    return VarRef(name, True)
-
-
-def t(name, offset=0):
-    return IntTerm(name, False, offset)
-
-
-def tp(name, offset=0):
-    return IntTerm(name, True, offset)
-
-
-def const(k):
-    return IntTerm(None, False, k)
-
-
-def conj(*args):
-    args = [a for a in args if not (isinstance(a, BoolLit) and a.value)]
-    if not args:
-        return BoolLit(True)
-    return args[0] if len(args) == 1 else And(tuple(args))
-
-
-def disj(*args):
-    args = [a for a in args if not (isinstance(a, BoolLit) and not a.value)]
-    if not args:
-        return BoolLit(False)
-    return args[0] if len(args) == 1 else Or(tuple(args))

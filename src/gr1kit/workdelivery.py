@@ -26,6 +26,10 @@ Backlog dynamics per step, all resolved by the environment:
 
 The system must keep ``1 <= bl <= bl_upper`` forever and return to the
 inventory station with completed work infinitely often.
+
+The scenario is written once, as spec text: ``emit_text`` writes it in the
+canonical form that ``speclang.print_spec`` gives, and ``emit_spec`` parses
+that text, so the parser's validator checks it.
 """
 
 from __future__ import annotations
@@ -36,8 +40,6 @@ import numpy as np
 
 from .errors import InvalidParams
 from . import speclang as sl
-from .speclang import (Cmp, Iff, Implies, Not, SpecDocument, VarDecl,
-                       conj, const, disj, t, tp, v, vp)
 
 
 @dataclass(frozen=True)
@@ -115,159 +117,83 @@ def params_from_items(items):
     return WorkDeliveryParams(**kwargs).validate()
 
 
-def _eq(term_a, term_b):
-    return Cmp("=", term_a, term_b)
-
-
-def _drop_options(bl_name, k_max, gamma, bl_max):
+def _drop_options(k_max, gamma, bl_max):
     """bl' ranges over { max(bl - k*gamma, 0) : 0 <= k <= k_max }."""
-    opts = []
-    for k in range(k_max + 1):
-        red = k * gamma
-        if red == 0:
-            opts.append(_eq(tp(bl_name), t(bl_name)))
-        elif red <= bl_max:
-            opts.append(conj(Cmp(">=", t(bl_name), const(red)),
-                             _eq(tp(bl_name), t(bl_name, -red))))
-    if k_max * gamma >= 1:
-        opts.append(conj(Cmp("<=", t(bl_name), const(k_max * gamma)),
-                         _eq(tp(bl_name), const(0))))
-    return disj(*opts)
-
-
-def emit_spec(p: WorkDeliveryParams) -> SpecDocument:
-    """Emit the full scenario as a validated SpecDocument."""
-    p.validate()
-    n, gamma, delta = p.n, p.gamma_units, p.delta_units
-    doc = SpecDocument()
-
-    doc.vars.append(VarDecl("bl", sl.ENV, 0, p.bl_max, False))
-    doc.vars.append(VarDecl("s", sl.ENV, 0, 1, True))
-    for name in p.obstacle_names():
-        doc.vars.append(VarDecl(name, sl.ENV, 0, 1, True))
-    doc.vars.append(VarDecl("stalled", sl.ENV, 0, 1, True))
-    doc.vars.append(VarDecl("rs", sl.SYS, 0, n, False))
-    doc.vars.append(VarDecl("act", sl.SYS, 0, n, False))
-    doc.vars.append(VarDecl("hf", sl.SYS, 0, 1, True))
-    doc.vars.append(VarDecl("tries", sl.SYS, 0, 2, False))
-
-    # ---- initial conditions -------------------------------------------
-    lo, hi = p.bl_init_range()
-    if lo == hi:
-        doc.env_init.append(_eq(t("bl"), const(lo)))
-    else:
-        doc.env_init.append(Cmp(">=", t("bl"), const(lo)))
-        doc.env_init.append(Cmp("<=", t("bl"), const(hi)))
-    doc.env_init.append(Not(v("s")))
-    for name in p.obstacle_names():
-        doc.env_init.append(Not(v(name)))
-    doc.env_init.append(Not(v("stalled")))
-
-    doc.sys_init.append(_eq(t("rs"), const(0)))
-    doc.sys_init.append(_eq(t("act"), const(0)))
-    doc.sys_init.append(v("hf") if p.hf_init else Not(v("hf")))
-    doc.sys_init.append(_eq(t("tries"), const(0)))
-    doc.sys_init.append(Cmp(">=", t("bl"), const(1)))
-    doc.sys_init.append(Cmp("<=", t("bl"), const(p.bl_upper)))
-
-    # ---- environment safety -------------------------------------------
-    env = doc.env_safety
-    for j in p.interior():
-        name = f"o{j}"
-        # an obstructing person leaves by the next step
-        env.append(Implies(v(name), Not(vp(name))))
-        # nobody steps into the cell the robot is entering
-        env.append(Implies(_eq(t("act"), const(j)), Not(vp(name))))
-        # new obstructions only appear away from the robot
-        far = []
-        if j - 2 >= 0:
-            far.append(Cmp("<=", t("rs"), const(j - 2)))
-        if j + 2 <= n:
-            far.append(Cmp(">=", t("rs"), const(j + 2)))
-        if far:
-            env.append(Implies(conj(Not(v(name)), vp(name)), disj(*far)))
-        else:
-            env.append(Not(vp(name)))
-
-    arriving = conj(_eq(t("act"), const(n)),
-                    Cmp("!=", t("rs"), const(n)))
-    holding = conj(_eq(t("act"), const(n)), _eq(t("rs"), const(n)))
-    attempt_first = conj(_eq(t("act"), const(0)),
-                         Cmp("!=", t("rs"), const(0)), v("hf"))
-    attempt_retry = conj(_eq(t("rs"), const(0)), v("hf"),
-                         _eq(t("tries"), const(1)), Not(v("s")))
-    dropping = conj(Cmp("!=", t("act"), const(n)),
-                    Cmp(">=", t("bl"), const(1)),
-                    v("hf"),
-                    disj(conj(_eq(t("act"), const(0)),
-                              Cmp("!=", t("rs"), const(0))),
-                         conj(_eq(t("tries"), const(1)), Not(v("s")))))
-    moving = conj(Cmp("!=", t("act"), const(n)),
-                  Cmp(">=", t("bl"), const(1)),
-                  Not(conj(v("hf"),
-                           disj(conj(_eq(t("act"), const(0)),
-                                     Cmp("!=", t("rs"), const(0))),
-                               conj(_eq(t("tries"), const(1)), Not(v("s")))))))
-    waiting = conj(Cmp("!=", t("act"), const(n)), _eq(t("bl"), const(0)))
-
-    # a second dropoff try always succeeds
-    env.append(Implies(attempt_retry, vp("s")))
-    # the success flag is only raised during an attempt
-    env.append(Implies(vp("s"), disj(attempt_first, attempt_retry)))
-
-    if p.bl_max - delta >= 0:
-        env.append(Implies(conj(arriving,
-                                Cmp("<=", t("bl"), const(p.bl_max - delta))),
-                           _eq(tp("bl"), t("bl", delta))))
-    if p.bl_max - delta + 1 <= p.bl_max:
-        env.append(Implies(conj(arriving,
-                                Cmp(">=", t("bl"), const(p.bl_max - delta + 1))),
-                           _eq(tp("bl"), const(p.bl_max))))
-    env.append(Implies(holding, _eq(tp("bl"), t("bl"))))
-    env.append(Implies(waiting, _eq(tp("bl"), t("bl"))))
-    env.append(Implies(dropping,
-                       _drop_options("bl", p.k_drop, gamma, p.bl_max)))
-    env.append(Implies(moving,
-                       _drop_options("bl", p.k_move, gamma, p.bl_max)))
-    # a backlog frozen outside station visits must move next step
-    env.append(Implies(conj(v("stalled"),
-                            Cmp("!=", t("act"), const(n)),
-                            Cmp(">=", t("bl"), const(1))),
-                       Cmp("<=", tp("bl"), t("bl", -1))))
-    env.append(Iff(vp("stalled"), _eq(tp("bl"), t("bl"))))
-
-    # ---- system safety --------------------------------------------------
-    sys_ = doc.sys_safety
-    sys_.append(_eq(tp("rs"), t("act")))
-    sys_.append(Cmp("<=", tp("act"), tp("rs", 1)))
-    sys_.append(Cmp(">=", tp("act"), tp("rs", -1)))
-    for j in p.interior():
-        sys_.append(Implies(_eq(tp("act"), const(j)), Not(vp(f"o{j}"))))
-    sys_.append(Cmp(">=", tp("bl"), const(1)))
-    sys_.append(Cmp("<=", tp("bl"), const(p.bl_upper)))
-
-    pickup = conj(_eq(t("rs"), const(n)), _eq(t("act"), const(n - 1)))
-    release = conj(_eq(t("rs"), const(0)), v("hf"), v("s"))
-    sys_.append(Implies(pickup, vp("hf")))
-    sys_.append(Implies(release, Not(vp("hf"))))
-    sys_.append(Implies(conj(Not(pickup), Not(release)),
-                        Iff(vp("hf"), v("hf"))))
-
-    sys_.append(Implies(attempt_first, _eq(tp("tries"), const(1))))
-    sys_.append(Implies(attempt_retry, _eq(tp("tries"), const(2))))
-    sys_.append(Implies(conj(Not(attempt_first), Not(attempt_retry)),
-                        _eq(tp("tries"), const(0))))
-    # finish the retry in place
-    sys_.append(Implies(attempt_retry, _eq(tp("act"), const(0))))
-
-    # ---- liveness --------------------------------------------------------
-    doc.sys_liveness.append(conj(_eq(t("rs"), const(0)), v("hf")))
-
-    return sl.validate_document(doc)
+    opts = ["bl' = bl"]
+    opts += [f"bl >= {k * gamma} & bl' = bl - {k * gamma}"
+             for k in range(1, k_max + 1) if k * gamma <= bl_max]
+    return " | ".join(opts + [f"bl <= {k_max * gamma} & bl' = 0"])
 
 
 def emit_text(p: WorkDeliveryParams) -> str:
-    return sl.print_spec(emit_spec(p))
+    """The full scenario as canonical spec text: the bytes ``print_spec``
+    writes for it, nested conjunctions in parentheses included."""
+    p.validate()
+    n, bl_max, delta = p.n, p.bl_max, p.delta_units
+    lo, hi = p.bl_init_range()
+    obstacles = p.obstacle_names()
+    arriving = f"act = {n} & rs != {n}"
+    attempt_first = "act = 0 & rs != 0 & hf"
+    attempt_retry = "rs = 0 & hf & tries = 1 & !s"
+    attempting = "hf & (act = 0 & rs != 0 | tries = 1 & !s)"
+    pickup = f"rs = {n} & act = {n - 1}"
+    release = "rs = 0 & hf & s"
+
+    env_trans = []
+    for j in p.interior():
+        far = [f"rs <= {j - 2}"] * (j >= 2) + [f"rs >= {j + 2}"] * (j + 2 <= n)
+        env_trans += [
+            # an obstructing person leaves by the next step
+            f"o{j} -> !o{j}'",
+            # nobody steps into the cell the robot is entering
+            f"act = {j} -> !o{j}'",
+            # new obstructions only appear away from the robot
+            f"!o{j} & o{j}' -> {' | '.join(far)}" if far else f"!o{j}'"]
+    env_trans += [
+        # a second dropoff try always succeeds
+        f"{attempt_retry} -> s'",
+        # the success flag is only raised during an attempt
+        f"s' -> {attempt_first} | {attempt_retry}",
+        f"({arriving}) & bl <= {bl_max - delta} -> bl' = bl + {delta}",
+        f"({arriving}) & bl >= {bl_max - delta + 1} -> bl' = {bl_max}",
+        f"act = {n} & rs = {n} -> bl' = bl",
+        f"act != {n} & bl = 0 -> bl' = bl",
+        f"act != {n} & bl >= 1 & {attempting} -> "
+        + _drop_options(p.k_drop, p.gamma_units, bl_max),
+        f"act != {n} & bl >= 1 & !({attempting}) -> "
+        + _drop_options(p.k_move, p.gamma_units, bl_max),
+        # a backlog frozen outside station visits must move next step
+        f"stalled & act != {n} & bl >= 1 -> bl' <= bl - 1",
+        "stalled' <-> bl' = bl"]
+
+    sections = (                    # in the order of speclang.SECTIONS
+        [f"bl : 0..{bl_max}", "s : bool",
+         *(f"{o} : bool" for o in obstacles), "stalled : bool"],
+        [f"rs : 0..{n}", f"act : 0..{n}", "hf : bool", "tries : 0..2"],
+        ([f"bl = {lo}"] if lo == hi else [f"bl >= {lo}", f"bl <= {hi}"])
+        + ["!s", *(f"!{o}" for o in obstacles), "!stalled"],
+        ["rs = 0", "act = 0", "hf" if p.hf_init else "!hf", "tries = 0",
+         "bl >= 1", f"bl <= {p.bl_upper}"],
+        env_trans,
+        ["rs' = act", "act' <= rs' + 1", "act' >= rs' - 1",
+         *(f"act' = {j} -> !o{j}'" for j in p.interior()),
+         "bl' >= 1", f"bl' <= {p.bl_upper}",
+         f"{pickup} -> hf'", f"{release} -> !hf'",
+         f"!({pickup}) & !({release}) -> (hf' <-> hf)",
+         f"{attempt_first} -> tries' = 1", f"{attempt_retry} -> tries' = 2",
+         f"!({attempt_first}) & !({attempt_retry}) -> tries' = 0",
+         # finish the retry in place
+         f"{attempt_retry} -> act' = 0"],
+        [],
+        ["rs = 0 & hf"],
+    )
+    return "\n".join(line for header, body in zip(sl.SECTIONS, sections)
+                     for line in (header, *body, ""))
+
+
+def emit_spec(p: WorkDeliveryParams) -> sl.SpecDocument:
+    """The full scenario as a SpecDocument, parsed from ``emit_text``."""
+    return sl.parse_spec(emit_text(p))
 
 
 # --------------------------------------------------------------------------

@@ -19,13 +19,51 @@ def encode_state(arena, values):
 
 def sys_values(arena, y):
     """Sys assignment index as a name -> value dict."""
-    return dict(zip(arena.names[arena.n_env_vars:],
-                    arena.sys_codec.decode(y)))
+    sys_codec = ar._Codec.of(arena.decls[arena.n_env_vars:])
+    return dict(zip(arena.names[arena.n_env_vars:], sys_codec.decode(y)))
 
 
 def env_column(arena, name, idx=None):
     """Values of an env variable across env assignment indices."""
     return arena.env_codec.column((name, False), idx)
+
+
+def column(arena, name, idx=None):
+    """Values of a variable across all states (or the given indices)."""
+    return arena.state_codec.column((name, False), idx)
+
+
+def decode_state(arena, s):
+    """Value tuple of a state index, in declaration order."""
+    return arena.state_codec.decode(s)
+
+
+def valuation(arena, s):
+    """State as a name -> value dict."""
+    return dict(zip(arena.names, decode_state(arena, s)))
+
+
+def env_moves(arena, s):
+    """Legal next env assignments at state s (ascending indices)."""
+    return arena.env_next[arena.env_indptr[s]:arena.env_indptr[s + 1]]
+
+
+def sys_moves(arena, s, e):
+    """Legal sys responses at state s given committed env assignment e."""
+    lo, hi = arena.env_indptr[s], arena.env_indptr[s + 1]
+    p = lo + np.searchsorted(arena.env_next[lo:hi], e)
+    if p >= hi or arena.env_next[p] != e:
+        raise ValueError(f"env assignment {e} not legal at state {s}")
+    succ = arena.edge_succ[arena.sys_indptr[p]:arena.sys_indptr[p + 1]]
+    return succ % arena.n_sys
+
+
+def dump(arena, fp):
+    """Adjacency dump: one ``state TAB env TAB sys`` line per edge."""
+    for p in range(arena.n_pairs):
+        s, e = arena.pair_state[p], arena.env_next[p]
+        for t in arena.edge_succ[arena.sys_indptr[p]:arena.sys_indptr[p + 1]]:
+            fp.write(f"{s}\t{e}\t{t % arena.n_sys}\n")
 
 
 # --------------------------------------------------------------------------

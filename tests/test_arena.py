@@ -14,12 +14,13 @@ from gr1kit import speclang as sl
 from gr1kit.errors import CapacityExceeded
 from gr1kit.speclang import ENV, parse_spec
 
-from conftest import encode_state, sys_values
+from conftest import (decode_state, dump, encode_state, env_moves, sys_moves,
+                      sys_values, valuation)
 from genspec import random_document, random_expr, reference_eval
 
 
 def brute_env_moves(arena, doc, s):
-    cur = arena.valuation(s)
+    cur = valuation(arena, s)
     out = []
     for e in range(arena.n_env):
         nxt = arena.env_values(e)
@@ -29,7 +30,7 @@ def brute_env_moves(arena, doc, s):
 
 
 def brute_sys_moves(arena, doc, s, e):
-    cur = arena.valuation(s)
+    cur = valuation(arena, s)
     base = arena.env_values(e)
     out = []
     for y in range(arena.n_sys):
@@ -44,7 +45,7 @@ def assert_successor_values(arena, s, e, ys):
     """The edges of pair (s, e) lead, by value, to states holding env
     assignment e in their env columns and the sys moves `ys` in their sys
     columns."""
-    p = arena.env_indptr[s] + arena.env_moves(s).tolist().index(e)
+    p = arena.env_indptr[s] + env_moves(arena, s).tolist().index(e)
     succ = arena.edge_succ[arena.sys_indptr[p]:arena.sys_indptr[p + 1]]
     env = list(arena.env_values(e).values())
     assert arena.state_codec.values(succ).tolist() == [
@@ -56,9 +57,9 @@ def test_two_booleans_no_clauses():
     a = ar.build_arena(doc)
     assert a.n_states == 4
     for s in range(4):
-        assert list(a.env_moves(s)) == [0, 1]
+        assert list(env_moves(a, s)) == [0, 1]
         for e in (0, 1):
-            assert list(a.sys_moves(s, e)) == [0, 1]
+            assert list(sys_moves(a, s, e)) == [0, 1]
 
 
 def test_sys_projection_clause():
@@ -66,9 +67,9 @@ def test_sys_projection_clause():
         "[ENV_VARS]\ne : bool\n[SYS_VARS]\nrs : 0..3\n[SYS_TRANS]\nrs' = rs\n")
     a = ar.build_arena(doc)
     for s in range(a.n_states):
-        rs = a.valuation(s)["rs"]
-        for e in a.env_moves(s):
-            ys = a.sys_moves(s, int(e))
+        rs = valuation(a, s)["rs"]
+        for e in env_moves(a, s):
+            ys = sys_moves(a, s, int(e))
             assert len(ys) == 1
             assert sys_values(a, int(ys[0]))["rs"] == rs
 
@@ -78,10 +79,10 @@ def test_state_index_bijection():
         "[ENV_VARS]\nu : 0..2\nv : bool\n[SYS_VARS]\nx : -1..3\n")
     a = ar.build_arena(doc)
     for s in range(a.n_states):
-        vals = a.decode_state(s)
+        vals = decode_state(a, s)
         assert encode_state(a, vals) == s
     # the codec is mixed radix over the declared order, env side first
-    assert encode_state(a, a.decode_state(0)) == 0
+    assert encode_state(a, decode_state(a, 0)) == 0
     assert a.n_states == 3 * 2 * 5
 
 
@@ -175,10 +176,10 @@ def test_moves_match_clause_by_clause_eval(monkeypatch):
             assert np.array_equal(getattr(a, field), getattr(b, field))
         for s in range(a.n_states):
             want_e = brute_env_moves(a, doc, s)
-            assert want_e == [int(e) for e in a.env_moves(s)]
+            assert want_e == [int(e) for e in env_moves(a, s)]
             for e in want_e:
                 want_y = brute_sys_moves(a, doc, s, e)
-                assert want_y == [int(y) for y in a.sys_moves(s, e)]
+                assert want_y == [int(y) for y in sys_moves(a, s, e)]
                 assert_successor_values(a, s, e, want_y)
         checked += 1
     assert checked >= 40
@@ -237,7 +238,7 @@ def test_reduced_predicates_and_inits(reduced_doc, reduced_arena):
     assert preds and all(p.any() and not p.all() for p in preds)
     assert 0 < a.sys_init.sum() < a.n_states
     for s in range(a.n_states):
-        cur = a.valuation(s)
+        cur = valuation(a, s)
         for expr, pred in zip(doc.env_liveness + doc.sys_liveness, preds):
             assert pred[s] == reference_eval(expr, cur)
         assert a.sys_init[s] == all(reference_eval(c, cur)
@@ -254,17 +255,17 @@ def test_adding_clause_never_enlarges_moves():
     a1 = ar.build_arena(parse_spec(base))
     a2 = ar.build_arena(parse_spec(tightened))
     for s in range(a1.n_states):
-        m1 = set(int(e) for e in a1.env_moves(s))
-        m2 = set(int(e) for e in a2.env_moves(s))
+        m1 = set(int(e) for e in env_moves(a1, s))
+        m2 = set(int(e) for e in env_moves(a2, s))
         assert m2.issubset(m1)
     base_sys = base + "[SYS_TRANS]\nx' >= x - 1\n"
     tight_sys = base_sys + "x' <= x + 1\n"
     b1 = ar.build_arena(parse_spec(base_sys))
     b2 = ar.build_arena(parse_spec(tight_sys))
     for s in range(b1.n_states):
-        for e in b1.env_moves(s):
-            y1 = set(int(y) for y in b1.sys_moves(s, int(e)))
-            y2 = set(int(y) for y in b2.sys_moves(s, int(e)))
+        for e in env_moves(b1, s):
+            y1 = set(int(y) for y in sys_moves(b1, s, int(e)))
+            y2 = set(int(y) for y in sys_moves(b2, s, int(e)))
             assert y2.issubset(y1)
 
 
@@ -273,9 +274,9 @@ def test_env_deadlock_possible():
         "[ENV_VARS]\nu : bool\n[SYS_VARS]\nx : bool\n[ENV_TRANS]\nu -> u' & !u'\n")
     a = ar.build_arena(doc)
     dead = encode_state(a, [1, 0])
-    assert len(a.env_moves(dead)) == 0
+    assert len(env_moves(a, dead)) == 0
     live = encode_state(a, [0, 0])
-    assert len(a.env_moves(live)) == 2
+    assert len(env_moves(a, live)) == 2
 
 
 def test_sys_deadlock_keeps_pair():
@@ -283,9 +284,9 @@ def test_sys_deadlock_keeps_pair():
         "[ENV_VARS]\nu : bool\n[SYS_VARS]\nx : bool\n[SYS_TRANS]\nu' -> x' & !x'\n")
     a = ar.build_arena(doc)
     s = encode_state(a, [0, 0])
-    assert [int(e) for e in a.env_moves(s)] == [0, 1]
-    assert len(a.sys_moves(s, 0)) == 2
-    assert len(a.sys_moves(s, 1)) == 0
+    assert [int(e) for e in env_moves(a, s)] == [0, 1]
+    assert len(sys_moves(a, s, 0)) == 2
+    assert len(sys_moves(a, s, 1)) == 0
 
 
 def test_init_sets():
@@ -295,7 +296,7 @@ def test_init_sets():
     a = ar.build_arena(doc)
     assert list(np.nonzero(a.env_init)[0]) == [1, 2]
     states = np.nonzero(a.sys_init)[0]
-    assert all(a.valuation(int(s))["x"] == a.valuation(int(s))["u"]
+    assert all(valuation(a, int(s))["x"] == valuation(a, int(s))["u"]
                for s in states)
     rng = random.Random(11)
     for _ in range(40):
@@ -313,10 +314,10 @@ def test_init_sets():
         for expr in doc.env_liveness + doc.sys_liveness:
             pred = ar.state_predicate(b, expr)
             assert pred.shape == (b.n_states,)
-            assert all(pred[s] == reference_eval(expr, b.valuation(s))
+            assert all(pred[s] == reference_eval(expr, valuation(b, s))
                        for s in range(b.n_states))
         for s in range(b.n_states):
-            want = all(reference_eval(c, b.valuation(s))
+            want = all(reference_eval(c, valuation(b, s))
                        for c in doc2.sys_init)
             assert b.sys_init[s] == want
 
@@ -336,7 +337,7 @@ def test_dump_format():
     doc = parse_spec("[ENV_VARS]\nu : bool\n[SYS_VARS]\nx : bool\n")
     a = ar.build_arena(doc)
     buf = io.StringIO()
-    a.dump(buf)
+    dump(a, buf)
     lines = buf.getvalue().splitlines()
     assert len(lines) == a.n_states * 2 * 2
     assert all(len(line.split("\t")) == 3 for line in lines)

@@ -118,6 +118,13 @@ def test_synth_parse_error_exit2(tmp_path, capsys):
     assert run_cli(["synth", str(bad)]) == 2
 
 
+def test_synth_non_ascii_digits_exit2(tmp_path, capsys):
+    bad = tmp_path / "digits.spec"
+    bad.write_bytes("[ENV_VARS]\nx : \u0661..\u0663\n[ENV_INIT]\n"
+                    "x = \u0662\n".encode("utf-8"))
+    assert run_cli(["synth", str(bad)]) == 2
+
+
 def test_synth_capacity_exit5(tmp_path, capsys):
     spec = tmp_path / "big.spec"
     assert run_cli(["emit", "--out", str(spec)]) == 0

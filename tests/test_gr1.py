@@ -14,7 +14,7 @@ from gr1kit import workdelivery as wd
 from gr1kit.errors import NotRealizable, TooLarge
 from gr1kit.speclang import ENV, SYS, VarDecl, parse_spec
 
-from conftest import encode_state, reference_json
+from conftest import encode_state, reference_json, valuation
 from genspec import random_document
 
 
@@ -135,7 +135,7 @@ def brute_init_states(arena, inside):
     first = {}
     for s in range(arena.n_states):
         if arena.sys_init[s] and inside[s]:
-            val = arena.valuation(s)
+            val = valuation(arena, s)
             first.setdefault(tuple(val[n] for n in env_names), s)
     return [first.get(tuple(arena.env_values(e).values()), -1)
             for e in range(arena.n_env)]
@@ -168,7 +168,7 @@ def test_init_states_match_brute_loop():
         assert [dict(zip(st.env_names, row)) for row in st.init_env.tolist()
                 ] == [a.env_values(e) for e in env_init]
         assert [dict(zip(st.names, st.node_vals[n].tolist()))
-                for n in st.init_node] == [a.valuation(lowest[e])
+                for n in st.init_node] == [valuation(a, lowest[e])
                                            for e in env_init]
         assert not st.node_goal[st.init_node].any()
         extracted += 1

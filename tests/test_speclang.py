@@ -86,6 +86,23 @@ def test_syntax_error_reports_line_and_column():
     assert d.kind == "SyntaxError" and d.line == 4 and d.column >= 1
 
 
+def test_non_ascii_digits_and_spaces_are_rejected():
+    # Arabic-Indic digits are Unicode decimals, but the grammar's are 0-9
+    with pytest.raises(SpecError) as exc:
+        parse_spec("[ENV_VARS]\nx : \u0661..\u0663\n[ENV_INIT]\nx = \u0662\n")
+    assert [(d.kind, d.line, d.column, d.token)
+            for d in exc.value.diagnostics] == [
+        ("SyntaxError", 2, 1, "x : \u0661..\u0663"),
+        ("SyntaxError", 4, 5, "\u0662")]
+    with pytest.raises(SpecError):
+        parse_expr("x = \u0662")
+    # nor is a declaration split by a no-break space
+    with pytest.raises(SpecError):
+        parse_spec("[ENV_VARS]\nx :\u00a0bool\n")
+    assert parse_spec("[ENV_VARS]\nx : 1..3\n[ENV_INIT]\nx = 2\n").vars == [
+        sl.VarDecl("x", sl.ENV, 1, 3, False)]
+
+
 def test_eval_expr_examples():
     assert eval_expr(parse_expr("bl' = bl - 1"), {"bl": 20}, {"bl": 19})
     assert eval_expr(parse_expr("bl' = bl + 15"), {"bl": 10}, {"bl": 25})

@@ -1,3 +1,6 @@
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,10 @@ from gr1kit import workdelivery as wd
 from gr1kit.errors import InvalidParams
 from gr1kit.speclang import parse_spec, print_spec
 
-from conftest import REDUCED, encode_state, env_column, sys_values
+from conftest import (REDUCED, column, encode_state, env_column, env_moves,
+                      sys_moves, sys_values)
+
+DATA = Path(__file__).parent / "data"
 
 
 def world(p, **kw):
@@ -48,10 +54,49 @@ def test_params_from_items():
             wd.params_from_items([("hf_init", raw)])
 
 
-def test_emitted_document_parses_cleanly(paper_params):
-    text = wd.emit_text(paper_params)
+def test_emit_text_matches_golden_file(paper_params):
+    golden = (DATA / "work_delivery_n3.spec").read_bytes()
+    assert wd.emit_text(paper_params).encode() == golden
+
+
+# sha256 of the emitted text, pinned from the spec printer's output
+EMITTED = {
+    "default": (
+        {}, "4593857ddd9ffeede69f22591847155465ad5d2784380004a5ca99fb45c49ffc"),
+    "n1": (
+        dict(n=1, delta_units=10, bl_upper=20, bl_init=12),
+        "1f91520b44522fb28b31a138f0a6c78556bcf9765f121a571103df8acb5446d0"),
+    "reduced": (
+        dict(REDUCED, bl_init=5),
+        "842347b63072df90065aaa58db6f4d92275d7a8ed1272b57a3ce352d147befd2"),
+    "reduced-bl-range": (
+        dict(REDUCED, bl_init=(3, 7)),
+        "bf2e9c11576f1f5f2ce0e91c6f00aa3a3969aaaa8af13c450c3f523e2a600c04"),
+    "bl-range-hf": (
+        dict(bl_init=(9, 26), hf_init=True),
+        "487ad315c5264db5d7b905d4b3f613b8c5293f1c57d4d4781ac8a6e47e8a4dd4"),
+    # drops of 12 and 15 units exceed bl_max and are left out
+    "drops-over-bl-max": (
+        dict(REDUCED, gamma_units=3, k_drop=5, bl_init=5),
+        "eea5f26c88d12d067ea774111f4460786d64c816757d17b1920cd2578c1dafbc"),
+    "n4k1k3": (
+        dict(n=4, k_move=1, k_drop=3),
+        "b508722356afa3f042b88e0d14e0a2719908105582daf3770e84272450bada11"),
+    "n5": (
+        dict(n=5),
+        "387ef544124f26566a4d4afc6e67f6878e340d51c17d4ac710cf91b8cc3fe396"),
+}
+
+
+@pytest.mark.parametrize("params, digest", EMITTED.values(), ids=EMITTED)
+def test_emitted_document_parses_cleanly(params, digest):
+    p = wd.WorkDeliveryParams(**params)
+    text = wd.emit_text(p)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
     doc = parse_spec(text)        # would raise on any diagnostic
     assert print_spec(doc) == text
+    assert wd.emit_spec(p) == doc
+    assert print_spec(wd.emit_spec(p)) == text
 
 
 def test_n1_has_no_obstacle_variables():
@@ -121,7 +166,7 @@ def test_arena_backlog_successors_match_reference(paper_params, paper_arena):
     """Cross-module consistency over the entire valuation space."""
     a = paper_arena
     p = paper_params
-    cols = {name: a.column(name) for name in a.names}
+    cols = {name: column(a, name) for name in a.names}
     bl_of_env = env_column(a, "bl")
     for s in range(a.n_states):
         state = wd.WorldState(
@@ -139,16 +184,16 @@ def test_obstacle_lifetime_invariant(paper_arena):
     """o_j true forces o_j false in every legal env move, arena-wide."""
     a = paper_arena
     for name in ("o1", "o2"):
-        cur = a.column(name, a.pair_state)
+        cur = column(a, name, a.pair_state)
         nxt = env_column(a, name, a.env_next)
         assert not np.any((cur == 1) & (nxt == 1))
 
 
 def test_obstacles_never_appear_near_robot(paper_arena):
     a = paper_arena
-    rs = a.column("rs", a.pair_state)
+    rs = column(a, "rs", a.pair_state)
     for j, name in ((1, "o1"), (2, "o2")):
-        cur = a.column(name, a.pair_state)
+        cur = column(a, name, a.pair_state)
         nxt = env_column(a, name, a.env_next)
         rising = (cur == 0) & (nxt == 1)
         assert np.all(np.abs(rs[rising] - j) >= 2)
@@ -196,9 +241,9 @@ def test_refill_admissibility_on_strategy(strategy_for, paper_params):
 def test_sys_moves_adjacency_at_station(paper_arena):
     a = paper_arena
     s = encode_state(a, [15, 0, 0, 0, 0, 0, 0, 0, 0])   # robot idle at cell 0
-    e = next(int(e) for e in a.env_moves(s)
+    e = next(int(e) for e in env_moves(a, s)
              if a.env_values(int(e))["o1"] == 0)
-    acts = {sys_values(a, int(y))["act"] for y in a.sys_moves(s, e)}
+    acts = {sys_values(a, int(y))["act"] for y in sys_moves(a, s, e)}
     assert acts == {0, 1}
 
 
@@ -207,15 +252,15 @@ def test_sys_moves_obstacle_blocks_launch(paper_arena):
     # far away) and exclude the matching launch from the next cell
     a = paper_arena
     s = encode_state(a, [15, 0, 0, 0, 0, 3, 2, 1, 0])
-    moves = {int(e): a.env_values(int(e)) for e in a.env_moves(s)}
+    moves = {int(e): a.env_values(int(e)) for e in env_moves(a, s)}
     blocked = [e for e, v in moves.items() if v["o1"] == 1]
     clear = [e for e, v in moves.items() if v["o1"] == 0]
     assert blocked and clear
     for e in blocked:
-        acts = {sys_values(a, int(y))["act"] for y in a.sys_moves(s, e)}
+        acts = {sys_values(a, int(y))["act"] for y in sys_moves(a, s, e)}
         assert acts == {2, 3}
     for e in clear:
-        acts = {sys_values(a, int(y))["act"] for y in a.sys_moves(s, e)}
+        acts = {sys_values(a, int(y))["act"] for y in sys_moves(a, s, e)}
         assert acts == {1, 2, 3}
 
 
