@@ -29,10 +29,11 @@ predicates have no columns: their clauses are tabulated once over the
 variables they read.  For the join, clauses are grouped by the column
 variables they reference; each group's conjunction is tabulated once over
 the joint domain of its variables by ``speclang.eval_expr``, the toolkit's
-one evaluator, called with row values along one axis and column values
-along the other.  A table that would be larger than ``_BLOCK_CELLS``, or
-cover more row profiles than there are rows, is instead built per chunk of
-rows over the profiles that occur in it.
+one evaluator, called with each row and each column variable on its own
+broadcast axis, so a sub-expression costs only the variables it reads.  A
+table that would be larger than ``_BLOCK_CELLS``, or cover more row
+profiles than there are rows, is instead built per chunk of rows over the
+profiles that occur in it, held on one profile axis.
 
 The tables are then joined one column variable at a time, in codec order
 (a partitioned transition relation with early quantification, done on
@@ -40,11 +41,12 @@ explicit arrays).  Groups without column variables filter the rows.  Each
 partial assignment, a (row, column index prefix) pair, is extended by the
 allowed values of the next variable, read from the sparsest group that
 ends at that variable as a CSR keyed by row profile and the group's
-earlier column values (the whole domain when no group ends there); the
-other groups ending there filter the extensions by one gather each.  The
-work follows the surviving partial assignments, not the [rows × columns]
-grid, and the partials are expanded depth first in pieces of about
-``_BLOCK_CELLS // 8`` entries, so memory stays bounded.
+earlier column values (the whole domain when no group ends there), with
+its counts per key and its values scaled to column-index digits once per
+chunk; the other groups ending there filter the extensions by one gather
+each.  The work follows the surviving partial assignments, not the
+[rows × columns] grid, and the partials are expanded depth first in
+pieces of about ``_BLOCK_CELLS // 8`` entries, so memory stays bounded.
 """
 
 from __future__ import annotations
@@ -190,14 +192,28 @@ class GameArena:
 # variables
 
 def _table(clauses, row, profiles, col):
-    """Truth of a clause conjunction, [row profiles × every `col` index]."""
-    val = [(key, row.column(key, profiles)[:, None]) for key in row.keys]
-    val += [(key, col.column(key)[None, :]) for key in col.keys]
+    """Truth of a clause conjunction, [row profiles × every `col` index],
+    where `profiles` None means every index of `row`.  Each variable holds
+    ``lo + arange(size)`` on its own broadcast axis, except that given
+    profiles share one axis; C order is mixed radix, first key most
+    significant, so the joint array reshapes to the table."""
+    fields, val, shape = col.fields, [], []
+    if profiles is None:
+        fields = row.fields + fields
+    else:
+        shape = [len(profiles)]
+        val = [(key, row.column(key, profiles).reshape(-1, *[1] * len(fields)))
+               for key in row.keys]
+    for k, (key, lo, size) in enumerate(fields, 1):
+        shape.append(size)
+        val.append((key, (lo + np.arange(size, dtype=np.int64)).reshape(
+            -1, *[1] * (len(fields) - k))))
     cur = {name: v for (name, primed), v in val if not primed}
     nxt = {name: v for (name, primed), v in val if primed}
-    return functools.reduce(
+    table = functools.reduce(
         np.logical_and, (sl.eval_expr(c, cur, nxt) for c in clauses),
-        np.ones((len(profiles), col.size), dtype=bool))
+        np.ones(shape, dtype=bool))
+    return table.reshape(-1, col.size)
 
 
 def _indptr(owner, n):
@@ -206,31 +222,38 @@ def _indptr(owner, n):
     return indptr
 
 
-def _gather(indptr, rows):
+def _gather(indptr, rows, size=None):
     """Positions ``indptr[r]:indptr[r + 1]`` of each row in `rows`,
-    concatenated in row order."""
+    concatenated in row order; `size` holds the rows' lengths if the
+    caller has them."""
     lo = indptr[rows]
-    size = indptr[rows + 1] - lo
+    if size is None:
+        size = indptr[rows + 1] - lo
     ends = size.cumsum()
     total = ends[-1] if len(ends) else 0
     return (lo - ends + size).repeat(size) + np.arange(total)
 
 
-def _generator(table, size):
-    """True cells of a table read as [keys × `size` values]: a CSR (indptr,
-    values), plus each key's value (-1 for none) if no key has two."""
+def _generator(table, size, weight):
+    """True cells of a table read as [keys × `size` values], each value
+    times `weight`: a CSR (indptr, count per key, values), plus each key's
+    value (negative for none) if no key has two."""
     owner, values = np.divmod(np.flatnonzero(table), size)
     n = table.size // size
     first = None
     if not (owner[1:] == owner[:-1]).any():
         first = np.full(n, -1)
         first[owner] = values
-    return _indptr(owner, n), values, first
+        first *= weight
+    indptr = _indptr(owner, n)
+    return indptr, np.diff(indptr), values * weight, first
 
 
 def _cells(ri, sub, r, c, col):
     """Cell of each partial assignment (row position `r`, column index `c`)
     in a [row profile `ri` × `sub` index] table, flattened."""
+    if not sub.keys:
+        return ri[r]
     return ri[r] * sub.size + col.project(c, sub)
 
 
@@ -283,8 +306,7 @@ def _join(clause_refs, row, rows, col):
         conj = [c for c, _ in group]
         table = None
         if sub.size <= len(rows) and sub.size * col_sub.size <= _BLOCK_CELLS:
-            table = _table(conj, sub, np.arange(sub.size, dtype=np.int64),
-                           col_sub)
+            table = _table(conj, sub, None, col_sub)
         else:
             # each chunk tabulates only the profiles that occur in it, so
             # no table is larger than _BLOCK_CELLS
@@ -313,15 +335,17 @@ def _join(clause_refs, row, rows, col):
             # filter them.  With no group, the whole domain.
             if len(bound) > 1:
                 bound.sort(key=lambda g: g[1].mean())
-            gen, csr = None, (np.array([0, size]), np.arange(size), None)
+            # its values come scaled by the level's weight, as digits of `c`
+            gen, csr = None, (np.array([0, size]), np.array([size]),
+                              np.arange(size) * weights[k], None)
             if bound and k:
                 ri, table, col_sub = bound.pop(0)
                 gen = (ri, col_sub.sub(col_sub.keys[:-1]))
-                csr = _generator(table, size)
+                csr = _generator(table, size, weights[k])
             plan.append((gen, *csr, [(ri, table.ravel(), col_sub)
                                      for ri, table, col_sub in bound]))
         r = np.arange(len(chunk))
-        for ri, table, _ in plan[0][4]:
+        for ri, table, _ in plan[0][-1]:
             r = r[table[ri[r]]]
         # depth first and in order; an entry's `key`, each partial
         # assignment's generator key, is None until it has been cut
@@ -332,7 +356,7 @@ def _join(clause_refs, row, rows, col):
                 r_parts.append(r + lo)
                 c_parts.append(c)
                 continue
-            gen, indptr, values, first, filters = plan[k]
+            gen, indptr, counts, values, first, filters = plan[k]
             uncut = key is None
             if uncut:
                 key = (_cells(*gen, r, c, col) if gen
@@ -341,20 +365,19 @@ def _join(clause_refs, row, rows, col):
                 # at most one value each, the common case: no repeat
                 digit = first[key]
                 keep = digit >= 0
-                r, c = r[keep], c[keep] + digit[keep] * weights[k]
+                r, c = r[keep], c[keep] + digit[keep]
             else:
-                cnt = indptr[key + 1] - indptr[key]
+                cnt = counts[key]
                 total = cnt.sum()
                 if uncut and total > piece:
                     cuts = np.append(np.searchsorted(
-                        np.cumsum(cnt) - cnt, np.arange(0, total, piece)),
-                        len(r))
+                        cnt.cumsum(), np.arange(0, total, piece)), len(r))
                     stack.extend((k, r[a:b], c[a:b], key[a:b]) for a, b in
                                  reversed(list(zip(cuts[:-1], cuts[1:])))
                                  if a < b)
                     continue
                 r = r.repeat(cnt)
-                c = c.repeat(cnt) + values[_gather(indptr, key)] * weights[k]
+                c = c.repeat(cnt) + values[_gather(indptr, key, cnt)]
             for ri, table, col_sub in filters:
                 keep = table[_cells(ri, col_sub, r, c, col)]
                 r, c = r[keep], c[keep]
@@ -365,8 +388,7 @@ def _join(clause_refs, row, rows, col):
 def _holds(clauses, codec):
     """Bool array over every index of `codec`: the clauses all hold."""
     sub = codec.sub(set().union(*map(sl.expr_refs, clauses)))
-    table = _table(clauses, sub, np.arange(sub.size, dtype=np.int64),
-                   _Codec(()))
+    table = _table(clauses, sub, None, _Codec(()))
     return table[codec.project(np.arange(codec.size, dtype=np.int64), sub), 0]
 
 

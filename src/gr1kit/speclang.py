@@ -11,7 +11,10 @@ expressions over ``! & | -> <->``, integer comparisons ``= != < <= > >=``
 between a variable (optionally offset by ``+ k`` / ``- k``) or a literal,
 next-step references written ``name'``, and parentheses.  ``#`` starts a
 comment.  Names and integers are ASCII: an integer is written in the digits
-``0-9`` only.
+``0-9`` only.  Clauses are evaluated over int64, so every declared bound,
+literal and offset, and the values ``lo + k .. hi + k`` of a term
+``name + k``, must fit in a signed 64-bit integer; anything wider is a
+type mismatch rather than a wrapped value.
 
 One validator serves parsed and built documents alike: ``parse_spec`` only
 builds declarations and clauses, then runs the checker that
@@ -393,15 +396,16 @@ def parse_spec(text):
 
 
 def _walk_refs(expr):
-    """Yield (name, primed, as_bool) for every variable reference."""
+    """Yield (name, primed, term) for every variable reference and integer
+    term: `term` is None for a variable used as a boolean atom, and `name`
+    is None for a literal."""
     stack = [expr]
     while stack:
         e = stack.pop()
         if isinstance(e, VarRef):
-            yield e.name, e.primed, True
+            yield e.name, e.primed, None
         elif isinstance(e, IntTerm):
-            if e.name is not None:
-                yield e.name, e.primed, False
+            yield e.name, e.primed, e
         elif isinstance(e, Cmp):
             stack.append(e.lhs)
             stack.append(e.rhs)
@@ -412,6 +416,9 @@ def _walk_refs(expr):
         elif isinstance(e, (Implies, Iff)):
             stack.append(e.lhs)
             stack.append(e.rhs)
+
+
+_INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
 
 
 def _check(doc, lines):
@@ -437,6 +444,10 @@ def _check(doc, lines):
         elif d.owner not in _OWNERS:
             report(Diagnostic.OWNERSHIP, f"owner {d.owner!r} is neither "
                    f"{ENV!r} nor {SYS!r}", line, d.name)
+        elif not (_INT64_MIN <= d.lo <= _INT64_MAX
+                  and _INT64_MIN <= d.hi <= _INT64_MAX):
+            report(Diagnostic.TYPE_MISMATCH, f"range {d.lo}..{d.hi} does "
+                   "not fit in 64 bits", line, d.name)
         elif d.lo > d.hi:
             report(Diagnostic.TYPE_MISMATCH, f"empty range {d.lo}..{d.hi}",
                    line, d.name)
@@ -449,12 +460,23 @@ def _check(doc, lines):
         unprimed = not fieldname.endswith("_safety")     # init and liveness
         for expr, line in zip(getattr(doc, fieldname),
                               lines.get(fieldname, repeat(0))):
-            for name, primed, as_bool in _walk_refs(expr):
+            for name, primed, term in _walk_refs(expr):
                 d = decls.get(name)
+                if term is not None and (d is not None or name is None):
+                    k = term.offset
+                    lo, hi = (d.lo, d.hi) if d else (0, 0)
+                    if not (_INT64_MIN <= lo + k and hi + k <= _INT64_MAX
+                            and _INT64_MIN <= k <= _INT64_MAX):
+                        report(Diagnostic.TYPE_MISMATCH,
+                               f"term {_term_text(term)} does not fit in "
+                               "64 bits", line, name or str(k))
+                if name is None:
+                    continue
                 if d is None:
                     report(Diagnostic.UNKNOWN_VARIABLE,
                            f"undeclared variable {name!r}", line, name)
                     continue
+                as_bool = term is None
                 if as_bool and not d.is_bool:
                     report(Diagnostic.TYPE_MISMATCH,
                            f"integer variable {name!r} used as boolean",
@@ -667,4 +689,5 @@ def eval_expr(e, current, nxt=None):
 
 def expr_refs(e):
     """Set of (name, primed) pairs referenced by an expression."""
-    return {(name, primed) for name, primed, _ in _walk_refs(e)}
+    return {(name, primed) for name, primed, _ in _walk_refs(e)
+            if name is not None}

@@ -186,6 +186,42 @@ def test_moves_match_clause_by_clause_eval(monkeypatch):
     assert {"identity", "mask", "unique"} <= set(paths)
 
 
+def test_table_layouts_agree(monkeypatch, paper_doc, reduced_doc):
+    # every table that _join and _holds build over a whole row domain, one
+    # axis per variable, equals the table listing every row profile on one
+    # axis, cell for cell
+    table = ar._table
+    calls = []
+
+    def recorded(clauses, row, profiles, col):
+        if profiles is None:
+            calls.append((clauses, row, col))
+        return table(clauses, row, profiles, col)
+
+    monkeypatch.setattr(ar, "_table", recorded)
+    rng = random.Random(5)
+    docs = [random_document(rng) for _ in range(150)]
+    # `true` clauses, and groups that read no row variable
+    docs += [parse_spec(WIDE_SPEC), paper_doc, reduced_doc, parse_spec(
+        "[ENV_VARS]\nu : 0..2\n[SYS_VARS]\nx : -1..1\ny : bool\n"
+        "[ENV_TRANS]\nu' != 1\ntrue\n[SYS_TRANS]\nx' >= u' - 1 | y'\n"
+        "[SYS_LIVENESS]\ntrue\n")]
+    for doc in docs:
+        a = ar.build_arena(doc)
+        for expr in doc.env_liveness + doc.sys_liveness:
+            ar.state_predicate(a, expr)
+    for clauses, row, col in calls:
+        whole = table(clauses, row, None, col)
+        listed = table(clauses, row, np.arange(row.size, dtype=np.int64), col)
+        assert whole.shape == listed.shape == (row.size, col.size)
+        assert np.array_equal(whole, listed)
+    assert len(calls) > 500
+    assert any(not row.keys and col.keys for _, row, col in calls)
+    assert any(not row.keys and not col.keys for _, row, col in calls)
+    assert any(len(row.keys) > 1 and len(col.keys) > 1
+               for _, row, col in calls)
+
+
 def test_successors_carry_pair_values(monkeypatch, reduced_doc,
                                       reduced_arena):
     # random arenas, against the move functions they were built from

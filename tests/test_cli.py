@@ -125,6 +125,25 @@ def test_synth_non_ascii_digits_exit2(tmp_path, capsys):
     assert run_cli(["synth", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("decls, clause", [
+    ("u : 0..3\n[SYS_VARS]\nx : 0..3", "x' = x + 99999999999999999999"),
+    ("u : 0..3\n[SYS_VARS]\nx : 0..3",
+     "x' + 9223372036854775807 < u + 9223372036854775807"),
+    ("u : 9223372036854775800..9223372036854775809\n[SYS_VARS]\nx : bool",
+     "x' <-> x"),
+], ids=["offset", "sum", "bound"])
+def test_synth_64_bit_overflow_exit2(tmp_path, capsys, decls, clause):
+    # unchecked, these raised OverflowError, built an arena from wrapped
+    # sums, or wrote a wrapped value into the controller
+    bad = tmp_path / "wide.spec"
+    bad.write_text(f"[ENV_VARS]\n{decls}\n[SYS_TRANS]\n{clause}\n")
+    out = tmp_path / "wide.json"
+    assert run_cli(["synth", str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: TypeMismatch") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_synth_capacity_exit5(tmp_path, capsys):
     spec = tmp_path / "big.spec"
     assert run_cli(["emit", "--out", str(spec)]) == 0

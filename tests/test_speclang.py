@@ -207,6 +207,55 @@ def test_parse_and_validate_share_one_checker():
         ("UnknownVariable", 4), ("SyntaxError", 5)]
 
 
+# clause evaluation and the codecs use int64: a term that would overflow
+# is refused, never wrapped
+WIDE_TERMS = {
+    "offset": "[SYS_TRANS]\nx' = x + 99999999999999999999\n",
+    "sum": ("[SYS_TRANS]\nx' + 9223372036854775807 < "
+            "u + 9223372036854775807\n"),
+    "literal": "[SYS_TRANS]\nx' = 9223372036854775808\n",
+    "below": "[SYS_TRANS]\nx' > x - 9223372036854775809\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(WIDE_TERMS))
+def test_terms_must_fit_in_64_bits(name):
+    text = "[ENV_VARS]\nu : 0..3\n[SYS_VARS]\nx : 0..3\n" + WIDE_TERMS[name]
+    with pytest.raises(SpecError) as exc:
+        parse_spec(text)
+    diags = exc.value.diagnostics
+    assert diags and {(d.kind, d.line) for d in diags} == {("TypeMismatch", 6)}
+    # a built document gets the same verdicts, unpositioned
+    decls = [sl.VarDecl("u", sl.ENV, 0, 3, False),
+             sl.VarDecl("x", sl.SYS, 0, 3, False)]
+    clause = parse_expr(text.splitlines()[-1])
+    with pytest.raises(SpecError) as exc:
+        sl.validate_document(sl.SpecDocument(vars=decls, sys_safety=[clause]))
+    assert [(d.kind, d.token, d.line) for d in exc.value.diagnostics] == [
+        (d.kind, d.token, 0) for d in diags]
+
+
+def test_bounds_must_fit_in_64_bits():
+    with pytest.raises(SpecError) as exc:
+        parse_spec("[ENV_VARS]\nu : 9223372036854775800..9223372036854775809"
+                   "\n[SYS_VARS]\nx : bool\n")
+    assert [(d.kind, d.line, d.token) for d in exc.value.diagnostics] == [
+        ("TypeMismatch", 2, "u")]
+    for lo, hi in ((-2 ** 63 - 1, 0), (0, 2 ** 63)):
+        with pytest.raises(SpecError) as exc:
+            sl.validate_document(sl.SpecDocument(
+                vars=[sl.VarDecl("u", sl.ENV, lo, hi, False)]))
+        assert [(d.kind, d.token) for d in exc.value.diagnostics] == [
+            ("TypeMismatch", "u")]
+    # the extremes themselves fit
+    doc = parse_spec(
+        "[ENV_VARS]\nu : 9223372036854775806..9223372036854775807\n"
+        "v : -9223372036854775808..-9223372036854775807\n"
+        "[ENV_TRANS]\nu' = u - 1 + 1 & v' = v + 0\n"
+        "v' < 9223372036854775807 & v + 9223372036854775807 < 1\n")
+    assert [d.lo for d in doc.vars] == [2 ** 63 - 2, -2 ** 63]
+
+
 def test_empty_sections_print():
     doc = sl.SpecDocument()
     sl.validate_document(doc)
