@@ -7,11 +7,15 @@ adversary), ``check`` (verify traces or strategies), ``oracle``
 
 Exit codes: 0 success, 2 parse/validation errors, 3 runtime strategy hole,
 4 check failure or oracle mismatch, 5 capacity exceeded, 10 unrealizable.
+A command returns only the codes of its outcome (0, 4 or 10); anything
+that stops it is raised as a toolkit error, and `main` prints that error
+and maps it to its code through `_EXIT_CODE`.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -24,7 +28,7 @@ from . import gr1
 from . import sim
 from . import speclang as sl
 from . import workdelivery as wd
-from .errors import (AdversaryNotFinite, CapacityExceeded, InvalidParams,
+from .errors import (CapacityExceeded, Gr1kitError, InvalidParams,
                      MissingBinding, SpecError, StrategyHole, TooLarge)
 
 EXIT_OK = 0
@@ -34,63 +38,37 @@ EXIT_CHECK = 4
 EXIT_CAPACITY = 5
 EXIT_UNREALIZABLE = 10
 
+# exit code of each error class; every other toolkit error exits EXIT_PARSE
+_EXIT_CODE = {CapacityExceeded: EXIT_CAPACITY, TooLarge: EXIT_CAPACITY,
+              StrategyHole: EXIT_HOLE}
 
-def _error(message, code=EXIT_PARSE):
-    """Report on stderr why a command stops; returns its exit code."""
-    print(f"error: {message}", file=sys.stderr)
-    return code
-
-
-def _params_from_args(args):
-    items = []
-    if getattr(args, "config", None):
-        with open(args.config) as fp:
-            for raw in fp:
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise InvalidParams(f"bad config line: {raw.rstrip()}")
-                key, val = line.split("=", 1)
-                items.append((key.strip(), val.strip()))
-    for kv in getattr(args, "param", None) or []:
-        if "=" not in kv:
-            raise InvalidParams(f"--param needs key=value, got {kv!r}")
-        key, val = kv.split("=", 1)
-        items.append((key.strip(), val.strip()))
-    return wd.params_from_items(items)
+# `simulate` keeps the whole trace in memory: 10**6 steps of the reduced
+# controller peak near 430 MB and write a 38 MB CSV
+MAX_STEPS = 1_000_000
 
 
-def cmd_emit(args):
+class _UsageError(Gr1kitError):
+    """A bad option, or an input or output file that cannot be used."""
+
+
+@contextlib.contextmanager
+def _file(verb, what, path, errors=(OSError,)):
+    """Reraise `errors` from the block as 'cannot <verb> <what> <path>'."""
     try:
-        params = _params_from_args(args)
-        text = wd.emit_text(params)
-    except (InvalidParams, OSError) as exc:
-        return _error(exc)
-    if args.out:
-        try:
-            with open(args.out, "w") as fp:
-                fp.write(text)
-        except OSError as exc:
-            return _error(f"cannot write spec {args.out}: {exc!r}")
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+        yield
+    except errors as exc:
+        raise _UsageError(f"cannot {verb} {what} {path}: {exc!r}") from exc
+
+
+# what opening a file, or parsing malformed contents, raises
+_LOAD_ERRORS = (OSError, ValueError, LookupError, TypeError, AttributeError,
+                OverflowError)
 
 
 def _load(what, path, parse, mode="r"):
-    """`parse` of an open input file, or None after reporting why the file
-    is unusable."""
-    try:
-        with open(path, mode) as fp:
-            return parse(fp)
-    except SpecError as exc:
-        for d in exc.diagnostics:
-            _error(repr(d))
-    except (OSError, ValueError, LookupError, TypeError, AttributeError,
-            OverflowError) as exc:
-        _error(f"cannot load {what} {path}: {exc!r}")
-    return None
+    """`parse` of an open input file; a SpecError passes through."""
+    with _file("load", what, path, _LOAD_ERRORS), open(path, mode) as fp:
+        return parse(fp)
 
 
 def _load_spec(path):
@@ -100,6 +78,35 @@ def _load_spec(path):
 def _load_strategy(path):
     return _load("strategy", path,
                  lambda fp: gr1.Strategy.from_obj(json.load(fp)))
+
+
+def _params_from_args(args):
+    items = []
+    for raw in _load("config", args.config, list) if args.config else ():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise InvalidParams(f"bad config line: {raw.rstrip()}")
+        key, val = line.split("=", 1)
+        items.append((key.strip(), val.strip()))
+    for kv in args.param or []:
+        if "=" not in kv:
+            raise InvalidParams(f"--param needs key=value, got {kv!r}")
+        key, val = kv.split("=", 1)
+        items.append((key.strip(), val.strip()))
+    return wd.params_from_items(items)
+
+
+def cmd_emit(args):
+    text = wd.emit_text(_params_from_args(args))
+    sl.parse_spec(text)      # emit nothing that synth would refuse
+    if args.out:
+        with _file("write", "spec", args.out), open(args.out, "w") as fp:
+            fp.write(text)
+    else:
+        sys.stdout.write(text)
+    return EXIT_OK
 
 
 def _escape_count(arena, escapes):
@@ -120,13 +127,8 @@ def _unrealizable(arena, escapes, shown=5):
 
 def cmd_synth(args):
     doc = _load_spec(args.spec)
-    if doc is None:
-        return EXIT_PARSE
     t0 = time.perf_counter()
-    try:
-        arena = ar.build_arena(doc, cap=args.cap)
-    except CapacityExceeded as exc:
-        return _error(exc, EXIT_CAPACITY)
+    arena = ar.build_arena(doc, cap=args.cap)
     escapes = gr1._init_escapes(arena)
     if len(escapes):
         print(f"unrealizable: {_escape_count(arena, escapes)} admit no initial "
@@ -145,49 +147,39 @@ def cmd_synth(args):
           f"states winning; controller has {strategy.n_nodes} nodes "
           f"({elapsed:.2f}s)")
     if args.out:
-        try:
+        with _file("write", "strategy", args.out):
             strategy.save(args.out)
-        except OSError as exc:
-            return _error(f"cannot write strategy {args.out}: {exc!r}")
         print(f"strategy written to {args.out}")
     return EXIT_OK
 
 
 def cmd_simulate(args):
     strategy = _load_strategy(args.strategy)
-    if strategy is None:
-        return EXIT_PARSE
     events = []
     if args.events:
         events = _load("events", args.events,
                        lambda fp: sim.parse_events(fp.read()))
-        if events is None:
-            return EXIT_PARSE
-    if args.steps < 1:
-        return _error("--steps must be at least 1")
+    if not 1 <= args.steps <= MAX_STEPS:
+        raise _UsageError(f"--steps must be in 1..{MAX_STEPS}")
     if args.runs < 1:
-        return _error("--runs must be at least 1")
+        raise _UsageError("--runs must be at least 1")
     if not 0 < args.td < float("inf"):   # also false for nan
-        return _error("--td must be a finite positive number of seconds")
+        raise _UsageError("--td must be a finite positive number of seconds")
     if args.runs > 1 and not args.out:
-        return _error("--runs needs --out")
+        raise _UsageError("--runs needs --out")
     for k in range(args.runs):
         adversary = sim.make_adversary(args.adversary, seed=args.seed + k,
                                        events=events)
         try:
             trace = sim.run(strategy, adversary, args.steps, events=events,
                             td=args.td, pace=args.pace)
-        except StrategyHole as exc:
-            return _error(exc, EXIT_HOLE)
-        except ValueError as exc:        # a `set` event on a non-env variable
-            return _error(exc)
+        except ValueError as exc:
+            # a `set` on a non-env variable, or a time column past float range
+            raise _UsageError(exc) from exc
         if args.out:
             path = args.out if args.runs == 1 else f"{args.out}.{k:03d}"
-            try:
-                with open(path, "w") as fp:
-                    sim.write_csv(trace, fp)
-            except OSError as exc:
-                return _error(f"cannot write trace {path}: {exc!r}")
+            with _file("write", "trace", path), open(path, "w") as fp:
+                sim.write_csv(trace, fp)
         else:
             sim.write_csv(trace, sys.stdout)
     return EXIT_OK
@@ -195,20 +187,16 @@ def cmd_simulate(args):
 
 def cmd_check(args):
     doc = _load_spec(args.spec)
-    if doc is None:
-        return EXIT_PARSE
     if args.mode in ("safety", "recurrence"):
         if not args.trace:
-            return _error("--trace required")
+            raise _UsageError("--trace required")
         if args.mode == "recurrence":
             if args.window is None or args.window < 1:
-                return _error("recurrence needs --window of at least 1")
+                raise _UsageError("recurrence needs --window of at least 1")
             if not 0 <= args.goal < len(doc.sys_liveness):
-                return _error(
+                raise _UsageError(
                     f"--goal must be in 0..{len(doc.sys_liveness) - 1}")
         trace = _load("trace", args.trace, sim.read_csv)
-        if trace is None:
-            return EXIT_PARSE
         try:
             if args.mode == "safety":
                 verdict = ck.check_safety(trace, doc)
@@ -216,28 +204,19 @@ def cmd_check(args):
                 verdict = ck.check_recurrence(
                     trace, doc.sys_liveness[args.goal], args.window)
         except (MissingBinding, OverflowError) as exc:
-            return _error(f"cannot check trace {args.trace}: {exc}")
-    elif args.mode in ("lasso", "closure"):
+            raise _UsageError(
+                f"cannot check trace {args.trace}: {exc}") from exc
+    else:
         if not args.strategy:
-            return _error("--strategy required")
+            raise _UsageError("--strategy required")
         strategy = _load_strategy(args.strategy)
-        if strategy is None:
-            return EXIT_PARSE
         if args.mode == "lasso":
             adversary = sim.make_adversary(args.adversary)
-            try:
-                verdict = ck.lasso_check(strategy, adversary, doc)
-            except (AdversaryNotFinite, MissingBinding) as exc:
-                return _error(exc)
+            verdict = ck.lasso_check(strategy, adversary, doc)
         else:
-            try:
-                arena = ar.build_arena(doc)
-            except CapacityExceeded as exc:
-                return _error(exc, EXIT_CAPACITY)
+            arena = ar.build_arena(doc)
             result = gr1.solve(arena, doc.env_liveness, doc.sys_liveness)
             verdict = ck.verify_strategy_closure(strategy, arena, result)
-    else:
-        raise AssertionError(args.mode)
     if args.json:
         print(json.dumps(verdict.summary()))
     else:
@@ -248,15 +227,9 @@ def cmd_check(args):
 def cmd_oracle(args):
     if args.spec:
         doc = _load_spec(args.spec)
-        if doc is None:
-            return EXIT_PARSE
-        try:
-            arena = ar.build_arena(doc)
-            oracle = gr1.brute_force_oracle(
-                arena, doc.env_liveness, doc.sys_liveness,
-                cap=args.max_states)
-        except (CapacityExceeded, TooLarge) as exc:
-            return _error(exc, EXIT_CAPACITY)
+        arena = ar.build_arena(doc)
+        oracle = gr1.brute_force_oracle(arena, doc.env_liveness,
+                                        doc.sys_liveness, cap=args.max_states)
         result = gr1.solve(arena, doc.env_liveness, doc.sys_liveness)
         if np.array_equal(result.winning, oracle):
             print(f"agreement on all {arena.n_states} states")
@@ -265,7 +238,7 @@ def cmd_oracle(args):
         print(f"MISMATCH on {diff} of {arena.n_states} states")
         return EXIT_CHECK
     if args.random < 0:
-        return _error("--random must not be negative")
+        raise _UsageError("--random must not be negative")
     mismatches = 0
     for k in range(args.random):
         seed = args.seed + k
@@ -275,7 +248,7 @@ def cmd_oracle(args):
             oracle = gr1.brute_force_oracle(arena, env_live, sys_live,
                                             cap=args.max_states)
         except TooLarge as exc:
-            return _error(f"seed {seed}: {exc}", EXIT_CAPACITY)
+            raise TooLarge(f"seed {seed}: {exc}") from exc
         if not np.array_equal(result.winning, oracle):
             mismatches += 1
             print(f"MISMATCH at seed {seed}")
@@ -309,7 +282,8 @@ def build_parser():
     p.add_argument("--adversary", default="random",
                    choices=["random", "min-bl", "max-bl", "scripted",
                             "interactive"])
-    p.add_argument("--steps", type=int, default=180)
+    p.add_argument("--steps", type=int, default=180,
+                   help=f"transitions per run, at most {MAX_STEPS}")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--runs", type=int, default=1,
                    help="batch of runs with seeds seed, seed+1, ...")
@@ -348,7 +322,14 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Gr1kitError as exc:
+        messages = (map(repr, exc.diagnostics) if isinstance(exc, SpecError)
+                    else [exc])
+        for message in messages:
+            print(f"error: {message}", file=sys.stderr)
+        return _EXIT_CODE.get(type(exc), EXIT_PARSE)
 
 
 def entry():

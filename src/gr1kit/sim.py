@@ -240,9 +240,13 @@ def run(strategy, adversary, max_steps, events=(), td=10.0, pace=False):
     repeats the current node) and pin environment variables at given
     steps, from step 0 on and under every adversary: the adversary then
     picks among the matching moves, or among all of them when none match.
+    ValueError when `max_steps` is below 1 or `max_steps * td` is not
+    finite, since the time column would then hold `inf` or `nan`.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
+    if not np.isfinite(max_steps * float(td)):
+        raise ValueError(f"max_steps * td = {max_steps} * {td} is not finite")
     pins = _pins(events, strategy.env_names)
     away_events = {ev.step: ev for ev in events if ev.human_away is not None}
 

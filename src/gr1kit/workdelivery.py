@@ -76,8 +76,8 @@ class WorkDeliveryParams:
             raise InvalidParams("k_move must be at least 1")
         if not (0 <= lo <= hi <= self.bl_max):
             raise InvalidParams("bl_init outside 0..bl_max")
-        if self.td_seconds <= 0:
-            raise InvalidParams("td_seconds must be positive")
+        if not 0 < self.td_seconds < float("inf"):   # also false for nan
+            raise InvalidParams("td_seconds must be finite and positive")
         return self
 
     def interior(self):

@@ -5,6 +5,10 @@ import sys
 import pytest
 
 from gr1kit import cli
+from gr1kit.errors import (AdversaryIllegalMove, AdversaryNotFinite,
+                           CapacityExceeded, Diagnostic, InvalidParams,
+                           MissingBinding, NotRealizable, SpecError,
+                           StrategyHole, TooLarge)
 from gr1kit.speclang import parse_spec
 
 REDUCED_ARGS = ["--param", "n=2", "--param", "bl_max=10",
@@ -57,6 +61,17 @@ def test_emit_rejects_bad_param_value(tmp_path, capsys, item):
     cfg.write_text(f"{item}\n")
     assert run_cli(["emit", "--config", str(cfg)]) == 2
     assert key in capsys.readouterr().err
+
+
+def test_emit_rejects_spec_that_synth_rejects(tmp_path, capsys):
+    # a bl range past 64 bits used to be written, and synth then refused it
+    out = tmp_path / "big.spec"
+    assert run_cli(["emit", "--param", "bl_max=99999999999999999999",
+                    "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: TypeMismatch")
+    assert "Traceback" not in captured.err and not captured.out
+    assert not out.exists()
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
@@ -409,6 +424,10 @@ NO_OK_CSV = "step,time_s,x,human_away\n0,0,0,0\n1,10,0,0\n2,20,0,0\n"
     ["simulate", "{strat}", "--td", "nan"],
     ["simulate", "{strat}", "--td", "inf"],
     CHECK + ["closure", "--strategy", "{float_strat}"],
+    ["emit", "--config", "{not_utf8}"],
+    ["simulate", "{strat}", "--steps", "5", "--td", "1e308"],
+    ["simulate", "{strat}", "--steps", "99999999999999999999"],
+    ["emit", "--param", "td_seconds=nan"],
 ], ids=["safety-missing", "safety-not-csv", "safety-bad-row",
         "recurrence-missing", "recurrence-bad-row", "goal-3", "goal-minus-1",
         "check-spec-missing", "emit-config-missing", "synth-spec-missing", "oracle-spec-missing",
@@ -421,7 +440,8 @@ NO_OK_CSV = "step,time_s,x,human_away\n0,0,0,0\n1,10,0,0\n2,20,0,0\n"
         "min-bl-set-sys-var", "human-away-5", "duration-minus-3",
         "step-minus-1", "simulate-runs-0", "simulate-runs-minus-3",
         "simulate-td-0", "simulate-td-minus-5", "simulate-td-nan",
-        "simulate-td-inf", "closure-float-value"])
+        "simulate-td-inf", "closure-float-value", "emit-config-not-utf8",
+        "simulate-td-1e308", "simulate-steps-huge", "emit-td-seconds-nan"])
 def test_bad_input_exit2(workdir, tmp_path, capsys, argv):
     root, spec, strat = workdir
     files = {"missing": tmp_path / "missing.txt",
@@ -443,6 +463,8 @@ def test_bad_input_exit2(workdir, tmp_path, capsys, argv):
     files["huge"].write_text("step,time_s,ok,x,human_away\n"
                              "0,0,0,99999999999999999999,0\n")
     files["bad_row"].write_text("step,time_s,bl,human_away\n0,0,x,0\n")
+    files["not_utf8"] = tmp_path / "bad.cfg"
+    files["not_utf8"].write_bytes(b"n=\xff\xfe2\n")
     obj = json.loads(strat.read_text())
     obj["nodes"][0]["state"]["bl"] += 0.7
     files["float_strat"] = tmp_path / "float.json"
@@ -466,3 +488,28 @@ def test_check_names_missing_variable(tmp_path, capsys, mode, missing):
     assert run_cli(["check", "--spec", str(spec), "--mode", *mode,
                     "--trace", str(trace)]) == 2
     assert missing in capsys.readouterr().err
+
+
+TWO_DIAGNOSTICS = SpecError([Diagnostic(Diagnostic.SYNTAX, "first", 1, 1),
+                             Diagnostic(Diagnostic.DUPLICATE, "second", 2, 1)])
+
+
+@pytest.mark.parametrize("exc, code, lines", [
+    (CapacityExceeded("cap"), 5, 1),
+    (TooLarge("cap"), 5, 1),
+    (StrategyHole("hole"), 3, 1),
+    (TWO_DIAGNOSTICS, 2, 2),
+    (InvalidParams("params"), 2, 1),
+    (MissingBinding("binding"), 2, 1),
+    (AdversaryNotFinite("adversary"), 2, 1),
+    (AdversaryIllegalMove("move"), 2, 1),
+    (NotRealizable("game"), 2, 1),
+], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None)
+def test_exit_code_table(monkeypatch, capsys, exc, code, lines):
+    def raises(args):
+        raise exc
+    monkeypatch.setattr(cli, "cmd_synth", raises)
+    assert run_cli(["synth", "any.spec"]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line.split(" ")[0] for line in err.splitlines()] == ["error:"] * lines

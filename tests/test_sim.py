@@ -370,6 +370,10 @@ def test_interactive_policy_prompts():
 def test_max_steps_validation(strategy_for):
     with pytest.raises(ValueError):
         sim.run(strategy_for(12), sim.make_adversary("random"), 0)
+    # a time column past float range would read inf, or nan for td=nan
+    for td in (1e308, float("nan")):
+        with pytest.raises(ValueError, match="not finite"):
+            sim.run(strategy_for(12), sim.make_adversary("random"), 5, td=td)
 
 
 def test_pacing_sleeps_per_step(strategy_for):
