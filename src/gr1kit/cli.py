@@ -126,6 +126,8 @@ def _unrealizable(arena, escapes, shown=5):
 
 
 def cmd_synth(args):
+    if args.cap < 1:
+        raise _UsageError("--cap must be at least 1")
     doc = _load_spec(args.spec)
     t0 = time.perf_counter()
     arena = ar.build_arena(doc, cap=args.cap)
@@ -225,6 +227,8 @@ def cmd_check(args):
 
 
 def cmd_oracle(args):
+    if args.max_states < 1:
+        raise _UsageError("--max-states must be at least 1")
     if args.spec:
         doc = _load_spec(args.spec)
         arena = ar.build_arena(doc)

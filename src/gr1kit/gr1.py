@@ -12,14 +12,17 @@ every legal environment commitment, some system response lands in the target
 Every cpre is kept by one edge counter, `_Cpre`, over a target that only
 grows or only shrinks, so a state crossing it costs its in-edges once (the
 linear-time attractor of Grädel, Thomas and Wilke (eds.), *Automata, Logics,
-and Infinite Games*, LNCS 2500, ch. 2).  Growing ones give the attractors
-and, with liveness assumptions, cpre(Y) and the bound each nu-X retreats
-from; shrinking ones give the nu-X retreats and cpre(Z), as every Z handed
-to a goal lies inside the one before it.  A goal whose seed did not change
-keeps its mu-Y, and each nu-X starts between its layers of the previous
-round and sweep (the memoization of Firman, Maoz and Ringert, *Performance
-heuristics for GR(1) synthesis and related algorithms*, Acta Informatica
-2020, on the fixpoint of Piterman, Pnueli and Sa'ar, VMCAI 2006).
+and Infinite Games*, LNCS 2500, ch. 2).  Growing ones give cpre(Y) and,
+with liveness assumptions, the bound each nu-X retreats from; shrinking
+ones give the nu-X retreats and cpre(Z), as every Z handed to a goal lies
+inside the one before it.  One mu-Y kernel, `_mu_y`, serves every game:
+its round 0 is the seed and its nu-X layers, and the env deadlocks (cpre of
+the empty set) join the base after it, for the same least fixpoint.  A goal
+whose seed did not change keeps its mu-Y, and each nu-X starts between its
+layers of the previous round and sweep (the memoization of Firman, Maoz and
+Ringert, *Performance heuristics for GR(1) synthesis and related
+algorithms*, Acta Informatica 2020, on the fixpoint of Piterman, Pnueli and
+Sa'ar, VMCAI 2006).
 
 ``brute_force_oracle`` recomputes the winning region by a deliberately
 independent route: product the arena with goal counters for both players,
@@ -64,7 +67,7 @@ def _normalize(arena, env_live, sys_live):
 
 
 class _Ctx:
-    """Precomputed edge arrays for vectorized cpre, attractors and nu-X."""
+    """Precomputed edge arrays for vectorized cpre and nu-X."""
 
     def __init__(self, arena):
         self.arena = arena
@@ -82,25 +85,6 @@ class _Ctx:
         key %= n_pairs
         self.in_pair = key
         self.in_indptr = ar._indptr(arena.edge_succ, arena.n_states)
-
-    def attractor_ranks(self, seed):
-        """Least fixpoint of T -> seed | cpre(T), with wave index per state.
-
-        Returns an int32 array: 0 on seed, k for states joining at wave k,
-        INF_RANK outside the fixpoint.  Runs in O(edges) overall.
-        """
-        rank = np.full(self.arena.n_states, INF_RANK, dtype=np.int32)
-        cpre = _Cpre(self)
-        frontier = seed.nonzero()[0]
-        rank[frontier] = 0
-        # env-deadlocked states sit in every cpre application
-        cand = np.concatenate((cpre.add(frontier), self.stuck))
-        for r in itertools.count(1):
-            cand = cand[rank[cand] == INF_RANK]
-            if not len(cand):
-                return rank
-            rank[cand] = r
-            cand = cpre.add(cand)
 
     def nu_x(self, x, lower):
         """Greatest fixpoint of X -> lower | (x & cpre(X)), in place in `x`.
@@ -251,11 +235,8 @@ def solve(arena, env_live, sys_live):
             # a mu-Y is a function of its seed alone
             if not np.array_equal(seed, seeds[j]):
                 seeds[j] = seed
-                if falsifiable:
-                    y_rank[j], x_layers[j] = _mu_y_general(
-                        ctx, seed, falsifiable, x_layers[j])
-                else:
-                    y_rank[j] = ctx.attractor_ranks(seed)
+                y_rank[j], x_layers[j] = _mu_y(ctx, seed, falsifiable,
+                                               x_layers[j])
             Z = y_rank[j] != INF_RANK
         assert not np.any(Z & ~z_before), "Z iterates must shrink"
         if np.array_equal(Z, z_before):
@@ -271,20 +252,28 @@ def solve(arena, env_live, sys_live):
     return result
 
 
-def _mu_y_general(ctx, seed, falsifiable, warm):
+def _mu_y(ctx, seed, falsifiable, warm):
     """mu Y. B(Y) | OR_i nu X. B(Y) | (~a_i & cpre(X)), where B(Y) is
     seed | cpre(Y), at O(edges) per round.
 
-    `falsifiable` lists (i, ~assumption_i).  Returns the rank of each state
-    (the round it joined Y, INF_RANK outside Y) and the nu-X layer
-    [(i, X), ...] of every round, the last being the round that added
-    nothing.
+    `falsifiable` lists (i, ~assumption_i); with none, the mu-Y is the
+    attractor of the seed.  Returns the rank of each state (the round it
+    joined Y, INF_RANK outside Y) and the nu-X layers [(i, X), ...] of every
+    round, the last one adding nothing (no layers without assumptions).
 
-    Y grows, so a growing `_Cpre` keeps cpre(Y), and base_r = seed |
-    cpre(Y_r) grows with r.  Round r's nu-X for assumption i, X_{r,i}, is
-    the greatest fixpoint of F_r(X) = base_r | (~a_i & cpre(X)), and
-    `_Ctx.nu_x` finds it by a retreat between two bounds.  From below:
-    X_{r-1,i} | base_r, since base and so X grow with r.
+    Y grows, so a growing `_Cpre` keeps cpre(Y), and `base` grows by the
+    states it reports entering: base_0 = seed, then base_r = seed |
+    cpre(Y_r).  So the env deadlocks, cpre(empty), join base at round 1, and
+    rank 0 in every game is the seed and its round-0 nu-X layers.  The least
+    fixpoint of the mu-Y step M is the same: Y_1 lies in M(empty), so in
+    M(Y_1) and lfp M, as M is monotone; the later rounds iterate M upward
+    from Y_1, and the first that adds nothing to Y or to base is a fixpoint
+    of M inside lfp M, so lfp M.  Without assumptions, Y_{r+1} = base_r.
+
+    Round r's nu-X for assumption i, X_{r,i}, is the greatest fixpoint of
+    F_r(X) = base_r | (~a_i & cpre(X)), and `_Ctx.nu_x` finds it by a
+    retreat between two bounds.  From below: X_{r-1,i} | base_r, since base
+    and so X grow with r.
 
     From above, first a warm bound upper_r: the layer of the same goal and
     assumption in the previous Z sweep at round min(r, last), from `warm`
@@ -306,34 +295,38 @@ def _mu_y_general(ctx, seed, falsifiable, warm):
     rank = np.full(ctx.arena.n_states, INF_RANK, dtype=np.int32)
     cpre_y = _Cpre(ctx)
     cpre_t = [_Cpre(ctx, scope=not_a.nonzero()[0]) for _, not_a in falsifiable]
+    base = seed.copy()
+    newly = base.nonzero()[0]
     layers = []
-    while True:
-        r = len(layers)
-        base = seed | (cpre_y.dead == 0)
-        upper = warm[min(r, len(warm) - 1)] if warm else None
-        layer = []
-        y_new = base.copy()
-        for k, (i, not_a) in enumerate(falsifiable):
-            # T_r and B_r of the docstring, with not_a cut to upper
-            if upper:
-                not_a = not_a & upper[k][1]
-            cpre = cpre_t[k]
-            cpre.add(((base | not_a) > cpre.target).nonzero()[0])
-            x = not_a & (cpre.dead == 0)
-            x |= base
-            lower = base | layers[-1][k][1] if layers else base
-            X = ctx.nu_x(x, lower)
-            layer.append((i, X))
-            y_new |= X
-        layers.append(layer)
-        # Y is the target of cpre_y
-        assert not np.any(cpre_y.target > y_new), "Y iterates must grow"
-        newly = (y_new > cpre_y.target).nonzero()[0]
-        if not len(newly):
-            break
+    for r in itertools.count():
+        if falsifiable:
+            upper = warm[min(r, len(warm) - 1)] if warm else None
+            layer, y_new = [], base.copy()
+            for k, (i, not_a) in enumerate(falsifiable):
+                # T_r and B_r of the docstring, with not_a cut to upper
+                if upper:
+                    not_a = not_a & upper[k][1]
+                cpre = cpre_t[k]
+                cpre.add(((base | not_a) > cpre.target).nonzero()[0])
+                x = not_a & (cpre.dead == 0)
+                x |= base
+                lower = base | layers[-1][k][1] if layers else base
+                X = ctx.nu_x(x, lower)
+                layer.append((i, X))
+                y_new |= X
+            layers.append(layer)
+            # Y is the target of cpre_y
+            assert not np.any(cpre_y.target > y_new), "Y iterates must grow"
+            newly = (y_new > cpre_y.target).nonzero()[0]
+        # only round 0 can leave states pending: cpre(empty), the deadlocks
+        if not len(newly) and (r or not len(ctx.stuck)):
+            return rank, layers
         rank[newly] = r
-        cpre_y.add(newly)
-    return rank, layers
+        fresh = cpre_y.add(newly)
+        if not r:
+            fresh = np.concatenate((fresh, ctx.stuck))
+        newly = fresh[~base[fresh]]
+        base[newly] = True
 
 
 def _init_escapes(arena, winning=True):

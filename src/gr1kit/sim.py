@@ -18,6 +18,7 @@ codec is the only code that knows the scenario's column names.
 from __future__ import annotations
 
 import random
+import sys
 import time as _time
 from collections import namedtuple
 from dataclasses import dataclass
@@ -123,7 +124,6 @@ class InteractivePolicy:
     deterministic_finite = False
 
     def __init__(self, out=None, inp=None):
-        import sys
         self.out = out or sys.stdout
         self.inp = inp or sys.stdin
 
@@ -245,7 +245,8 @@ def run(strategy, adversary, max_steps, events=(), td=10.0, pace=False):
     """
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
-    if not np.isfinite(max_steps * float(td)):
+    if not (max_steps <= sys.float_info.max
+            and np.isfinite(max_steps * float(td))):
         raise ValueError(f"max_steps * td = {max_steps} * {td} is not finite")
     pins = _pins(events, strategy.env_names)
     away_events = {ev.step: ev for ev in events if ev.human_away is not None}

@@ -428,6 +428,10 @@ NO_OK_CSV = "step,time_s,x,human_away\n0,0,0,0\n1,10,0,0\n2,20,0,0\n"
     ["simulate", "{strat}", "--steps", "5", "--td", "1e308"],
     ["simulate", "{strat}", "--steps", "99999999999999999999"],
     ["emit", "--param", "td_seconds=nan"],
+    ["synth", "{spec}", "--cap", "0"],
+    ["synth", "{spec}", "--cap", "-1"],
+    ["oracle", "--random", "2", "--max-states", "0"],
+    ["oracle", "--random", "2", "--max-states", "-5"],
 ], ids=["safety-missing", "safety-not-csv", "safety-bad-row",
         "recurrence-missing", "recurrence-bad-row", "goal-3", "goal-minus-1",
         "check-spec-missing", "emit-config-missing", "synth-spec-missing", "oracle-spec-missing",
@@ -441,7 +445,9 @@ NO_OK_CSV = "step,time_s,x,human_away\n0,0,0,0\n1,10,0,0\n2,20,0,0\n"
         "step-minus-1", "simulate-runs-0", "simulate-runs-minus-3",
         "simulate-td-0", "simulate-td-minus-5", "simulate-td-nan",
         "simulate-td-inf", "closure-float-value", "emit-config-not-utf8",
-        "simulate-td-1e308", "simulate-steps-huge", "emit-td-seconds-nan"])
+        "simulate-td-1e308", "simulate-steps-huge", "emit-td-seconds-nan",
+        "synth-cap-0", "synth-cap-minus-1", "oracle-max-states-0",
+        "oracle-max-states-minus-5"])
 def test_bad_input_exit2(workdir, tmp_path, capsys, argv):
     root, spec, strat = workdir
     files = {"missing": tmp_path / "missing.txt",

@@ -10,6 +10,7 @@ import pytest
 from gr1kit import arena as ar
 from gr1kit import check
 from gr1kit import gr1
+from gr1kit import sim
 from gr1kit import workdelivery as wd
 from gr1kit.errors import NotRealizable, TooLarge
 from gr1kit.speclang import ENV, SYS, VarDecl, parse_spec
@@ -53,6 +54,30 @@ def test_env_deadlock_is_winning():
     assert bool(res.winning[1])
     oracle = gr1.brute_force_oracle(a, [], [goal])
     assert np.array_equal(res.winning, oracle)
+
+
+@pytest.mark.parametrize("assumed", [False, True], ids=["none", "u=0"])
+def test_env_deadlock_ranks_after_seed(assumed):
+    # x = 0 deadlocks the environment; from x = 1 the system picks x' = 0 or
+    # 2, from x = 2 it picks x' = 1; the goal is x = 2 and the play starts
+    # at u = 0, x = 1.  The deadlock ranks 1 with or without an assumption,
+    # so the start moves to the goal and not into the deadlock, a node
+    # without edges
+    decls = (VarDecl("u", ENV, 0, 1, True), VarDecl("x", SYS, 0, 2, False))
+    a = ar.from_functions(decls, 1, lambda s: [] if s % 3 == 0 else [0],
+                          lambda s, e: [0, 2] if s % 3 == 1 else [1],
+                          env_init=np.array([True, False]),
+                          sys_init=np.arange(6) == 1)
+    u, x = np.arange(6) // 3, np.arange(6) % 3
+    res = gr1.solve(a, [u == 0] if assumed else [], [x == 2])
+    assert res.y_rank[0, encode_state(a, [0, 0])] == 1
+    st = gr1.extract_strategy(res, a)
+    start = st.init_node[0]
+    assert st.node_vals[start].tolist() == [0, 1]
+    edges = range(st.edge_indptr[start], st.edge_indptr[start + 1])
+    assert [st.node_vals[st.edge_next[k]][1] for k in edges] == [2]
+    trace = sim.run(st, sim.make_adversary("random", seed=0), 20)
+    assert trace.n_steps() == 20
 
 
 def test_sys_deadlock_is_losing():
@@ -484,12 +509,12 @@ def plain_fixpoint(arena, assumptions, goals):
     Z sweep recomputes cpre(Z).  Returns (winning, y_rank, x_witness,
     Z sweeps).
 
-    With every assumption true everywhere, the mu-Y is an attractor, which
-    ranks the seed alone 0 and cpre of the seed 1; otherwise round 0 is the
-    seed plus cpre of nothing (the env-deadlocked states).  The two
-    numberings differ only on games with env deadlocks."""
+    Each mu-Y starts from Y = empty, and round 0 takes the seed alone as its
+    base, so cpre of nothing (the env-deadlocked states) joins the base from
+    round 1 on.  A round that adds nothing ends the mu-Y once cpre(empty)
+    has been offered, that is when the next round's base would be the
+    same."""
     n = arena.n_states
-    attractor = all(a.all() for a in assumptions)
 
     def cpre(target):
         return dense_cpre(arena, target)
@@ -502,11 +527,10 @@ def plain_fixpoint(arena, assumptions, goals):
         z_before, sweeps = Z, sweeps + 1
         for j, g in enumerate(goals):
             seed = g & cpre(Z)
-            Y, r = (seed, 1) if attractor else (np.zeros(n, dtype=bool), 0)
-            y_rank[j] = np.where(Y, 0, gr1.INF_RANK)
+            Y, base, r = np.zeros(n, dtype=bool), seed, 0
+            y_rank[j] = gr1.INF_RANK
             x_witness[j] = {}
             while True:
-                base = seed | cpre(Y)
                 y_new, layer = base.copy(), []
                 for i, a in enumerate(assumptions):
                     if a.all():
@@ -517,12 +541,13 @@ def plain_fixpoint(arena, assumptions, goals):
                     layer.append((i, X))
                     y_new |= X
                 newly = y_new & ~Y
-                if not newly.any():
+                base_next = seed | cpre(y_new)
+                if not newly.any() and np.array_equal(base_next, base):
                     break
                 y_rank[j][newly] = r
                 if layer:
                     x_witness[j][r] = layer
-                Y, r = y_new, r + 1
+                Y, base, r = y_new, base_next, r + 1
             Z = Y
         if np.array_equal(Z, z_before):
             return Z, y_rank, x_witness, sweeps
@@ -556,6 +581,7 @@ def test_incremental_fixpoint_matches_plain_iteration(monkeypatch):
             for what in ("env_deadlock", "sys_deadlock", "two_goals",
                          "sweeps3")}
     seen["assumption", "retreat_below_bound"] = 0
+    seen["assumption", "deadlock_assumed"] = 0
     nu_x = gr1._Ctx.nu_x
 
     def counting_nu_x(ctx, x, lower):
@@ -570,15 +596,21 @@ def test_incremental_fixpoint_matches_plain_iteration(monkeypatch):
         kind = ("trivial" if all(e.all() for e in env_live)
                 else "assumption")
         sweeps = assert_same_fixpoint(a, env_live, sys_live)
-        seen[kind, "env_deadlock"] += bool((np.diff(a.env_indptr) == 0).any())
+        stuck = np.diff(a.env_indptr) == 0
+        seen[kind, "env_deadlock"] += bool(stuck.any())
+        # a deadlock where every assumption holds ranks after round 0
+        seen["assumption", "deadlock_assumed"] += (
+            kind == "assumption"
+            and bool((stuck & np.logical_and.reduce(env_live)).any()))
         seen[kind, "sys_deadlock"] += bool((np.diff(a.sys_indptr) == 0).any())
         seen[kind, "two_goals"] += len(sys_live) == 2
         seen[kind, "sweeps3"] += sweeps >= 3
-    # not vacuous: on both solver paths the corpus has deadlocks on both
-    # sides, two goals, and games whose Z shrinks after the first sweep, so
-    # that the cpre(Z) counters decrement and a warm-started sweep runs
-    # below the layers it starts from; and some nu-X retreats below its
-    # one-step bound, so that the retreat itself is compared
+    # not vacuous: with and without assumptions the corpus has deadlocks on
+    # both sides, two goals, and games whose Z shrinks after the first
+    # sweep, so that the cpre(Z) counters decrement and a warm-started sweep
+    # runs below the layers it starts from; some nu-X retreats below its
+    # one-step bound, so that the retreat itself is compared; and some
+    # assumption game has an env deadlock outside every nu-X disjunct
     assert all(seen.values()), seen
 
 

@@ -370,6 +370,9 @@ def test_interactive_policy_prompts():
 def test_max_steps_validation(strategy_for):
     with pytest.raises(ValueError):
         sim.run(strategy_for(12), sim.make_adversary("random"), 0)
+    # a step count past float range is not finite either, not an overflow
+    with pytest.raises(ValueError, match="not finite"):
+        sim.run(strategy_for(12), sim.make_adversary("random"), 10 ** 400)
     # a time column past float range would read inf, or nan for td=nan
     for td in (1e308, float("nan")):
         with pytest.raises(ValueError, match="not finite"):
