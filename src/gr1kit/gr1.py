@@ -18,11 +18,9 @@ ones give the nu-X retreats and cpre(Z), as every Z handed to a goal lies
 inside the one before it.  One mu-Y kernel, `_mu_y`, serves every game:
 its round 0 is the seed and its nu-X layers, and the env deadlocks (cpre of
 the empty set) join the base after it, for the same least fixpoint.  A goal
-whose seed did not change keeps its mu-Y, and each nu-X starts between its
-layers of the previous round and sweep (the memoization of Firman, Maoz and
-Ringert, *Performance heuristics for GR(1) synthesis and related
-algorithms*, Acta Informatica 2020, on the fixpoint of Piterman, Pnueli and
-Sa'ar, VMCAI 2006).
+whose seed did not change keeps its mu-Y, and each nu-X retreats from one
+step of its operator on base | ~assumption_i, a bound its greatest fixpoint
+cannot leave (the fixpoint of Piterman, Pnueli and Sa'ar, VMCAI 2006).
 
 ``brute_force_oracle`` recomputes the winning region by a deliberately
 independent route: product the arena with goal counters for both players,
@@ -34,6 +32,7 @@ solver beyond reading the liveness predicates.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -91,9 +90,9 @@ class _Ctx:
 
         `lower` must lie inside `x`.  The attractor's dual: a shrinking cpre
         of `x` over the undecided states drops those that leave cpre(x).
-        This is the nu-X of the mu-Y round, the greatest fixpoint X* of
-        X -> base | (not_a & cpre(X)), whenever base lies in `lower`,
-        `lower` in X*, X* in `x`, and `x` in base | not_a.
+        With `lower` = base, this is the nu-X of a mu-Y round, the greatest
+        fixpoint X* of X -> base | (not_a & cpre(X)), whenever X* lies in
+        `x` and `x` in base | not_a.
         """
         states = (x & ~lower).nonzero()[0]
         if not len(states):
@@ -219,10 +218,10 @@ def solve(arena, env_live, sys_live):
     # cpre(Y) <= Y, the next seed g & cpre(Y) lies in cpre(Y), hence
     # B_{j+1}(Y) <= B_j(Y) = Y, and the least fixpoint of B_{j+1} lies in Y.
     # cpre(Z) is read only inside the goals, so they are its scope.
-    cpre = _Cpre(ctx, scope=np.any(goals, axis=0).nonzero()[0],
+    in_goals = functools.reduce(np.logical_or, goals)
+    cpre = _Cpre(ctx, scope=in_goals.nonzero()[0],
                  target=np.ones(arena.n_states, dtype=bool))
-    # each goal's seed and nu-X layers of every mu-Y round, from its
-    # previous Z sweep
+    # each goal's last seed, and the nu-X layers of every round of its mu-Y
     seeds = [None] * n_goals
     x_layers = [None] * n_goals
 
@@ -235,8 +234,7 @@ def solve(arena, env_live, sys_live):
             # a mu-Y is a function of its seed alone
             if not np.array_equal(seed, seeds[j]):
                 seeds[j] = seed
-                y_rank[j], x_layers[j] = _mu_y(ctx, seed, falsifiable,
-                                               x_layers[j])
+                y_rank[j], x_layers[j] = _mu_y(ctx, seed, falsifiable)
             Z = y_rank[j] != INF_RANK
         assert not np.any(Z & ~z_before), "Z iterates must shrink"
         if np.array_equal(Z, z_before):
@@ -252,7 +250,7 @@ def solve(arena, env_live, sys_live):
     return result
 
 
-def _mu_y(ctx, seed, falsifiable, warm):
+def _mu_y(ctx, seed, falsifiable):
     """mu Y. B(Y) | OR_i nu X. B(Y) | (~a_i & cpre(X)), where B(Y) is
     seed | cpre(Y), at O(edges) per round.
 
@@ -272,25 +270,12 @@ def _mu_y(ctx, seed, falsifiable, warm):
 
     Round r's nu-X for assumption i, X_{r,i}, is the greatest fixpoint of
     F_r(X) = base_r | (~a_i & cpre(X)), and `_Ctx.nu_x` finds it by a
-    retreat between two bounds.  From below: X_{r-1,i} | base_r, since base
-    and so X grow with r.
-
-    From above, first a warm bound upper_r: the layer of the same goal and
-    assumption in the previous Z sweep at round min(r, last), from `warm`
-    (every state in the first sweep).  It holds because every Z handed to a
-    goal lies inside the one before it (see `solve`): a smaller Z gives a
-    smaller seed, hence by induction on r a smaller base, X_{r,i} and Y_r in
-    every round; past its last round the old mu-Y stays at its converged
-    layer.  So X_{r,i} and base_r lie in upper_r, which grows with r.
-
-    Then one step of the operator below that: X_{r,i} = F_r(X_{r,i}) lies in
-    base_r | ~a_i and in upper_r, that is in T_r = base_r | (~a_i &
-    upper_r).  F_r is monotone, so X_{r,i} lies in F_r(T_r), and the retreat
-    starts from B_r = F_r(T_r) & upper_r = base_r | (~a_i & upper_r &
-    cpre(T_r)).  T_r grows with r, as base_r and upper_r do, so a growing
-    `_Cpre` per assumption, scoped to ~a_i where it is read, keeps cpre(T_r)
-    at O(edges) per mu-Y, where counting the edges of every undecided state
-    in every round was not.
+    retreat from one bound down to base_r.  X_{r,i} = F_r(X_{r,i}) lies in
+    T_r = base_r | ~a_i, and F_r is monotone, so X_{r,i} lies in F_r(T_r),
+    where the retreat starts.  T_r grows with r, as base_r does, so a
+    growing `_Cpre` per assumption, scoped to ~a_i where it is read, keeps
+    cpre(T_r) at O(edges) per mu-Y, where counting the edges of every
+    undecided state in every round was not.
     """
     rank = np.full(ctx.arena.n_states, INF_RANK, dtype=np.int32)
     cpre_y = _Cpre(ctx)
@@ -300,18 +285,13 @@ def _mu_y(ctx, seed, falsifiable, warm):
     layers = []
     for r in itertools.count():
         if falsifiable:
-            upper = warm[min(r, len(warm) - 1)] if warm else None
             layer, y_new = [], base.copy()
-            for k, (i, not_a) in enumerate(falsifiable):
-                # T_r and B_r of the docstring, with not_a cut to upper
-                if upper:
-                    not_a = not_a & upper[k][1]
-                cpre = cpre_t[k]
+            for (i, not_a), cpre in zip(falsifiable, cpre_t):
+                # T_r and F_r(T_r) of the docstring
                 cpre.add(((base | not_a) > cpre.target).nonzero()[0])
                 x = not_a & (cpre.dead == 0)
                 x |= base
-                lower = base | layers[-1][k][1] if layers else base
-                X = ctx.nu_x(x, lower)
+                X = ctx.nu_x(x, base)
                 layer.append((i, X))
                 y_new |= X
             layers.append(layer)

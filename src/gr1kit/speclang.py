@@ -514,7 +514,6 @@ def validate_document(doc):
 
 
 _PREC = {Iff: 1, Implies: 2, Or: 3, And: 4, Not: 5}
-_ATOM_PREC = 6
 
 
 def _term_text(t):

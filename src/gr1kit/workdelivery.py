@@ -197,7 +197,7 @@ def emit_spec(p: WorkDeliveryParams) -> sl.SpecDocument:
 
 
 # --------------------------------------------------------------------------
-# reference dynamics (used by the simulator and the cross-checks)
+# reference dynamics: `human_mode` labels sim traces; the rest is a test oracle
 
 
 WORK, WAIT, REFILL = "work", "wait", "refill"

@@ -376,6 +376,26 @@ def test_strategy_json_matches_reference_writer_on_corpora(tmp_path):
     assert saved >= 200
 
 
+# The assumption sets of the assume-solve benchmark workload on
+# scenario(12), each with the sha256 of y_rank, of the nu-X witness layers in
+# order and of the saved controller, recorded with the solver whose nu-X
+# retreats still started from the previous round and Z sweep.
+ASSUME_SOLVE_PINS = {
+    ("!o1",): (
+        "e4c67806f287e01f9d58869b09dec75f16999b0e65c29e5e2fa040bce4f0f733",
+        "b1fda9d7af97d462f00065bb2c3c680e63c0566c899611cff3201e3485606c90",
+        "3541f01fa059c095bcc37df911110fa39b1d571f9c717735885ec9a89263ec2d"),
+    ("!o1", "!o2"): (
+        "1620c3b14767e683bd1d2d76cc14e8f7dcc80e356c2c52a9b7264b1e5975c05e",
+        "8c82f1713db968114feb6dd02c5e91a1a15b9b5028500f453382097cd0a90b8c",
+        "3541f01fa059c095bcc37df911110fa39b1d571f9c717735885ec9a89263ec2d"),
+    ("!o1", "!o2", "!stalled"): (
+        "52540b9c0681822e71a0c7ec46d0afad3423e0311bd6e72c06aa4a35aa5d1c42",
+        "e19f2158aad81e7c9c52a303fcc13cb6f4949f61e3cd0cb4443477af83e54af7",
+        "cde36607c3ad980fb59d937f3178dc610e5f94303c8df021309c6fa9ed3eafac"),
+}
+
+
 def test_strategy_json_matches_reference_writer_on_ladder(
         strategy_for, scenario, tmp_path):
     from gr1kit.speclang import parse_expr
@@ -386,12 +406,20 @@ def test_strategy_json_matches_reference_writer_on_ladder(
     a = ar.build_arena(doc)
     assert_json_codec(gr1.extract_strategy(
         gr1.solve(a, doc.env_liveness, doc.sys_liveness), a), path)
-    # the assumption sets of the assume-solve benchmark workload
     doc, a, _ = scenario(12)
-    for env_live in (("!o1",), ("!o1", "!o2"), ("!o1", "!o2", "!stalled")):
+    for env_live, pins in ASSUME_SOLVE_PINS.items():
         res = gr1.solve(a, [parse_expr(e) for e in env_live],
                         doc.sys_liveness)
         assert_json_codec(gr1.extract_strategy(res, a), path)
+        witness = hashlib.sha256()
+        for j, layers in enumerate(res.x_witness):
+            for r, layer in layers.items():
+                for i, X in layer:
+                    witness.update(b"%d %d %d " % (j, r, i))
+                    witness.update(X.tobytes())
+        assert (hashlib.sha256(res.y_rank.tobytes()).hexdigest(),
+                witness.hexdigest(),
+                hashlib.sha256(path.read_bytes()).hexdigest()) == pins, env_live
 
 
 @pytest.mark.parametrize("text, empty", [
@@ -607,10 +635,10 @@ def test_incremental_fixpoint_matches_plain_iteration(monkeypatch):
         seen[kind, "sweeps3"] += sweeps >= 3
     # not vacuous: with and without assumptions the corpus has deadlocks on
     # both sides, two goals, and games whose Z shrinks after the first
-    # sweep, so that the cpre(Z) counters decrement and a warm-started sweep
-    # runs below the layers it starts from; some nu-X retreats below its
-    # one-step bound, so that the retreat itself is compared; and some
-    # assumption game has an env deadlock outside every nu-X disjunct
+    # sweep, so that the cpre(Z) counters decrement and a goal whose seed
+    # changed solves its mu-Y again; some nu-X retreats below its one-step
+    # bound, so that the retreat itself is compared; and some assumption
+    # game has an env deadlock outside every nu-X disjunct
     assert all(seen.values()), seen
 
 
