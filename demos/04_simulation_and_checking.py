@@ -18,9 +18,10 @@ game = arena.build_arena(doc)
 result = gr1.solve(game, doc.env_liveness, doc.sys_liveness)
 controller = gr1.extract_strategy(result, game)
 
-# A seeded random environment: reproducible end to end.
+# A seeded random environment, reproducible end to end, in steps of
+# td = 10 seconds: 180 steps are the 30-minute shift.
 trace = sim.run(controller, sim.make_adversary("random", seed=42), 180,
-                td=params.td_seconds)
+                td=10.0)
 bls = [r.state["bl"] for r in trace.rows]
 print(f"random shift: backlog stayed in {min(bls)}..{max(bls)}")
 print("safety over all 180 steps:",

@@ -4,12 +4,13 @@ Each clause is evaluated once, by ``speclang.eval_expr`` over columns:
 the previous-row and next-row matrices of a trace's ``vals``, each
 gathered once (rows where the human is away are not transitions), or a
 controller's ``node_vals``.  A variable the clause references but the
-trace or controller lacks raises MissingBinding.
+trace or controller lacks raises MissingBinding, and so does, for a
+trace, any declared variable it lacks.
 
 * ``check_safety``: every transition of a trace against all safety clauses,
   plus state-invariant clauses (those referencing only next-step values) on
-  every snapshot, the init clauses on the first one, and every value
-  against its variable's declared domain.
+  every snapshot, the init clauses on the first one, and every declared
+  variable's values against its domain.
 * ``check_recurrence``: finite-trace approximation of an "infinitely often"
   goal; every window of W consecutive steps must contain a goal state.
   Human-away spans do not count toward windows.
@@ -20,9 +21,9 @@ trace or controller lacks raises MissingBinding.
   environment assumption.  Reports the worst inter-goal gap, which is a
   sound window for ``check_recurrence`` under the same adversary.
 * ``verify_strategy_closure``: structural totality of a controller against
-  an arena, optionally with winning-region membership, and its initial
-  entries: exactly one per legal initial env assignment, each at an
-  initial (and winning) state carrying that assignment.  Pairs and edges
+  an arena and its solved game, with winning-region membership, and its
+  initial entries: exactly one per legal initial env assignment, each at
+  an initial and winning state carrying that assignment.  Pairs and edges
   are looked up among the pairs of the controller's own states only, so
   a call costs O(nodes + edges of those pairs + env assignments), not
   O(arena edges).
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arena import _gather
-from .errors import AdversaryNotFinite, StrategyHole
+from .errors import AdversaryNotFinite, MissingBinding, StrategyHole
 from .sim import _advance
 from .speclang import eval_expr, format_expr
 
@@ -76,12 +77,16 @@ def _verdict(violations, gap=None):
 def check_safety(trace, doc):
     """Every consecutive pair against all safety clauses; snapshots against
     next-only invariants; the first row against the init clauses; every
-    value against its variable's declared domain.  Violations come in row
-    order, and within a row domain first, then clause order."""
+    declared variable's values against its domain.  Violations come in row
+    order, and within a row domain first, then clause order.
+    MissingBinding when the trace lacks a declared variable."""
     if not len(trace.vals):
         return _verdict([("trace", "empty", "no rows to check")])
     column = {name: k for k, name in enumerate(trace.names)}
-    decls = [d for d in doc.vars if d.name in column]
+    decls = doc.vars
+    for d in decls:
+        if d.name not in column:
+            raise MissingBinding(f"{d.name} missing from trace")
     vals = trace.vals[:, [column[d.name] for d in decls]]
     bounds = np.array([(d.lo, d.hi) for d in decls], np.int64).reshape(-1, 2)
     rows, cols = np.nonzero((vals < bounds[:, 0]) | (vals > bounds[:, 1]))
@@ -209,18 +214,18 @@ def _span(indptr, rows):
     return indptr[rows + 1] - indptr[rows]
 
 
-def verify_strategy_closure(strategy, arena, result=None):
-    """Totality and consistency of a controller against an arena.
+def verify_strategy_closure(strategy, arena, result):
+    """Totality and consistency of a controller against an arena and the
+    `gr1.solve` result of its game.
 
-    Checks, per node: the state lies in the arena's domain, every legal env
-    assignment has exactly one edge, the recorded response is a legal sys
-    move, the successor node carries the combined assignment, and the goal
-    index advances exactly on nodes satisfying their current goal (when
-    `result` is given, which also enables the winning-region membership
-    check).  A value outside its variable's domain is never legal.  Then
-    the initial entries: one per legal initial env assignment and none
-    other, each at a node whose state carries the entry's env values, is
-    initial and, when `result` is given, winning.
+    Checks, per node: the state lies in the arena's domain and the winning
+    region, every legal env assignment has exactly one edge, the recorded
+    response is a legal sys move, the successor node carries the combined
+    assignment, and the goal index advances exactly on nodes satisfying
+    their current goal.  A value outside its variable's domain is never
+    legal.  Then the initial entries: one per legal initial env assignment
+    and none other, each at a node whose state carries the entry's env
+    values, is initial and is winning.
 
     Pairs and edges are looked up only among the pairs of the controller's
     own states, so a call costs O(nodes + edges of those pairs + env
@@ -255,16 +260,14 @@ def verify_strategy_closure(strategy, arena, result=None):
     sys_ok[asker[a.edge_succ[_gather(a.sys_indptr, pair[ask])]
                  == t[asker]]] = True
     succ_ok = s[st.edge_next] == t
-    goal_ok, winning = np.ones(len(owner), bool), np.ones(st.n_nodes, bool)
-    if result is not None:
-        holds = np.zeros(st.n_nodes, dtype=bool)
-        for j, goal in enumerate(result.goals):
-            at = np.flatnonzero((st.node_goal == j) & (s >= 0))
-            holds[at] = goal[s[at]]
-        j = st.node_goal[owner]
-        goal_ok = st.node_goal[st.edge_next] == np.where(
-            holds[owner], (j + 1) % st.n_goals, j)
-        winning = (s < 0) | result.winning[s]
+    holds = np.zeros(st.n_nodes, dtype=bool)
+    for j, goal in enumerate(result.goals):
+        at = np.flatnonzero((st.node_goal == j) & (s >= 0))
+        holds[at] = goal[s[at]]
+    j = st.node_goal[owner]
+    goal_ok = st.node_goal[st.edge_next] == np.where(
+        holds[owner], (j + 1) % st.n_goals, j)
+    winning = (s < 0) | result.winning[s]
     per_node = functools.partial(np.bincount, minlength=st.n_nodes)
     bad = ((s < 0) | ~winning | (per_node(owner[legal]) != degree) |
            (per_node(move_node[~answered]) > 0) |
@@ -315,8 +318,7 @@ def _init_violations(st, a, s, result):
     legal = (entry >= 0) & a.env_init[entry]
     carried = (st.node_vals[node, :a.n_env_vars] == st.init_env).all(axis=1)
     initial = (state >= 0) & a.sys_init[state]
-    winning = ((state < 0) | result.winning[state] if result is not None
-               else np.ones(len(node), bool))
+    winning = (state < 0) | result.winning[state]
     for k in np.flatnonzero(~(legal & carried & initial & winning)).tolist():
         env, nid = tuple(st.init_env[k].tolist()), int(node[k])
         if not legal[k]:

@@ -29,7 +29,7 @@ from . import sim
 from . import speclang as sl
 from . import workdelivery as wd
 from .errors import (CapacityExceeded, Gr1kitError, InvalidParams,
-                     MissingBinding, SpecError, StrategyHole, TooLarge)
+                     MissingBinding, SpecError, StrategyHole)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -39,8 +39,7 @@ EXIT_CAPACITY = 5
 EXIT_UNREALIZABLE = 10
 
 # exit code of each error class; every other toolkit error exits EXIT_PARSE
-_EXIT_CODE = {CapacityExceeded: EXIT_CAPACITY, TooLarge: EXIT_CAPACITY,
-              StrategyHole: EXIT_HOLE}
+_EXIT_CODE = {CapacityExceeded: EXIT_CAPACITY, StrategyHole: EXIT_HOLE}
 
 # `simulate` keeps the whole trace in memory: 10**6 steps of the reduced
 # controller peak near 430 MB and write a 38 MB CSV
@@ -165,8 +164,6 @@ def cmd_simulate(args):
         raise _UsageError(f"--steps must be in 1..{MAX_STEPS}")
     if args.runs < 1:
         raise _UsageError("--runs must be at least 1")
-    if not 0 < args.td < float("inf"):   # also false for nan
-        raise _UsageError("--td must be a finite positive number of seconds")
     if args.runs > 1 and not args.out:
         raise _UsageError("--runs needs --out")
     for k in range(args.runs):
@@ -176,7 +173,8 @@ def cmd_simulate(args):
             trace = sim.run(strategy, adversary, args.steps, events=events,
                             td=args.td, pace=args.pace)
         except ValueError as exc:
-            # a `set` on a non-env variable, or a time column past float range
+            # a `set` on a non-env variable, or a bad step length: `--td`
+            # not positive, or a time column past float range
             raise _UsageError(exc) from exc
         if args.out:
             path = args.out if args.runs == 1 else f"{args.out}.{k:03d}"
@@ -251,8 +249,8 @@ def cmd_oracle(args):
         try:
             oracle = gr1.brute_force_oracle(arena, env_live, sys_live,
                                             cap=args.max_states)
-        except TooLarge as exc:
-            raise TooLarge(f"seed {seed}: {exc}") from exc
+        except CapacityExceeded as exc:
+            raise CapacityExceeded(f"seed {seed}: {exc}") from exc
         if not np.array_equal(result.winning, oracle):
             mismatches += 1
             print(f"MISMATCH at seed {seed}")
@@ -293,7 +291,7 @@ def build_parser():
                    help="batch of runs with seeds seed, seed+1, ...")
     p.add_argument("--events", help="scripted events file")
     p.add_argument("--td", type=float, default=10.0,
-                   help="seconds per step (trace time column)")
+                   help="step length in seconds (trace time column)")
     p.add_argument("--pace", action="store_true",
                    help="sleep td seconds per step")
     p.add_argument("--out", help="trace CSV path (default stdout)")

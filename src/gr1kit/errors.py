@@ -48,11 +48,7 @@ class MissingBinding(Gr1kitError):
 
 
 class CapacityExceeded(Gr1kitError):
-    """The valuation space of a document exceeds the arena state cap."""
-
-
-class TooLarge(Gr1kitError):
-    """Arena exceeds the brute-force oracle capacity."""
+    """An arena, or the brute-force oracle's game, exceeds a state cap."""
 
 
 class NotRealizable(Gr1kitError):

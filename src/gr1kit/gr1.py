@@ -40,7 +40,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import NotRealizable, TooLarge
+from .errors import CapacityExceeded, NotRealizable
 from . import arena as ar
 
 INF_RANK = np.int32(2 ** 30)
@@ -556,14 +556,15 @@ def _loiter_pick(result, a, s, jp, my_rank, p):
 
 def brute_force_oracle(arena, env_live, sys_live, cap=10_000):
     """Winning region by explicit parity-game solving on the goal-counter
-    product; maximally naive on purpose.  Raises TooLarge above `cap`.
+    product; maximally naive on purpose.  Raises CapacityExceeded above `cap`.
 
     Env node (s, c, d) is ``(s * ng + c) * na + d``: state s, pursued goal
     c, awaited assumption d.  Sys nodes come after the env nodes: (p, c2,
     d2) is ``n_states * ng * na + (p * ng + c2) * na + d2``, for the pair
     p = (s, env') and the counters after s.  WIN and LOSE come last."""
     if arena.n_states > cap:
-        raise TooLarge(f"{arena.n_states} states exceeds oracle cap {cap}")
+        raise CapacityExceeded(
+            f"{arena.n_states} states exceeds oracle cap {cap}")
     assumptions, goals = _normalize(arena, env_live, sys_live)
     ng, na = len(goals), len(assumptions)
     m = ng * na

@@ -95,7 +95,6 @@ class UniformRandomPolicy:
     deterministic_finite = False
 
     def __init__(self, seed=0):
-        self.seed = seed
         self.rng = random.Random(seed)
 
     def choose(self, step, state, moves, names):
@@ -215,7 +214,6 @@ class Trace:
     order, with its step number, time and human-away flag alongside."""
 
     names: tuple                 # variables, in column order
-    td: float
     vals: np.ndarray             # int64 [rows × vars]
     step: np.ndarray             # int64 [rows]
     time_s: np.ndarray           # float64 [rows]
@@ -240,11 +238,15 @@ def run(strategy, adversary, max_steps, events=(), td=10.0, pace=False):
     repeats the current node) and pin environment variables at given
     steps, from step 0 on and under every adversary: the adversary then
     picks among the matching moves, or among all of them when none match.
-    ValueError when `max_steps` is below 1 or `max_steps * td` is not
-    finite, since the time column would then hold `inf` or `nan`.
+    `td` is the step length in seconds, which fills the time column and
+    paces the run.  ValueError when `max_steps` is below 1, `td` is not
+    positive, or `max_steps * td` is not finite, since the time column
+    would then hold `inf` or `nan`.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
+    if td <= 0:
+        raise ValueError(f"td = {td} must be a positive number of seconds")
     if not (max_steps <= sys.float_info.max
             and np.isfinite(max_steps * float(td))):
         raise ValueError(f"max_steps * td = {max_steps} * {td} is not finite")
@@ -275,7 +277,7 @@ def run(strategy, adversary, max_steps, events=(), td=10.0, pace=False):
             nid = _advance(strategy, nid, adversary, k, pins.get(k))
         path.append(nid)
     step = np.arange(max_steps + 1)
-    return Trace(strategy.names, td, strategy.node_vals[path], step,
+    return Trace(strategy.names, strategy.node_vals[path], step,
                  step * float(td), np.array(away))
 
 
@@ -284,20 +286,24 @@ def run(strategy, adversary, max_steps, events=(), td=10.0, pace=False):
 
 
 def _scenario_shape(names):
-    need = {"bl", "s", "rs", "act", "hf", "tries"}
-    if not need.issubset(names):
-        return None
-    n_obstacles = 0
-    while f"o{n_obstacles + 1}" in names:
-        n_obstacles += 1
-    return n_obstacles + 1     # workstation cell index
+    """Workstation cell index n when `names` are exactly the scenario's
+    variables bl, s, o1..o(n-1), stalled, rs, act, hf and tries, else None:
+    the scenario layout has no column for any other variable."""
+    n = 1
+    while f"o{n}" in names:
+        n += 1
+    scenario = {"bl", "s", "stalled", "rs", "act", "hf", "tries",
+                *(f"o{j}" for j in range(1, n))}
+    return n if set(names) == scenario else None
 
 
 def write_csv(trace, fp):
-    """Render a trace as CSV; work-delivery traces get the scenario header
-    with derived mode and action columns.  One row template formats every
-    row, and the whole text goes out in one write."""
-    n = _scenario_shape(set(trace.names))
+    """Render a trace as CSV; a trace of exactly the work-delivery
+    variables gets the scenario header with derived mode and action columns
+    (`read_csv` rebuilds `stalled` from BL), any other one column per
+    variable.  One row template formats every row, and the whole text goes
+    out in one write."""
+    n = _scenario_shape(trace.names)
     if n is None:
         head, cols = list(trace.names), list(range(len(trace.names)))
         cells = ["%d"] * len(cols)
@@ -347,10 +353,8 @@ def read_csv(fp):
         len(columns), len(table)).T
     if scenario:
         vals[:, names.index("stalled")] = _stalled(vals[:, 0], away)
-    time_s = np.array(col["time_s"], dtype=np.float64)
-    td = float(time_s[1] - time_s[0]) if len(time_s) > 1 else 1.0
-    return Trace(names, td, vals, np.array(col["step"], dtype=np.int64),
-                 time_s, away)
+    return Trace(names, vals, np.array(col["step"], dtype=np.int64),
+                 np.array(col["time_s"], dtype=np.float64), away)
 
 
 def _stalled(bl, away):

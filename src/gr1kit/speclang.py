@@ -149,12 +149,6 @@ class SpecDocument:
     env_liveness: list = field(default_factory=list)
     sys_liveness: list = field(default_factory=list)
 
-    def decl(self, name):
-        for d in self.vars:
-            if d.name == name:
-                return d
-        return None
-
     def env_vars(self):
         return [d for d in self.vars if d.owner == ENV]
 
@@ -329,9 +323,9 @@ def _parse_clause(text, line_no):
     return _ExprParser(toks).parse()
 
 
-def parse_expr(text, line_no=1):
+def parse_expr(text):
     """Parse a single clause; raises SpecError on bad syntax."""
-    return _parse_clause(text, line_no)
+    return _parse_clause(text, 1)
 
 
 # --------------------------------------------------------------------------

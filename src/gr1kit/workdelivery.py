@@ -52,7 +52,6 @@ class WorkDeliveryParams:
     k_move: int = 2               # max gamma multiplier while moving
     k_drop: int = 5               # max gamma multiplier during dropoff
     bl_init: object = 15          # int, or (lo, hi) for a range
-    td_seconds: float = 10.0      # wall-clock seconds per step
     hf_init: bool = False
 
     def bl_init_range(self):
@@ -76,8 +75,6 @@ class WorkDeliveryParams:
             raise InvalidParams("k_move must be at least 1")
         if not (0 <= lo <= hi <= self.bl_max):
             raise InvalidParams("bl_init outside 0..bl_max")
-        if not 0 < self.td_seconds < float("inf"):   # also false for nan
-            raise InvalidParams("td_seconds must be finite and positive")
         return self
 
     def interior(self):
@@ -105,8 +102,6 @@ def params_from_items(items):
                     kwargs[key] = (int(lo), int(hi))
                 else:
                     kwargs[key] = int(raw)
-            elif key == "td_seconds":
-                kwargs[key] = float(raw)
             elif key == "hf_init":
                 kwargs[key] = _FLAGS[raw.strip().lower()]
             else:

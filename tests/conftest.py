@@ -163,7 +163,7 @@ def _reference_find(keys, queries):
     return np.where(hit, pos, -1)
 
 
-def reference_closure(st, a, result=None):
+def reference_closure(st, a, result):
     """The node findings of `check.verify_strategy_closure`: everything but
     the initial entries."""
     if st.names != a.names:
@@ -181,15 +181,13 @@ def reference_closure(st, a, result=None):
                              np.where((pair < 0) | (t < 0), -1,
                                       pair * a.n_states + t)) >= 0
     succ_ok = s[st.edge_next] == t
-    goal_ok, winning = np.ones(len(owner), bool), np.ones(st.n_nodes, bool)
-    if result is not None:
-        j = st.node_goal[owner]
-        known = (here >= 0) & (j >= 0) & (j < len(result.goals))
-        holds = np.zeros(len(owner), dtype=bool)
-        holds[known] = np.array(result.goals)[j[known], here[known]]
-        goal_ok = st.node_goal[st.edge_next] == np.where(
-            holds, (j + 1) % st.n_goals, j)
-        winning = (s < 0) | result.winning[s]
+    j = st.node_goal[owner]
+    known = (here >= 0) & (j >= 0) & (j < len(result.goals))
+    holds = np.zeros(len(owner), dtype=bool)
+    holds[known] = np.array(result.goals)[j[known], here[known]]
+    goal_ok = st.node_goal[st.edge_next] == np.where(
+        holds, (j + 1) % st.n_goals, j)
+    winning = (s < 0) | result.winning[s]
     legal = pair >= 0
     per_node = functools.partial(np.bincount, minlength=st.n_nodes)
     degree = np.diff(a.env_indptr)[s]

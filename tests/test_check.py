@@ -9,7 +9,7 @@ from gr1kit import arena as ar
 from gr1kit import check
 from gr1kit import gr1
 from gr1kit import sim
-from gr1kit.errors import AdversaryNotFinite
+from gr1kit.errors import AdversaryNotFinite, MissingBinding
 from gr1kit.speclang import parse_expr, parse_spec
 
 from conftest import reference_check_safety, reference_closure
@@ -19,7 +19,7 @@ def make_trace(doc_names, rows_states, frozen=()):
     names, step = tuple(doc_names), np.arange(len(rows_states))
     vals = np.array([[st[k] for k in names] for st in rows_states],
                     dtype=np.int64).reshape(len(step), len(names))
-    return sim.Trace(names, 10.0, vals, step, step * 10.0,
+    return sim.Trace(names, vals, step, step * 10.0,
                      np.isin(step, list(frozen)))
 
 
@@ -63,6 +63,18 @@ def test_domain_violations_reported():
     tr.vals[5] = [5, 1]
     assert check.check_safety(tr, doc).violations[2:] == [
         (5, "domain", "u = 5 outside 0..3"), (5, "sys_trans[0]", "violated: x' = u'")]
+
+
+def test_safety_needs_every_declared_variable():
+    # no clause reads `u`, so only the domain check would look at it
+    doc = parse_spec("[ENV_VARS]\nu : 0..3\n[SYS_VARS]\nx : 0..3\n"
+                     "[SYS_TRANS]\nx' <= 2\n")
+    tr = make_trace(("x",), [{"x": k} for k in range(3)])
+    with pytest.raises(MissingBinding, match="^u missing from trace$"):
+        check.check_safety(tr, doc)
+    tr = make_trace(("x", "u"), [{"x": k, "u": 9} for k in range(3)])
+    assert check.check_safety(tr, doc).violations == [
+        (k, "domain", "u = 9 outside 0..3") for k in range(3)]
 
 
 def test_safety_violation_list_pinned(reduced_doc, reduced_strategy):
@@ -231,7 +243,7 @@ def test_closure_missing_edge_named(keep_edges):
     nid = int(st.init_node[0])
     drop = np.arange(st.edge_indptr[nid] + 1, st.edge_indptr[nid + 1])
     st = keep_edges(st, np.setdiff1d(np.arange(len(st.edge_next)), drop))
-    verdict = check.verify_strategy_closure(st, arena)
+    verdict = check.verify_strategy_closure(st, arena, res)
     assert not verdict.passed
     assert any("no edge for legal env move" in v[2]
                for v in verdict.violations if v[0] == nid)
@@ -340,7 +352,8 @@ def test_reduced_controller_bytes(reduced_strategy, tmp_path):
 def test_closure_wrong_arena_vars(strategy_for):
     doc = parse_spec("[ENV_VARS]\nz : bool\n[SYS_VARS]\nw : bool\n")
     arena = ar.build_arena(doc)
-    verdict = check.verify_strategy_closure(strategy_for(12), arena)
+    res = gr1.solve(arena, [], [np.ones(4, bool)])
+    verdict = check.verify_strategy_closure(strategy_for(12), arena, res)
     assert not verdict.passed
     assert verdict.violations[0][1] == "order"
 
@@ -378,8 +391,9 @@ def test_safety_matches_reference(strategy_for, scenario, reduced_doc,
     cases.append((reduced_doc, reduced_strategy))
     failing = 0
     for doc, st in cases:
-        lo = np.array([doc.decl(n).lo for n in st.names])
-        hi = np.array([doc.decl(n).hi for n in st.names])
+        decl = {d.name: d for d in doc.vars}
+        lo = np.array([decl[n].lo for n in st.names])
+        hi = np.array([decl[n].hi for n in st.names])
         for tr in scenario_traces(st):
             assert (check.check_safety(tr, doc).violations ==
                     reference_check_safety(tr, doc))
@@ -405,12 +419,11 @@ def test_closure_matches_reference_on_mutation_cases(
         reduced_strategy, reduced_arena, reduced_result, keep_edges):
     for case, _ in MUTATIONS:
         bad = _mutate(reduced_strategy, keep_edges, case)
-        for result in (None, reduced_result):
-            got = check.verify_strategy_closure(bad, reduced_arena,
-                                                result).violations
-            want = reference_closure(bad, reduced_arena, result)
-            assert node_findings(got) == want, case
-            assert (got != want) == (case in INIT_CASES), case
+        got = check.verify_strategy_closure(bad, reduced_arena,
+                                            reduced_result).violations
+        want = reference_closure(bad, reduced_arena, reduced_result)
+        assert node_findings(got) == want, case
+        assert (got != want) == (case in INIT_CASES), case
 
 
 def test_closure_matches_reference_on_random_mutations(
@@ -435,9 +448,9 @@ def test_closure_matches_reference_on_random_mutations(
             j = rng.integers(arr.shape[1])
             v = j + (n_env if field == "edge_sys" else 0)
             arr[k, j] = rng.integers(lo[v] - 1, hi[v] + 2)
-        result = reduced_result if m // 4 % 2 else None
-        got = check.verify_strategy_closure(bad, a, result).violations
-        assert node_findings(got) == reference_closure(bad, a, result), m
+        got = check.verify_strategy_closure(bad, a, reduced_result).violations
+        assert node_findings(got) == reference_closure(bad, a,
+                                                       reduced_result), m
         if not (field == "node_vals" and k in init_nodes):
             assert got == node_findings(got), m
         failing += bool(got)
@@ -459,10 +472,9 @@ def test_closure_matches_reference_on_random_arenas():
         if len(bad.edge_next):
             bad.edge_next[rng.integers(len(bad.edge_next))] = rng.integers(
                 st.n_nodes)
-        for result in (None, res):
-            got = check.verify_strategy_closure(st, a, result).violations
-            assert got == reference_closure(st, a, result) == [], seed
-            got = check.verify_strategy_closure(bad, a, result).violations
-            assert got == reference_closure(bad, a, result), seed
-            failing += bool(got)
+        got = check.verify_strategy_closure(st, a, res).violations
+        assert got == reference_closure(st, a, res) == [], seed
+        got = check.verify_strategy_closure(bad, a, res).violations
+        assert got == reference_closure(bad, a, res), seed
+        failing += bool(got)
     assert realizable > 300 and failing > 100, (realizable, failing)

@@ -8,7 +8,7 @@ from gr1kit import cli
 from gr1kit.errors import (AdversaryIllegalMove, AdversaryNotFinite,
                            CapacityExceeded, Diagnostic, InvalidParams,
                            MissingBinding, NotRealizable, SpecError,
-                           StrategyHole, TooLarge)
+                           StrategyHole)
 from gr1kit.speclang import parse_spec
 
 REDUCED_ARGS = ["--param", "n=2", "--param", "bl_max=10",
@@ -50,8 +50,7 @@ def test_emit_rejects_unknown_param(capsys):
 
 
 @pytest.mark.parametrize("item", ["n=abc", "n=2.5", "bl_init=3..x",
-                                  "td_seconds=fast", "hf_init=banana",
-                                  "hf_init=2"])
+                                  "hf_init=banana", "hf_init=2"])
 def test_emit_rejects_bad_param_value(tmp_path, capsys, item):
     key, value = item.split("=")
     assert run_cli(["emit", "--param", item]) == 2
@@ -432,6 +431,7 @@ NO_OK_CSV = "step,time_s,x,human_away\n0,0,0,0\n1,10,0,0\n2,20,0,0\n"
     ["synth", "{spec}", "--cap", "-1"],
     ["oracle", "--random", "2", "--max-states", "0"],
     ["oracle", "--random", "2", "--max-states", "-5"],
+    ["emit", "--param", "td_seconds=10"],
 ], ids=["safety-missing", "safety-not-csv", "safety-bad-row",
         "recurrence-missing", "recurrence-bad-row", "goal-3", "goal-minus-1",
         "check-spec-missing", "emit-config-missing", "synth-spec-missing", "oracle-spec-missing",
@@ -447,7 +447,7 @@ NO_OK_CSV = "step,time_s,x,human_away\n0,0,0,0\n1,10,0,0\n2,20,0,0\n"
         "simulate-td-inf", "closure-float-value", "emit-config-not-utf8",
         "simulate-td-1e308", "simulate-steps-huge", "emit-td-seconds-nan",
         "synth-cap-0", "synth-cap-minus-1", "oracle-max-states-0",
-        "oracle-max-states-minus-5"])
+        "oracle-max-states-minus-5", "emit-td-seconds-unknown"])
 def test_bad_input_exit2(workdir, tmp_path, capsys, argv):
     root, spec, strat = workdir
     files = {"missing": tmp_path / "missing.txt",
@@ -484,7 +484,7 @@ def test_bad_input_exit2(workdir, tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("mode, missing", [
-    (["safety"], "ok′ missing from next valuation"),
+    (["safety"], "ok missing from trace"),
     (["recurrence", "--window", "9"], "ok missing from current valuation"),
 ], ids=["safety", "recurrence"])
 def test_check_names_missing_variable(tmp_path, capsys, mode, missing):
@@ -502,7 +502,6 @@ TWO_DIAGNOSTICS = SpecError([Diagnostic(Diagnostic.SYNTAX, "first", 1, 1),
 
 @pytest.mark.parametrize("exc, code, lines", [
     (CapacityExceeded("cap"), 5, 1),
-    (TooLarge("cap"), 5, 1),
     (StrategyHole("hole"), 3, 1),
     (TWO_DIAGNOSTICS, 2, 2),
     (InvalidParams("params"), 2, 1),

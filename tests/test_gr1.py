@@ -12,7 +12,7 @@ from gr1kit import check
 from gr1kit import gr1
 from gr1kit import sim
 from gr1kit import workdelivery as wd
-from gr1kit.errors import NotRealizable, TooLarge
+from gr1kit.errors import CapacityExceeded, NotRealizable
 from gr1kit.speclang import ENV, SYS, VarDecl, parse_spec
 
 from conftest import encode_state, reference_json, valuation
@@ -96,7 +96,7 @@ def test_oracle_corpus_small():
 
 def test_oracle_capacity():
     a = mono_arena(lambda s: [0], lambda s, e: [0], sys_sizes=(4, 4))
-    with pytest.raises(TooLarge):
+    with pytest.raises(CapacityExceeded):
         gr1.brute_force_oracle(a, [], [np.ones(16, bool)], cap=10)
 
 

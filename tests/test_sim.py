@@ -12,6 +12,7 @@ from gr1kit import gr1
 from gr1kit import sim
 from gr1kit import workdelivery as wd
 from gr1kit.errors import AdversaryIllegalMove, StrategyHole
+from gr1kit.speclang import parse_spec
 
 from conftest import REDUCED, reference_write_csv
 
@@ -21,7 +22,6 @@ def tiny_strategy():
     a, _, _ = ar.random_arena(0)
     decls = a.decls
     # hand-build instead: full moves, sys copies env
-    from gr1kit.speclang import parse_spec
     doc = parse_spec("[ENV_VARS]\nu : bool\n[SYS_VARS]\nx : bool\n"
                      "[SYS_TRANS]\nx' <-> u'\n"
                      "[ENV_INIT]\n!u\n[SYS_INIT]\n!x\n")
@@ -311,6 +311,26 @@ def test_generic_csv_roundtrip_keeps_column_order():
     assert buf.getvalue() == text
 
 
+# the scenario's variables but `stalled` and the obstacles, plus `foo`
+FOO_SPEC = ("[ENV_VARS]\nbl : 0..3\ns : bool\nfoo : 0..2\n"
+            "[SYS_VARS]\nrs : 0..1\nact : 0..1\nhf : bool\ntries : 0..2\n")
+
+
+def test_csv_scenario_layout_needs_exact_variables():
+    doc = parse_spec(FOO_SPEC)
+    arena = ar.build_arena(doc)
+    res = gr1.solve(arena, doc.env_liveness, doc.sys_liveness)
+    st = gr1.extract_strategy(res, arena)
+    tr = sim.run(st, sim.make_adversary("random", seed=1), 12)
+    text = csv_text(tr)
+    assert text.splitlines()[0] == (
+        "step,time_s,bl,s,foo,rs,act,hf,tries,human_away")
+    back = sim.read_csv(io.StringIO(text))
+    assert back.names == tr.names and "stalled" not in back.names
+    assert np.array_equal(back.vals, tr.vals)
+    assert check.check_safety(back, doc).passed
+
+
 @pytest.mark.parametrize("row", ["1,10,2,0,0,7", "1,10,2,0"],
                          ids=["extra-field", "missing-field"])
 def test_read_csv_rejects_ragged_rows(row):
@@ -377,6 +397,10 @@ def test_max_steps_validation(strategy_for):
     for td in (1e308, float("nan")):
         with pytest.raises(ValueError, match="not finite"):
             sim.run(strategy_for(12), sim.make_adversary("random"), 5, td=td)
+    # a step length of 0 or below would stall or reverse the time column
+    for td in (0, -5.0):
+        with pytest.raises(ValueError, match="positive"):
+            sim.run(strategy_for(12), sim.make_adversary("random"), 3, td=td)
 
 
 def test_pacing_sleeps_per_step(strategy_for):

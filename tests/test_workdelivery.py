@@ -38,9 +38,6 @@ def test_param_validation():
         wd.WorkDeliveryParams(bl_init=31).validate()
     with pytest.raises(InvalidParams):
         wd.WorkDeliveryParams(n=0).validate()
-    for td in (0.0, float("nan"), float("inf")):
-        with pytest.raises(InvalidParams):
-            wd.WorkDeliveryParams(td_seconds=td).validate()
 
 
 def test_params_from_items():
