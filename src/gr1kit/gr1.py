@@ -12,15 +12,19 @@ every legal environment commitment, some system response lands in the target
 Every cpre is kept by one edge counter, `_Cpre`, over a target that only
 grows or only shrinks, so a state crossing it costs its in-edges once (the
 linear-time attractor of Grädel, Thomas and Wilke (eds.), *Automata, Logics,
-and Infinite Games*, LNCS 2500, ch. 2).  Growing ones give cpre(Y) and,
-with liveness assumptions, the bound each nu-X retreats from; shrinking
-ones give the nu-X retreats and cpre(Z), as every Z handed to a goal lies
-inside the one before it.  One mu-Y kernel, `_mu_y`, serves every game:
-its round 0 is the seed and its nu-X layers, and the env deadlocks (cpre of
-the empty set) join the base after it, for the same least fixpoint.  A goal
-whose seed did not change keeps its mu-Y, and each nu-X retreats from one
-step of its operator on base | ~assumption_i, a bound its greatest fixpoint
-cannot leave (the fixpoint of Piterman, Pnueli and Sa'ar, VMCAI 2006).
+and Infinite Games*, LNCS 2500, ch. 2).  Its in-edge index is built once
+per arena (`GameArena.in_edges`).  Growing ones give cpre(Y) and, with
+liveness assumptions, the bound each nu-X retreats from: `solve` grows one
+to ~assumption_i once, and each mu-Y goes on from a copy.  Shrinking ones
+give the nu-X retreats and cpre(Z), as every Z handed to a goal lies
+inside the one before it; a retreat builds one only when some undecided
+state has a pair without an edge into its bound, which most never do.  One
+mu-Y kernel, `_mu_y`, serves every game: its round 0 is the seed and its
+nu-X layers, and the env deadlocks (cpre of the empty set) join the base
+after it, for the same least fixpoint.  A goal whose seed did not change
+keeps its mu-Y, and each nu-X retreats from one step of its operator on
+base | ~assumption_i, a bound its greatest fixpoint cannot leave (the
+fixpoint of Piterman, Pnueli and Sa'ar, VMCAI 2006).
 
 ``brute_force_oracle`` recomputes the winning region by a deliberately
 independent route: product the arena with goal counters for both players,
@@ -66,24 +70,30 @@ def _normalize(arena, env_live, sys_live):
 
 
 class _Ctx:
-    """Precomputed edge arrays for vectorized cpre and nu-X."""
+    """Per-solve degree arrays and the arena's in-edge index, for
+    vectorized cpre and nu-X."""
 
     def __init__(self, arena):
         self.arena = arena
-        n_pairs = arena.n_pairs
         # int32: every growing cpre copies it as its dead counts
         self.env_degree = np.diff(arena.env_indptr).astype(np.int32)
         self.stuck = (self.env_degree == 0).nonzero()[0]
-        # incoming sys edges grouped by successor state, as their pairs in
-        # pair order: sorting (succ, pair) keys gives the stable argsort's
-        # order at a third of its time and half its memory (numpy 2.4)
-        assert arena.n_states * n_pairs < 2 ** 63, "sort keys overflow"
-        key = arena.edge_succ * n_pairs
-        key += np.arange(n_pairs).repeat(np.diff(arena.sys_indptr))
-        key.sort()
-        key %= n_pairs
-        self.in_pair = key
-        self.in_indptr = ar._indptr(arena.edge_succ, arena.n_states)
+        self.in_indptr, self.in_pair = arena.in_edges
+
+    def pairs(self, states):
+        """The pairs of `states`, in state order."""
+        return ar._gather(self.arena.env_indptr, states,
+                          self.env_degree[states])
+
+    def into(self, pairs, target):
+        """Sys edges of each of `pairs` into the state mask `target`."""
+        a = self.arena
+        size = a.sys_indptr[pairs + 1] - a.sys_indptr[pairs]
+        edges = ar._gather(a.sys_indptr, pairs, size)
+        hits = np.zeros(len(edges) + 1, dtype=np.int64)
+        np.cumsum(target[a.edge_succ[edges]], out=hits[1:])
+        ends = size.cumsum()
+        return hits[ends] - hits[ends - size]
 
     def nu_x(self, x, lower):
         """Greatest fixpoint of X -> lower | (x & cpre(X)), in place in `x`.
@@ -92,12 +102,19 @@ class _Ctx:
         of `x` over the undecided states drops those that leave cpre(x).
         With `lower` = base, this is the nu-X of a mu-Y round, the greatest
         fixpoint X* of X -> base | (not_a & cpre(X)), whenever X* lies in
-        `x` and `x` in base | not_a.
+        `x` and `x` in base | not_a.  Most retreats drop nothing: when
+        every pair of every undecided state has an edge into `x`, `x` is
+        the fixpoint, and no tracker is built.
         """
-        states = (x & ~lower).nonzero()[0]
+        # on bools, a > b is a & ~b in one call
+        states = (x > lower).nonzero()[0]
         if not len(states):
             return x
-        cpre = _Cpre(self, scope=states, target=x)
+        pairs = self.pairs(states)
+        cnt = self.into(pairs, x)
+        if cnt.all():
+            return x
+        cpre = _Cpre(self, states, x, pairs, cnt)
         gone = states[cpre.dead[states] > 0]
         while len(gone):
             gone = cpre.remove(gone)
@@ -108,19 +125,22 @@ class _Cpre:
     """cpre of a target that only grows or only shrinks, by edge counters.
 
     Each pair counts its sys edges into the target (`cnt`), each state its
-    pairs at 0 (`dead`): cpre is ``dead == 0``.  Built on a `target` and a
-    `scope`, the tracker shrinks the target in place; else it grows one from
-    empty.  `add` and `remove` move states across at the cost of their
-    in-edges, O(edges) in all, and return the states entering or leaving
-    cpre, each once.  A counter need be exact only where it counts down to
-    0: growing, `cnt` is a flag per pair; shrinking, `dead` saturates.  cpre
-    is defined only on the `scope` (every state if None), and only its pairs
-    do work: growing, the others start flagged; shrinking, their hits are
-    dropped and the scope's edges into `target` are counted at the start, so
-    a nu-X retreat costs O(edges of its undecided states).
+    pairs at 0 (`dead`): cpre is ``dead == 0``.  Built on a `target`, the
+    tracker shrinks it in place, starting from the sys edges `cnt` of each
+    of `pairs`, the pairs of the `scope`; else it grows one from empty.
+    `add` and `remove` move states across at the cost of their in-edges,
+    O(edges) in all, and return the states entering or leaving cpre, each
+    once.  A counter need be exact only where it counts down to 0:
+    growing, `cnt` is a flag per pair; shrinking, `dead` saturates.  So a
+    growing tracker's counters are a function of its target alone, not of
+    the order it grew in, and a `copy` may stand for a fresh tracker grown
+    to the same target.  cpre is defined only on the `scope` (every state
+    if None), and only its pairs do work: growing, the others start
+    flagged; shrinking, their hits are dropped, so a nu-X retreat costs
+    O(edges of its undecided states).
     """
 
-    def __init__(self, ctx, scope=None, target=None):
+    def __init__(self, ctx, scope=None, target=None, pairs=None, cnt=None):
         a = self.arena = ctx.arena
         self.ctx, self.grows = ctx, target is None
         if scope is not None:
@@ -133,18 +153,20 @@ class _Cpre:
             self.dead = ctx.env_degree.copy()
             return
         self.target = target
-        pairs = ar._gather(a.env_indptr, scope)
-        edges = ar._gather(a.sys_indptr, pairs)
         # only cells in the scope are ever read: the rest stays unwritten
         self.cnt = np.empty(a.n_pairs, dtype=np.int32)
         self.dead = np.empty(a.n_states, dtype=np.int32)
-        self.cnt[pairs] = 0
-        edge_pair = pairs.repeat(a.sys_indptr[pairs + 1] - a.sys_indptr[pairs])
-        into = target[a.edge_succ[edges]]
-        # an int32 scalar keeps ufunc.at on its fast path (numpy 2.4)
-        np.add.at(self.cnt, edge_pair[into], np.int32(1))
+        self.cnt[pairs] = cnt
         self.dead[scope] = 0
-        self.dead[a.pair_state[pairs[self.cnt[pairs] == 0]]] = 1
+        self.dead[a.pair_state[pairs[cnt == 0]]] = 1
+
+    def copy(self):
+        """A growing tracker on a copy of this one's target."""
+        assert self.grows, "only growing trackers are copied"
+        out = object.__new__(type(self))
+        out.__dict__.update(self.__dict__, target=self.target.copy(),
+                            cnt=self.cnt.copy(), dead=self.dead.copy())
+        return out
 
     def add(self, states):
         """Put `states` in the target; returns the states entering cpre."""
@@ -206,8 +228,16 @@ def solve(arena, env_live, sys_live):
     """
     assumptions, goals = _normalize(arena, env_live, sys_live)
     ctx = _Ctx(arena)
-    # an assumption true everywhere has an empty nu-X disjunct
-    falsifiable = [(i, ~a) for i, a in enumerate(assumptions) if not a.all()]
+    # an assumption true everywhere has an empty nu-X disjunct; each other
+    # one gets a growing cpre of ~a_i, scoped to ~a_i, that every mu-Y
+    # copies (see `_mu_y`)
+    falsifiable = []
+    for i, a in enumerate(assumptions):
+        if not a.all():
+            not_a = (~a).nonzero()[0]
+            cpre = _Cpre(ctx, scope=not_a)
+            cpre.add(not_a)
+            falsifiable.append((i, ~a, cpre))
     n_goals = len(goals)
     Z = np.ones(arena.n_states, dtype=bool)
     y_rank = np.full((n_goals, arena.n_states), INF_RANK, dtype=np.int32)
@@ -217,10 +247,12 @@ def solve(arena, env_live, sys_live):
     # cpre(Y) | OR_i nu X. (seed | cpre(Y) | (~a_i & cpre(X))).  So
     # cpre(Y) <= Y, the next seed g & cpre(Y) lies in cpre(Y), hence
     # B_{j+1}(Y) <= B_j(Y) = Y, and the least fixpoint of B_{j+1} lies in Y.
-    # cpre(Z) is read only inside the goals, so they are its scope.
-    in_goals = functools.reduce(np.logical_or, goals)
-    cpre = _Cpre(ctx, scope=in_goals.nonzero()[0],
-                 target=np.ones(arena.n_states, dtype=bool))
+    # cpre(Z) is read only inside the goals, so they are its scope, and
+    # under the full target a pair's count is its sys degree.
+    in_goals = functools.reduce(np.logical_or, goals).nonzero()[0]
+    pairs = ctx.pairs(in_goals)
+    cpre = _Cpre(ctx, in_goals, np.ones(arena.n_states, dtype=bool), pairs,
+                 arena.sys_indptr[pairs + 1] - arena.sys_indptr[pairs])
     # each goal's last seed, and the nu-X layers of every round of its mu-Y
     seeds = [None] * n_goals
     x_layers = [None] * n_goals
@@ -254,10 +286,11 @@ def _mu_y(ctx, seed, falsifiable):
     """mu Y. B(Y) | OR_i nu X. B(Y) | (~a_i & cpre(X)), where B(Y) is
     seed | cpre(Y), at O(edges) per round.
 
-    `falsifiable` lists (i, ~assumption_i); with none, the mu-Y is the
-    attractor of the seed.  Returns the rank of each state (the round it
-    joined Y, INF_RANK outside Y) and the nu-X layers [(i, X), ...] of every
-    round, the last one adding nothing (no layers without assumptions).
+    `falsifiable` lists (i, ~assumption_i, a growing cpre of
+    ~assumption_i); with none, the mu-Y is the attractor of the seed.
+    Returns the rank of each state (the round it joined Y, INF_RANK outside
+    Y) and the nu-X layers [(i, X), ...] of every round, the last one
+    adding nothing (no layers without assumptions).
 
     Y grows, so a growing `_Cpre` keeps cpre(Y), and `base` grows by the
     states it reports entering: base_0 = seed, then base_r = seed |
@@ -275,18 +308,20 @@ def _mu_y(ctx, seed, falsifiable):
     where the retreat starts.  T_r grows with r, as base_r does, so a
     growing `_Cpre` per assumption, scoped to ~a_i where it is read, keeps
     cpre(T_r) at O(edges) per mu-Y, where counting the edges of every
-    undecided state in every round was not.
+    undecided state in every round was not.  T_0 = seed | ~a_i, and every
+    mu-Y of a solve shares ~a_i, so each starts from a copy of the one
+    tracker `solve` grew to ~a_i and adds only seed & a_i.
     """
     rank = np.full(ctx.arena.n_states, INF_RANK, dtype=np.int32)
     cpre_y = _Cpre(ctx)
-    cpre_t = [_Cpre(ctx, scope=not_a.nonzero()[0]) for _, not_a in falsifiable]
+    cpre_t = [cpre.copy() for _, _, cpre in falsifiable]
     base = seed.copy()
     newly = base.nonzero()[0]
     layers = []
     for r in itertools.count():
         if falsifiable:
             layer, y_new = [], base.copy()
-            for (i, not_a), cpre in zip(falsifiable, cpre_t):
+            for (i, not_a, _), cpre in zip(falsifiable, cpre_t):
                 # T_r and F_r(T_r) of the docstring
                 cpre.add(((base | not_a) > cpre.target).nonzero()[0])
                 x = not_a & (cpre.dead == 0)

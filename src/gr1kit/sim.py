@@ -297,6 +297,12 @@ def _scenario_shape(names):
     return n if set(names) == scenario else None
 
 
+def _scenario_head(n):
+    """The scenario layout's variable columns for workstation cell n."""
+    return ["RS", "BL", "HF", "tries", "S", *(f"O{j}" for j in range(1, n)),
+            "mode", "ACT"]
+
+
 def write_csv(trace, fp):
     """Render a trace as CSV; a trace of exactly the work-delivery
     variables gets the scenario header with derived mode and action columns
@@ -308,11 +314,8 @@ def write_csv(trace, fp):
         head, cols = list(trace.names), list(range(len(trace.names)))
         cells = ["%d"] * len(cols)
     else:
-        obstacles = [f"O{j}" for j in range(1, n)]
-        head = ["RS", "BL", "HF", "tries", "S", *obstacles, "mode", "ACT"]
-        cols = [trace.names.index(k) for k in ("rs", "bl", "hf", "tries", "s",
-                                               *map(str.lower, obstacles),
-                                               "act")]
+        head = _scenario_head(n)
+        cols = [trace.names.index(k.lower()) for k in head if k != "mode"]
         cells = ["%d"] * (len(cols) - 1) + ["%s", "Go_S%d"]
     columns = trace.vals[:, cols].T.tolist()
     if n is not None:
@@ -330,7 +333,9 @@ def _fmt_time(x):
 
 
 def read_csv(fp):
-    """Parse a trace CSV back into a Trace (inverse of write_csv)."""
+    """Parse a trace CSV back into a Trace (inverse of write_csv).  The
+    scenario layout is read only from a header of exactly its columns, the
+    rule `write_csv` applies to variables."""
     header = fp.readline().strip().split(",")
     if header[:2] != ["step", "time_s"]:
         raise ValueError("not a trace CSV")
@@ -339,16 +344,20 @@ def read_csv(fp):
         raise ValueError("every row needs one field per header column")
     col = dict(zip(header, zip(*table) if table else [()] * len(header)))
     away = np.array(col["human_away"], dtype=np.int64) != 0
-    scenario = "mode" in header and "ACT" in header
+    fields = [h for h in header[2:] if h != "human_away"]
+    n = 1
+    while f"O{n}" in fields:
+        n += 1
+    scenario = set(fields) == set(_scenario_head(n))
     if scenario:
-        obstacles = [h for h in header if h.startswith("O") and h[1:].isdigit()]
+        obstacles = [f"O{j}" for j in range(1, n)]
         names = ("bl", "s", *map(str.lower, obstacles), "stalled", "rs", "act",
                  "hf", "tries")
         # the stalled bit is not a CSV column: BL stands in for it here
         columns = ["BL", "S", *obstacles, "BL", "RS", "ACT", "HF", "tries"]
         col["ACT"] = [act.replace("Go_S", "") for act in col["ACT"]]
     else:
-        names = columns = tuple(h for h in header[2:] if h != "human_away")
+        names = columns = tuple(fields)
     vals = np.array([col[h] for h in columns], dtype=np.int64).reshape(
         len(columns), len(table)).T
     if scenario:

@@ -426,6 +426,27 @@ def test_ladder_arena_is_pinned(paper_doc, paper_arena):
         "f26ba95e05f1d515efe9da2db763362b2a5ccd2dfd986ab6e90665ecc66e4694")
 
 
+def brute_in_edges(arena):
+    """The pairs with an edge into each state, by a loop over every edge."""
+    into = [[] for _ in range(arena.n_states)]
+    indptr, succ = arena.sys_indptr.tolist(), arena.edge_succ.tolist()
+    for p in range(arena.n_pairs):
+        for k in range(indptr[p], indptr[p + 1]):
+            into[succ[k]].append(p)
+    return into
+
+
+def test_in_edges_match_brute_listing(reduced_arena):
+    for a in [ar.random_arena(seed)[0] for seed in range(200)] + [
+            reduced_arena]:
+        indptr, pairs = a.in_edges
+        # built once: every later solve on the arena reads the same index
+        assert a.in_edges[1] is pairs
+        bounds = indptr.tolist()
+        assert [pairs[lo:hi].tolist() for lo, hi in zip(bounds, bounds[1:])
+                ] == brute_in_edges(a)
+
+
 def test_random_arena_is_reproducible():
     a1, el1, sl1 = ar.random_arena(123)
     a2, el2, sl2 = ar.random_arena(123)

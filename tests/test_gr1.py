@@ -608,16 +608,28 @@ def test_incremental_fixpoint_matches_plain_iteration(monkeypatch):
     seen = {(kind, what): 0 for kind in ("trivial", "assumption")
             for what in ("env_deadlock", "sys_deadlock", "two_goals",
                          "sweeps3")}
-    seen["assumption", "retreat_below_bound"] = 0
-    seen["assumption", "deadlock_assumed"] = 0
+    for what in ("retreat_below_bound", "deadlock_assumed",
+                 "retreat_builds_tracker", "retreat_skips_tracker"):
+        seen["assumption", what] = 0
     nu_x = gr1._Ctx.nu_x
+    shrinking = [0]
+
+    class CountingCpre(gr1._Cpre):
+        def __init__(self, ctx, scope=None, target=None, *counts):
+            shrinking[0] += target is not None
+            super().__init__(ctx, scope, target, *counts)
 
     def counting_nu_x(ctx, x, lower):
-        start = x.copy()
+        start, built = x.copy(), shrinking[0]
         out = nu_x(ctx, x, lower)
         seen["assumption", "retreat_below_bound"] += bool((start & ~out).any())
+        if (start & ~lower).any():
+            built = shrinking[0] - built
+            seen["assumption", "retreat_builds_tracker"] += built
+            seen["assumption", "retreat_skips_tracker"] += not built
         return out
 
+    monkeypatch.setattr(gr1, "_Cpre", CountingCpre)
     monkeypatch.setattr(gr1._Ctx, "nu_x", counting_nu_x)
     for seed in range(600):
         a, env_live, sys_live = ar.random_arena(seed)
@@ -637,8 +649,10 @@ def test_incremental_fixpoint_matches_plain_iteration(monkeypatch):
     # both sides, two goals, and games whose Z shrinks after the first
     # sweep, so that the cpre(Z) counters decrement and a goal whose seed
     # changed solves its mu-Y again; some nu-X retreats below its one-step
-    # bound, so that the retreat itself is compared; and some assumption
-    # game has an env deadlock outside every nu-X disjunct
+    # bound, so that the retreat itself is compared; retreats with undecided
+    # states both skip the shrinking tracker (nothing leaves) and build one;
+    # and some assumption game has an env deadlock outside every nu-X
+    # disjunct
     assert all(seen.values()), seen
 
 
@@ -662,7 +676,13 @@ def test_shrinking_cpre_matches_dense():
             # random one from a random target, as a nu-X retreat does
             target = (np.ones(a.n_states, dtype=bool) if kind == "full"
                       else rng.random(a.n_states) < 0.7)
-            cpre = gr1._Cpre(gr1._Ctx(a), scope=scope, target=target.copy())
+            ctx = gr1._Ctx(a)
+            pairs = ctx.pairs(scope)
+            cnt = ctx.into(pairs, target)
+            if kind == "full":
+                # solve starts its cpre(Z) from the sys degrees
+                assert np.array_equal(cnt, np.diff(a.sys_indptr)[pairs])
+            cpre = gr1._Cpre(ctx, scope, target.copy(), pairs, cnt)
             want = dense_cpre(a, target)
             while True:
                 assert np.array_equal(cpre.target, target), seed
@@ -684,6 +704,8 @@ def test_shrinking_cpre_matches_dense():
                 moved[kind] += len(left) > 0
             with pytest.raises(AssertionError, match="must shrink"):
                 cpre.add(np.arange(1))
+            with pytest.raises(AssertionError, match="only growing"):
+                cpre.copy()
     # chains of several steps, not just all-then-nothing, and returns that
     # are not all empty
     assert min(steps.values()) >= 3 * 60 and min(moved.values()), (steps,
@@ -713,12 +735,21 @@ def test_growing_cpre_matches_dense():
                 missing = np.flatnonzero(~target)
                 added = rng.choice(missing, rng.integers(
                     1, (len(missing) + 3) // 2), replace=False)
-                target = target.copy()
+                prev, target, old = target, target.copy(), None
                 target[added] = True
+                if steps[kind] % 2:
+                    # every other step goes on in a copy, as each mu-Y
+                    # does from its solve's ~a_i trackers
+                    old, cpre = cpre, cpre.copy()
                 entered = cpre.add(added)
                 before, want = want, dense_cpre(a, target)
                 assert np.array_equal(
                     entered, np.flatnonzero(want & ~before & inside)), seed
+                if old is not None:
+                    # the copied tracker did not move
+                    assert np.array_equal(old.target, prev), seed
+                    assert np.array_equal((old.dead == 0)[inside],
+                                          before[inside]), seed
                 steps[kind] += 1
                 moved[kind] += len(entered) > 0
             with pytest.raises(AssertionError, match="must grow"):
@@ -735,6 +766,50 @@ def test_incremental_fixpoint_matches_plain_on_reduced_scenario(
     for env_live in ((), ("!o1", "!stalled")):
         assert_same_fixpoint(reduced_arena, [parse_expr(e) for e in env_live],
                              reduced_doc.sys_liveness)
+
+
+def solve_bytes(arena, env_live, sys_live):
+    """Every output of a solve as bytes: region, ranks, each nu-X layer
+    and, when realizable, the controller JSON."""
+    res = gr1.solve(arena, env_live, sys_live)
+    out = [res.winning.tobytes(), res.y_rank.tobytes()]
+    for witness in res.x_witness or ():
+        out += [(r, i, x.tobytes()) for r in sorted(witness)
+                for i, x in witness[r]]
+    if res.realizable:
+        out.append(gr1.extract_strategy(res, arena)._json_text())
+    return out
+
+
+def test_repeated_solves_match_fresh_arenas(paper_doc, paper_arena,
+                                            reduced_doc, reduced_arena):
+    # a solve reads the in-edge index its arena caches; solves that come
+    # after others on one arena must match solves on freshly built arenas,
+    # whose index each solve builds
+    from gr1kit.speclang import parse_expr
+    games = []
+    for seed in range(300):
+        a, env_live, sys_live = ar.random_arena(seed)
+        if not all(e.all() for e in env_live):
+            games.append((a, lambda s=seed: ar.random_arena(s)[0],
+                          [env_live], sys_live))
+    for doc, arena, sets in (
+            (reduced_doc, reduced_arena, (("!o1",), ("!o1", "!stalled"))),
+            (paper_doc, paper_arena,
+             (("!o1",), ("!o1", "!o2"), ("!o1", "!o2", "!stalled")))):
+        games.append((arena, lambda d=doc: ar.build_arena(d),
+                      [[parse_expr(e) for e in s] for s in sets],
+                      doc.sys_liveness))
+    realizable = 0
+    for arena, build, sets, sys_live in games:
+        # so that every solve compared below follows another on its arena
+        solve_bytes(arena, sets[-1], sys_live)
+        for env_live in sets:
+            want = solve_bytes(build(), env_live, sys_live)
+            assert solve_bytes(arena, env_live, sys_live) == want
+            realizable += isinstance(want[-1], str)
+    # not vacuous: many assumption games, controllers compared too
+    assert len(games) >= 100 and realizable >= 50, (len(games), realizable)
 
 
 def test_reduced_assumption_game_bytes(reduced_arena, reduced_doc, tmp_path):

@@ -314,21 +314,26 @@ def test_generic_csv_roundtrip_keeps_column_order():
 # the scenario's variables but `stalled` and the obstacles, plus `foo`
 FOO_SPEC = ("[ENV_VARS]\nbl : 0..3\ns : bool\nfoo : 0..2\n"
             "[SYS_VARS]\nrs : 0..1\nact : 0..1\nhf : bool\ntries : 0..2\n")
+# two variables named like two of the scenario layout's columns
+MODE_ACT_SPEC = "[ENV_VARS]\nmode : 0..1\n[SYS_VARS]\nACT : 0..1\n"
 
 
 def test_csv_scenario_layout_needs_exact_variables():
-    doc = parse_spec(FOO_SPEC)
-    arena = ar.build_arena(doc)
-    res = gr1.solve(arena, doc.env_liveness, doc.sys_liveness)
-    st = gr1.extract_strategy(res, arena)
-    tr = sim.run(st, sim.make_adversary("random", seed=1), 12)
-    text = csv_text(tr)
-    assert text.splitlines()[0] == (
-        "step,time_s,bl,s,foo,rs,act,hf,tries,human_away")
-    back = sim.read_csv(io.StringIO(text))
-    assert back.names == tr.names and "stalled" not in back.names
-    assert np.array_equal(back.vals, tr.vals)
-    assert check.check_safety(back, doc).passed
+    # written and read by the same exact-set rule: neither spec's trace
+    # takes the scenario layout on the way out or on the way back
+    for spec, head in ((FOO_SPEC, "bl,s,foo,rs,act,hf,tries"),
+                       (MODE_ACT_SPEC, "mode,ACT")):
+        doc = parse_spec(spec)
+        arena = ar.build_arena(doc)
+        res = gr1.solve(arena, doc.env_liveness, doc.sys_liveness)
+        st = gr1.extract_strategy(res, arena)
+        tr = sim.run(st, sim.make_adversary("random", seed=1), 12)
+        text = csv_text(tr)
+        assert text.splitlines()[0] == f"step,time_s,{head},human_away"
+        back = sim.read_csv(io.StringIO(text))
+        assert back.names == tr.names and "stalled" not in back.names
+        assert np.array_equal(back.vals, tr.vals)
+        assert check.check_safety(back, doc).passed
 
 
 @pytest.mark.parametrize("row", ["1,10,2,0,0,7", "1,10,2,0"],
