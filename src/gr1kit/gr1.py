@@ -18,7 +18,15 @@ liveness assumptions, the bound each nu-X retreats from: `solve` grows one
 to ~assumption_i once, and each mu-Y goes on from a copy.  Shrinking ones
 give the nu-X retreats and cpre(Z), as every Z handed to a goal lies
 inside the one before it; a retreat builds one only when some undecided
-state has a pair without an edge into its bound, which most never do.  One
+state has a pair without an edge into its bound, which most never do.
+The cpre(Z) tracker spans every state and keeps its target at the safety
+core of Z, nu C. Z & cpre(C), cut wave by wave before each goal reads its
+seed g & cpre(core): the states from which the environment can force a
+system deadlock leave before the first sweep, not one layer per sweep at
+the price of a whole mu-Y per goal (the Büchi-game loop of Chatterjee,
+Henzinger and Piterman, *Algorithms for Büchi games*, GDV 2006).  The
+winning region W lies in every Z and in cpre(W), so in every core, and no
+output changes (see `solve`).  One
 mu-Y kernel, `_mu_y`, serves every game: its round 0 is the seed and its
 nu-X layers, and the env deadlocks (cpre of the empty set) join the base
 after it, for the same least fixpoint.  A goal whose seed did not change
@@ -36,7 +44,6 @@ solver beyond reading the liveness predicates.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -115,9 +122,7 @@ class _Ctx:
         if cnt.all():
             return x
         cpre = _Cpre(self, states, x, pairs, cnt)
-        gone = states[cpre.dead[states] > 0]
-        while len(gone):
-            gone = cpre.remove(gone)
+        cpre.shrink(states[cpre.dead[states] > 0])
         return x
 
 
@@ -127,22 +132,24 @@ class _Cpre:
     Each pair counts its sys edges into the target (`cnt`), each state its
     pairs at 0 (`dead`): cpre is ``dead == 0``.  Built on a `target`, the
     tracker shrinks it in place, starting from the sys edges `cnt` of each
-    of `pairs`, the pairs of the `scope`; else it grows one from empty.
-    `add` and `remove` move states across at the cost of their in-edges,
-    O(edges) in all, and return the states entering or leaving cpre, each
-    once.  A counter need be exact only where it counts down to 0:
-    growing, `cnt` is a flag per pair; shrinking, `dead` saturates.  So a
-    growing tracker's counters are a function of its target alone, not of
-    the order it grew in, and a `copy` may stand for a fresh tracker grown
-    to the same target.  cpre is defined only on the `scope` (every state
-    if None), and only its pairs do work: growing, the others start
-    flagged; shrinking, their hits are dropped, so a nu-X retreat costs
-    O(edges of its undecided states).
+    of `pairs`, the pairs of the `scope`, or with no scope from every
+    pair's sys degree, so the target must then hold every state; else it
+    grows one from empty.  `add` and `remove` move states across at the
+    cost of their in-edges, O(edges) in all, and return the states
+    entering or leaving cpre, each once.  A counter need be exact only
+    where it counts down to 0: growing, `cnt` is a flag per pair;
+    shrinking, `dead` saturates.  So a growing tracker's counters are a
+    function of its target alone, not of the order it grew in, and a
+    `copy` may stand for a fresh tracker grown to the same target.  cpre
+    is defined only on the `scope` (every state if None), and only its
+    pairs do work: growing, the others start flagged; shrinking, their
+    hits are dropped, so a nu-X retreat costs O(edges of its undecided
+    states).
     """
 
     def __init__(self, ctx, scope=None, target=None, pairs=None, cnt=None):
         a = self.arena = ctx.arena
-        self.ctx, self.grows = ctx, target is None
+        self.ctx, self.grows, self.scope = ctx, target is None, None
         if scope is not None:
             self.scope = np.zeros(a.n_states, dtype=bool)
             self.scope[scope] = True
@@ -153,6 +160,12 @@ class _Cpre:
             self.dead = ctx.env_degree.copy()
             return
         self.target = target
+        if scope is None:
+            assert target.all(), "an unscoped target starts full"
+            self.cnt = np.diff(a.sys_indptr).astype(np.int32)
+            self.dead = np.zeros(a.n_states, dtype=np.int32)
+            self.dead[a.pair_state[self.cnt == 0]] = 1
+            return
         # only cells in the scope are ever read: the rest stays unwritten
         self.cnt = np.empty(a.n_pairs, dtype=np.int32)
         self.dead = np.empty(a.n_states, dtype=np.int32)
@@ -190,13 +203,23 @@ class _Cpre:
             return states
         self.target[states] = False
         hit = self.ctx.in_pair[ar._gather(self.ctx.in_indptr, states)]
-        hit = hit[self.scope[self.arena.pair_state[hit]]]
+        if self.scope is not None:
+            hit = hit[self.scope[self.arena.pair_state[hit]]]
         np.subtract.at(self.cnt, hit, np.int32(1))
         owners = self.arena.pair_state[hit[self.cnt[hit] == 0]]
         gone = owners[self.dead[owners] == 0]
         self.dead[owners] = 1
         gone.sort()
         return _distinct(gone)
+
+    def shrink(self, states):
+        """Take `states` out of the target, then, wave by wave, every
+        state of the target that leaves cpre, until the target lies in its
+        cpre (on the scope): the greatest such subset of what it held."""
+        while len(states):
+            gone = self.remove(states)
+            # a state taken out before it left cpre is taken out once
+            states = gone[self.target[gone]]
 
 
 def _distinct(idx):
@@ -245,14 +268,23 @@ def solve(arena, env_live, sys_live):
     # shrinking cpre serves them all.  A Z handed on is a fixpoint
     # Y = B_j(Y) of the previous goal's mu-Y step B_j, with B(Y) = seed |
     # cpre(Y) | OR_i nu X. (seed | cpre(Y) | (~a_i & cpre(X))).  So
-    # cpre(Y) <= Y, the next seed g & cpre(Y) lies in cpre(Y), hence
+    # cpre(Y) <= Y, the next seed lies in g & cpre(Y), so in cpre(Y), hence
     # B_{j+1}(Y) <= B_j(Y) = Y, and the least fixpoint of B_{j+1} lies in Y.
-    # cpre(Z) is read only inside the goals, so they are its scope, and
-    # under the full target a pair's count is its sys degree.
-    in_goals = functools.reduce(np.logical_or, goals).nonzero()[0]
-    pairs = ctx.pairs(in_goals)
-    cpre = _Cpre(ctx, in_goals, np.ones(arena.n_states, dtype=bool), pairs,
-                 arena.sys_indptr[pairs + 1] - arena.sys_indptr[pairs])
+    #
+    # The tracker's target is not Z itself but its safety core C(Z), the
+    # greatest C = Z & cpre(C), and each seed is g & cpre(C(Z)), inside
+    # g & cpre(Z): a Z that a whole round leaves unchanged then lies in
+    # every goal's mu-Y on the seed g & cpre(Z), so in the greatest
+    # fixpoint of the module docstring, the winning region W.  And W lies
+    # in cpre(W), so W = C(W) lies in C(Z) whenever it lies in Z: every
+    # seed holds g & cpre(W) and every Z holds W.  So the loop ends at W,
+    # where C(W) = W: each goal's last seed is g & cpre(W), as with seeds
+    # g & cpre(Z), and so are its ranks and nu-X layers.  From a state
+    # outside the core the environment can force the play out of Z or into
+    # a system deadlock; such states leave at once, wave by wave, not one
+    # layer per sweep.
+    core = _Cpre(ctx, target=np.ones(arena.n_states, dtype=bool))
+    core.shrink((core.dead > 0).nonzero()[0])
     # each goal's last seed, and the nu-X layers of every round of its mu-Y
     seeds = [None] * n_goals
     x_layers = [None] * n_goals
@@ -261,8 +293,8 @@ def solve(arena, env_live, sys_live):
         z_before = Z
         for j, g in enumerate(goals):
             # on bools, a > b is a & ~b in one call
-            cpre.remove((cpre.target > Z).nonzero()[0])
-            seed = g & (cpre.dead == 0)
+            core.shrink((core.target > Z).nonzero()[0])
+            seed = g & (core.dead == 0)
             # a mu-Y is a function of its seed alone
             if not np.array_equal(seed, seeds[j]):
                 seeds[j] = seed

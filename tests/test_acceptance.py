@@ -57,6 +57,11 @@ def acceptance_traces(strategy_for, scenario):
     return traces
 
 
+def node_values(st, name):
+    """One variable's value at every node of a controller."""
+    return st.node_vals[:, st.names.index(name)]
+
+
 def test_criterion_01_realizability_band(tmp_path):
     """Every bl_init in 9..26 synthesizes, end to end through the CLI."""
     times = []
@@ -97,10 +102,14 @@ def test_criterion_03_monotone_threshold(band_scan):
 
 def test_criterion_04_robustness_runs(acceptance_traces, strategy_for,
                                       scenario):
-    checked = 0
+    checked = nodes = 0
     for b in (12, 9, 26):
         doc, arena, result = scenario(b)
         st = strategy_for(b)
+        # every node of the controller, not only the sampled runs
+        bl = node_values(st, "bl")
+        assert bl.min() >= 1 and bl.max() <= 26, b
+        nodes += st.n_nodes
         gaps = []
         for kind in ("min-bl", "max-bl"):
             lv = check.lasso_check(st, sim.make_adversary(kind), doc)
@@ -120,7 +129,8 @@ def test_criterion_04_robustness_runs(acceptance_traces, strategy_for,
             assert rv.passed, (b, kind, seed, window)
             checked += 1
     print(f"\nCRITERION 4 PASS: {checked} runs of {SIM_STEPS} steps safe "
-          f"(1 <= BL <= 26) and recurrent under the lasso window")
+          f"(1 <= BL <= 26) and recurrent under the lasso window; "
+          f"1 <= BL <= 26 at all {nodes} controller nodes")
 
 
 def test_criterion_05_retry_shape(strategy_for, scenario):
@@ -142,6 +152,19 @@ def test_criterion_05_retry_shape(strategy_for, scenario):
 def test_criterion_06_delivery_timing(acceptance_traces, strategy_for):
     launches = 0
     refills = 0
+    # every node and edge of the controllers, not only the sampled runs
+    graph_launches = graph_refills = 0
+    for b in (12, 9, 26):
+        st = strategy_for(b)
+        bl = node_values(st, "bl")
+        launch = (node_values(st, "act") == 3) & (node_values(st, "rs") != 3)
+        assert (bl[launch] <= LAUNCH_BOUND).all(), b
+        source = np.repeat(np.arange(st.n_nodes), np.diff(st.edge_indptr))
+        refill = bl[st.edge_next] > bl[source]
+        assert (bl[source[refill]] <= LAUNCH_BOUND).all(), b
+        graph_launches += launch.sum()
+        graph_refills += refill.sum()
+    assert graph_launches and graph_refills
     for (b, kind, seed), tr in acceptance_traces.items():
         rows = tr.rows
         for r in rows:
@@ -161,7 +184,9 @@ def test_criterion_06_delivery_timing(acceptance_traces, strategy_for):
                for r in tr26.rows[:first_refill - 1])
     print(f"\nCRITERION 6 PASS: {launches} workstation launches and "
           f"{refills} refills, all committed at BL <= {LAUNCH_BOUND}; "
-          f"full-backlog start defers to step {first_refill}")
+          f"full-backlog start defers to step {first_refill}; so are the "
+          f"{graph_launches} launch nodes and {graph_refills} refill edges "
+          f"of the controllers")
 
 
 def test_criterion_07_oracle_equivalence():

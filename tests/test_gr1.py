@@ -15,7 +15,7 @@ from gr1kit import workdelivery as wd
 from gr1kit.errors import CapacityExceeded, NotRealizable
 from gr1kit.speclang import ENV, SYS, VarDecl, parse_spec
 
-from conftest import encode_state, reference_json, valuation
+from conftest import REDUCED, encode_state, reference_json, valuation
 from genspec import random_document
 
 
@@ -534,8 +534,7 @@ def dense_cpre(arena, target):
 def plain_fixpoint(arena, assumptions, goals):
     """The parent solver's plain iteration, kept as a reference: every mu-Y
     round recomputes cpre(Y), every nu-X restarts from all states and every
-    Z sweep recomputes cpre(Z).  Returns (winning, y_rank, x_witness,
-    Z sweeps).
+    Z sweep recomputes cpre(Z).  Returns (winning, y_rank, x_witness).
 
     Each mu-Y starts from Y = empty, and round 0 takes the seed alone as its
     base, so cpre of nothing (the env-deadlocked states) joins the base from
@@ -550,9 +549,8 @@ def plain_fixpoint(arena, assumptions, goals):
     Z = np.ones(n, dtype=bool)
     y_rank = np.full((len(goals), n), gr1.INF_RANK, dtype=np.int32)
     x_witness = [{} for _ in goals]
-    sweeps = 0
     while True:
-        z_before, sweeps = Z, sweeps + 1
+        z_before = Z
         for j, g in enumerate(goals):
             seed = g & cpre(Z)
             Y, base, r = np.zeros(n, dtype=bool), seed, 0
@@ -578,14 +576,13 @@ def plain_fixpoint(arena, assumptions, goals):
                 Y, base, r = y_new, base_next, r + 1
             Z = Y
         if np.array_equal(Z, z_before):
-            return Z, y_rank, x_witness, sweeps
+            return Z, y_rank, x_witness
 
 
 def assert_same_fixpoint(arena, env_live, sys_live):
-    """solve() agrees with plain_fixpoint on every output; returns the
-    plain run's sweep count."""
+    """solve() agrees with plain_fixpoint on every output."""
     res = gr1.solve(arena, env_live, sys_live)
-    winning, y_rank, x_witness, sweeps = plain_fixpoint(
+    winning, y_rank, x_witness = plain_fixpoint(
         arena, res.assumptions, res.goals)
     assert np.array_equal(res.winning, winning)
     assert np.array_equal(res.y_rank, y_rank)
@@ -593,7 +590,7 @@ def assert_same_fixpoint(arena, env_live, sys_live):
         # every assumption holds everywhere: no nu-X region is recorded
         assert all(a.all() for a in res.assumptions)
         assert x_witness == [{} for _ in res.goals]
-        return sweeps
+        return
     assert len(res.x_witness) == len(x_witness)
     for got, want in zip(res.x_witness, x_witness):
         assert got.keys() == want.keys()
@@ -601,18 +598,17 @@ def assert_same_fixpoint(arena, env_live, sys_live):
             assert [i for i, _ in got[r]] == [i for i, _ in want[r]]
             assert all(np.array_equal(gx, wx)
                        for (_, gx), (_, wx) in zip(got[r], want[r]))
-    return sweeps
 
 
 def test_incremental_fixpoint_matches_plain_iteration(monkeypatch):
     seen = {(kind, what): 0 for kind in ("trivial", "assumption")
             for what in ("env_deadlock", "sys_deadlock", "two_goals",
-                         "sweeps3")}
+                         "mu_y_again")}
     for what in ("retreat_below_bound", "deadlock_assumed",
                  "retreat_builds_tracker", "retreat_skips_tracker"):
         seen["assumption", what] = 0
-    nu_x = gr1._Ctx.nu_x
-    shrinking = [0]
+    nu_x, mu_y = gr1._Ctx.nu_x, gr1._mu_y
+    shrinking, mu_ys = [0], [0]
 
     class CountingCpre(gr1._Cpre):
         def __init__(self, ctx, scope=None, target=None, *counts):
@@ -629,13 +625,19 @@ def test_incremental_fixpoint_matches_plain_iteration(monkeypatch):
             seen["assumption", "retreat_skips_tracker"] += not built
         return out
 
+    def counting_mu_y(*args):
+        mu_ys[0] += 1
+        return mu_y(*args)
+
     monkeypatch.setattr(gr1, "_Cpre", CountingCpre)
     monkeypatch.setattr(gr1._Ctx, "nu_x", counting_nu_x)
+    monkeypatch.setattr(gr1, "_mu_y", counting_mu_y)
     for seed in range(600):
         a, env_live, sys_live = ar.random_arena(seed)
         kind = ("trivial" if all(e.all() for e in env_live)
                 else "assumption")
-        sweeps = assert_same_fixpoint(a, env_live, sys_live)
+        mu_ys[0] = 0
+        assert_same_fixpoint(a, env_live, sys_live)
         stuck = np.diff(a.env_indptr) == 0
         seen[kind, "env_deadlock"] += bool(stuck.any())
         # a deadlock where every assumption holds ranks after round 0
@@ -644,15 +646,15 @@ def test_incremental_fixpoint_matches_plain_iteration(monkeypatch):
             and bool((stuck & np.logical_and.reduce(env_live)).any()))
         seen[kind, "sys_deadlock"] += bool((np.diff(a.sys_indptr) == 0).any())
         seen[kind, "two_goals"] += len(sys_live) == 2
-        seen[kind, "sweeps3"] += sweeps >= 3
+        # a goal's seed changed after its first mu-Y, so it ran again
+        seen[kind, "mu_y_again"] += mu_ys[0] > len(sys_live)
     # not vacuous: with and without assumptions the corpus has deadlocks on
-    # both sides, two goals, and games whose Z shrinks after the first
-    # sweep, so that the cpre(Z) counters decrement and a goal whose seed
-    # changed solves its mu-Y again; some nu-X retreats below its one-step
-    # bound, so that the retreat itself is compared; retreats with undecided
-    # states both skip the shrinking tracker (nothing leaves) and build one;
-    # and some assumption game has an env deadlock outside every nu-X
-    # disjunct
+    # both sides, two goals, and games where a Z handed on cuts the safety
+    # core, so that a goal whose seed changed solves its mu-Y again; some
+    # nu-X retreats below its one-step bound, so that the retreat itself is
+    # compared; retreats with undecided states both skip the shrinking
+    # tracker (nothing leaves) and build one; and some assumption game has
+    # an env deadlock outside every nu-X disjunct
     assert all(seen.values()), seen
 
 
@@ -679,15 +681,23 @@ def test_shrinking_cpre_matches_dense():
             ctx = gr1._Ctx(a)
             pairs = ctx.pairs(scope)
             cnt = ctx.into(pairs, target)
+            trackers = [gr1._Cpre(ctx, scope, target.copy(), pairs, cnt)]
             if kind == "full":
-                # solve starts its cpre(Z) from the sys degrees
+                # with no scope the tracker starts from the sys degrees, as
+                # the cpre(Z) tracker of solve does; it must keep step with
+                # the one counted over every state
                 assert np.array_equal(cnt, np.diff(a.sys_indptr)[pairs])
-            cpre = gr1._Cpre(ctx, scope, target.copy(), pairs, cnt)
+                trackers.append(gr1._Cpre(ctx, target=target.copy()))
+            elif not target.all():
+                # its counts hold only under a full target
+                with pytest.raises(AssertionError, match="starts full"):
+                    gr1._Cpre(ctx, target=target.copy())
             want = dense_cpre(a, target)
             while True:
-                assert np.array_equal(cpre.target, target), seed
-                assert np.array_equal((cpre.dead == 0)[inside],
-                                      want[inside]), seed
+                for cpre in trackers:
+                    assert np.array_equal(cpre.target, target), seed
+                    assert np.array_equal((cpre.dead == 0)[inside],
+                                          want[inside]), seed
                 if not target.any():
                     break
                 # drop at least one and at most half of the remaining states
@@ -696,16 +706,18 @@ def test_shrinking_cpre_matches_dense():
                                   replace=False)
                 target = target.copy()
                 target[gone] = False
-                left = cpre.remove(gone)
+                lefts = [cpre.remove(gone) for cpre in trackers]
                 before, want = want, dense_cpre(a, target)
-                assert np.array_equal(
-                    left, np.flatnonzero(before & ~want & inside)), seed
+                for left in lefts:
+                    assert np.array_equal(
+                        left, np.flatnonzero(before & ~want & inside)), seed
                 steps[kind] += 1
                 moved[kind] += len(left) > 0
-            with pytest.raises(AssertionError, match="must shrink"):
-                cpre.add(np.arange(1))
-            with pytest.raises(AssertionError, match="only growing"):
-                cpre.copy()
+            for cpre in trackers:
+                with pytest.raises(AssertionError, match="must shrink"):
+                    cpre.add(np.arange(1))
+                with pytest.raises(AssertionError, match="only growing"):
+                    cpre.copy()
     # chains of several steps, not just all-then-nothing, and returns that
     # are not all empty
     assert min(steps.values()) >= 3 * 60 and min(moved.values()), (steps,
@@ -768,6 +780,84 @@ def test_incremental_fixpoint_matches_plain_on_reduced_scenario(
                              reduced_doc.sys_liveness)
 
 
+def dense_core(arena):
+    """nu Z. cpre(Z) by plain iteration from every state."""
+    Z = np.ones(arena.n_states, dtype=bool)
+    waves = 0
+    while not np.array_equal(Z, shrunk := Z & dense_cpre(arena, Z)):
+        Z, waves = shrunk, waves + 1
+    return Z, waves
+
+
+def test_goals_read_the_safety_core(monkeypatch, reduced_arena,
+                                    reduced_doc):
+    # the cpre(Z) tracker of solve is cut to nu Z. cpre(Z) before the first
+    # goal reads its seed, and to the core of each later Z before each later
+    # goal; record its target at every mu-Y of a solve
+    trackers, targets = [], []
+    mu_y = gr1._mu_y
+
+    class RecordingCpre(gr1._Cpre):
+        def __init__(self, ctx, scope=None, target=None, *counts):
+            super().__init__(ctx, scope, target, *counts)
+            if scope is None and target is not None:
+                trackers.append(self)
+                targets.append([])
+
+    def recording_mu_y(ctx, seed, falsifiable):
+        targets[-1].append((trackers[-1].target.copy(), seed))
+        return mu_y(ctx, seed, falsifiable)
+
+    monkeypatch.setattr(gr1, "_Cpre", RecordingCpre)
+    monkeypatch.setattr(gr1, "_mu_y", recording_mu_y)
+    games = [ar.random_arena(seed) for seed in range(600)]
+    games.append((reduced_arena, reduced_doc.env_liveness,
+                  reduced_doc.sys_liveness))
+    seen = dict.fromkeys(("proper", "waves2", "env_deadlock_inside",
+                          "cut_later"), 0)
+    for a, env_live, sys_live in games:
+        res = gr1.solve(a, env_live, sys_live)
+        assert len(targets) == len(trackers)
+        (core, seed), *later = targets[-1]
+        want, waves = dense_core(a)
+        assert np.array_equal(core, want)
+        assert np.array_equal(seed, res.goals[0] & dense_cpre(a, want))
+        for target, _ in [(core, seed)] + later:
+            # each target lies in its own cpre, and the winning region,
+            # which lies in its own cpre too, lies in it
+            assert not np.any(target & ~dense_cpre(a, target))
+            assert not np.any(res.winning & ~target)
+            seen["cut_later"] += not np.array_equal(target, core)
+        seen["proper"] += not core.all()
+        seen["waves2"] += waves >= 2
+        seen["env_deadlock_inside"] += bool(
+            (core & (np.diff(a.env_indptr) == 0)).any())
+    # not vacuous: cores that cut states, some over several waves, env
+    # deadlocks (in cpre of every target) kept inside them, and later goals
+    # reading a smaller core than the first
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("env_live", [(), ("!o1",), ("!o1", "!o2"),
+                                      ("!o1", "!o2", "!stalled")],
+                         ids=["none", "o1", "o1_o2", "o1_o2_stalled"])
+def test_one_mu_y_per_goal_on_the_scenario(monkeypatch, scenario, env_live):
+    # on the scenario the first seed, read from the safety core, is
+    # already g & cpre(W), so each goal's mu-Y runs once
+    from gr1kit.speclang import parse_expr
+    doc, a, _ = scenario(12)
+    mu_y, runs = gr1._mu_y, [0]
+
+    def counting_mu_y(*args):
+        runs[0] += 1
+        return mu_y(*args)
+
+    monkeypatch.setattr(gr1, "_mu_y", counting_mu_y)
+    res = gr1.solve(a, [parse_expr(e) for e in env_live], doc.sys_liveness)
+    assert res.realizable
+    assert runs[0] == len(res.goals) == 1
+
+
 def solve_bytes(arena, env_live, sys_live):
     """Every output of a solve as bytes: region, ranks, each nu-X layer
     and, when realizable, the controller JSON."""
@@ -810,6 +900,27 @@ def test_repeated_solves_match_fresh_arenas(paper_doc, paper_arena,
             realizable += isinstance(want[-1], str)
     # not vacuous: many assumption games, controllers compared too
     assert len(games) >= 100 and realizable >= 50, (len(games), realizable)
+
+
+def test_with_inits_keeps_the_codecs(reduced_arena):
+    # the variables are shared, so the codecs carry over; solves on the new
+    # arena match ones on a fresh arena
+    from gr1kit.speclang import parse_expr
+    realizable = set()
+    for bl_init in (3, 10):
+        doc = wd.emit_spec(wd.WorkDeliveryParams(bl_init=bl_init, **REDUCED))
+        b = ar.with_inits(reduced_arena, doc)
+        assert b.state_codec is reduced_arena.state_codec
+        assert b.env_codec is reduced_arena.env_codec
+        fresh = ar.build_arena(doc)
+        assert np.array_equal(b.sys_init, fresh.sys_init)
+        for env_live in ((), ("!o1",), ("!o1", "!stalled")):
+            env_live = [parse_expr(e) for e in env_live]
+            got = solve_bytes(b, env_live, doc.sys_liveness)
+            assert got == solve_bytes(fresh, env_live, doc.sys_liveness)
+            realizable.add(isinstance(got[-1], str))
+    # not vacuous: controllers compared, and an unrealizable init
+    assert realizable == {True, False}
 
 
 def test_reduced_assumption_game_bytes(reduced_arena, reduced_doc, tmp_path):
