@@ -60,8 +60,14 @@ away = [r.index for r in trace.rows if r.human_away]
 print(f"break covers steps {away[0]}..{away[-1]}; "
       f"safety still holds: {check.check_safety(trace, doc).passed}")
 
-# Traces render to CSV (the same format the command line writes).
+# Traces render to CSV (the same format the command line writes): one
+# column per variable.  The human's mode is no variable; the scenario
+# derives it from the robot's cell and the backlog.
 buf = io.StringIO()
 sim.write_csv(trace, buf)
-print("\nfirst trace rows:")
-print("\n".join(buf.getvalue().splitlines()[:5]))
+head, *lines = buf.getvalue().splitlines()[:5]
+rs, bl = (trace.vals[:len(lines), trace.names.index(k)] for k in ("rs", "bl"))
+print("\nfirst trace rows, human mode alongside:")
+print(f"{head}  mode")
+for line, mode in zip(lines, wd.human_mode(rs, bl, params.n)):
+    print(f"{line}  {mode}")

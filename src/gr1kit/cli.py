@@ -42,7 +42,7 @@ EXIT_UNREALIZABLE = 10
 _EXIT_CODE = {CapacityExceeded: EXIT_CAPACITY, StrategyHole: EXIT_HOLE}
 
 # `simulate` keeps the whole trace in memory: 10**6 steps of the reduced
-# controller peak near 430 MB and write a 38 MB CSV
+# controller peak near 360 MB and write a 33 MB CSV
 MAX_STEPS = 1_000_000
 
 

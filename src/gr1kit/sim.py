@@ -11,8 +11,10 @@ a span the world is frozen in place and only the step counter and
 wall-clock column advance.
 
 A run is a columnar ``Trace``: an int64 matrix gathered once from
-``Strategy.node_vals``, plus step, time and human-away columns.  The CSV
-codec is the only code that knows the scenario's column names.
+``Strategy.node_vals``, plus step, time and human-away columns.  Its CSV
+form is ``step,time_s``, one column per variable in trace order, then
+``human_away``; every trace's variables, steps and away flags read back
+as written.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AdversaryIllegalMove, StrategyHole
-from . import workdelivery as wd
 
 
 @dataclass(frozen=True)
@@ -285,47 +286,15 @@ def run(strategy, adversary, max_steps, events=(), td=10.0, pace=False):
 # CSV rendering
 
 
-def _scenario_shape(names):
-    """Workstation cell index n when `names` are exactly the scenario's
-    variables bl, s, o1..o(n-1), stalled, rs, act, hf and tries, else None:
-    the scenario layout has no column for any other variable."""
-    n = 1
-    while f"o{n}" in names:
-        n += 1
-    scenario = {"bl", "s", "stalled", "rs", "act", "hf", "tries",
-                *(f"o{j}" for j in range(1, n))}
-    return n if set(names) == scenario else None
-
-
-def _scenario_head(n):
-    """The scenario layout's variable columns for workstation cell n."""
-    return ["RS", "BL", "HF", "tries", "S", *(f"O{j}" for j in range(1, n)),
-            "mode", "ACT"]
-
-
 def write_csv(trace, fp):
-    """Render a trace as CSV; a trace of exactly the work-delivery
-    variables gets the scenario header with derived mode and action columns
-    (`read_csv` rebuilds `stalled` from BL), any other one column per
-    variable.  One row template formats every row, and the whole text goes
-    out in one write."""
-    n = _scenario_shape(trace.names)
-    if n is None:
-        head, cols = list(trace.names), list(range(len(trace.names)))
-        cells = ["%d"] * len(cols)
-    else:
-        head = _scenario_head(n)
-        cols = [trace.names.index(k.lower()) for k in head if k != "mode"]
-        cells = ["%d"] * (len(cols) - 1) + ["%s", "Go_S%d"]
-    columns = trace.vals[:, cols].T.tolist()
-    if n is not None:
-        columns.insert(-1, wd.human_mode(trace.vals[:, cols[0]],
-                                         trace.vals[:, cols[1]], n))
-    row = ",".join(["%d", "%s", *cells, "%d"]) + "\n"
-    fp.write(",".join(["step", "time_s", *head, "human_away"]) + "\n" + "".join(
-        map(row.__mod__, zip(trace.step.tolist(),
-                             map(_fmt_time, trace.time_s.tolist()), *columns,
-                             trace.human_away.astype(int).tolist()))))
+    """Render a trace as CSV.  One row template formats every row, and the
+    whole text goes out in one write."""
+    row = ",".join(["%d", "%s", *["%d"] * len(trace.names), "%d"]) + "\n"
+    fp.write(",".join(["step", "time_s", *trace.names, "human_away"]) + "\n" +
+             "".join(map(row.__mod__, zip(
+                 trace.step.tolist(), map(_fmt_time, trace.time_s.tolist()),
+                 *trace.vals.T.tolist(),
+                 trace.human_away.astype(int).tolist()))))
 
 
 def _fmt_time(x):
@@ -334,41 +303,23 @@ def _fmt_time(x):
 
 def read_csv(fp):
     """Parse a trace CSV back into a Trace (inverse of write_csv).  The
-    scenario layout is read only from a header of exactly its columns, the
-    rule `write_csv` applies to variables."""
+    header is read by position, so a variable may be named like a fixed
+    column; ValueError on any other header shape, on a variable named in
+    two columns, or on a row whose field count differs from the header's."""
     header = fp.readline().strip().split(",")
-    if header[:2] != ["step", "time_s"]:
-        raise ValueError("not a trace CSV")
+    if header[:2] != ["step", "time_s"] or header[-1] != "human_away":
+        raise ValueError("not a trace CSV: the header must be "
+                         "step,time_s,<variables>,human_away")
+    names = tuple(header[2:-1])
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ValueError(f"variables in two columns: {', '.join(repeated)}")
     table = [line.split(",") for line in map(str.strip, fp) if line]
     if any(len(fields) != len(header) for fields in table):
         raise ValueError("every row needs one field per header column")
-    col = dict(zip(header, zip(*table) if table else [()] * len(header)))
-    away = np.array(col["human_away"], dtype=np.int64) != 0
-    fields = [h for h in header[2:] if h != "human_away"]
-    n = 1
-    while f"O{n}" in fields:
-        n += 1
-    scenario = set(fields) == set(_scenario_head(n))
-    if scenario:
-        obstacles = [f"O{j}" for j in range(1, n)]
-        names = ("bl", "s", *map(str.lower, obstacles), "stalled", "rs", "act",
-                 "hf", "tries")
-        # the stalled bit is not a CSV column: BL stands in for it here
-        columns = ["BL", "S", *obstacles, "BL", "RS", "ACT", "HF", "tries"]
-        col["ACT"] = [act.replace("Go_S", "") for act in col["ACT"]]
-    else:
-        names = columns = tuple(fields)
-    vals = np.array([col[h] for h in columns], dtype=np.int64).reshape(
-        len(columns), len(table)).T
-    if scenario:
-        vals[:, names.index("stalled")] = _stalled(vals[:, 0], away)
-    return Trace(names, vals, np.array(col["step"], dtype=np.int64),
-                 np.array(col["time_s"], dtype=np.float64), away)
-
-
-def _stalled(bl, away):
-    """The scenario's deterministic stalled update: 0 on the first row,
-    backlog unchanged across a non-frozen row, held through frozen rows."""
-    same = np.r_[False, bl[1:] == bl[:-1]]
-    last = np.maximum.accumulate(np.where(away, 0, np.arange(len(bl))))
-    return same[last]
+    cols = list(zip(*table)) if table else [()] * len(header)
+    vals = np.array(cols[2:-1], dtype=np.int64).reshape(
+        len(names), len(table)).T
+    return Trace(names, vals, np.array(cols[0], dtype=np.int64),
+                 np.array(cols[1], dtype=np.float64),
+                 np.array(cols[-1], dtype=np.int64) != 0)

@@ -192,7 +192,8 @@ def emit_spec(p: WorkDeliveryParams) -> sl.SpecDocument:
 
 
 # --------------------------------------------------------------------------
-# reference dynamics: `human_mode` labels sim traces; the rest is a test oracle
+# reference dynamics: demo 04 prints `human_mode` beside trace rows; the rest
+# is a test oracle
 
 
 WORK, WAIT, REFILL = "work", "wait", "refill"

@@ -7,7 +7,6 @@ import pytest
 
 from gr1kit import arena as ar
 from gr1kit import gr1
-from gr1kit import sim
 from gr1kit import speclang as sl
 from gr1kit import workdelivery as wd
 
@@ -100,25 +99,24 @@ def reference_json(st):
 
 def reference_write_csv(trace, fp):
     """The trace CSV, one row at a time."""
-    n = sim._scenario_shape(set(trace.names))
-    if n is None:
-        head, cols = list(trace.names), list(range(len(trace.names)))
-    else:
-        obstacles = [f"O{j}" for j in range(1, n)]
-        head = ["RS", "BL", "HF", "tries", "S", *obstacles, "mode", "ACT"]
-        cols = [trace.names.index(k) for k in ("rs", "bl", "hf", "tries", "s",
-                                               *map(str.lower, obstacles),
-                                               "act")]
-    fp.write(",".join(["step", "time_s", *head, "human_away"]) + "\n")
-    rows = trace.vals[:, cols].tolist()
-    if n is not None:
-        modes = wd.human_mode(trace.vals[:, cols[0]], trace.vals[:, cols[1]], n)
-        for row, mode in zip(rows, modes):
-            row[-1:] = [mode, f"Go_S{row[-1]}"]
+    fp.write(",".join(["step", "time_s", *trace.names, "human_away"]) + "\n")
     for step, t, row, away in zip(trace.step.tolist(), trace.time_s.tolist(),
-                                  rows, trace.human_away.astype(int).tolist()):
+                                  trace.vals.tolist(),
+                                  trace.human_away.astype(int).tolist()):
         time_s = str(int(t)) if float(t).is_integer() else f"{t:g}"
         fp.write(",".join(map(str, [step, time_s, *row, away])) + "\n")
+
+
+# specs whose traces the old scenario CSV layout did not read back as
+# written: exactly the scenario's variables for n = 1 with `stalled` true at
+# the start, which the scenario's backlog rule would not give, and variables
+# named like the trace's fixed columns
+STALLED_SPEC = ("[ENV_VARS]\nbl : 0..3\ns : bool\nstalled : bool\n"
+                "[SYS_VARS]\nrs : 0..1\nact : 0..1\nhf : bool\n"
+                "tries : 0..2\n[ENV_INIT]\nstalled\n")
+FIXED_NAMES_SPEC = ("[ENV_VARS]\nstep : 0..2\nhuman_away : bool\n"
+                    "[SYS_VARS]\ntime_s : 0..2\n[SYS_TRANS]\ntime_s' = step'\n"
+                    "[ENV_INIT]\nhuman_away\n")
 
 
 # --------------------------------------------------------------------------

@@ -11,6 +11,8 @@ from gr1kit.errors import (AdversaryIllegalMove, AdversaryNotFinite,
                            StrategyHole)
 from gr1kit.speclang import parse_spec
 
+from conftest import FIXED_NAMES_SPEC, STALLED_SPEC
+
 REDUCED_ARGS = ["--param", "n=2", "--param", "bl_max=10",
                 "--param", "delta_units=5", "--param", "bl_upper=9",
                 "--param", "k_move=1", "--param", "k_drop=2"]
@@ -172,7 +174,7 @@ def test_simulate_deterministic_csv(workdir, tmp_path):
                         "--seed", "9", "--out", str(out)]) == 0
     assert out1.read_text() == out2.read_text()
     header = out1.read_text().splitlines()[0]
-    assert header == "step,time_s,RS,BL,HF,tries,S,O1,mode,ACT,human_away"
+    assert header == "step,time_s,bl,s,o1,stalled,rs,act,hf,tries,human_away"
 
 
 def test_simulate_batch_runs(workdir, tmp_path):
@@ -231,12 +233,25 @@ def test_check_safety_pass_and_fail(workdir, tmp_path, capsys):
                     "--trace", str(trace)]) == 0
     lines = trace.read_text().splitlines()
     parts = lines[20].split(",")
-    parts[3] = "0"    # force the backlog to zero mid-trace
+    parts[lines[0].split(",").index("bl")] = "0"    # zero backlog mid-trace
     lines[20] = ",".join(parts)
     bad = tmp_path / "bad.csv"
     bad.write_text("\n".join(lines) + "\n")
     assert run_cli(["check", "--spec", str(spec), "--mode", "safety",
                     "--trace", str(bad)]) == 4
+
+
+@pytest.mark.parametrize("text", [STALLED_SPEC, FIXED_NAMES_SPEC],
+                         ids=["stalled", "fixed-names"])
+def test_simulated_trace_passes_safety(tmp_path, capsys, text):
+    spec, strat, trace = (tmp_path / name
+                          for name in ("s.spec", "s.json", "t.csv"))
+    spec.write_text(text)
+    assert run_cli(["synth", str(spec), "--out", str(strat)]) == 0
+    assert run_cli(["simulate", str(strat), "--seed", "1", "--steps", "8",
+                    "--out", str(trace)]) == 0
+    assert run_cli(["check", "--spec", str(spec), "--mode", "safety",
+                    "--trace", str(trace)]) == 0
 
 
 def test_check_recurrence(workdir, tmp_path, capsys):
@@ -388,6 +403,7 @@ NO_OK_CSV = "step,time_s,x,human_away\n0,0,0,0\n1,10,0,0\n2,20,0,0\n"
     CHECK + ["safety", "--trace", "{missing}"],
     CHECK + ["safety", "--trace", "{not_csv}"],
     CHECK + ["safety", "--trace", "{bad_row}"],
+    OK_CHECK + ["safety", "--trace", "{dup_column}"],
     CHECK + ["recurrence", "--window", "5", "--trace", "{missing}"],
     CHECK + ["recurrence", "--window", "5", "--trace", "{bad_row}"],
     CHECK + ["recurrence", "--window", "5", "--trace", "{trace}",
@@ -433,6 +449,7 @@ NO_OK_CSV = "step,time_s,x,human_away\n0,0,0,0\n1,10,0,0\n2,20,0,0\n"
     ["oracle", "--random", "2", "--max-states", "-5"],
     ["emit", "--param", "td_seconds=10"],
 ], ids=["safety-missing", "safety-not-csv", "safety-bad-row",
+        "safety-duplicate-column",
         "recurrence-missing", "recurrence-bad-row", "goal-3", "goal-minus-1",
         "check-spec-missing", "emit-config-missing", "synth-spec-missing", "oracle-spec-missing",
         "events-missing", "events-malformed", "emit-out-unwritable",
@@ -469,6 +486,9 @@ def test_bad_input_exit2(workdir, tmp_path, capsys, argv):
     files["huge"].write_text("step,time_s,ok,x,human_away\n"
                              "0,0,0,99999999999999999999,0\n")
     files["bad_row"].write_text("step,time_s,bl,human_away\n0,0,x,0\n")
+    files["dup_column"] = tmp_path / "dup.csv"
+    files["dup_column"].write_text("step,time_s,ok,x,ok,human_away\n"
+                                   "0,0,0,2,1,0\n")
     files["not_utf8"] = tmp_path / "bad.cfg"
     files["not_utf8"].write_bytes(b"n=\xff\xfe2\n")
     obj = json.loads(strat.read_text())

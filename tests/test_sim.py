@@ -1,7 +1,6 @@
 import dataclasses
 import hashlib
 import io
-import random
 
 import numpy as np
 import pytest
@@ -14,7 +13,8 @@ from gr1kit import workdelivery as wd
 from gr1kit.errors import AdversaryIllegalMove, StrategyHole
 from gr1kit.speclang import parse_spec
 
-from conftest import REDUCED, reference_write_csv
+from conftest import (FIXED_NAMES_SPEC, REDUCED, STALLED_SPEC,
+                      reference_write_csv)
 
 
 def tiny_strategy():
@@ -215,13 +215,13 @@ def test_strategy_hole_on_emptied_node(keep_edges):
 
 
 REDUCED_TRACE_SHA256 = {
-    ("random", 0): "7c5ed61389e4d7ab0e2a08197bb1bdc88da598cbf644bcde9d947474d36665e3",
-    ("random", 1): "84b7774607bf93dc050f0ebe74bd850076602080f7fc91616a9dd361e22f433e",
-    ("random", 2): "8b44f510ee75a9472fcc6692a9e817bd9169542249f212f20a9509d3d1da04c5",
-    ("random", 3): "2a1f0a75d9e7d71b036827e1289ad300b11db67c75986df2a1137f8c7ac937c7",
-    ("min-bl", 0): "01e943403fdfdfc58d77337a6b2b4262ba6e50751de52c9604b98382cf2c5584",
-    ("max-bl", 0): "63f978fbd967dc3323b5b00fcc45c1bd96736829b8198d62856ab4e86aa66c58",
-    ("scripted", 7): "e9f3e0e037a1c297eb34128d1bb82aa85cda25a2cbf681fd3a2ae8fb549ec2e9",
+    ("random", 0): "75382a711ffb8fd5a315dadc77c9f5ebda7646a9551105b09edec9b05aec1efc",
+    ("random", 1): "87b11c426405c0c8254df1ff51cce994ed918afb8685061b20d2dd673a3d9761",
+    ("random", 2): "df665306890535b21ec86c3c7db16f11c766a13fce13c47ef7573ad4f41c24cc",
+    ("random", 3): "763ad16cbd906d08270cd871d009487729a7f08af8ac4d93e4f0979f4cdaba9a",
+    ("min-bl", 0): "58f036ef71053bc2bb9a86cb82a7088a4072e41166efad39feb4ac5baedc53bf",
+    ("max-bl", 0): "2300f197becb9154cd76161a2f93c078beacbd8b7f9cd00add0a602e966952d2",
+    ("scripted", 7): "760c154f1cecc414e925fa8cb63e79e0e1644d0f80c147cdc8c30ddd493eb00c",
 }
 
 
@@ -290,13 +290,11 @@ def test_csv_header_and_roundtrip(strategy_for):
     buf = io.StringIO()
     sim.write_csv(tr, buf)
     lines = buf.getvalue().splitlines()
-    assert lines[0] == "step,time_s,RS,BL,HF,tries,S,O1,O2,mode,ACT,human_away"
+    assert lines[0] == ("step,time_s,bl,s,o1,o2,stalled,rs,act,hf,tries,"
+                        "human_away")
     assert len(lines) == 62
     back = sim.read_csv(io.StringIO(buf.getvalue()))
-    assert len(back.rows) == len(tr.rows)
-    for r1, r2 in zip(tr.rows, back.rows):
-        assert r1.index == r2.index and r1.human_away == r2.human_away
-        assert {k: int(v) for k, v in r1.state.items()} == r2.state
+    assert back.rows == tr.rows
 
 
 def test_generic_csv_roundtrip_keeps_column_order():
@@ -314,68 +312,45 @@ def test_generic_csv_roundtrip_keeps_column_order():
 # the scenario's variables but `stalled` and the obstacles, plus `foo`
 FOO_SPEC = ("[ENV_VARS]\nbl : 0..3\ns : bool\nfoo : 0..2\n"
             "[SYS_VARS]\nrs : 0..1\nact : 0..1\nhf : bool\ntries : 0..2\n")
-# two variables named like two of the scenario layout's columns
+# variables named like columns of the trace CSV's scenario layout before
+# it had one layout for every trace
 MODE_ACT_SPEC = "[ENV_VARS]\nmode : 0..1\n[SYS_VARS]\nACT : 0..1\n"
 
 
-def test_csv_scenario_layout_needs_exact_variables():
-    # written and read by the same exact-set rule: neither spec's trace
-    # takes the scenario layout on the way out or on the way back
-    for spec, head in ((FOO_SPEC, "bl,s,foo,rs,act,hf,tries"),
-                       (MODE_ACT_SPEC, "mode,ACT")):
-        doc = parse_spec(spec)
-        arena = ar.build_arena(doc)
-        res = gr1.solve(arena, doc.env_liveness, doc.sys_liveness)
-        st = gr1.extract_strategy(res, arena)
-        tr = sim.run(st, sim.make_adversary("random", seed=1), 12)
+@pytest.mark.parametrize("spec", [FOO_SPEC, MODE_ACT_SPEC, STALLED_SPEC,
+                                  FIXED_NAMES_SPEC],
+                         ids=["foo", "mode-act", "stalled", "fixed-names"])
+def test_csv_roundtrip(spec):
+    # every trace reads back as itself: names, values, step, time and away
+    # columns, with away spans at an integer and a half-second step length
+    doc = parse_spec(spec)
+    arena = ar.build_arena(doc)
+    res = gr1.solve(arena, doc.env_liveness, doc.sys_liveness)
+    st = gr1.extract_strategy(res, arena)
+    events = sim.parse_events("step=3 human_away=1 duration=2")
+    for seed, td in ((1, 10.0), (2, 0.5)):
+        tr = sim.run(st, sim.make_adversary("random", seed=seed), 12,
+                     events=events, td=td)
         text = csv_text(tr)
-        assert text.splitlines()[0] == f"step,time_s,{head},human_away"
+        assert text.splitlines()[0] == ",".join(
+            ["step", "time_s", *tr.names, "human_away"])
         back = sim.read_csv(io.StringIO(text))
-        assert back.names == tr.names and "stalled" not in back.names
-        assert np.array_equal(back.vals, tr.vals)
+        assert back.names == tr.names
+        for col in ("vals", "step", "time_s", "human_away"):
+            assert np.array_equal(getattr(back, col), getattr(tr, col)), col
         assert check.check_safety(back, doc).passed
 
 
-@pytest.mark.parametrize("row", ["1,10,2,0,0,7", "1,10,2,0"],
-                         ids=["extra-field", "missing-field"])
-def test_read_csv_rejects_ragged_rows(row):
-    text = f"step,time_s,x,ok,human_away\n0,0,3,1,0\n{row}\n"
+@pytest.mark.parametrize("text", [
+    "step,time_s,x,ok,human_away\n0,0,3,1,0\n1,10,2,0,0,7\n",
+    "step,time_s,x,ok,human_away\n0,0,3,1,0\n1,10,2,0\n",
+    "step,time_s,u,x,u,human_away\n0,0,0,1,1,0\n",
+    "step,time_s,x,human_away,ok\n0,0,3,0,1\n",
+], ids=["extra-field", "missing-field", "duplicate-column",
+        "human-away-not-last"])
+def test_read_csv_rejects_ragged_rows(text):
     with pytest.raises(ValueError):
         sim.read_csv(io.StringIO(text))
-
-
-def test_read_csv_stalled_matches_row_loop():
-    # reference: the row-by-row rule for the stalled bit, which read_csv
-    # rebuilds with array operations
-    rng = random.Random(5)
-    for _ in range(300):
-        bl = [rng.randint(0, 2) for _ in range(rng.randint(1, 30))]
-        away = [rng.random() < 0.3 for _ in bl]
-        expect = [0]
-        for k in range(1, len(bl)):
-            expect.append(expect[-1] if away[k] else int(bl[k] == bl[k - 1]))
-        text = "step,time_s,RS,BL,HF,tries,S,mode,ACT,human_away\n" + "".join(
-            f"{k},{10 * k},0,{b},0,0,0,work,Go_S0,{int(a)}\n"
-            for k, (b, a) in enumerate(zip(bl, away)))
-        tr = sim.read_csv(io.StringIO(text))
-        assert [r.state["stalled"] for r in tr.rows] == expect
-
-
-def test_csv_mode_column(strategy_for):
-    st = strategy_for(12)
-    tr = sim.run(st, sim.make_adversary("min-bl"), 40)
-    buf = io.StringIO()
-    sim.write_csv(tr, buf)
-    for line in buf.getvalue().splitlines()[1:]:
-        parts = line.split(",")
-        rs, bl, mode, act = int(parts[2]), int(parts[3]), parts[9], parts[10]
-        if rs == 3:
-            assert mode == "refill"
-        elif bl == 0:
-            assert mode == "wait"
-        else:
-            assert mode == "work"
-        assert act.startswith("Go_S")
 
 
 def test_interactive_policy_prompts():
