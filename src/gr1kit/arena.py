@@ -35,13 +35,17 @@ table that would be larger than ``_BLOCK_CELLS``, or cover more row
 profiles than there are rows, is instead built per chunk of rows over the
 profiles that occur in it, held on one profile axis.
 
-The tables are then joined one column variable at a time, in codec order
-(a partitioned transition relation with early quantification, done on
-explicit arrays).  Groups without column variables filter the rows.  Each
-partial assignment, a (row, column index prefix) pair, is extended by the
-allowed values of the next variable, read from the sparsest group that
-ends at that variable as a CSR keyed by row profile and the group's
-earlier column values (the whole domain when no group ends there), with
+The tables are then joined level by level, in codec order (a partitioned
+transition relation with early quantification, done on explicit arrays).
+Groups without column variables filter the rows.  Each later level binds
+a run of consecutive column variables: a run grows while the conjunction
+of the groups ending in it tabulates whole, in no more cells than there
+are rows to join, since that table costs O(cells) and each level it
+saves at least O(rows).  Each partial assignment, a (row, column index
+prefix) pair, is extended by the allowed values of the run, read from
+the sparsest group that ends there (a run of several variables has one,
+their conjunction) as a CSR keyed by row profile and the group's column
+values before the run (the whole domain when no group ends there), with
 its counts per key and its values scaled to column-index digits once per
 chunk; the other groups ending there filter the extensions by one gather
 each.  The work follows the surviving partial assignments, not the
@@ -52,6 +56,7 @@ pieces of about ``_BLOCK_CELLS // 8`` entries, so memory stays bounded.
 from __future__ import annotations
 
 import functools
+import math
 import random
 from dataclasses import dataclass, replace
 
@@ -302,34 +307,69 @@ def _relation(clauses, row, rows, col):
     return indptr, out
 
 
-def _join(clause_refs, row, rows, col):
-    """True cells (row positions, column indices) of (clause, references)
-    pairs, in row-major order: the column variables are bound one at a
-    time, most significant first, so the partial assignments stay sorted
-    by (row, column index) from the first variable to the last."""
+def _levels(clause_refs, row, n_rows, col):
+    """The join's levels, as (lo, hi, groups): the level binds the column
+    variables ``col.keys[lo:hi]`` and joins the clause groups, lists of
+    (clause, references) pairs, in `groups`.  The first binds nothing; its
+    group reads no column variable.  The others bind runs formed greedily
+    from the left: a run takes the next variable while the conjunction of
+    every group ending in it tabulates whole in at most `n_rows` cells,
+    and a run of several variables joins that conjunction alone."""
     groups = {}
     for c, refs in clause_refs:
         groups.setdefault(frozenset(k for k in refs if k in col.keys),
                           []).append((c, refs))
-    # level k (from 1) binds the k-th variable of `col`; each group joins at
-    # its last one, or at level 0 to filter the rows if it has none
-    sizes = (1,) + tuple(size for _, _, size in col.fields)
-    weights = (0,) + col.weights
-    levels = [[] for _ in sizes]
-    widest = 1
+    filters = groups.pop(frozenset(), None)
+    ends = [[] for _ in col.keys]
     for nxt_keys, group in groups.items():
-        sub = row.sub(set().union(*(refs for _, refs in group)))
-        col_sub = col.sub(nxt_keys)
-        conj = [c for c, _ in group]
-        table = None
-        if sub.size <= len(rows) and sub.size * col_sub.size <= _BLOCK_CELLS:
-            table = _table(conj, sub, None, col_sub)
-        else:
-            # each chunk tabulates only the profiles that occur in it, so
-            # no table is larger than _BLOCK_CELLS
-            widest = max(widest, col_sub.size)
-        levels[max(map(col.keys.index, nxt_keys), default=-1) + 1].append(
-            (conj, sub, col_sub, table))
+        ends[max(map(col.keys.index, nxt_keys))].append(group)
+    # the keys each variable's table reads: itself and its groups' refs
+    reads = [{key}.union(*(refs for group in ending for _, refs in group))
+             for key, ending in zip(col.keys, ends)]
+    sizes = {key: size for key, _, size in row.fields + col.fields}
+    levels, lo = [(0, 0, [filters] if filters else [])], 0
+    while lo < len(ends):
+        hi, run_keys = lo + 1, reads[lo]
+        while hi < len(ends):
+            more = run_keys | reads[hi]
+            cells = math.prod(sizes[key] for key in more)
+            if cells > min(n_rows, _BLOCK_CELLS):
+                break
+            hi, run_keys = hi + 1, more
+        at = sum(ends[lo:hi], [])
+        levels.append((lo, hi, [sum(at, [])] if hi - lo > 1 and at else at))
+        lo = hi
+    return levels
+
+
+def _join(clause_refs, row, rows, col):
+    """True cells (row positions, column indices) of (clause, references)
+    pairs, in row-major order: each level binds a run of consecutive
+    column variables (`_levels`), most significant first, so the partial
+    assignments stay sorted by (row, column index) from the first level to
+    the last.  A run's table costs O(cells) to tabulate and each level it
+    saves at least O(rows), so with cells <= rows a merge never costs more
+    than the pass it saves."""
+    levels, widest = [], 1
+    for lo, hi, groups in _levels(clause_refs, row, len(rows), col):
+        bound = []
+        for group in groups:
+            keys = set(col.keys[lo:hi]).union(*(refs for _, refs in group))
+            sub, col_sub = row.sub(keys), col.sub(keys)
+            conj = [c for c, _ in group]
+            table = None
+            if (sub.size <= len(rows)
+                    and sub.size * col_sub.size <= _BLOCK_CELLS):
+                table = _table(conj, sub, None, col_sub)
+            else:
+                # each chunk tabulates only the profiles that occur in it, so
+                # no table is larger than _BLOCK_CELLS
+                widest = max(widest, col_sub.size)
+            bound.append((conj, sub, col_sub, table))
+        # a run's values are digits of the column index: its joint index
+        # times the weight of its last variable
+        size = math.prod(size for _, _, size in col.fields[lo:hi])
+        levels.append((hi - lo, size, col.weights[hi - 1] if hi else 0, bound))
     # a piece of partial assignments expands to about `piece` int64 entries;
     # a chunk of rows is smaller still, so that its per-group profile arrays
     # and the pieces it expands to stay in cache
@@ -339,7 +379,7 @@ def _join(clause_refs, row, rows, col):
     for lo in range(0, len(rows), step):
         chunk = rows[lo:lo + step]
         plan = []
-        for k, (level, size) in enumerate(zip(levels, sizes)):
+        for n_run, size, weight, level in levels:
             bound = []
             for conj, sub, col_sub, table in level:
                 ri = row.project(chunk, sub)
@@ -348,17 +388,16 @@ def _join(clause_refs, row, rows, col):
                     table = _table(conj, sub, profiles, col_sub)
                 bound.append((ri, table, col_sub))
             # the sparsest group generates the level's values, keyed by
-            # (row profile, the group's earlier column values); the others
-            # filter them.  With no group, the whole domain.
+            # (row profile, the group's column values before the run); the
+            # others filter them.  With no group, the whole domain.
             if len(bound) > 1:
                 bound.sort(key=lambda g: g[1].mean())
-            # its values come scaled by the level's weight, as digits of `c`
             gen, csr = None, (np.array([0, size]), np.array([size]),
-                              np.arange(size) * weights[k], None)
-            if bound and k:
+                              np.arange(size) * weight, None)
+            if bound and n_run:
                 ri, table, col_sub = bound.pop(0)
-                gen = (ri, col_sub.sub(col_sub.keys[:-1]))
-                csr = _generator(table, size, weights[k])
+                gen = (ri, col_sub.sub(col_sub.keys[:-n_run]))
+                csr = _generator(table, size, weight)
             plan.append((gen, *csr, [(ri, table.ravel(), col_sub)
                                      for ri, table, col_sub in bound]))
         r = np.arange(len(chunk))
@@ -415,9 +454,9 @@ def build_arena(doc, cap=1 << 24):
     Raises CapacityExceeded when the valuation space is larger than `cap`
     states.  Stage 1 joins the env safety clauses over (state, env')
     cells, stage 2 the sys safety clauses over ((state, env'), sys')
-    cells, each binding the primed variables one at a time from truth
-    tables that ``speclang.eval_expr`` fills; the tests check the moves
-    against a separate scalar evaluator, clause by clause.
+    cells, each binding the primed variables in runs from truth tables
+    that ``speclang.eval_expr`` fills; the tests check the moves against a
+    separate scalar evaluator, clause by clause.
     """
     env_decls = tuple(doc.env_vars())
     decls = env_decls + tuple(doc.sys_vars())

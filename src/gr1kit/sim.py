@@ -298,7 +298,8 @@ def write_csv(trace, fp):
 
 
 def _fmt_time(x):
-    return str(int(x)) if float(x).is_integer() else f"{x:g}"
+    # repr is the shortest text that reads back as the same float
+    return str(int(x)) if float(x).is_integer() else repr(float(x))
 
 
 def read_csv(fp):

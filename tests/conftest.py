@@ -103,7 +103,7 @@ def reference_write_csv(trace, fp):
     for step, t, row, away in zip(trace.step.tolist(), trace.time_s.tolist(),
                                   trace.vals.tolist(),
                                   trace.human_away.astype(int).tolist()):
-        time_s = str(int(t)) if float(t).is_integer() else f"{t:g}"
+        time_s = str(int(t)) if float(t).is_integer() else repr(float(t))
         fp.write(",".join(map(str, [step, time_s, *row, away])) + "\n")
 
 

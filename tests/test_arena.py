@@ -11,6 +11,7 @@ import pytest
 
 from gr1kit import arena as ar
 from gr1kit import speclang as sl
+from gr1kit import workdelivery as wd
 from gr1kit.errors import CapacityExceeded
 from gr1kit.speclang import ENV, parse_spec
 
@@ -139,6 +140,58 @@ SPARSE_SPEC = ("[ENV_VARS]\nu : 0..5\n[SYS_VARS]\nx : 0..5\ny : bool\n"
                "[SYS_TRANS]\nx' = u' | x' = x & u != x\n")
 
 
+# small specs for the join's run rule, each with the column variables that
+# each level of stage 1 binds.  Stage 1 reads every state variable in
+# "merge" (64 rows); the others read a part of it, so their rows are
+# profiles: 24, 32, 5 and 6
+RUN_SPECS = {
+    # independent adjacent column variables, one conjoined table of 16 cells
+    "merge": ("[ENV_VARS]\nu : bool\nv : bool\n[SYS_VARS]\nx : 0..3\n"
+              "y : 0..3\n[ENV_TRANS]\nu' <-> !u\nv' | v\nx != y\n",
+              [(), ("u", "v")]),
+    # the bl'/stalled' shape: a group over a' and c', around b'; a' reads
+    # too much to merge, and the run b', c' keys its table by a'
+    "non-adjacent": ("[ENV_VARS]\na : 0..2\nb : bool\nc : bool\n"
+                     "[SYS_VARS]\nx : 0..3\n[ENV_TRANS]\na' != a | x = 0\n"
+                     "b' <-> !b\nc' <-> a' = 0\n",
+                     [(), ("a",), ("b", "c")]),
+    # v' has no group of its own inside the run
+    "no-group": ("[ENV_VARS]\nu : bool\nv : bool\nw : bool\n[SYS_VARS]\n"
+                 "x : 0..3\ny : 0..3\n[ENV_TRANS]\nu' <-> !u\nw' -> u'\n"
+                 "x != y\n",
+                 [(), ("u", "v", "w")]),
+    # the conjoined u', v' table has 6 cells for 5 rows: split; with one
+    # more value of x, 6 rows, it merges
+    "split": ("[ENV_VARS]\nu : 0..2\nv : bool\n[SYS_VARS]\nx : 0..4\n"
+              "[ENV_TRANS]\nu' != 2\nv' -> u' = 0\nx != 4\n",
+              [(), ("u",), ("v",)]),
+    "split-one-more-row": ("[ENV_VARS]\nu : 0..2\nv : bool\n[SYS_VARS]\n"
+                           "x : 0..5\n[ENV_TRANS]\nu' != 2\nv' -> u' = 0\n"
+                           "x != 4\n",
+                           [(), ("u", "v")]),
+}
+
+
+def join_runs(monkeypatch, doc):
+    """For each stage of building `doc`, the names of the column variables
+    that each level of `_join` binds."""
+    levels = ar._levels
+    runs = []
+
+    def recorded(clause_refs, row, n_rows, col):
+        out = levels(clause_refs, row, n_rows, col)
+        # a run of several variables joins its groups as one conjunction
+        assert all(len(groups) <= 1 for lo, hi, groups in out if hi - lo > 1)
+        runs.append([tuple(name for name, _ in col.keys[lo:hi])
+                     for lo, hi, _ in out])
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(ar, "_levels", recorded)
+        ar.build_arena(doc)
+    return runs
+
+
 def _path(clauses, row, rows):
     """Which way `_relation` dedupes its rows: none, mask or unique."""
     sub = row.sub(set().union(*map(sl.expr_refs, clauses)))
@@ -151,7 +204,8 @@ def test_moves_match_clause_by_clause_eval(monkeypatch):
     rng = random.Random(7)
     docs = [parse_spec(WIDE_SPEC), parse_spec(full_clause_spec(9, 5)),
             parse_spec(SPARSE_SPEC)]
-    while len(docs) < 60:
+    docs += [parse_spec(text) for text, _ in RUN_SPECS.values()]
+    while len(docs) < 60 + len(RUN_SPECS):
         doc = random_document(rng)
         if len(doc.vars) <= 3:
             docs.append(doc)
@@ -184,6 +238,27 @@ def test_moves_match_clause_by_clause_eval(monkeypatch):
         checked += 1
     assert checked >= 40
     assert {"identity", "mask", "unique"} <= set(paths)
+    # each run spec takes the branch it was built for, at both chunk sizes
+    for text, want in RUN_SPECS.values():
+        for block in (ar._BLOCK_CELLS, 24):
+            with monkeypatch.context() as m:
+                m.setattr(ar, "_BLOCK_CELLS", block)
+                stage1, _ = join_runs(monkeypatch, parse_spec(text))
+            assert stage1 == want, text
+    # the conjoined table must also fit in a chunk: "merge" takes 16 cells
+    with monkeypatch.context() as m:
+        m.setattr(ar, "_BLOCK_CELLS", 15)
+        stage1, _ = join_runs(monkeypatch, parse_spec(RUN_SPECS["merge"][0]))
+    assert stage1 == [(), ("u",), ("v",)]
+
+
+def test_join_binds_runs_on_the_scenario(monkeypatch, paper_doc):
+    stage1, stage2 = join_runs(monkeypatch, paper_doc)
+    # the s', o1', o2' table is 768 profiles x 8 cells, far fewer than the
+    # 47,616 states; bl' with s' would take 17,856 x 62 cells
+    assert stage1 == [(), ("bl",), ("s", "o1", "o2"), ("stalled",)]
+    # 7,464 distinct (state, env') profiles: only hf' and tries' merge
+    assert stage2 == [(), ("rs",), ("act",), ("hf", "tries")]
 
 
 def test_table_layouts_agree(monkeypatch, paper_doc, reduced_doc):
@@ -409,21 +484,40 @@ def test_build_is_deterministic(reduced_doc):
         "878a1e653c900f328927c6495caf7cd995ce39cb7cffd76ce9d985b6492e0962")
 
 
+def arena_digest(doc, arena):
+    """sha256 of the arena's `ARENA_FIELDS` arrays and of each sys goal's
+    state predicate."""
+    h = hashlib.sha256()
+    for field in ARENA_FIELDS:
+        arr = getattr(arena, field)
+        h.update(f"{field} {arr.dtype.str} {arr.shape}".encode())
+        h.update(np.ascontiguousarray(arr).tobytes())
+    for goal in doc.sys_liveness:
+        arr = ar.state_predicate(arena, goal)
+        h.update(f"goal {arr.dtype.str} {arr.shape}".encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
 def test_ladder_arena_is_pinned(paper_doc, paper_arena):
     # the n=3 arena and its sys goal predicate, pinned before the relation
     # compile became a join; unlike the reduced pin, this one covers the
     # wide bl' drop-option group
-    h = hashlib.sha256()
-    for field in ARENA_FIELDS:
-        arr = getattr(paper_arena, field)
-        h.update(f"{field} {arr.dtype.str} {arr.shape}".encode())
-        h.update(np.ascontiguousarray(arr).tobytes())
-    for goal in paper_doc.sys_liveness:
-        arr = ar.state_predicate(paper_arena, goal)
-        h.update(f"goal {arr.dtype.str} {arr.shape}".encode())
-        h.update(arr.tobytes())
-    assert h.hexdigest() == (
+    assert arena_digest(paper_doc, paper_arena) == (
         "f26ba95e05f1d515efe9da2db763362b2a5ccd2dfd986ab6e90665ecc66e4694")
+
+
+@pytest.mark.parametrize("params, digest", [
+    (dict(n=4, k_move=1, k_drop=3),
+     "79f3fb1e5ac8b85eadc68ba4e1266be91300ead96f57fe992480f40c64535ba7"),
+    (dict(n=4),
+     "2743a76c1f8a2744aff1ed42e1826849074fd74dad215270e405b45dc23e1f31"),
+], ids=["n4k1k3", "n4"])
+def test_wider_rung_arenas_are_pinned(params, digest):
+    # pinned before a join level could bind several column variables: here
+    # the obstacle and handoff run s', o1', o2', o3' is four variables wide
+    doc = wd.emit_spec(wd.WorkDeliveryParams(**params))
+    assert arena_digest(doc, ar.build_arena(doc)) == digest
 
 
 def brute_in_edges(arena):

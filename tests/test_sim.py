@@ -341,6 +341,18 @@ def test_csv_roundtrip(spec):
         assert check.check_safety(back, doc).passed
 
 
+def test_csv_time_column_roundtrips():
+    # non-integer times that six significant digits would round read back
+    # as the same floats; integer times keep their integer text
+    time_s = np.array([0.0, 0.30000000000000004, 100000.5, 250000.5, 10.0])
+    tr = sim.Trace(("x",), np.zeros((5, 1), np.int64), np.arange(5), time_s,
+                   np.zeros(5, bool))
+    text = csv_text(tr)
+    assert [line.split(",")[1] for line in text.splitlines()[1:]] == [
+        "0", "0.30000000000000004", "100000.5", "250000.5", "10"]
+    assert sim.read_csv(io.StringIO(text)).time_s.tolist() == time_s.tolist()
+
+
 @pytest.mark.parametrize("text", [
     "step,time_s,x,ok,human_away\n0,0,3,1,0\n1,10,2,0,0,7\n",
     "step,time_s,x,ok,human_away\n0,0,3,1,0\n1,10,2,0\n",
