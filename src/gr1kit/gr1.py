@@ -76,54 +76,38 @@ def _normalize(arena, env_live, sys_live):
     return assumptions, goals
 
 
-class _Ctx:
-    """Per-solve degree arrays and the arena's in-edge index, for
-    vectorized cpre and nu-X."""
+def _into(arena, pairs, target):
+    """Sys edges of each of `pairs` into the state mask `target`."""
+    size = arena.sys_indptr[pairs + 1] - arena.sys_indptr[pairs]
+    edges = ar._gather(arena.sys_indptr, pairs, size)
+    hits = np.zeros(len(edges) + 1, dtype=np.int64)
+    np.cumsum(target[arena.edge_succ[edges]], out=hits[1:])
+    ends = size.cumsum()
+    return hits[ends] - hits[ends - size]
 
-    def __init__(self, arena):
-        self.arena = arena
-        # int32: every growing cpre copies it as its dead counts
-        self.env_degree = np.diff(arena.env_indptr).astype(np.int32)
-        self.stuck = (self.env_degree == 0).nonzero()[0]
-        self.in_indptr, self.in_pair = arena.in_edges
 
-    def pairs(self, states):
-        """The pairs of `states`, in state order."""
-        return ar._gather(self.arena.env_indptr, states,
-                          self.env_degree[states])
+def _nu_x(arena, x, lower):
+    """Greatest fixpoint of X -> lower | (x & cpre(X)), in place in `x`.
 
-    def into(self, pairs, target):
-        """Sys edges of each of `pairs` into the state mask `target`."""
-        a = self.arena
-        size = a.sys_indptr[pairs + 1] - a.sys_indptr[pairs]
-        edges = ar._gather(a.sys_indptr, pairs, size)
-        hits = np.zeros(len(edges) + 1, dtype=np.int64)
-        np.cumsum(target[a.edge_succ[edges]], out=hits[1:])
-        ends = size.cumsum()
-        return hits[ends] - hits[ends - size]
-
-    def nu_x(self, x, lower):
-        """Greatest fixpoint of X -> lower | (x & cpre(X)), in place in `x`.
-
-        `lower` must lie inside `x`.  The attractor's dual: a shrinking cpre
-        of `x` over the undecided states drops those that leave cpre(x).
-        With `lower` = base, this is the nu-X of a mu-Y round, the greatest
-        fixpoint X* of X -> base | (not_a & cpre(X)), whenever X* lies in
-        `x` and `x` in base | not_a.  Most retreats drop nothing: when
-        every pair of every undecided state has an edge into `x`, `x` is
-        the fixpoint, and no tracker is built.
-        """
-        # on bools, a > b is a & ~b in one call
-        states = (x > lower).nonzero()[0]
-        if not len(states):
-            return x
-        pairs = self.pairs(states)
-        cnt = self.into(pairs, x)
-        if cnt.all():
-            return x
-        cpre = _Cpre(self, states, x, pairs, cnt)
-        cpre.shrink(states[cpre.dead[states] > 0])
+    `lower` must lie inside `x`.  The attractor's dual: a shrinking cpre
+    of `x` over the undecided states drops those that leave cpre(x).
+    With `lower` = base, this is the nu-X of a mu-Y round, the greatest
+    fixpoint X* of X -> base | (not_a & cpre(X)), whenever X* lies in
+    `x` and `x` in base | not_a.  Most retreats drop nothing: when
+    every pair of every undecided state has an edge into `x`, `x` is
+    the fixpoint, and no tracker is built.
+    """
+    # on bools, a > b is a & ~b in one call
+    states = (x > lower).nonzero()[0]
+    if not len(states):
         return x
+    pairs = ar._gather(arena.env_indptr, states)
+    cnt = _into(arena, pairs, x)
+    if cnt.all():
+        return x
+    cpre = _Cpre(arena, states, x, pairs, cnt)
+    cpre.shrink(states[cpre.dead[states] > 0])
+    return x
 
 
 class _Cpre:
@@ -131,13 +115,13 @@ class _Cpre:
 
     Each pair counts its sys edges into the target (`cnt`), each state its
     pairs at 0 (`dead`): cpre is ``dead == 0``.  Built on a `target`, the
-    tracker shrinks it in place, starting from the sys edges `cnt` of each
-    of `pairs`, the pairs of the `scope`, or with no scope from every
-    pair's sys degree, so the target must then hold every state; else it
-    grows one from empty.  `add` and `remove` move states across at the
-    cost of their in-edges, O(edges) in all, and return the states
-    entering or leaving cpre, each once.  A counter need be exact only
-    where it counts down to 0: growing, `cnt` is a flag per pair;
+    tracker shrinks it in place, starting from the counts `cnt` its caller
+    took of each of `pairs` (the scope's pairs, or every pair with no
+    scope); else it grows one from empty, every state starting from its
+    env degree.  `add` and `remove` move states across at the cost of
+    their in-edges (`GameArena.in_edges`), O(edges) in all, and return the
+    states entering or leaving cpre, each once.  A counter need be exact
+    only where it counts down to 0: growing, `cnt` is a flag per pair;
     shrinking, `dead` saturates.  So a growing tracker's counters are a
     function of its target alone, not of the order it grew in, and a
     `copy` may stand for a fresh tracker grown to the same target.  cpre
@@ -147,31 +131,24 @@ class _Cpre:
     states).
     """
 
-    def __init__(self, ctx, scope=None, target=None, pairs=None, cnt=None):
-        a = self.arena = ctx.arena
-        self.ctx, self.grows, self.scope = ctx, target is None, None
+    def __init__(self, arena, scope=None, target=None, pairs=None, cnt=None):
+        self.arena, self.grows, self.scope = arena, target is None, None
+        self.in_indptr, self.in_pair = arena.in_edges
         if scope is not None:
-            self.scope = np.zeros(a.n_states, dtype=bool)
+            self.scope = np.zeros(arena.n_states, dtype=bool)
             self.scope[scope] = True
         if self.grows:
-            self.target = np.zeros(a.n_states, dtype=bool)
-            self.cnt = (np.zeros(a.n_pairs, dtype=bool) if scope is None
-                        else ~self.scope[a.pair_state])
-            self.dead = ctx.env_degree.copy()
+            self.target = np.zeros(arena.n_states, dtype=bool)
+            self.cnt = (np.zeros(arena.n_pairs, dtype=bool) if scope is None
+                        else ~self.scope[arena.pair_state])
+            self.dead = np.diff(arena.env_indptr).astype(np.int32)
             return
         self.target = target
-        if scope is None:
-            assert target.all(), "an unscoped target starts full"
-            self.cnt = np.diff(a.sys_indptr).astype(np.int32)
-            self.dead = np.zeros(a.n_states, dtype=np.int32)
-            self.dead[a.pair_state[self.cnt == 0]] = 1
-            return
-        # only cells in the scope are ever read: the rest stays unwritten
-        self.cnt = np.empty(a.n_pairs, dtype=np.int32)
-        self.dead = np.empty(a.n_states, dtype=np.int32)
+        # only the scope's pairs are ever read: the rest stays unwritten
+        self.cnt = np.empty(arena.n_pairs, dtype=np.int32)
         self.cnt[pairs] = cnt
-        self.dead[scope] = 0
-        self.dead[a.pair_state[pairs[cnt == 0]]] = 1
+        self.dead = np.zeros(arena.n_states, dtype=np.int32)
+        self.dead[arena.pair_state[pairs][cnt == 0]] = 1
 
     def copy(self):
         """A growing tracker on a copy of this one's target."""
@@ -187,7 +164,7 @@ class _Cpre:
         if not len(states):
             return states
         self.target[states] = True
-        hit = self.ctx.in_pair[ar._gather(self.ctx.in_indptr, states)]
+        hit = self.in_pair[ar._gather(self.in_indptr, states)]
         fresh = hit[~self.cnt[hit]]
         fresh.sort()
         fresh = _distinct(fresh)
@@ -199,10 +176,8 @@ class _Cpre:
     def remove(self, states):
         """Take `states` out of the target; returns the states leaving cpre."""
         assert not self.grows, "cpre targets must grow"
-        if not len(states):
-            return states
         self.target[states] = False
-        hit = self.ctx.in_pair[ar._gather(self.ctx.in_indptr, states)]
+        hit = self.in_pair[ar._gather(self.in_indptr, states)]
         if self.scope is not None:
             hit = hit[self.scope[self.arena.pair_state[hit]]]
         np.subtract.at(self.cnt, hit, np.int32(1))
@@ -250,7 +225,7 @@ def solve(arena, env_live, sys_live):
     the single trivially-true assumption.  Deterministic across runs.
     """
     assumptions, goals = _normalize(arena, env_live, sys_live)
-    ctx = _Ctx(arena)
+    arena.in_edges      # the peak of a solve: build it before any pair array
     # an assumption true everywhere has an empty nu-X disjunct; each other
     # one gets a growing cpre of ~a_i, scoped to ~a_i, that every mu-Y
     # copies (see `_mu_y`)
@@ -258,7 +233,7 @@ def solve(arena, env_live, sys_live):
     for i, a in enumerate(assumptions):
         if not a.all():
             not_a = (~a).nonzero()[0]
-            cpre = _Cpre(ctx, scope=not_a)
+            cpre = _Cpre(arena, scope=not_a)
             cpre.add(not_a)
             falsifiable.append((i, ~a, cpre))
     n_goals = len(goals)
@@ -283,7 +258,8 @@ def solve(arena, env_live, sys_live):
     # outside the core the environment can force the play out of Z or into
     # a system deadlock; such states leave at once, wave by wave, not one
     # layer per sweep.
-    core = _Cpre(ctx, target=np.ones(arena.n_states, dtype=bool))
+    core = _Cpre(arena, target=np.ones(arena.n_states, dtype=bool),
+                 pairs=slice(None), cnt=np.diff(arena.sys_indptr))
     core.shrink((core.dead > 0).nonzero()[0])
     # each goal's last seed, and the nu-X layers of every round of its mu-Y
     seeds = [None] * n_goals
@@ -298,7 +274,7 @@ def solve(arena, env_live, sys_live):
             # a mu-Y is a function of its seed alone
             if not np.array_equal(seed, seeds[j]):
                 seeds[j] = seed
-                y_rank[j], x_layers[j] = _mu_y(ctx, seed, falsifiable)
+                y_rank[j], x_layers[j] = _mu_y(arena, seed, falsifiable)
             Z = y_rank[j] != INF_RANK
         assert not np.any(Z & ~z_before), "Z iterates must shrink"
         if np.array_equal(Z, z_before):
@@ -314,7 +290,7 @@ def solve(arena, env_live, sys_live):
     return result
 
 
-def _mu_y(ctx, seed, falsifiable):
+def _mu_y(arena, seed, falsifiable):
     """mu Y. B(Y) | OR_i nu X. B(Y) | (~a_i & cpre(X)), where B(Y) is
     seed | cpre(Y), at O(edges) per round.
 
@@ -334,7 +310,7 @@ def _mu_y(ctx, seed, falsifiable):
     of M inside lfp M, so lfp M.  Without assumptions, Y_{r+1} = base_r.
 
     Round r's nu-X for assumption i, X_{r,i}, is the greatest fixpoint of
-    F_r(X) = base_r | (~a_i & cpre(X)), and `_Ctx.nu_x` finds it by a
+    F_r(X) = base_r | (~a_i & cpre(X)), and `_nu_x` finds it by a
     retreat from one bound down to base_r.  X_{r,i} = F_r(X_{r,i}) lies in
     T_r = base_r | ~a_i, and F_r is monotone, so X_{r,i} lies in F_r(T_r),
     where the retreat starts.  T_r grows with r, as base_r does, so a
@@ -344,8 +320,9 @@ def _mu_y(ctx, seed, falsifiable):
     mu-Y of a solve shares ~a_i, so each starts from a copy of the one
     tracker `solve` grew to ~a_i and adds only seed & a_i.
     """
-    rank = np.full(ctx.arena.n_states, INF_RANK, dtype=np.int32)
-    cpre_y = _Cpre(ctx)
+    rank = np.full(arena.n_states, INF_RANK, dtype=np.int32)
+    cpre_y = _Cpre(arena)
+    stuck = (cpre_y.dead == 0).nonzero()[0]     # cpre(empty), the deadlocks
     cpre_t = [cpre.copy() for _, _, cpre in falsifiable]
     base = seed.copy()
     newly = base.nonzero()[0]
@@ -358,7 +335,7 @@ def _mu_y(ctx, seed, falsifiable):
                 cpre.add(((base | not_a) > cpre.target).nonzero()[0])
                 x = not_a & (cpre.dead == 0)
                 x |= base
-                X = ctx.nu_x(x, base)
+                X = _nu_x(arena, x, base)
                 layer.append((i, X))
                 y_new |= X
             layers.append(layer)
@@ -366,12 +343,12 @@ def _mu_y(ctx, seed, falsifiable):
             assert not np.any(cpre_y.target > y_new), "Y iterates must grow"
             newly = (y_new > cpre_y.target).nonzero()[0]
         # only round 0 can leave states pending: cpre(empty), the deadlocks
-        if not len(newly) and (r or not len(ctx.stuck)):
+        if not len(newly) and (r or not len(stuck)):
             return rank, layers
         rank[newly] = r
         fresh = cpre_y.add(newly)
         if not r:
-            fresh = np.concatenate((fresh, ctx.stuck))
+            fresh = np.concatenate((fresh, stuck))
         newly = fresh[~base[fresh]]
         base[newly] = True
 

@@ -39,8 +39,9 @@ class ScriptedEvent:
 
 
 def parse_events(text):
-    """Parse an events file: ``step=<n> set <var>=<val>`` or
-    ``step=<n> human_away=<0|1> duration=<steps>`` per line."""
+    """Parse an events file: ``step=<n> set <var>=<val> ...`` or
+    ``step=<n> human_away=<0|1> [duration=<steps>]`` per line; ValueError
+    on any token it does not read."""
     events = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -65,9 +66,11 @@ def parse_events(text):
                 away = int(toks[1].split("=", 1)[1])
                 if away not in (0, 1):
                     raise ValueError("human_away must be 0 or 1")
-                duration = 0
-                if len(toks) > 2 and toks[2].startswith("duration="):
-                    duration = int(toks[2].split("=", 1)[1])
+                duration, rest = 0, toks[2:]
+                if rest and rest[0].startswith("duration="):
+                    duration, rest = int(rest[0][9:]), rest[1:]
+                if rest:
+                    raise ValueError(f"unknown token {rest[0]!r}")
                 if duration < 0:
                     raise ValueError("duration must be at least 0")
                 events.append(ScriptedEvent(step, human_away=away,
@@ -190,7 +193,8 @@ def _advance(strategy, nid, adversary, step=0, pin=None):
 
 def _pins(events, env_names):
     """{step: (env columns, values)} of the `set` events; ValueError on a
-    variable that is not an environment variable."""
+    variable that is not an environment variable or is set twice at one
+    step, as no move could match such a pin."""
     pins = {}
     for ev in events:
         for name, val in ev.overrides:
@@ -198,8 +202,11 @@ def _pins(events, env_names):
                 raise ValueError(
                     f"event at step {ev.step} sets {name!r}, which is not "
                     f"an environment variable ({', '.join(env_names)})")
-            pins.setdefault(ev.step, []).append((env_names.index(name), val))
-    return {step: tuple(map(list, zip(*pairs))) for step, pairs in pins.items()}
+            if name in pins.setdefault(ev.step, {}):
+                raise ValueError(f"step {ev.step} sets {name!r} twice")
+            pins[ev.step][name] = val
+    return {step: (list(map(env_names.index, vals)), list(vals.values()))
+            for step, vals in pins.items()}
 
 
 # --------------------------------------------------------------------------

@@ -65,6 +65,13 @@ def test_domain_violations_reported():
         (5, "domain", "u = 5 outside 0..3"), (5, "sys_trans[0]", "violated: x' = u'")]
 
 
+def test_safety_on_an_empty_trace_fails():
+    doc = parse_spec("[ENV_VARS]\nu : 0..3\n[SYS_VARS]\nx : 0..3\n")
+    verdict = check.check_safety(make_trace(("u", "x"), []), doc)
+    assert not verdict.passed
+    assert verdict.violations == [("trace", "empty", "no rows to check")]
+
+
 def test_safety_needs_every_declared_variable():
     # no clause reads `u`, so only the domain check would look at it
     doc = parse_spec("[ENV_VARS]\nu : 0..3\n[SYS_VARS]\nx : 0..3\n"
@@ -124,6 +131,8 @@ def test_recurrence_trivial_and_violation():
     # trace shorter than the window passes vacuously
     tr = make_trace(("g",), states[:3])
     assert check.check_recurrence(tr, goal, 5).passed
+    with pytest.raises(ValueError, match="at least 1"):
+        check.check_recurrence(tr, goal, 0)
 
 
 def test_recurrence_window_extends_over_freeze():

@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
+from gr1kit import arena as ar
 from gr1kit import cli
+from gr1kit import gr1
 from gr1kit.errors import (AdversaryIllegalMove, AdversaryNotFinite,
                            CapacityExceeded, Diagnostic, InvalidParams,
                            MissingBinding, NotRealizable, SpecError,
@@ -77,7 +79,7 @@ def test_emit_rejects_spec_that_synth_rejects(tmp_path, capsys):
 
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "params.cfg"
-    cfg.write_text("n = 2\nbl_init = 4   # comment\n")
+    cfg.write_text("# reduced\n\nn = 2\n   \nbl_init = 4   # comment\n")
     assert run_cli(["emit", "--config", str(cfg),
                     "--param", "bl_init=7"]) == 0
     text = capsys.readouterr().out
@@ -166,13 +168,18 @@ def test_synth_capacity_exit5(tmp_path, capsys):
     assert run_cli(["synth", str(spec), "--cap", "1000"]) == 5
 
 
-def test_simulate_deterministic_csv(workdir, tmp_path):
+def test_simulate_deterministic_csv(workdir, tmp_path, capsys):
     root, spec, strat = workdir
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     for out in (out1, out2):
         assert run_cli(["simulate", str(strat), "--steps", "60",
                         "--seed", "9", "--out", str(out)]) == 0
     assert out1.read_text() == out2.read_text()
+    # without --out the same CSV goes to stdout
+    capsys.readouterr()
+    assert run_cli(["simulate", str(strat), "--steps", "60",
+                    "--seed", "9"]) == 0
+    assert capsys.readouterr().out == out1.read_text()
     header = out1.read_text().splitlines()[0]
     assert header == "step,time_s,bl,s,o1,stalled,rs,act,hf,tries,human_away"
 
@@ -212,6 +219,9 @@ def test_simulate_hole_exit3(workdir, tmp_path):
     broken = tmp_path / "broken.json"
     broken.write_text(json.dumps(obj))
     assert run_cli(["simulate", str(broken), "--steps", "5"]) == 3
+    noinit = tmp_path / "noinit.json"
+    noinit.write_text(json.dumps(dict(json.loads(strat.read_text()), init=[])))
+    assert run_cli(["simulate", str(noinit), "--steps", "5"]) == 3
 
 
 def test_simulate_interactive_mode(workdir, tmp_path, monkeypatch, capsys):
@@ -320,6 +330,26 @@ def test_check_lasso_without_initial_nodes_exit4(workdir, tmp_path, capsys):
 def test_oracle_random_corpus(capsys):
     assert run_cli(["oracle", "--random", "10", "--seed", "0"]) == 0
     assert "0 mismatches" in capsys.readouterr().out
+
+
+def test_oracle_reports_mismatches(workdir, monkeypatch, capsys):
+    root, spec, strat = workdir
+    oracle = gr1.brute_force_oracle
+
+    def one_flipped(*args, **kwargs):
+        winning = oracle(*args, **kwargs)
+        winning[0] = not winning[0]
+        return winning
+
+    monkeypatch.setattr(gr1, "brute_force_oracle", one_flipped)
+    n_states = ar.build_arena(parse_spec(spec.read_text())).n_states
+    assert run_cli(["oracle", "--spec", str(spec)]) == 4
+    assert capsys.readouterr().out == (
+        f"MISMATCH on 1 of {n_states} states\n")
+    assert run_cli(["oracle", "--random", "3", "--seed", "5"]) == 4
+    assert capsys.readouterr().out.splitlines() == [
+        "MISMATCH at seed 5", "MISMATCH at seed 6", "MISMATCH at seed 7",
+        "3 random arenas checked, 3 mismatches"]
 
 
 def test_oracle_random_capacity_exit5(capsys):
@@ -448,6 +478,12 @@ NO_OK_CSV = "step,time_s,x,human_away\n0,0,0,0\n1,10,0,0\n2,20,0,0\n"
     ["oracle", "--random", "2", "--max-states", "0"],
     ["oracle", "--random", "2", "--max-states", "-5"],
     ["emit", "--param", "td_seconds=10"],
+    CHECK + ["safety"],
+    CHECK + ["lasso"],
+    ["emit", "--config", "{no_equals}"],
+    ["emit", "--param", "n"],
+    SIMULATE + ["--events", "{misspelt_duration}"],
+    SIMULATE + ["--events", "{set_twice}"],
 ], ids=["safety-missing", "safety-not-csv", "safety-bad-row",
         "safety-duplicate-column",
         "recurrence-missing", "recurrence-bad-row", "goal-3", "goal-minus-1",
@@ -464,7 +500,10 @@ NO_OK_CSV = "step,time_s,x,human_away\n0,0,0,0\n1,10,0,0\n2,20,0,0\n"
         "simulate-td-inf", "closure-float-value", "emit-config-not-utf8",
         "simulate-td-1e308", "simulate-steps-huge", "emit-td-seconds-nan",
         "synth-cap-0", "synth-cap-minus-1", "oracle-max-states-0",
-        "oracle-max-states-minus-5", "emit-td-seconds-unknown"])
+        "oracle-max-states-minus-5", "emit-td-seconds-unknown",
+        "safety-without-trace", "lasso-without-strategy",
+        "emit-config-line-without-equals", "emit-param-without-equals",
+        "misspelt-duration", "set-twice"])
 def test_bad_input_exit2(workdir, tmp_path, capsys, argv):
     root, spec, strat = workdir
     files = {"missing": tmp_path / "missing.txt",
@@ -477,7 +516,10 @@ def test_bad_input_exit2(workdir, tmp_path, capsys, argv):
                        ("set_sys", "step=2 set rs=1"),
                        ("away_5", "step=2 human_away=5"),
                        ("duration_minus_3", "step=2 human_away=1 duration=-3"),
-                       ("step_minus_1", "step=-1 set s=0")):
+                       ("step_minus_1", "step=-1 set s=0"),
+                       ("misspelt_duration", "step=2 human_away=1 duraton=3"),
+                       ("set_twice", "step=2 set s=1\nstep=2 set s=0"),
+                       ("no_equals", "# reduced\n\nn = 2\nbl_init")):
         files[name] = tmp_path / f"{name}.txt"
         files[name].write_text(text + "\n")
     files["not_csv"].write_text("a,b\n1,2\n")

@@ -501,6 +501,14 @@ def test_extraction_loiter_under_falsified_assumption():
     assert np.array_equal(res.winning, oracle)
 
 
+def test_solve_needs_goals_over_the_arena():
+    a, env_live, _ = ar.random_arena(0)
+    with pytest.raises(ValueError, match="at least one"):
+        gr1.solve(a, env_live, [])
+    with pytest.raises(ValueError, match="wrong length"):
+        gr1.solve(a, env_live, [np.ones(a.n_states + 1, dtype=bool)])
+
+
 def test_goal_index_advances_only_on_goal_states():
     # two goals that alternate between the two sys values
     a = mono_arena(lambda s: [0], lambda s, e: [0, 1])
@@ -607,17 +615,18 @@ def test_incremental_fixpoint_matches_plain_iteration(monkeypatch):
     for what in ("retreat_below_bound", "deadlock_assumed",
                  "retreat_builds_tracker", "retreat_skips_tracker"):
         seen["assumption", what] = 0
-    nu_x, mu_y = gr1._Ctx.nu_x, gr1._mu_y
+    nu_x, mu_y = gr1._nu_x, gr1._mu_y
     shrinking, mu_ys = [0], [0]
 
     class CountingCpre(gr1._Cpre):
-        def __init__(self, ctx, scope=None, target=None, *counts):
+        def __init__(self, arena, scope=None, target=None, pairs=None,
+                     cnt=None):
             shrinking[0] += target is not None
-            super().__init__(ctx, scope, target, *counts)
+            super().__init__(arena, scope, target, pairs, cnt)
 
-    def counting_nu_x(ctx, x, lower):
+    def counting_nu_x(arena, x, lower):
         start, built = x.copy(), shrinking[0]
-        out = nu_x(ctx, x, lower)
+        out = nu_x(arena, x, lower)
         seen["assumption", "retreat_below_bound"] += bool((start & ~out).any())
         if (start & ~lower).any():
             built = shrinking[0] - built
@@ -630,7 +639,7 @@ def test_incremental_fixpoint_matches_plain_iteration(monkeypatch):
         return mu_y(*args)
 
     monkeypatch.setattr(gr1, "_Cpre", CountingCpre)
-    monkeypatch.setattr(gr1._Ctx, "nu_x", counting_nu_x)
+    monkeypatch.setattr(gr1, "_nu_x", counting_nu_x)
     monkeypatch.setattr(gr1, "_mu_y", counting_mu_y)
     for seed in range(600):
         a, env_live, sys_live = ar.random_arena(seed)
@@ -678,26 +687,24 @@ def test_shrinking_cpre_matches_dense():
             # random one from a random target, as a nu-X retreat does
             target = (np.ones(a.n_states, dtype=bool) if kind == "full"
                       else rng.random(a.n_states) < 0.7)
-            ctx = gr1._Ctx(a)
-            pairs = ctx.pairs(scope)
-            cnt = ctx.into(pairs, target)
-            trackers = [gr1._Cpre(ctx, scope, target.copy(), pairs, cnt)]
+            pairs = ar._gather(a.env_indptr, scope)
+            cnt = gr1._into(a, pairs, target)
+            # with no scope the tracker starts from the counts of every
+            # pair and is defined on every state
+            every = gr1._into(a, np.arange(a.n_pairs), target)
             if kind == "full":
-                # with no scope the tracker starts from the sys degrees, as
-                # the cpre(Z) tracker of solve does; it must keep step with
-                # the one counted over every state
-                assert np.array_equal(cnt, np.diff(a.sys_indptr)[pairs])
-                trackers.append(gr1._Cpre(ctx, target=target.copy()))
-            elif not target.all():
-                # its counts hold only under a full target
-                with pytest.raises(AssertionError, match="starts full"):
-                    gr1._Cpre(ctx, target=target.copy())
+                # under a full target they are the sys degrees, which the
+                # cpre(Z) tracker of solve starts from
+                assert np.array_equal(every, np.diff(a.sys_indptr))
+            trackers = [
+                (gr1._Cpre(a, scope, target.copy(), pairs, cnt), inside),
+                (gr1._Cpre(a, target=target.copy(), pairs=slice(None),
+                           cnt=every), np.ones(a.n_states, dtype=bool))]
             want = dense_cpre(a, target)
             while True:
-                for cpre in trackers:
+                for cpre, on in trackers:
                     assert np.array_equal(cpre.target, target), seed
-                    assert np.array_equal((cpre.dead == 0)[inside],
-                                          want[inside]), seed
+                    assert np.array_equal((cpre.dead == 0)[on], want[on]), seed
                 if not target.any():
                     break
                 # drop at least one and at most half of the remaining states
@@ -706,14 +713,14 @@ def test_shrinking_cpre_matches_dense():
                                   replace=False)
                 target = target.copy()
                 target[gone] = False
-                lefts = [cpre.remove(gone) for cpre in trackers]
+                lefts = [cpre.remove(gone) for cpre, _ in trackers]
                 before, want = want, dense_cpre(a, target)
-                for left in lefts:
+                for left, (_, on) in zip(lefts, trackers):
                     assert np.array_equal(
-                        left, np.flatnonzero(before & ~want & inside)), seed
+                        left, np.flatnonzero(before & ~want & on)), seed
                 steps[kind] += 1
-                moved[kind] += len(left) > 0
-            for cpre in trackers:
+                moved[kind] += len(lefts[0]) > 0
+            for cpre, _ in trackers:
                 with pytest.raises(AssertionError, match="must shrink"):
                     cpre.add(np.arange(1))
                 with pytest.raises(AssertionError, match="only growing"):
@@ -733,8 +740,7 @@ def test_growing_cpre_matches_dense():
         for kind, scope in _scopes(a, rng):
             inside = np.zeros(a.n_states, dtype=bool)
             inside[scope] = True
-            cpre = gr1._Cpre(gr1._Ctx(a), scope=None if kind == "full"
-                             else scope)
+            cpre = gr1._Cpre(a, scope=None if kind == "full" else scope)
             target = np.zeros(a.n_states, dtype=bool)
             want = dense_cpre(a, target)
             while True:
@@ -798,15 +804,16 @@ def test_goals_read_the_safety_core(monkeypatch, reduced_arena,
     mu_y = gr1._mu_y
 
     class RecordingCpre(gr1._Cpre):
-        def __init__(self, ctx, scope=None, target=None, *counts):
-            super().__init__(ctx, scope, target, *counts)
+        def __init__(self, arena, scope=None, target=None, pairs=None,
+                     cnt=None):
+            super().__init__(arena, scope, target, pairs, cnt)
             if scope is None and target is not None:
                 trackers.append(self)
                 targets.append([])
 
-    def recording_mu_y(ctx, seed, falsifiable):
+    def recording_mu_y(arena, seed, falsifiable):
         targets[-1].append((trackers[-1].target.copy(), seed))
-        return mu_y(ctx, seed, falsifiable)
+        return mu_y(arena, seed, falsifiable)
 
     monkeypatch.setattr(gr1, "_Cpre", RecordingCpre)
     monkeypatch.setattr(gr1, "_mu_y", recording_mu_y)

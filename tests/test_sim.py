@@ -120,10 +120,31 @@ def test_parse_events():
     with pytest.raises(ValueError):
         sim.parse_events("at=3 set s=0")
     for bad in ("step=3 human_away=5", "step=3 human_away=1 duration=-3",
-                "step=-1 set s=0"):
+                "step=-1 set s=0", "step=3 set", "step=3 jump"):
         with pytest.raises(ValueError):
             sim.parse_events(bad)
     assert sim.parse_events("step=0 human_away=0 duration=0")[0].step == 0
+
+
+@pytest.mark.parametrize("text", [
+    "step=20 human_away=1 duraton=6",
+    "step=20 human_away=1 duration=6 junk",
+    "step=3 set s=1 s=0",
+    "step=3 set s=1\nstep=3 set s=0",
+], ids=["misspelt-duration", "trailing-token", "set-twice-one-line",
+        "set-twice-two-lines"])
+def test_events_that_would_run_another_scenario_raise(reduced_strategy, text):
+    # each ran silently as another scenario: a zero-length away span, an
+    # ignored token, or a pin that no move matches and `_pick` drops
+    with pytest.raises(ValueError):
+        events = sim.parse_events(text)
+        sim.run(reduced_strategy, sim.make_adversary("scripted"), 30,
+                events=events)
+
+
+def test_make_adversary_rejects_unknown_kind():
+    with pytest.raises(ValueError, match="bogus"):
+        sim.make_adversary("bogus")
 
 
 def test_set_event_names_env_variable(strategy_for):
@@ -207,6 +228,10 @@ def test_trace_rows_contract(strategy_for):
 
 def test_strategy_hole_on_emptied_node(keep_edges):
     st, arena, doc = tiny_strategy()
+    noinit = dataclasses.replace(st, init_env=st.init_env[:0],
+                                 init_node=st.init_node[:0])
+    with pytest.raises(StrategyHole, match="no initial nodes"):
+        sim.run(noinit, sim.make_adversary("random", seed=0), 5)
     st = keep_edges(st, [])
     with pytest.raises(StrategyHole):
         sim.run(st, sim.make_adversary("random", seed=0), 5)

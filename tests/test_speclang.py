@@ -179,6 +179,7 @@ def test_eval_is_exact_integer_arithmetic():
     (sl.VarDecl("true", sl.ENV, 0, 1, True), "SyntaxError"),
     (sl.VarDecl("b", sl.ENV, 0, 5, True), "TypeMismatch"),
     (sl.VarDecl("r", "robot", 0, 2, False), "OwnershipViolation"),
+    (sl.VarDecl("1x", sl.ENV, 0, 1, True), "SyntaxError"),
 ])
 def test_validate_document_rejects_what_cannot_print(decl, kind):
     # each document's printed text fails to parse or parses to another one

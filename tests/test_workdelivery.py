@@ -34,6 +34,8 @@ def test_param_validation():
         wd.WorkDeliveryParams(bl_upper=31).validate()
     with pytest.raises(InvalidParams):
         wd.WorkDeliveryParams(k_move=6, k_drop=5).validate()
+    with pytest.raises(InvalidParams, match="k_move must be at least 1"):
+        wd.WorkDeliveryParams(k_move=0).validate()
     with pytest.raises(InvalidParams):
         wd.WorkDeliveryParams(bl_init=31).validate()
     with pytest.raises(InvalidParams):
