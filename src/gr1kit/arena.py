@@ -8,16 +8,20 @@ combined assignment.  The environment's moves at a state, and the system's
 responses to each, are exactly the assignments passing every environment /
 system safety clause.
 
-The move relations are stored in CSR form over (state, env-choice) pairs so
-that solvers can run vectorized fixpoints.  Each edge holds its successor
-state: no other module combines env and sys indices.  Environment moves with
-no legal system response are kept as pairs with empty system slices: they
-are system deadlocks, not missing environment options.
+The env moves are stored in CSR form over (state, env-choice) pairs, and
+the sys responses in CSR form over move groups, so that solvers can run
+vectorized fixpoints.  A move group is a key (the state's values of the
+variables the sys safety clauses read, env'): every pair with that key has
+the same responses, so its successor list is stored once and each pair
+names its group.  Each edge holds its successor state: no other module
+combines env and sys indices.  Environment moves with no legal system
+response are kept as pairs whose group has no edge: they are system
+deadlocks, not missing environment options.
 
 One codec, ``_Codec``, converts between indices and values everywhere: it
 packs a list of (name, primed) variables in mixed radix.  One compile path
 evaluates every clause set.  A relation has rows (states in stage 1;
-(state, env') pairs in stage 2) and columns (env' assignments in stage 1,
+move groups in stage 2) and columns (env' assignments in stage 1,
 sys' assignments in stage 2).  It does not depend on the row variables its
 clauses do not read, so the rows are quotiented: projected onto the
 variables read and deduplicated into distinct profiles, which are joined;
@@ -147,8 +151,9 @@ class GameArena:
     env_indptr: np.ndarray       # [n_states+1] -> slice into env_next
     env_next: np.ndarray         # env assignment index per (state, choice) pair
     pair_state: np.ndarray       # state index per pair
-    sys_indptr: np.ndarray       # [n_pairs+1] -> slice into edge_succ
-    edge_succ: np.ndarray        # successor state per edge, ascending in a pair
+    pair_group: np.ndarray       # move group per pair
+    group_indptr: np.ndarray     # [n_groups+1] -> slice into group_succ
+    group_succ: np.ndarray       # successor state per group edge, ascending
     env_init: np.ndarray         # bool over env assignments
     sys_init: np.ndarray         # bool over states
 
@@ -161,8 +166,27 @@ class GameArena:
         return len(self.env_next)
 
     @property
+    def n_groups(self):
+        return len(self.group_indptr) - 1
+
+    @property
     def names(self):
         return tuple(d.name for d in self.decls)
+
+    # ---- per-pair views of the groups: for tests and tools; no solve,
+    # extraction or check reads them
+
+    @functools.cached_property
+    def sys_indptr(self):
+        """[n_pairs+1] -> slice into `edge_succ`."""
+        indptr = np.zeros(self.n_pairs + 1, dtype=np.int64)
+        np.cumsum(np.diff(self.group_indptr)[self.pair_group], out=indptr[1:])
+        return indptr
+
+    @functools.cached_property
+    def edge_succ(self):
+        """Successor state per edge, ascending in a pair: its group's."""
+        return self.group_succ[_gather(self.group_indptr, self.pair_group)]
 
     @property
     def sys_next(self):
@@ -181,20 +205,15 @@ class GameArena:
 
     @functools.cached_property
     def in_edges(self):
-        """Incoming sys edges grouped by successor state: an indptr over
-        states and the pair of each edge, ascending within a state.  Built
-        once per arena, as every solve on it reads the same index."""
-        n_pairs = self.n_pairs
-        # sorting (succ, pair) keys gives the stable argsort's order at a
-        # third of its time and half its memory (numpy 2.4); a shift and a
-        # mask pack and unpack them faster than a product and a modulo
-        b = n_pairs.bit_length()
-        assert self.n_states << b < 2 ** 63, "sort keys overflow"
-        key = self.edge_succ << b
-        key |= np.arange(n_pairs).repeat(np.diff(self.sys_indptr))
-        key.sort()
-        key &= (1 << b) - 1
-        return _indptr(self.edge_succ, self.n_states), key
+        """Incoming sys edges by successor state, and the pairs of each
+        group: (an indptr over states, the group of each edge, ascending
+        within a state; an indptr over groups, the state of each of their
+        pairs, ascending within a group).  A state has at most one pair in
+        a group, as its pairs differ in env'.  Built once per arena, as
+        every solve on it reads the same index."""
+        owner = np.arange(self.n_groups).repeat(np.diff(self.group_indptr))
+        return (*_invert(self.group_succ, self.n_states, owner),
+                *_invert(self.pair_group, self.n_groups, self.pair_state))
 
     def env_values(self, e):
         """Env assignment index as a name -> value dict."""
@@ -244,6 +263,32 @@ def _indptr(owner, n):
     return indptr
 
 
+def _invert(keys, n_keys, values):
+    """Ascending `values` grouped by their `keys`, all in 0..n_keys-1: an
+    indptr over the keys and the values, ascending within each key."""
+    # sorting (key, value) pairs packed in one int64 gives a stable
+    # argsort's order at a third of its time and half its memory (numpy
+    # 2.4); a shift and a mask pack and unpack them faster than a product
+    # and a modulo
+    b = (int(values[-1]) + 1 if len(values) else 0).bit_length()
+    assert n_keys << b < 2 ** 63, "sort keys overflow"
+    packed = keys << b
+    packed |= values
+    packed.sort()
+    packed &= (1 << b) - 1
+    return _indptr(keys, n_keys), packed
+
+
+def _distinct_keys(keys, size):
+    """Distinct values of `keys`, all in 0..size-1, ascending, and the
+    position of each key among them.  A mask over the key space when it
+    is no larger than the keys: no sort."""
+    if size <= len(keys):
+        seen = np.bincount(keys, minlength=size).astype(bool)
+        return seen.nonzero()[0], (seen.cumsum() - 1)[keys]
+    return np.unique(keys, return_inverse=True)
+
+
 def _gather(indptr, rows, size=None):
     """Positions ``indptr[r]:indptr[r + 1]`` of each row in `rows`,
     concatenated in row order; `size` holds the rows' lengths if the
@@ -251,9 +296,12 @@ def _gather(indptr, rows, size=None):
     lo = indptr[rows]
     if size is None:
         size = indptr[rows + 1] - lo
-    ends = size.cumsum()
-    total = ends[-1] if len(ends) else 0
-    return (lo - ends + size).repeat(size) + np.arange(total)
+    # each row's start minus its first position in the output, in place
+    lo -= size.cumsum()
+    lo += size
+    out = lo.repeat(size)
+    out += np.arange(len(out))
+    return out
 
 
 def _generator(table, size, weight):
@@ -288,12 +336,7 @@ def _relation(clauses, row, rows, col):
     if sub.keys == row.keys:
         r, c = _join(zip(clauses, refs), row, rows, col)
         return _indptr(r, len(rows)), c
-    prof = row.project(rows, sub)
-    if sub.size <= len(rows):           # a mask over the profiles: no sort
-        seen = np.bincount(prof, minlength=sub.size).astype(bool)
-        profiles, inverse = seen.nonzero()[0], (seen.cumsum() - 1)[prof]
-    else:
-        profiles, inverse = np.unique(prof, return_inverse=True)
+    profiles, inverse = _distinct_keys(row.project(rows, sub), sub.size)
     r, c = _join(zip(clauses, refs), sub, profiles, col)
     n_cells = np.bincount(r, minlength=len(profiles))
     profile_indptr = np.concatenate(([0], n_cells.cumsum()))
@@ -453,8 +496,9 @@ def build_arena(doc, cap=1 << 24):
 
     Raises CapacityExceeded when the valuation space is larger than `cap`
     states.  Stage 1 joins the env safety clauses over (state, env')
-    cells, stage 2 the sys safety clauses over ((state, env'), sys')
-    cells, each binding the primed variables in runs from truth tables
+    cells, stage 2 the sys safety clauses over (move group, sys') cells,
+    once per key that pairs share, and no pair's list is expanded; each
+    binding the primed variables in runs from truth tables
     that ``speclang.eval_expr`` fills; the tests check the moves against a
     separate scalar evaluator, clause by clause.
     """
@@ -474,17 +518,23 @@ def build_arena(doc, cap=1 << 24):
     states = np.arange(n_states, dtype=np.int64)
     env_indptr, env_next = _relation(doc.env_safety, state, states, env_nxt)
     pair_state = states.repeat(np.diff(env_indptr))
-    # stage 2: sys responses per pair; a row is the pair's (state, env')
-    sys_indptr, edge_succ = _relation(
-        doc.sys_safety, _Codec(state.fields + env_nxt.fields),
-        pair_state * n_env + env_next, sys_nxt)
-    # each sys' index becomes its successor state: the pair's env' on top
-    edge_succ += (env_next * n_sys).repeat(np.diff(sys_indptr))
+    # stage 2: sys responses per move group, the pair's state read through
+    # the variables the sys clauses read, and its env'
+    read = state.sub(set().union(*map(sl.expr_refs, doc.sys_safety)))
+    key = state.project(states, read).repeat(np.diff(env_indptr))
+    key *= n_env
+    key += env_next
+    groups, pair_group = _distinct_keys(key, read.size * n_env)
+    group_indptr, group_succ = _relation(
+        doc.sys_safety, _Codec(read.fields + env_nxt.fields), groups, sys_nxt)
+    # each sys' index becomes its successor state: the group's env' on top
+    group_succ += (groups % n_env * n_sys).repeat(np.diff(group_indptr))
 
     return GameArena(
         decls=decls, n_env_vars=len(env_decls), n_env=n_env, n_sys=n_sys,
         env_indptr=env_indptr, env_next=env_next, pair_state=pair_state,
-        sys_indptr=sys_indptr, edge_succ=edge_succ,
+        pair_group=pair_group, group_indptr=group_indptr,
+        group_succ=group_succ,
         env_init=_holds(doc.env_init, _Codec.of(env_decls)),
         sys_init=_holds(doc.sys_init, state))
 
@@ -517,7 +567,8 @@ def from_functions(decls, n_env_vars, env_fn, sys_fn,
     """Build an arena from explicit move functions (small instances).
 
     env_fn(s) -> iterable of env assignment indices;
-    sys_fn(s, e) -> iterable of sys assignment indices.
+    sys_fn(s, e) -> iterable of sys assignment indices.  Each pair is a
+    move group of its own.
     """
     decls = tuple(decls)
     n_env = _Codec.of(decls[:n_env_vars]).size
@@ -541,8 +592,9 @@ def from_functions(decls, n_env_vars, env_fn, sys_fn,
         env_indptr=np.asarray(env_indptr, dtype=np.int64),
         env_next=np.asarray(env_next, dtype=np.int64),
         pair_state=np.asarray(pair_state, dtype=np.int64),
-        sys_indptr=np.asarray(sys_indptr, dtype=np.int64),
-        edge_succ=np.asarray(edge_succ, dtype=np.int64),
+        pair_group=np.arange(len(env_next), dtype=np.int64),
+        group_indptr=np.asarray(sys_indptr, dtype=np.int64),
+        group_succ=np.asarray(edge_succ, dtype=np.int64),
         env_init=np.asarray(env_init, dtype=bool),
         sys_init=np.asarray(sys_init, dtype=bool))
 

@@ -255,9 +255,10 @@ def verify_strategy_closure(strategy, arena, result):
     answered[pos[legal]] = True
     # a legal response is one of its pair's successors
     ask = np.flatnonzero(legal & (t >= 0))
-    asker = np.repeat(ask, _span(a.sys_indptr, pair[ask]))
+    group = a.pair_group[pair[ask]]
+    asker = np.repeat(ask, _span(a.group_indptr, group))
     sys_ok = np.zeros(len(owner), dtype=bool)
-    sys_ok[asker[a.edge_succ[_gather(a.sys_indptr, pair[ask])]
+    sys_ok[asker[a.group_succ[_gather(a.group_indptr, group)]
                  == t[asker]]] = True
     succ_ok = s[st.edge_next] == t
     holds = np.zeros(st.n_nodes, dtype=bool)

@@ -12,8 +12,10 @@ every legal environment commitment, some system response lands in the target
 Every cpre is kept by one edge counter, `_Cpre`, over a target that only
 grows or only shrinks, so a state crossing it costs its in-edges once (the
 linear-time attractor of Grädel, Thomas and Wilke (eds.), *Automata, Logics,
-and Infinite Games*, LNCS 2500, ch. 2).  Its in-edge index is built once
-per arena (`GameArena.in_edges`).  Growing ones give cpre(Y) and, with
+and Infinite Games*, LNCS 2500, ch. 2).  It counts per move group, not per
+pair: the pairs of a group share its edges, so a group's count stands for
+each of them.  Its in-edge index is built once per arena
+(`GameArena.in_edges`).  Growing ones give cpre(Y) and, with
 liveness assumptions, the bound each nu-X retreats from: `solve` grows one
 to ~assumption_i once, and each mu-Y goes on from a copy.  Shrinking ones
 give the nu-X retreats and cpre(Z), as every Z handed to a goal lies
@@ -76,12 +78,12 @@ def _normalize(arena, env_live, sys_live):
     return assumptions, goals
 
 
-def _into(arena, pairs, target):
-    """Sys edges of each of `pairs` into the state mask `target`."""
-    size = arena.sys_indptr[pairs + 1] - arena.sys_indptr[pairs]
-    edges = ar._gather(arena.sys_indptr, pairs, size)
+def _into(arena, groups, target):
+    """Sys edges of each of `groups` into the state mask `target`."""
+    size = arena.group_indptr[groups + 1] - arena.group_indptr[groups]
+    edges = ar._gather(arena.group_indptr, groups, size)
     hits = np.zeros(len(edges) + 1, dtype=np.int64)
-    np.cumsum(target[arena.edge_succ[edges]], out=hits[1:])
+    np.cumsum(target[arena.group_succ[edges]], out=hits[1:])
     ends = size.cumsum()
     return hits[ends] - hits[ends - size]
 
@@ -101,11 +103,11 @@ def _nu_x(arena, x, lower):
     states = (x > lower).nonzero()[0]
     if not len(states):
         return x
-    pairs = ar._gather(arena.env_indptr, states)
-    cnt = _into(arena, pairs, x)
+    groups = arena.pair_group[ar._gather(arena.env_indptr, states)]
+    cnt = _into(arena, groups, x)
     if cnt.all():
         return x
-    cpre = _Cpre(arena, states, x, pairs, cnt)
+    cpre = _Cpre(arena, states, x, groups, cnt)
     cpre.shrink(states[cpre.dead[states] > 0])
     return x
 
@@ -113,42 +115,60 @@ def _nu_x(arena, x, lower):
 class _Cpre:
     """cpre of a target that only grows or only shrinks, by edge counters.
 
-    Each pair counts its sys edges into the target (`cnt`), each state its
-    pairs at 0 (`dead`): cpre is ``dead == 0``.  Built on a `target`, the
-    tracker shrinks it in place, starting from the counts `cnt` its caller
-    took of each of `pairs` (the scope's pairs, or every pair with no
-    scope); else it grows one from empty, every state starting from its
-    env degree.  `add` and `remove` move states across at the cost of
-    their in-edges (`GameArena.in_edges`), O(edges) in all, and return the
-    states entering or leaving cpre, each once.  A counter need be exact
-    only where it counts down to 0: growing, `cnt` is a flag per pair;
-    shrinking, `dead` saturates.  So a growing tracker's counters are a
-    function of its target alone, not of the order it grew in, and a
-    `copy` may stand for a fresh tracker grown to the same target.  cpre
-    is defined only on the `scope` (every state if None), and only its
-    pairs do work: growing, the others start flagged; shrinking, their
-    hits are dropped, so a nu-X retreat costs O(edges of its undecided
-    states).
+    Each move group counts its sys edges into the target (`cnt`), shared
+    by every pair in it, and each state its pairs whose group is at 0
+    (`dead`): cpre is ``dead == 0``.  Built on a `target`, the tracker
+    shrinks it in place, starting from the counts `cnt` its caller took
+    of each of `groups` (the groups of the scope's pairs, or every group
+    with no scope); else it grows one from empty, every state starting
+    from its env degree.  `add` and `remove` move states across at the
+    cost of their in-edges (`GameArena.in_edges`), and a group crossing 0
+    fans out to the states of its pairs, so a tracker costs O(group edges
+    + pairs) in all; they return the states entering or leaving cpre,
+    each once.  A counter need be exact only where it counts down to 0:
+    growing, `cnt` is a flag per group; shrinking, `dead` saturates.  So
+    a growing tracker's counters are a function of its target alone, not
+    of the order it grew in, and a `copy` may stand for a fresh tracker
+    grown to the same target.  cpre is defined only on the `scope` (every
+    state if None), and only its pairs do work: a group fans out to the
+    scope's states alone; growing, groups with no pair in the scope start
+    flagged; shrinking, hits on them are dropped, so a nu-X retreat costs
+    O(group edges of its undecided states).
     """
 
-    def __init__(self, arena, scope=None, target=None, pairs=None, cnt=None):
-        self.arena, self.grows, self.scope = arena, target is None, None
-        self.in_indptr, self.in_pair = arena.in_edges
+    def __init__(self, arena, scope=None, target=None, groups=None, cnt=None):
+        self.grows, self.scope, self.live = target is None, None, None
+        (self.in_indptr, self.in_group,
+         self.member_indptr, self.member) = arena.in_edges
         if scope is not None:
             self.scope = np.zeros(arena.n_states, dtype=bool)
             self.scope[scope] = True
+            if self.grows:   # a shrinking one is handed them
+                groups = arena.pair_group[ar._gather(arena.env_indptr, scope)]
+            # the groups holding a pair of the scope
+            self.live = np.zeros(arena.n_groups, dtype=bool)
+            self.live[groups] = True
         if self.grows:
             self.target = np.zeros(arena.n_states, dtype=bool)
-            self.cnt = (np.zeros(arena.n_pairs, dtype=bool) if scope is None
-                        else ~self.scope[arena.pair_state])
+            self.cnt = (np.zeros(arena.n_groups, dtype=bool)
+                        if self.live is None else ~self.live)
             self.dead = np.diff(arena.env_indptr).astype(np.int32)
             return
         self.target = target
-        # only the scope's pairs are ever read: the rest stays unwritten
-        self.cnt = np.empty(arena.n_pairs, dtype=np.int32)
-        self.cnt[pairs] = cnt
+        # only the groups of the scope's pairs are ever read: the rest stays
+        # unwritten
+        self.cnt = np.empty(arena.n_groups, dtype=np.int64)
+        self.cnt[groups] = cnt
         self.dead = np.zeros(arena.n_states, dtype=np.int32)
-        self.dead[arena.pair_state[pairs][cnt == 0]] = 1
+        zero = groups[cnt == 0]
+        zero.sort()
+        self.dead[self._members(_distinct(zero))] = 1
+
+    def _members(self, groups):
+        """The scope's states with a pair in one of the distinct `groups`,
+        once per pair."""
+        owners = self.member[ar._gather(self.member_indptr, groups)]
+        return owners if self.scope is None else owners[self.scope[owners]]
 
     def copy(self):
         """A growing tracker on a copy of this one's target."""
@@ -164,24 +184,32 @@ class _Cpre:
         if not len(states):
             return states
         self.target[states] = True
-        hit = self.in_pair[ar._gather(self.in_indptr, states)]
+        hit = self.in_group[ar._gather(self.in_indptr, states)]
         fresh = hit[~self.cnt[hit]]
         fresh.sort()
         fresh = _distinct(fresh)
+        if not len(fresh):
+            return fresh
         self.cnt[fresh] = True
-        owners = self.arena.pair_state[fresh]
+        owners = self._members(fresh)
         np.subtract.at(self.dead, owners, np.int32(1))
-        return _distinct(owners[self.dead[owners] == 0])
+        entered = owners[self.dead[owners] == 0]
+        entered.sort()
+        return _distinct(entered)
 
     def remove(self, states):
         """Take `states` out of the target; returns the states leaving cpre."""
         assert not self.grows, "cpre targets must grow"
         self.target[states] = False
-        hit = self.in_pair[ar._gather(self.in_indptr, states)]
-        if self.scope is not None:
-            hit = hit[self.scope[self.arena.pair_state[hit]]]
-        np.subtract.at(self.cnt, hit, np.int32(1))
-        owners = self.arena.pair_state[hit[self.cnt[hit] == 0]]
+        hit = self.in_group[ar._gather(self.in_indptr, states)]
+        if self.live is not None:
+            hit = hit[self.live[hit]]
+        np.subtract.at(self.cnt, hit, 1)
+        zero = hit[self.cnt[hit] == 0]
+        if not len(zero):
+            return zero
+        zero.sort()
+        owners = self._members(_distinct(zero))
         gone = owners[self.dead[owners] == 0]
         self.dead[owners] = 1
         gone.sort()
@@ -259,7 +287,8 @@ def solve(arena, env_live, sys_live):
     # a system deadlock; such states leave at once, wave by wave, not one
     # layer per sweep.
     core = _Cpre(arena, target=np.ones(arena.n_states, dtype=bool),
-                 pairs=slice(None), cnt=np.diff(arena.sys_indptr))
+                 groups=np.arange(arena.n_groups),
+                 cnt=np.diff(arena.group_indptr))
     core.shrink((core.dead > 0).nonzero()[0])
     # each goal's last seed, and the nu-X layers of every round of its mu-Y
     seeds = [None] * n_goals
@@ -534,28 +563,34 @@ def extract_strategy(result, arena):
             raise NotRealizable(f"no winning sys init for env init {e0}")
         init_node.append(node_of(s0, 0))
 
-    # per-pair minimum of key = rank * n_states + succ picks the
-    # lowest-ranked successor with the lowest sys index, as a pair's
-    # successors share their env part; INF keys mark excluded edges
+    # each group's minimum of key = rank * n_states + succ over its winning
+    # successors, per pursued goal, picks the lowest-ranked one with the
+    # lowest sys index, as a group's successors share their env part; INF
+    # keys mark groups without one
     rank64 = result.y_rank.astype(np.int64)
     INFKEY = np.int64(INF_RANK) * n_states * 4
+    succ = a.group_succ
+    filled = np.diff(a.group_indptr) > 0
+    best = np.full((n_goals, a.n_groups), INFKEY)
+    for jp in range(n_goals):
+        key = rank64[jp][succ] * n_states + succ
+        key[~winning[succ]] = INFKEY
+        if len(key):
+            best[jp, filled] = np.minimum.reduceat(
+                key, a.group_indptr[:-1][filled])
     edge_succ, edge_next = [], []    # successor state and node per edge
     edge_indptr = [0]
     for s, j in order:               # order grows while it is walked
         goal_holds = bool(result.goals[j][s])
         jp = (j + 1) % n_goals if goal_holds else j
-        rank = rank64[jp]
-        my_rank = rank[s]
+        my_rank = rank64[jp, s]
         plo, phi = int(a.env_indptr[s]), int(a.env_indptr[s + 1])
-        elo, ehi = int(a.sys_indptr[plo]), int(a.sys_indptr[phi])
-        succ = a.edge_succ[elo:ehi]
-        key = rank[succ] * n_states + succ
-        key[~winning[succ]] = INFKEY
+        keys = best[jp, a.pair_group[plo:phi]]
         if not goal_holds:
-            key[rank[succ] >= my_rank] = INFKEY
-        starts = (a.sys_indptr[plo:phi] - elo).astype(np.int64)
-        best = np.minimum.reduceat(key, starts).tolist() if len(key) else []
-        for p, b in zip(range(plo, phi), best):
+            # the key orders by rank first: a group's best is below my
+            # rank exactly when one of its successors is
+            keys[keys >= my_rank * n_states] = INFKEY
+        for p, b in zip(range(plo, phi), keys.tolist()):
             t = (b % n_states if b < INFKEY
                  else _loiter_pick(result, a, s, jp, my_rank, p))
             edge_next.append(node_of(t, jp))
@@ -582,7 +617,8 @@ def extract_strategy(result, arena):
 def _loiter_pick(result, a, s, jp, my_rank, p):
     """Successor of pair `p` at the same rank inside a recorded nu-X region
     (assumption games)."""
-    succ = a.edge_succ[a.sys_indptr[p]:a.sys_indptr[p + 1]]
+    g = a.pair_group[p]
+    succ = a.group_succ[a.group_indptr[g]:a.group_indptr[g + 1]]
     layers = (result.x_witness[jp].get(int(my_rank), ())
               if result.x_witness else ())
     for wi, xset in layers:
@@ -616,10 +652,14 @@ def brute_force_oracle(arena, env_live, sys_live, cap=10_000):
     WIN = n_env + arena.n_pairs * m
     LOSE = WIN + 1
     env_indptr = arena.env_indptr.tolist()
-    sys_indptr = arena.sys_indptr.tolist()
-    # the env node at counters k = c2 * na + d2 after each sys edge
-    edge_to = arena.edge_succ * m
+    group_indptr = arena.group_indptr.tolist()
+    # the env node at counters k = c2 * na + d2 after each group edge
+    edge_to = arena.group_succ * m
     to = [(edge_to + k).tolist() for k in range(m)]
+    # the successors of a sys node of each group, per counter pair; the
+    # pairs of a group share them
+    group_to = [[t[lo:hi] or [LOSE] for t in to]
+                for lo, hi in zip(group_indptr, group_indptr[1:])]
     goal = [g.tolist() for g in goals]
     assume = [a.tolist() for a in assumptions]
 
@@ -639,8 +679,8 @@ def brute_force_oracle(arena, env_live, sys_live, cap=10_000):
                 k = n_env + c2 * na + d2
                 succ.append(list(range(lo * m + k, hi * m + k, m)) or [WIN])
     # counters move by a bijection, so every sys node has an env parent
-    for lo, hi in zip(sys_indptr, sys_indptr[1:]):
-        succ += [t[lo:hi] or [LOSE] for t in to]
+    for g in arena.pair_group.tolist():
+        succ += group_to[g]
     succ += [[WIN], [LOSE]]
     pri += [0] * (arena.n_pairs * m) + [2, 1]
     owner = [1] * n_env + [0] * (arena.n_pairs * m) + [0, 1]

@@ -41,8 +41,10 @@ class ScriptedEvent:
 def parse_events(text):
     """Parse an events file: ``step=<n> set <var>=<val> ...`` or
     ``step=<n> human_away=<0|1> [duration=<steps>]`` per line; ValueError
-    on any token it does not read."""
-    events = []
+    on any token it does not read, on a positive duration of a
+    ``human_away=0`` line, and on two away events at one step: each would
+    be dropped."""
+    events, away_steps = [], set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -73,6 +75,11 @@ def parse_events(text):
                     raise ValueError(f"unknown token {rest[0]!r}")
                 if duration < 0:
                     raise ValueError("duration must be at least 0")
+                if duration and not away:
+                    raise ValueError("human_away=0 takes no duration")
+                if step in away_steps:
+                    raise ValueError(f"a second away event at step {step}")
+                away_steps.add(step)
                 events.append(ScriptedEvent(step, human_away=away,
                                             duration=duration))
             else:
@@ -242,9 +249,10 @@ def run(strategy, adversary, max_steps, events=(), td=10.0, pace=False):
     """Execute up to max_steps transitions; returns the Trace.
 
     Rows hold the initial snapshot at index 0 followed by one row per
-    transition.  `events` freeze the world for human-away spans (the row
-    repeats the current node) and pin environment variables at given
-    steps, from step 0 on and under every adversary: the adversary then
+    transition.  `events` freeze the world for human-away spans and pin
+    environment variables at given steps, both from step 0 on.  A span of
+    d steps from step k marks rows k to k + d - 1 away, each repeating
+    the current node.  Pins hold under every adversary: the adversary
     picks among the matching moves, or among all of them when none match.
     `td` is the step length in seconds, which fills the time column and
     paces the run.  ValueError when `max_steps` is below 1, `td` is not
@@ -270,10 +278,10 @@ def run(strategy, adversary, max_steps, events=(), td=10.0, pace=False):
                   strategy.names, pins.get(0))
     nid = int(strategy.init_node[first[k]])
 
-    path, away = [nid], [False]
-    frozen = 0
-    for k in range(1, max_steps + 1):
-        if pace:
+    # row 0 is the initial snapshot: an away span may start there too
+    path, away, frozen = [], [], 0
+    for k in range(max_steps + 1):
+        if pace and k:
             _time.sleep(td)
         ev = away_events.get(k)
         if ev is not None:
@@ -281,7 +289,7 @@ def run(strategy, adversary, max_steps, events=(), td=10.0, pace=False):
         away.append(frozen > 0)
         if frozen > 0:
             frozen -= 1
-        else:
+        elif k:
             nid = _advance(strategy, nid, adversary, k, pins.get(k))
         path.append(nid)
     step = np.arange(max_steps + 1)

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import json
+import random
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from gr1kit import arena as ar
 from gr1kit import gr1
 from gr1kit import speclang as sl
 from gr1kit import workdelivery as wd
+
+from genspec import random_document
 
 
 def encode_state(arena, values):
@@ -55,6 +58,17 @@ def sys_moves(arena, s, e):
         raise ValueError(f"env assignment {e} not legal at state {s}")
     succ = arena.edge_succ[arena.sys_indptr[p]:arena.sys_indptr[p + 1]]
     return succ % arena.n_sys
+
+
+def grouped_arenas(n, seed=0, max_states=200):
+    """`n` arenas of random documents, each with a move group of several
+    pairs (a random arena has one group per pair)."""
+    rng, out = random.Random(seed), []
+    while len(out) < n:
+        a = ar.build_arena(random_document(rng))
+        if a.n_states <= max_states and a.n_groups < a.n_pairs:
+            out.append(a)
+    return out
 
 
 def dump(arena, fp):

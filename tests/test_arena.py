@@ -15,8 +15,8 @@ from gr1kit import workdelivery as wd
 from gr1kit.errors import CapacityExceeded
 from gr1kit.speclang import ENV, parse_spec
 
-from conftest import (decode_state, dump, encode_state, env_moves, sys_moves,
-                      sys_values, valuation)
+from conftest import (decode_state, dump, encode_state, env_moves,
+                      grouped_arenas, sys_moves, sys_values, valuation)
 from genspec import random_document, random_expr, reference_eval
 
 
@@ -521,7 +521,8 @@ def test_wider_rung_arenas_are_pinned(params, digest):
 
 
 def brute_in_edges(arena):
-    """The pairs with an edge into each state, by a loop over every edge."""
+    """The pairs with an edge into each state, by a loop over every edge
+    of the per-pair view."""
     into = [[] for _ in range(arena.n_states)]
     indptr, succ = arena.sys_indptr.tolist(), arena.edge_succ.tolist()
     for p in range(arena.n_pairs):
@@ -530,15 +531,89 @@ def brute_in_edges(arena):
     return into
 
 
+def brute_group_index(arena):
+    """The groups with an edge into each state, by a loop over every group
+    edge, and the pairs of each group, by a loop over every pair."""
+    into = [[] for _ in range(arena.n_states)]
+    indptr, succ = arena.group_indptr.tolist(), arena.group_succ.tolist()
+    for g in range(arena.n_groups):
+        for k in range(indptr[g], indptr[g + 1]):
+            into[succ[k]].append(g)
+    pairs = [[] for _ in range(arena.n_groups)]
+    for p, g in enumerate(arena.pair_group.tolist()):
+        pairs[g].append(p)
+    return into, pairs
+
+
 def test_in_edges_match_brute_listing(reduced_arena):
-    for a in [ar.random_arena(seed)[0] for seed in range(200)] + [
-            reduced_arena]:
-        indptr, pairs = a.in_edges
+    arenas = [ar.random_arena(seed)[0] for seed in range(200)]
+    for a in arenas + grouped_arenas(60) + [reduced_arena]:
+        in_indptr, in_group, member_indptr, member = a.in_edges
         # built once: every later solve on the arena reads the same index
-        assert a.in_edges[1] is pairs
-        bounds = indptr.tolist()
-        assert [pairs[lo:hi].tolist() for lo, hi in zip(bounds, bounds[1:])
+        assert a.in_edges[1] is in_group
+        into, pairs = brute_group_index(a)
+        bounds = in_indptr.tolist()
+        assert [in_group[lo:hi].tolist() for lo, hi in
+                zip(bounds, bounds[1:])] == into
+        # each group's pairs, by their states: a state has at most one
+        # pair in a group
+        bounds = member_indptr.tolist()
+        assert [member[lo:hi].tolist() for lo, hi in zip(
+            bounds, bounds[1:])] == [a.pair_state[ps].tolist() for ps in pairs]
+        # expanding the groups gives the per-pair listing
+        assert [sorted(p for g in gs for p in pairs[g]) for gs in into
                 ] == brute_in_edges(a)
+    # random arenas have one group per pair, the others fewer groups
+    assert all(a.n_groups == a.n_pairs for a in arenas)
+    assert reduced_arena.n_groups < reduced_arena.n_pairs
+
+
+def assert_groups_are_keys(doc, arena):
+    """Pairs share a group exactly when they share a key: the state's
+    values of the variables the sys safety clauses read, and env'."""
+    read = set().union(*map(sl.expr_refs, doc.sys_safety))
+    sub = arena.state_codec.sub(read)
+    key = (arena.state_codec.project(arena.pair_state, sub) * arena.n_env
+           + arena.env_next)
+    # every group holds a pair, its pairs share one key, and no two groups
+    # share a key
+    group_key = np.full(arena.n_groups, -1)
+    group_key[arena.pair_group] = key
+    assert (group_key >= 0).all()
+    assert np.array_equal(group_key[arena.pair_group], key)
+    assert len(np.unique(group_key)) == arena.n_groups
+
+
+LADDER_GROUPS = {"n3": ({}, 14_736, 28_324),
+                 "n4k1k3": (dict(n=4, k_move=1, k_drop=3), 37_362, 70_624),
+                 "n4": (dict(n=4), 37_362, 70_624)}
+
+
+@pytest.mark.parametrize("rung", LADDER_GROUPS)
+def test_ladder_move_groups(rung, tmp_path):
+    from gr1kit import gr1
+    params, n_groups, n_group_edges = LADDER_GROUPS[rung]
+    doc = wd.emit_spec(wd.WorkDeliveryParams(**params))
+    a = ar.build_arena(doc)
+    res = gr1.solve(a, doc.env_liveness, doc.sys_liveness)
+    if res.realizable:
+        gr1.extract_strategy(res, a).save(tmp_path / "w.json")
+    # the headline path never expands the groups to their pairs
+    assert not {"sys_indptr", "edge_succ"} & set(a.__dict__)
+    assert (a.n_groups, len(a.group_succ)) == (n_groups, n_group_edges)
+    assert_groups_are_keys(doc, a)
+
+
+def test_move_groups_are_keys(reduced_doc, reduced_arena):
+    assert_groups_are_keys(reduced_doc, reduced_arena)
+    rng, grouped = random.Random(13), 0
+    for _ in range(300):
+        doc = random_document(rng)
+        a = ar.build_arena(doc)
+        assert_groups_are_keys(doc, a)
+        grouped += a.n_groups < a.n_pairs
+    # not vacuous: most documents have a group of several pairs
+    assert grouped >= 100, grouped
 
 
 def test_random_arena_is_reproducible():

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import sys
@@ -90,6 +91,26 @@ def test_synth_realizable_exit0(workdir):
     root, spec, strat = workdir
     obj = json.loads(strat.read_text())
     assert obj["goals"] == 1 and obj["nodes"]
+
+
+@pytest.mark.parametrize("params, digest", [
+    (["bl_init=9"],
+     "daa3b2ff8ab91cc0a83e6c13e91906b2d8fbd702cd2fda22b2465821ceb34d2f"),
+    (["bl_init=12"],
+     "c43136e03bf2d0e185768cb893afd1a82735eb898096c3515708d9476085366a"),
+    (["bl_init=26"],
+     "9ceb03c69e02a4501f688f2eaf80747b802a0335278801f1ea5cef93d9feff41"),
+    (["n=4", "k_move=1", "k_drop=3"],
+     "22545e7f6c6ac6db59c507bb7d66fb05d88aac3c7d681dfaf466bd06ae9b5de1"),
+], ids=["n3b9", "n3b12", "n3b26", "n4k1k3"])
+def test_synth_controller_bytes_are_pinned(tmp_path, params, digest):
+    # the headline path: emit, then synth through the CLI; pinned before
+    # the arena stored its responses per move group
+    spec, out = tmp_path / "w.spec", tmp_path / "w.json"
+    args = [arg for p in params for arg in ("--param", p)]
+    assert run_cli(["emit", "--out", str(spec), *args]) == 0
+    assert run_cli(["synth", str(spec), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_synth_unrealizable_exit10(tmp_path, capsys):
@@ -484,6 +505,8 @@ NO_OK_CSV = "step,time_s,x,human_away\n0,0,0,0\n1,10,0,0\n2,20,0,0\n"
     ["emit", "--param", "n"],
     SIMULATE + ["--events", "{misspelt_duration}"],
     SIMULATE + ["--events", "{set_twice}"],
+    SIMULATE + ["--events", "{duration_without_away}"],
+    SIMULATE + ["--events", "{away_twice}"],
 ], ids=["safety-missing", "safety-not-csv", "safety-bad-row",
         "safety-duplicate-column",
         "recurrence-missing", "recurrence-bad-row", "goal-3", "goal-minus-1",
@@ -503,7 +526,8 @@ NO_OK_CSV = "step,time_s,x,human_away\n0,0,0,0\n1,10,0,0\n2,20,0,0\n"
         "oracle-max-states-minus-5", "emit-td-seconds-unknown",
         "safety-without-trace", "lasso-without-strategy",
         "emit-config-line-without-equals", "emit-param-without-equals",
-        "misspelt-duration", "set-twice"])
+        "misspelt-duration", "set-twice", "duration-without-away",
+        "away-twice"])
 def test_bad_input_exit2(workdir, tmp_path, capsys, argv):
     root, spec, strat = workdir
     files = {"missing": tmp_path / "missing.txt",
@@ -519,6 +543,11 @@ def test_bad_input_exit2(workdir, tmp_path, capsys, argv):
                        ("step_minus_1", "step=-1 set s=0"),
                        ("misspelt_duration", "step=2 human_away=1 duraton=3"),
                        ("set_twice", "step=2 set s=1\nstep=2 set s=0"),
+                       ("duration_without_away",
+                        "step=2 human_away=1 duration=3\n"
+                        "step=4 human_away=0 duration=9"),
+                       ("away_twice", "step=2 human_away=1 duration=3\n"
+                                      "step=2 human_away=1 duration=1"),
                        ("no_equals", "# reduced\n\nn = 2\nbl_init")):
         files[name] = tmp_path / f"{name}.txt"
         files[name].write_text(text + "\n")

@@ -15,7 +15,8 @@ from gr1kit import workdelivery as wd
 from gr1kit.errors import CapacityExceeded, NotRealizable
 from gr1kit.speclang import ENV, SYS, VarDecl, parse_spec
 
-from conftest import REDUCED, encode_state, reference_json, valuation
+from conftest import (REDUCED, encode_state, grouped_arenas, reference_json,
+                      valuation)
 from genspec import random_document
 
 
@@ -619,10 +620,10 @@ def test_incremental_fixpoint_matches_plain_iteration(monkeypatch):
     shrinking, mu_ys = [0], [0]
 
     class CountingCpre(gr1._Cpre):
-        def __init__(self, arena, scope=None, target=None, pairs=None,
+        def __init__(self, arena, scope=None, target=None, groups=None,
                      cnt=None):
             shrinking[0] += target is not None
-            super().__init__(arena, scope, target, pairs, cnt)
+            super().__init__(arena, scope, target, groups, cnt)
 
     def counting_nu_x(arena, x, lower):
         start, built = x.copy(), shrinking[0]
@@ -674,11 +675,16 @@ def _scopes(a, rng):
                                   replace=False)))
 
 
+def cpre_arenas():
+    """60 random arenas, one group per pair, then 20 with groups of several
+    pairs."""
+    return [ar.random_arena(seed)[0] for seed in range(60)] + grouped_arenas(20)
+
+
 def test_shrinking_cpre_matches_dense():
     steps = {"full": 0, "random": 0}
     moved = dict(steps)
-    for seed in range(60):
-        a, _, _ = ar.random_arena(seed)
+    for seed, a in enumerate(cpre_arenas()):
         rng = np.random.default_rng(seed)
         for kind, scope in _scopes(a, rng):
             inside = np.zeros(a.n_states, dtype=bool)
@@ -687,19 +693,26 @@ def test_shrinking_cpre_matches_dense():
             # random one from a random target, as a nu-X retreat does
             target = (np.ones(a.n_states, dtype=bool) if kind == "full"
                       else rng.random(a.n_states) < 0.7)
-            pairs = ar._gather(a.env_indptr, scope)
-            cnt = gr1._into(a, pairs, target)
+            # the groups of the scope's pairs, with repeats, as a nu-X
+            # retreat hands them
+            groups = a.pair_group[ar._gather(a.env_indptr, scope)]
+            cnt = gr1._into(a, groups, target)
             # with no scope the tracker starts from the counts of every
-            # pair and is defined on every state
-            every = gr1._into(a, np.arange(a.n_pairs), target)
+            # group and is defined on every state
+            every = gr1._into(a, np.arange(a.n_groups), target)
+            # counted through its group, each pair counts its own edges
+            assert np.array_equal(every[a.pair_group], [
+                target[a.edge_succ[lo:hi]].sum() for lo, hi in
+                zip(a.sys_indptr[:-1], a.sys_indptr[1:])])
             if kind == "full":
-                # under a full target they are the sys degrees, which the
+                # under a full target they are the group degrees, which the
                 # cpre(Z) tracker of solve starts from
-                assert np.array_equal(every, np.diff(a.sys_indptr))
+                assert np.array_equal(every, np.diff(a.group_indptr))
             trackers = [
-                (gr1._Cpre(a, scope, target.copy(), pairs, cnt), inside),
-                (gr1._Cpre(a, target=target.copy(), pairs=slice(None),
-                           cnt=every), np.ones(a.n_states, dtype=bool))]
+                (gr1._Cpre(a, scope, target.copy(), groups, cnt), inside),
+                (gr1._Cpre(a, target=target.copy(),
+                           groups=np.arange(a.n_groups), cnt=every),
+                 np.ones(a.n_states, dtype=bool))]
             want = dense_cpre(a, target)
             while True:
                 for cpre, on in trackers:
@@ -734,8 +747,7 @@ def test_shrinking_cpre_matches_dense():
 def test_growing_cpre_matches_dense():
     steps = {"full": 0, "random": 0}
     moved = dict(steps)
-    for seed in range(60):
-        a, _, _ = ar.random_arena(seed)
+    for seed, a in enumerate(cpre_arenas()):
         rng = np.random.default_rng(seed)
         for kind, scope in _scopes(a, rng):
             inside = np.zeros(a.n_states, dtype=bool)
@@ -804,9 +816,9 @@ def test_goals_read_the_safety_core(monkeypatch, reduced_arena,
     mu_y = gr1._mu_y
 
     class RecordingCpre(gr1._Cpre):
-        def __init__(self, arena, scope=None, target=None, pairs=None,
+        def __init__(self, arena, scope=None, target=None, groups=None,
                      cnt=None):
-            super().__init__(arena, scope, target, pairs, cnt)
+            super().__init__(arena, scope, target, groups, cnt)
             if scope is None and target is not None:
                 trackers.append(self)
                 targets.append([])
@@ -907,6 +919,63 @@ def test_repeated_solves_match_fresh_arenas(paper_doc, paper_arena,
             realizable += isinstance(want[-1], str)
     # not vacuous: many assumption games, controllers compared too
     assert len(games) >= 100 and realizable >= 50, (len(games), realizable)
+
+
+def one_group_per_pair(arena):
+    """The arena rebuilt through `from_functions`, a group per pair."""
+    def sys_fn(s, e):
+        lo, hi = arena.env_indptr[s], arena.env_indptr[s + 1]
+        g = arena.pair_group[lo + np.searchsorted(arena.env_next[lo:hi], e)]
+        succ = arena.group_succ[arena.group_indptr[g]:arena.group_indptr[g + 1]]
+        return (succ % arena.n_sys).tolist()
+
+    return ar.from_functions(
+        arena.decls, arena.n_env_vars,
+        lambda s: arena.env_next[arena.env_indptr[s]:arena.env_indptr[s + 1]
+                                 ].tolist(),
+        sys_fn, arena.env_init, arena.sys_init)
+
+
+def test_grouped_and_ungrouped_arenas_solve_alike(reduced_arena, reduced_doc):
+    from gr1kit.speclang import parse_expr
+    flat = one_group_per_pair(reduced_arena)
+    assert flat.n_groups == flat.n_pairs > 3 * reduced_arena.n_groups
+    for field in ("env_indptr", "env_next", "pair_state", "sys_indptr",
+                  "edge_succ"):
+        assert np.array_equal(getattr(flat, field),
+                              getattr(reduced_arena, field)), field
+    for env_live in ((), ("!o1",)):
+        env_live = [parse_expr(e) for e in env_live]
+        got = solve_bytes(reduced_arena, env_live, reduced_doc.sys_liveness)
+        assert solve_bytes(flat, env_live, reduced_doc.sys_liveness) == got
+        # controllers were compared: closure holds on both arenas alike
+        assert isinstance(got[-1], str)
+        res = gr1.solve(flat, env_live, reduced_doc.sys_liveness)
+        st = gr1.extract_strategy(res, flat)
+        verdicts = [check.verify_strategy_closure(st, a, res)
+                    for a in (flat, reduced_arena)]
+        assert verdicts[0].passed
+        assert verdicts[0].render() == verdicts[1].render()
+
+
+def test_grouped_arenas_match_plain_iteration_and_oracle():
+    rng, realizable = np.random.default_rng(4), 0
+    for a in grouped_arenas(40, seed=1):
+        env_live = [rng.random(a.n_states) < 0.5
+                    for _ in range(rng.integers(0, 3))]
+        sys_live = [rng.random(a.n_states) < 0.5
+                    for _ in range(rng.integers(1, 3))]
+        assert_same_fixpoint(a, env_live, sys_live)
+        res = gr1.solve(a, env_live, sys_live)
+        assert np.array_equal(
+            res.winning, gr1.brute_force_oracle(a, env_live, sys_live))
+        if res.realizable:
+            verdict = check.verify_strategy_closure(
+                gr1.extract_strategy(res, a), a, res)
+            assert verdict.passed, verdict.render()
+            realizable += 1
+    # not vacuous: controllers of grouped arenas were checked
+    assert realizable >= 5, realizable
 
 
 def test_with_inits_keeps_the_codecs(reduced_arena):

@@ -131,11 +131,17 @@ def test_parse_events():
     "step=20 human_away=1 duration=6 junk",
     "step=3 set s=1 s=0",
     "step=3 set s=1\nstep=3 set s=0",
+    "step=3 human_away=1 duration=5\nstep=4 human_away=0 duration=9",
+    "step=3 human_away=1 duration=5\nstep=3 human_away=1 duration=2",
+    "step=3 human_away=1 duration=5\nstep=3 human_away=0",
 ], ids=["misspelt-duration", "trailing-token", "set-twice-one-line",
-        "set-twice-two-lines"])
+        "set-twice-two-lines", "duration-without-away", "away-twice",
+        "away-and-back-at-one-step"])
 def test_events_that_would_run_another_scenario_raise(reduced_strategy, text):
     # each ran silently as another scenario: a zero-length away span, an
-    # ignored token, or a pin that no move matches and `_pick` drops
+    # ignored token, a pin that no move matches and `_pick` drops, a
+    # duration that is ignored, or an away event that another at its step
+    # overrides
     with pytest.raises(ValueError):
         events = sim.parse_events(text)
         sim.run(reduced_strategy, sim.make_adversary("scripted"), 30,
@@ -197,6 +203,22 @@ def test_freeze_semantics(strategy_for):
                for r in frozen)
     assert tr.rows[-1].index == 40
     assert tr.rows[-1].time_s == 400
+
+
+def test_away_span_from_step_0(reduced_strategy):
+    # row 0, the initial snapshot, is away, and the span covers rows 0 to
+    # duration - 1 as it does from any other step
+    events = sim.parse_events("step=0 human_away=1 duration=5")
+    tr = sim.run(reduced_strategy, sim.make_adversary("random", seed=3), 12,
+                 events=events)
+    assert tr.human_away.tolist() == [k < 5 for k in range(13)]
+    assert all(r.state == tr.rows[0].state for r in tr.rows[:5])
+    # the same run with the span from step 1 leaves row 0 as it was
+    late = sim.run(reduced_strategy, sim.make_adversary("random", seed=3),
+                   12, events=sim.parse_events(
+                       "step=1 human_away=1 duration=4"))
+    assert late.human_away.tolist() == [0 < k < 5 for k in range(13)]
+    assert np.array_equal(late.vals, tr.vals)
 
 
 def test_trace_rows_contract(strategy_for):
