@@ -234,6 +234,10 @@ def verify_strategy_closure(strategy, arena, result):
     if st.names != a.names:
         return _verdict([("vars", "order", f"strategy vars {st.names} != "
                                            f"arena vars {a.names}")])
+    # the goal index advances by the strategy's own goal count
+    if st.n_goals != len(result.goals):
+        return _verdict([("goals", "count", f"strategy goals {st.n_goals} "
+                          f"!= game goals {len(result.goals)}")])
     nodes = np.arange(st.n_nodes)
     owner = np.repeat(nodes, np.diff(st.edge_indptr))
     s = a.state_codec.index(st.node_vals)           # -1: outside the domain

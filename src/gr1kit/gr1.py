@@ -15,10 +15,9 @@ linear-time attractor of Grädel, Thomas and Wilke (eds.), *Automata, Logics,
 and Infinite Games*, LNCS 2500, ch. 2).  It counts per move group, not per
 pair: the pairs of a group share its edges, so a group's count stands for
 each of them.  Its in-edge index is built once per arena
-(`GameArena.in_edges`).  Growing ones give cpre(Y) and, with
-liveness assumptions, the bound each nu-X retreats from: `solve` grows one
-to ~assumption_i once, and each mu-Y goes on from a copy.  Shrinking ones
-give the nu-X retreats and cpre(Z), as every Z handed to a goal lies
+(`GameArena.in_edges`).  Growing ones, built per mu-Y, give cpre(Y) and,
+with liveness assumptions, the bound each nu-X retreats from.  Shrinking
+ones give the nu-X retreats and cpre(Z), as every Z handed to a goal lies
 inside the one before it; a retreat builds one only when some undecided
 state has a pair without an edge into its bound, which most never do.
 The cpre(Z) tracker spans every state and keeps its target at the safety
@@ -28,13 +27,13 @@ system deadlock leave before the first sweep, not one layer per sweep at
 the price of a whole mu-Y per goal (the Büchi-game loop of Chatterjee,
 Henzinger and Piterman, *Algorithms for Büchi games*, GDV 2006).  The
 winning region W lies in every Z and in cpre(W), so in every core, and no
-output changes (see `solve`).  One
-mu-Y kernel, `_mu_y`, serves every game: its round 0 is the seed and its
-nu-X layers, and the env deadlocks (cpre of the empty set) join the base
-after it, for the same least fixpoint.  A goal whose seed did not change
-keeps its mu-Y, and each nu-X retreats from one step of its operator on
-base | ~assumption_i, a bound its greatest fixpoint cannot leave (the
-fixpoint of Piterman, Pnueli and Sa'ar, VMCAI 2006).
+output changes (see `solve`).  One mu-Y kernel, `_mu_y`, serves every
+game: its round 0 is the seed and its nu-X layers, and the env deadlocks
+(cpre of the empty set) join the base after it, for the same least
+fixpoint.  A goal whose seed did not change keeps its mu-Y, and each nu-X
+retreats from one step of its operator on base | ~assumption_i, a bound
+its greatest fixpoint cannot leave (the fixpoint of Piterman, Pnueli and
+Sa'ar, VMCAI 2006).
 
 ``brute_force_oracle`` recomputes the winning region by a deliberately
 independent route: product the arena with goal counters for both players,
@@ -128,36 +127,27 @@ class _Cpre:
     each once.  A counter need be exact only where it counts down to 0:
     growing, `cnt` is a flag per group; shrinking, `dead` saturates.  So
     a growing tracker's counters are a function of its target alone, not
-    of the order it grew in, and a `copy` may stand for a fresh tracker
-    grown to the same target.  cpre is defined only on the `scope` (every
-    state if None), and only its pairs do work: a group fans out to the
-    scope's states alone; growing, groups with no pair in the scope start
-    flagged; shrinking, hits on them are dropped, so a nu-X retreat costs
-    O(group edges of its undecided states).
+    of the order it grew in.  cpre is defined only on the `scope` (every
+    state if None): a group fans out to the scope's states alone, and a
+    shrinking tracker is handed counts of the scope's groups only, so a
+    nu-X retreat costs O(group edges of its undecided states).
     """
 
     def __init__(self, arena, scope=None, target=None, groups=None, cnt=None):
-        self.grows, self.scope, self.live = target is None, None, None
+        self.grows, self.scope = target is None, None
         (self.in_indptr, self.in_group,
          self.member_indptr, self.member) = arena.in_edges
         if scope is not None:
             self.scope = np.zeros(arena.n_states, dtype=bool)
             self.scope[scope] = True
-            if self.grows:   # a shrinking one is handed them
-                groups = arena.pair_group[ar._gather(arena.env_indptr, scope)]
-            # the groups holding a pair of the scope
-            self.live = np.zeros(arena.n_groups, dtype=bool)
-            self.live[groups] = True
         if self.grows:
             self.target = np.zeros(arena.n_states, dtype=bool)
-            self.cnt = (np.zeros(arena.n_groups, dtype=bool)
-                        if self.live is None else ~self.live)
+            self.cnt = np.zeros(arena.n_groups, dtype=bool)
             self.dead = np.diff(arena.env_indptr).astype(np.int32)
             return
         self.target = target
-        # only the groups of the scope's pairs are ever read: the rest stays
-        # unwritten
-        self.cnt = np.empty(arena.n_groups, dtype=np.int64)
+        # a group with no pair in the scope starts at 0 and only goes down
+        self.cnt = np.zeros(arena.n_groups, dtype=np.int64)
         self.cnt[groups] = cnt
         self.dead = np.zeros(arena.n_states, dtype=np.int32)
         zero = groups[cnt == 0]
@@ -169,14 +159,6 @@ class _Cpre:
         once per pair."""
         owners = self.member[ar._gather(self.member_indptr, groups)]
         return owners if self.scope is None else owners[self.scope[owners]]
-
-    def copy(self):
-        """A growing tracker on a copy of this one's target."""
-        assert self.grows, "only growing trackers are copied"
-        out = object.__new__(type(self))
-        out.__dict__.update(self.__dict__, target=self.target.copy(),
-                            cnt=self.cnt.copy(), dead=self.dead.copy())
-        return out
 
     def add(self, states):
         """Put `states` in the target; returns the states entering cpre."""
@@ -202,8 +184,6 @@ class _Cpre:
         assert not self.grows, "cpre targets must grow"
         self.target[states] = False
         hit = self.in_group[ar._gather(self.in_indptr, states)]
-        if self.live is not None:
-            hit = hit[self.live[hit]]
         np.subtract.at(self.cnt, hit, 1)
         zero = hit[self.cnt[hit] == 0]
         if not len(zero):
@@ -254,16 +234,8 @@ def solve(arena, env_live, sys_live):
     """
     assumptions, goals = _normalize(arena, env_live, sys_live)
     arena.in_edges      # the peak of a solve: build it before any pair array
-    # an assumption true everywhere has an empty nu-X disjunct; each other
-    # one gets a growing cpre of ~a_i, scoped to ~a_i, that every mu-Y
-    # copies (see `_mu_y`)
-    falsifiable = []
-    for i, a in enumerate(assumptions):
-        if not a.all():
-            not_a = (~a).nonzero()[0]
-            cpre = _Cpre(arena, scope=not_a)
-            cpre.add(not_a)
-            falsifiable.append((i, ~a, cpre))
+    # an assumption true everywhere has an empty nu-X disjunct
+    falsifiable = [(i, ~a) for i, a in enumerate(assumptions) if not a.all()]
     n_goals = len(goals)
     Z = np.ones(arena.n_states, dtype=bool)
     y_rank = np.full((n_goals, arena.n_states), INF_RANK, dtype=np.int32)
@@ -323,11 +295,11 @@ def _mu_y(arena, seed, falsifiable):
     """mu Y. B(Y) | OR_i nu X. B(Y) | (~a_i & cpre(X)), where B(Y) is
     seed | cpre(Y), at O(edges) per round.
 
-    `falsifiable` lists (i, ~assumption_i, a growing cpre of
-    ~assumption_i); with none, the mu-Y is the attractor of the seed.
-    Returns the rank of each state (the round it joined Y, INF_RANK outside
-    Y) and the nu-X layers [(i, X), ...] of every round, the last one
-    adding nothing (no layers without assumptions).
+    `falsifiable` lists (i, ~assumption_i); with none, the mu-Y is the
+    attractor of the seed.  Returns the rank of each state (the round it
+    joined Y, INF_RANK outside Y) and the nu-X layers [(i, X), ...] of
+    every round, the last one adding nothing (no layers without
+    assumptions).
 
     Y grows, so a growing `_Cpre` keeps cpre(Y), and `base` grows by the
     states it reports entering: base_0 = seed, then base_r = seed |
@@ -343,23 +315,21 @@ def _mu_y(arena, seed, falsifiable):
     retreat from one bound down to base_r.  X_{r,i} = F_r(X_{r,i}) lies in
     T_r = base_r | ~a_i, and F_r is monotone, so X_{r,i} lies in F_r(T_r),
     where the retreat starts.  T_r grows with r, as base_r does, so a
-    growing `_Cpre` per assumption, scoped to ~a_i where it is read, keeps
-    cpre(T_r) at O(edges) per mu-Y, where counting the edges of every
-    undecided state in every round was not.  T_0 = seed | ~a_i, and every
-    mu-Y of a solve shares ~a_i, so each starts from a copy of the one
-    tracker `solve` grew to ~a_i and adds only seed & a_i.
+    growing `_Cpre` per assumption keeps cpre(T_r) at O(edges) per mu-Y,
+    where counting the edges of every undecided state in every round was
+    not.
     """
     rank = np.full(arena.n_states, INF_RANK, dtype=np.int32)
     cpre_y = _Cpre(arena)
     stuck = (cpre_y.dead == 0).nonzero()[0]     # cpre(empty), the deadlocks
-    cpre_t = [cpre.copy() for _, _, cpre in falsifiable]
+    cpre_t = [_Cpre(arena) for _ in falsifiable]
     base = seed.copy()
     newly = base.nonzero()[0]
     layers = []
     for r in itertools.count():
         if falsifiable:
             layer, y_new = [], base.copy()
-            for (i, not_a, _), cpre in zip(falsifiable, cpre_t):
+            for (i, not_a), cpre in zip(falsifiable, cpre_t):
                 # T_r and F_r(T_r) of the docstring
                 cpre.add(((base | not_a) > cpre.target).nonzero()[0])
                 x = not_a & (cpre.dead == 0)
@@ -472,8 +442,11 @@ class Strategy:
     @classmethod
     def from_obj(cls, obj):
         """Strategy from its JSON object; ValueError on a value that is not
-        a JSON integer and on dangling references."""
+        a JSON integer, on a repeated variable and on dangling references."""
         names = list(obj["vars"])
+        repeated = sorted({n for n in names if names.count(n) > 1})
+        if repeated:
+            raise ValueError(f"vars named twice: {', '.join(repeated)}")
         nodes, inits = obj["nodes"], obj["init"]
         node_edges = list(map(itemgetter("edges"), nodes))
         edges = list(itertools.chain.from_iterable(node_edges))

@@ -41,9 +41,9 @@ class ScriptedEvent:
 def parse_events(text):
     """Parse an events file: ``step=<n> set <var>=<val> ...`` or
     ``step=<n> human_away=<0|1> [duration=<steps>]`` per line; ValueError
-    on any token it does not read, on a positive duration of a
-    ``human_away=0`` line, and on two away events at one step: each would
-    be dropped."""
+    on any token it does not read, on a ``human_away=1`` line without a
+    positive duration, on a positive duration of a ``human_away=0`` line,
+    and on two away events at one step: each would be dropped."""
     events, away_steps = [], set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -75,8 +75,9 @@ def parse_events(text):
                     raise ValueError(f"unknown token {rest[0]!r}")
                 if duration < 0:
                     raise ValueError("duration must be at least 0")
-                if duration and not away:
-                    raise ValueError("human_away=0 takes no duration")
+                if bool(duration) != bool(away):
+                    raise ValueError("human_away=1 takes a positive "
+                                     "duration, human_away=0 none")
                 if step in away_steps:
                     raise ValueError(f"a second away event at step {step}")
                 away_steps.add(step)

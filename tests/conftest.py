@@ -181,6 +181,9 @@ def reference_closure(st, a, result):
     if st.names != a.names:
         return [("vars", "order", f"strategy vars {st.names} != "
                                   f"arena vars {a.names}")]
+    if st.n_goals != len(result.goals):
+        return [("goals", "count", f"strategy goals {st.n_goals} != "
+                                   f"game goals {len(result.goals)}")]
     owner = np.repeat(np.arange(st.n_nodes), np.diff(st.edge_indptr))
     s = a.state_codec.index(st.node_vals)
     here = s[owner]

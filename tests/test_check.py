@@ -367,6 +367,25 @@ def test_closure_wrong_arena_vars(strategy_for):
     assert verdict.violations[0][1] == "order"
 
 
+def test_closure_goal_count_mismatch():
+    # a one-goal controller never visits x = 2; checked against the game
+    # with that second goal, its goal index never advances to goal 1
+    text = "[ENV_VARS]\nu : bool\n[SYS_VARS]\nx : 0..2\n[SYS_LIVENESS]\nx = 0\n"
+    one, two = parse_spec(text), parse_spec(text + "x = 2\n")
+    arena = ar.build_arena(one)
+    st = gr1.extract_strategy(gr1.solve(arena, [], one.sys_liveness), arena)
+    assert st.n_goals == 1 and not (st.node_vals[:, 1] == 2).any()
+    res = gr1.solve(arena, [], two.sys_liveness)
+    assert res.realizable and len(res.goals) == 2
+    verdict = check.verify_strategy_closure(st, arena, res)
+    want = [("goals", "count", "strategy goals 1 != game goals 2")]
+    assert verdict.violations == want
+    assert reference_closure(st, arena, res) == want
+    # the lasso check of the same pair fails too
+    assert not check.lasso_check(st, sim.make_adversary("min-bl"),
+                                 two).passed
+
+
 def test_verdict_render_and_summary():
     v = check.Verdict(False, [(3, "clause", "broken")], max_goal_gap=7)
     text = v.render()

@@ -507,6 +507,9 @@ NO_OK_CSV = "step,time_s,x,human_away\n0,0,0,0\n1,10,0,0\n2,20,0,0\n"
     SIMULATE + ["--events", "{set_twice}"],
     SIMULATE + ["--events", "{duration_without_away}"],
     SIMULATE + ["--events", "{away_twice}"],
+    SIMULATE + ["--events", "{away_without_duration}"],
+    SIMULATE + ["--events", "{away_for_0_steps}"],
+    ["simulate", "{dup_vars}", "--steps", "5"],
 ], ids=["safety-missing", "safety-not-csv", "safety-bad-row",
         "safety-duplicate-column",
         "recurrence-missing", "recurrence-bad-row", "goal-3", "goal-minus-1",
@@ -527,7 +530,8 @@ NO_OK_CSV = "step,time_s,x,human_away\n0,0,0,0\n1,10,0,0\n2,20,0,0\n"
         "safety-without-trace", "lasso-without-strategy",
         "emit-config-line-without-equals", "emit-param-without-equals",
         "misspelt-duration", "set-twice", "duration-without-away",
-        "away-twice"])
+        "away-twice", "away-without-duration", "away-for-0-steps",
+        "strategy-repeats-var"])
 def test_bad_input_exit2(workdir, tmp_path, capsys, argv):
     root, spec, strat = workdir
     files = {"missing": tmp_path / "missing.txt",
@@ -548,6 +552,8 @@ def test_bad_input_exit2(workdir, tmp_path, capsys, argv):
                         "step=4 human_away=0 duration=9"),
                        ("away_twice", "step=2 human_away=1 duration=3\n"
                                       "step=2 human_away=1 duration=1"),
+                       ("away_without_duration", "step=3 human_away=1"),
+                       ("away_for_0_steps", "step=3 human_away=1 duration=0"),
                        ("no_equals", "# reduced\n\nn = 2\nbl_init")):
         files[name] = tmp_path / f"{name}.txt"
         files[name].write_text(text + "\n")
@@ -566,6 +572,10 @@ def test_bad_input_exit2(workdir, tmp_path, capsys, argv):
     obj["nodes"][0]["state"]["bl"] += 0.7
     files["float_strat"] = tmp_path / "float.json"
     files["float_strat"].write_text(json.dumps(obj))
+    obj = json.loads(strat.read_text())
+    obj["vars"].append(obj["vars"][-1])
+    files["dup_vars"] = tmp_path / "dup_vars.json"
+    files["dup_vars"].write_text(json.dumps(obj))
     assert run_cli(["simulate", str(strat), "--steps", "5",
                     "--out", str(files["trace"])]) == 0
     files["bad_events"].write_text("at=3 set s=0\n")

@@ -134,9 +134,12 @@ def test_parse_events():
     "step=3 human_away=1 duration=5\nstep=4 human_away=0 duration=9",
     "step=3 human_away=1 duration=5\nstep=3 human_away=1 duration=2",
     "step=3 human_away=1 duration=5\nstep=3 human_away=0",
+    "step=3 human_away=1",
+    "step=3 human_away=1 duration=0",
 ], ids=["misspelt-duration", "trailing-token", "set-twice-one-line",
         "set-twice-two-lines", "duration-without-away", "away-twice",
-        "away-and-back-at-one-step"])
+        "away-and-back-at-one-step", "away-without-duration",
+        "away-for-0-steps"])
 def test_events_that_would_run_another_scenario_raise(reduced_strategy, text):
     # each ran silently as another scenario: a zero-length away span, an
     # ignored token, a pin that no move matches and `_pick` drops, a
