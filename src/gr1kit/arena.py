@@ -16,7 +16,9 @@ the same responses, so its successor list is stored once and each pair
 names its group.  Each edge holds its successor state: no other module
 combines env and sys indices.  Environment moves with no legal system
 response are kept as pairs whose group has no edge: they are system
-deadlocks, not missing environment options.
+deadlocks, not missing environment options.  The arena stores nothing
+else per pair or edge: a pair's state and its own edge list are derived
+from these arrays where they are needed, and never kept.
 
 One codec, ``_Codec``, converts between indices and values everywhere: it
 packs a list of (name, primed) variables in mixed radix.  One compile path
@@ -150,7 +152,6 @@ class GameArena:
     n_sys: int                   # number of sys assignments
     env_indptr: np.ndarray       # [n_states+1] -> slice into env_next
     env_next: np.ndarray         # env assignment index per (state, choice) pair
-    pair_state: np.ndarray       # state index per pair
     pair_group: np.ndarray       # move group per pair
     group_indptr: np.ndarray     # [n_groups+1] -> slice into group_succ
     group_succ: np.ndarray       # successor state per group edge, ascending
@@ -173,25 +174,13 @@ class GameArena:
     def names(self):
         return tuple(d.name for d in self.decls)
 
-    # ---- per-pair views of the groups: for tests and tools; no solve,
-    # extraction or check reads them
-
-    @functools.cached_property
-    def sys_indptr(self):
-        """[n_pairs+1] -> slice into `edge_succ`."""
-        indptr = np.zeros(self.n_pairs + 1, dtype=np.int64)
-        np.cumsum(np.diff(self.group_indptr)[self.pair_group], out=indptr[1:])
-        return indptr
-
-    @functools.cached_property
-    def edge_succ(self):
-        """Successor state per edge, ascending in a pair: its group's."""
-        return self.group_succ[_gather(self.group_indptr, self.pair_group)]
-
     @property
     def sys_next(self):
-        """Sys assignment index per edge, derived from `edge_succ`."""
-        return self.edge_succ % self.n_sys
+        """Sys assignment index per edge of every pair, read through its
+        group: built on each call and never kept, as it is O(edges).  Only
+        ``perfbench/tracer.py`` reads it, for its length."""
+        return (self.group_succ[_gather(self.group_indptr, self.pair_group)]
+                % self.n_sys)
 
     # ---- mixed-radix codec -------------------------------------------
 
@@ -210,10 +199,12 @@ class GameArena:
         within a state; an indptr over groups, the state of each of their
         pairs, ascending within a group).  A state has at most one pair in
         a group, as its pairs differ in env'.  Built once per arena, as
-        every solve on it reads the same index."""
+        every solve on it reads the same index; the pairs' states are
+        derived for it from `env_indptr`."""
         owner = np.arange(self.n_groups).repeat(np.diff(self.group_indptr))
+        pair_state = np.arange(self.n_states).repeat(np.diff(self.env_indptr))
         return (*_invert(self.group_succ, self.n_states, owner),
-                *_invert(self.pair_group, self.n_groups, self.pair_state))
+                *_invert(self.pair_group, self.n_groups, pair_state))
 
     def env_values(self, e):
         """Env assignment index as a name -> value dict."""
@@ -517,7 +508,6 @@ def build_arena(doc, cap=1 << 24):
     # stage 1: legal (state, env') pairs
     states = np.arange(n_states, dtype=np.int64)
     env_indptr, env_next = _relation(doc.env_safety, state, states, env_nxt)
-    pair_state = states.repeat(np.diff(env_indptr))
     # stage 2: sys responses per move group, the pair's state read through
     # the variables the sys clauses read, and its env'
     read = state.sub(set().union(*map(sl.expr_refs, doc.sys_safety)))
@@ -532,9 +522,8 @@ def build_arena(doc, cap=1 << 24):
 
     return GameArena(
         decls=decls, n_env_vars=len(env_decls), n_env=n_env, n_sys=n_sys,
-        env_indptr=env_indptr, env_next=env_next, pair_state=pair_state,
-        pair_group=pair_group, group_indptr=group_indptr,
-        group_succ=group_succ,
+        env_indptr=env_indptr, env_next=env_next, pair_group=pair_group,
+        group_indptr=group_indptr, group_succ=group_succ,
         env_init=_holds(doc.env_init, _Codec.of(env_decls)),
         sys_init=_holds(doc.sys_init, state))
 
@@ -575,13 +564,12 @@ def from_functions(decls, n_env_vars, env_fn, sys_fn,
     n_sys = _Codec.of(decls[n_env_vars:]).size
     n_states = n_env * n_sys
     env_indptr = [0]
-    env_next, pair_state, sys_indptr, edge_succ = [], [], [0], []
+    env_next, group_indptr, group_succ = [], [0], []
     for s in range(n_states):
         for e in sorted(set(env_fn(s))):
             env_next.append(e)
-            pair_state.append(s)
-            edge_succ.extend(e * n_sys + y for y in sorted(set(sys_fn(s, e))))
-            sys_indptr.append(len(edge_succ))
+            group_succ.extend(e * n_sys + y for y in sorted(set(sys_fn(s, e))))
+            group_indptr.append(len(group_succ))
         env_indptr.append(len(env_next))
     if env_init is None:
         env_init = np.ones(n_env, dtype=bool)
@@ -591,10 +579,9 @@ def from_functions(decls, n_env_vars, env_fn, sys_fn,
         decls=decls, n_env_vars=n_env_vars, n_env=n_env, n_sys=n_sys,
         env_indptr=np.asarray(env_indptr, dtype=np.int64),
         env_next=np.asarray(env_next, dtype=np.int64),
-        pair_state=np.asarray(pair_state, dtype=np.int64),
         pair_group=np.arange(len(env_next), dtype=np.int64),
-        group_indptr=np.asarray(sys_indptr, dtype=np.int64),
-        group_succ=np.asarray(edge_succ, dtype=np.int64),
+        group_indptr=np.asarray(group_indptr, dtype=np.int64),
+        group_succ=np.asarray(group_succ, dtype=np.int64),
         env_init=np.asarray(env_init, dtype=bool),
         sys_init=np.asarray(sys_init, dtype=bool))
 

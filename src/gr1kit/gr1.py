@@ -442,8 +442,11 @@ class Strategy:
     @classmethod
     def from_obj(cls, obj):
         """Strategy from its JSON object; ValueError on a value that is not
-        a JSON integer, on a repeated variable and on dangling references."""
-        names = list(obj["vars"])
+        a JSON integer, on `vars` that is not a list of strings, on a
+        repeated variable and on dangling references."""
+        names = obj["vars"]
+        if type(names) is not list or not set(map(type, names)) <= {str}:
+            raise ValueError(f"vars = {names!r} is not a list of strings")
         repeated = sorted({n for n in names if names.count(n) > 1})
         if repeated:
             raise ValueError(f"vars named twice: {', '.join(repeated)}")

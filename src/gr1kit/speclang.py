@@ -528,7 +528,7 @@ def _fmt(e, required=0):
         return e.name + ("'" if e.primed else "")
     if isinstance(e, Cmp):
         return f"{_term_text(e.lhs)} {e.op} {_term_text(e.rhs)}"
-    prec = _PREC[type(e)]
+    prec = _PREC.get(type(e), 0)
     if isinstance(e, Not):
         if isinstance(e.arg, Cmp):
             body = f"!({_fmt(e.arg)})"   # parenthesized for readability

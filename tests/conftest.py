@@ -56,8 +56,44 @@ def sys_moves(arena, s, e):
     p = lo + np.searchsorted(arena.env_next[lo:hi], e)
     if p >= hi or arena.env_next[p] != e:
         raise ValueError(f"env assignment {e} not legal at state {s}")
-    succ = arena.edge_succ[arena.sys_indptr[p]:arena.sys_indptr[p + 1]]
-    return succ % arena.n_sys
+    return pair_succ(arena, p) % arena.n_sys
+
+
+# --------------------------------------------------------------------------
+# per-pair views: the arena keeps each pair's group, not its state or its
+# own edge list.  The whole-arena views are built once per call, so build
+# them once per arena; `pair_succ` reads one pair through its group
+
+
+def pair_states(arena):
+    """State of each pair, ascending."""
+    return np.arange(arena.n_states).repeat(np.diff(arena.env_indptr))
+
+
+def pair_edges(arena):
+    """The groups expanded to their pairs: (an indptr over pairs, the
+    successor state of each edge, ascending within a pair)."""
+    size = np.diff(arena.group_indptr)[arena.pair_group]
+    indptr = np.concatenate(([0], size.cumsum()))
+    # edge k of pair p sits at group_indptr[group] + k - indptr[p]
+    shift = (arena.group_indptr[arena.pair_group] - indptr[:-1]).repeat(size)
+    return indptr, arena.group_succ[shift + np.arange(indptr[-1])]
+
+
+def pair_succ(arena, p):
+    """Successor states of pair `p`, its group's."""
+    g = arena.pair_group[p]
+    return arena.group_succ[arena.group_indptr[g]:arena.group_indptr[g + 1]]
+
+
+def arena_arrays(arena):
+    """The arrays the arena pins hash, by name: the per-pair layout the
+    arena had before move groups, and its initial sets."""
+    indptr, succ = pair_edges(arena)
+    return {"env_indptr": arena.env_indptr, "env_next": arena.env_next,
+            "pair_state": pair_states(arena), "sys_indptr": indptr,
+            "sys_next": succ % arena.n_sys, "env_init": arena.env_init,
+            "sys_init": arena.sys_init}
 
 
 def grouped_arenas(n, seed=0, max_states=200):
@@ -73,9 +109,9 @@ def grouped_arenas(n, seed=0, max_states=200):
 
 def dump(arena, fp):
     """Adjacency dump: one ``state TAB env TAB sys`` line per edge."""
-    for p in range(arena.n_pairs):
-        s, e = arena.pair_state[p], arena.env_next[p]
-        for t in arena.edge_succ[arena.sys_indptr[p]:arena.sys_indptr[p + 1]]:
+    indptr, succ = pair_edges(arena)
+    for p, (s, e) in enumerate(zip(pair_states(arena), arena.env_next)):
+        for t in succ[indptr[p]:indptr[p + 1]]:
             fp.write(f"{s}\t{e}\t{t % arena.n_sys}\n")
 
 
@@ -189,10 +225,11 @@ def reference_closure(st, a, result):
     here = s[owner]
     e = np.where(here < 0, -1, a.env_codec.index(st.edge_env))
     t = a.state_codec.index(np.hstack([st.edge_env, st.edge_sys]))
-    pair = _reference_find(a.pair_state * a.n_env + a.env_next,
+    pair = _reference_find(pair_states(a) * a.n_env + a.env_next,
                            np.where(e < 0, -1, here * a.n_env + e))
-    edge_pair = np.repeat(np.arange(a.n_pairs), np.diff(a.sys_indptr))
-    sys_ok = _reference_find(edge_pair * a.n_states + a.edge_succ,
+    indptr, succ = pair_edges(a)
+    edge_pair = np.repeat(np.arange(a.n_pairs), np.diff(indptr))
+    sys_ok = _reference_find(edge_pair * a.n_states + succ,
                              np.where((pair < 0) | (t < 0), -1,
                                       pair * a.n_states + t)) >= 0
     succ_ok = s[st.edge_next] == t

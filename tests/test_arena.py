@@ -15,8 +15,9 @@ from gr1kit import workdelivery as wd
 from gr1kit.errors import CapacityExceeded
 from gr1kit.speclang import ENV, parse_spec
 
-from conftest import (decode_state, dump, encode_state, env_moves,
-                      grouped_arenas, sys_moves, sys_values, valuation)
+from conftest import (arena_arrays, decode_state, dump, encode_state,
+                      env_moves, grouped_arenas, pair_edges, pair_states,
+                      pair_succ, sys_moves, sys_values, valuation)
 from genspec import random_document, random_expr, reference_eval
 
 
@@ -47,7 +48,7 @@ def assert_successor_values(arena, s, e, ys):
     assignment e in their env columns and the sys moves `ys` in their sys
     columns."""
     p = arena.env_indptr[s] + env_moves(arena, s).tolist().index(e)
-    succ = arena.edge_succ[arena.sys_indptr[p]:arena.sys_indptr[p + 1]]
+    succ = pair_succ(arena, p)
     env = list(arena.env_values(e).values())
     assert arena.state_codec.values(succ).tolist() == [
         env + list(sys_values(arena, y).values()) for y in ys]
@@ -226,8 +227,9 @@ def test_moves_match_clause_by_clause_eval(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(ar, "_BLOCK_CELLS", 24)
             b = ar.build_arena(doc)
-        for field in ARENA_FIELDS:
-            assert np.array_equal(getattr(a, field), getattr(b, field))
+        arrays = arena_arrays(b)
+        for field, arr in arena_arrays(a).items():
+            assert np.array_equal(arr, arrays[field])
         for s in range(a.n_states):
             want_e = brute_env_moves(a, doc, s)
             assert want_e == [int(e) for e in env_moves(a, s)]
@@ -319,8 +321,9 @@ def test_successors_carry_pair_values(monkeypatch, reduced_doc,
     assert edges > 2000
     # the reduced arena, a sample of its pairs against the clauses
     a, rng = reduced_arena, random.Random(3)
+    states = pair_states(a)
     for p in rng.sample(range(a.n_pairs), 150):
-        s, e = int(a.pair_state[p]), int(a.env_next[p])
+        s, e = int(states[p]), int(a.env_next[p])
         assert_successor_values(a, s, e, brute_sys_moves(a, reduced_doc, s, e))
 
 
@@ -470,14 +473,14 @@ ARENA_FIELDS = ("env_indptr", "env_next", "pair_state", "sys_indptr",
 
 
 def test_build_is_deterministic(reduced_doc):
-    a1 = ar.build_arena(reduced_doc)
-    a2 = ar.build_arena(reduced_doc)
+    a1 = arena_arrays(ar.build_arena(reduced_doc))
+    a2 = arena_arrays(ar.build_arena(reduced_doc))
     for field in ARENA_FIELDS:
-        assert np.array_equal(getattr(a1, field), getattr(a2, field))
+        assert np.array_equal(a1[field], a2[field])
     # the reduced scenario's arena, pinned before the compiler was rewritten
     h = hashlib.sha256()
     for field in ARENA_FIELDS:
-        arr = getattr(a1, field)
+        arr = a1[field]
         h.update(f"{field} {arr.dtype.str} {arr.shape}".encode())
         h.update(np.ascontiguousarray(arr).tobytes())
     assert h.hexdigest() == (
@@ -487,9 +490,9 @@ def test_build_is_deterministic(reduced_doc):
 def arena_digest(doc, arena):
     """sha256 of the arena's `ARENA_FIELDS` arrays and of each sys goal's
     state predicate."""
-    h = hashlib.sha256()
+    h, arrays = hashlib.sha256(), arena_arrays(arena)
     for field in ARENA_FIELDS:
-        arr = getattr(arena, field)
+        arr = arrays[field]
         h.update(f"{field} {arr.dtype.str} {arr.shape}".encode())
         h.update(np.ascontiguousarray(arr).tobytes())
     for goal in doc.sys_liveness:
@@ -524,7 +527,7 @@ def brute_in_edges(arena):
     """The pairs with an edge into each state, by a loop over every edge
     of the per-pair view."""
     into = [[] for _ in range(arena.n_states)]
-    indptr, succ = arena.sys_indptr.tolist(), arena.edge_succ.tolist()
+    indptr, succ = (v.tolist() for v in pair_edges(arena))
     for p in range(arena.n_pairs):
         for k in range(indptr[p], indptr[p + 1]):
             into[succ[k]].append(p)
@@ -557,9 +560,9 @@ def test_in_edges_match_brute_listing(reduced_arena):
                 zip(bounds, bounds[1:])] == into
         # each group's pairs, by their states: a state has at most one
         # pair in a group
-        bounds = member_indptr.tolist()
+        bounds, states = member_indptr.tolist(), pair_states(a)
         assert [member[lo:hi].tolist() for lo, hi in zip(
-            bounds, bounds[1:])] == [a.pair_state[ps].tolist() for ps in pairs]
+            bounds, bounds[1:])] == [states[ps].tolist() for ps in pairs]
         # expanding the groups gives the per-pair listing
         assert [sorted(p for g in gs for p in pairs[g]) for gs in into
                 ] == brute_in_edges(a)
@@ -573,7 +576,7 @@ def assert_groups_are_keys(doc, arena):
     values of the variables the sys safety clauses read, and env'."""
     read = set().union(*map(sl.expr_refs, doc.sys_safety))
     sub = arena.state_codec.sub(read)
-    key = (arena.state_codec.project(arena.pair_state, sub) * arena.n_env
+    key = (arena.state_codec.project(pair_states(arena), sub) * arena.n_env
            + arena.env_next)
     # every group holds a pair, its pairs share one key, and no two groups
     # share a key
@@ -598,8 +601,14 @@ def test_ladder_move_groups(rung, tmp_path):
     res = gr1.solve(a, doc.env_liveness, doc.sys_liveness)
     if res.realizable:
         gr1.extract_strategy(res, a).save(tmp_path / "w.json")
-    # the headline path never expands the groups to their pairs
-    assert not {"sys_indptr", "edge_succ"} & set(a.__dict__)
+    # the headline path keeps no per-pair array: only the codecs and the
+    # in-edge index are cached, and `sys_next` is built on each call
+    fields = {f.name for f in dataclasses.fields(a)}
+    cached = fields | {"state_codec", "env_codec", "in_edges"}
+    assert set(a.__dict__) <= cached
+    assert np.array_equal(a.sys_next, arena_arrays(a)["sys_next"])
+    assert set(a.__dict__) <= cached
+    assert not {"pair_state", "sys_indptr", "edge_succ"} & set(dir(a))
     assert (a.n_groups, len(a.group_succ)) == (n_groups, n_group_edges)
     assert_groups_are_keys(doc, a)
 

@@ -348,6 +348,22 @@ def test_closure_mutations(reduced_strategy, reduced_arena, reduced_result,
     assert expected in verdict.violations, verdict.render()
 
 
+def test_closure_init_node_outside_winning_region(
+        reduced_strategy, reduced_arena, reduced_result):
+    # the same controller against a result whose winning region drops the
+    # state of its first init node
+    st, a = reduced_strategy, reduced_arena
+    nid = int(st.init_node[0])
+    winning = reduced_result.winning.copy()
+    winning[a.state_codec.index(st.node_vals[nid:nid + 1])[0]] = False
+    verdict = check.verify_strategy_closure(
+        st, a, dataclasses.replace(reduced_result, winning=winning))
+    assert ("init", "winning", f"init node {nid} state outside the winning "
+                               "region") in verdict.violations
+    assert (nid, "winning", "node state outside the winning region"
+            ) in verdict.violations
+
+
 def test_reduced_controller_bytes(reduced_strategy, tmp_path):
     # recorded before strategies moved to the flat CSR layout
     path = tmp_path / "reduced.json"

@@ -441,6 +441,11 @@ def test_check_bad_strategy_exit2(workdir, tmp_path, capsys):
     assert "cannot load strategy" in capsys.readouterr().err
 
 
+# a one-node controller over env u and sys x
+UX_STRATEGY = {"vars": ["u", "x"], "goals": 1, "nodes": [
+    {"id": 0, "state": {"u": 0, "x": 0}, "goal": 0,
+     "edges": [{"env": {"u": 0}, "sys": {"x": 0}, "next": 0}]}],
+    "init": [{"env": {"u": 0}, "node": 0}]}
 CHECK = ["check", "--spec", "{spec}", "--mode"]
 SIMULATE = ["simulate", "{strat}", "--steps", "5", "--adversary", "scripted"]
 OK_CHECK = ["check", "--spec", "{ok_spec}", "--mode"]
@@ -510,6 +515,7 @@ NO_OK_CSV = "step,time_s,x,human_away\n0,0,0,0\n1,10,0,0\n2,20,0,0\n"
     SIMULATE + ["--events", "{away_without_duration}"],
     SIMULATE + ["--events", "{away_for_0_steps}"],
     ["simulate", "{dup_vars}", "--steps", "5"],
+    ["simulate", "{ux_vars}", "--steps", "2"],
 ], ids=["safety-missing", "safety-not-csv", "safety-bad-row",
         "safety-duplicate-column",
         "recurrence-missing", "recurrence-bad-row", "goal-3", "goal-minus-1",
@@ -531,7 +537,7 @@ NO_OK_CSV = "step,time_s,x,human_away\n0,0,0,0\n1,10,0,0\n2,20,0,0\n"
         "emit-config-line-without-equals", "emit-param-without-equals",
         "misspelt-duration", "set-twice", "duration-without-away",
         "away-twice", "away-without-duration", "away-for-0-steps",
-        "strategy-repeats-var"])
+        "strategy-repeats-var", "vars-not-a-list"])
 def test_bad_input_exit2(workdir, tmp_path, capsys, argv):
     root, spec, strat = workdir
     files = {"missing": tmp_path / "missing.txt",
@@ -576,6 +582,9 @@ def test_bad_input_exit2(workdir, tmp_path, capsys, argv):
     obj["vars"].append(obj["vars"][-1])
     files["dup_vars"] = tmp_path / "dup_vars.json"
     files["dup_vars"].write_text(json.dumps(obj))
+    # a string for `vars`, once read as its characters u and x
+    files["ux_vars"] = tmp_path / "ux_vars.json"
+    files["ux_vars"].write_text(json.dumps(dict(UX_STRATEGY, vars="ux")))
     assert run_cli(["simulate", str(strat), "--steps", "5",
                     "--out", str(files["trace"])]) == 0
     files["bad_events"].write_text("at=3 set s=0\n")

@@ -15,8 +15,8 @@ from gr1kit import workdelivery as wd
 from gr1kit.errors import CapacityExceeded, NotRealizable
 from gr1kit.speclang import ENV, SYS, VarDecl, parse_spec
 
-from conftest import (REDUCED, encode_state, grouped_arenas, reference_json,
-                      valuation)
+from conftest import (REDUCED, arena_arrays, encode_state, grouped_arenas,
+                      pair_edges, pair_states, reference_json, valuation)
 from genspec import random_document
 
 
@@ -251,6 +251,17 @@ def test_extract_requires_realizable():
         gr1.extract_strategy(res, a)
 
 
+def test_extract_refuses_an_env_init_without_winning_sys_init(scenario):
+    # a result marked realizable on an arena where some env init has no
+    # winning sys init: the n=3 solve read with bl_init 5
+    doc, arena, result = scenario(5)
+    assert not result.realizable
+    with pytest.raises(NotRealizable, match="no winning sys init for env "
+                                            "init"):
+        gr1.extract_strategy(dataclasses.replace(result, realizable=True),
+                             arena)
+
+
 def test_strategy_json_field_order(tmp_path):
     a = mono_arena(lambda s: [0], lambda s, e: [0, 1])
     res = gr1.solve(a, [], [np.ones(2, bool)])
@@ -289,6 +300,15 @@ def _repeat_var(obj):
     obj["vars"].append("act")
 
 
+def _vars_as(what, kind):
+    """Corruption replacing `vars` by another JSON value over its names;
+    `list()` would split a string into characters and take an object's
+    keys."""
+    def corrupt(obj):
+        obj["vars"] = kind(obj["vars"])
+    return pytest.param(corrupt, "is not a list of strings", id=f"vars-{what}")
+
+
 def _set(*path):
     """Corruption writing path[-1] at the key path path[:-1]."""
     def corrupt(obj):
@@ -307,6 +327,8 @@ def _non_int(message, *path):
     (_break_ids, "node ids"), (_break_next, "next 1000000 outside"),
     (_break_init, "init node -1 outside"), (_break_goal, "goal 1 outside"),
     (_repeat_var, "vars named twice: act"),
+    _vars_as("string", "".join), _vars_as("object", dict.fromkeys),
+    _vars_as("number", lambda names: [*names[:-1], 7]),
     # values that are not JSON integers: int() used to truncate or parse them
     _non_int("node state['bl'] = 3.7 ", "nodes", 0, "state", "bl", 3.7),
     _non_int("node state['bl'] = '3' ", "nodes", 2, "state", "bl", "3"),
@@ -538,11 +560,12 @@ def test_goal_index_advances_only_on_goal_states():
 def dense_cpre(arena, target):
     """States from which sys can force the next state into `target`,
     computed from scratch over every edge; shares no code with the solver."""
-    edge_pair = np.repeat(np.arange(arena.n_pairs), np.diff(arena.sys_indptr))
-    succ = arena.env_next[edge_pair] * arena.n_sys + arena.sys_next
+    indptr, succ = pair_edges(arena)
+    edge_pair = np.repeat(np.arange(arena.n_pairs), np.diff(indptr))
+    succ = arena.env_next[edge_pair] * arena.n_sys + succ % arena.n_sys
     good = np.zeros(arena.n_pairs, dtype=bool)
     good[edge_pair[target[succ]]] = True
-    bad = np.bincount(arena.pair_state[~good], minlength=arena.n_states)
+    bad = np.bincount(pair_states(arena)[~good], minlength=arena.n_states)
     return bad == 0
 
 
@@ -660,7 +683,9 @@ def test_incremental_fixpoint_matches_plain_iteration(monkeypatch):
         seen["assumption", "deadlock_assumed"] += (
             kind == "assumption"
             and bool((stuck & np.logical_and.reduce(env_live)).any()))
-        seen[kind, "sys_deadlock"] += bool((np.diff(a.sys_indptr) == 0).any())
+        # every group holds a pair: a group without edges is a deadlock
+        seen[kind, "sys_deadlock"] += bool(
+            (np.diff(a.group_indptr) == 0).any())
         seen[kind, "two_goals"] += len(sys_live) == 2
         # a goal's seed changed after its first mu-Y, so it ran again
         seen[kind, "mu_y_again"] += mu_ys[0] > len(sys_live)
@@ -693,6 +718,7 @@ def test_shrinking_cpre_matches_dense():
     seen = {"idle": 0, "idle_hit": 0}
     for seed, a in enumerate(cpre_arenas()):
         rng = np.random.default_rng(seed)
+        indptr, succ = pair_edges(a)
         for kind, scope in _scopes(a, rng):
             inside = np.zeros(a.n_states, dtype=bool)
             inside[scope] = True
@@ -709,8 +735,8 @@ def test_shrinking_cpre_matches_dense():
             every = gr1._into(a, np.arange(a.n_groups), target)
             # counted through its group, each pair counts its own edges
             assert np.array_equal(every[a.pair_group], [
-                target[a.edge_succ[lo:hi]].sum() for lo, hi in
-                zip(a.sys_indptr[:-1], a.sys_indptr[1:])])
+                target[succ[lo:hi]].sum() for lo, hi in
+                zip(indptr[:-1], indptr[1:])])
             if kind == "full":
                 # under a full target they are the group degrees, which the
                 # cpre(Z) tracker of solve starts from
@@ -947,10 +973,9 @@ def test_grouped_and_ungrouped_arenas_solve_alike(reduced_arena, reduced_doc):
     from gr1kit.speclang import parse_expr
     flat = one_group_per_pair(reduced_arena)
     assert flat.n_groups == flat.n_pairs > 3 * reduced_arena.n_groups
-    for field in ("env_indptr", "env_next", "pair_state", "sys_indptr",
-                  "edge_succ"):
-        assert np.array_equal(getattr(flat, field),
-                              getattr(reduced_arena, field)), field
+    want = arena_arrays(reduced_arena)
+    for field, arr in arena_arrays(flat).items():
+        assert np.array_equal(arr, want[field]), field
     for env_live in ((), ("!o1",)):
         env_live = [parse_expr(e) for e in env_live]
         got = solve_bytes(reduced_arena, env_live, reduced_doc.sys_liveness)

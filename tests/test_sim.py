@@ -424,6 +424,11 @@ def test_interactive_policy_prompts():
     assert "environment move" in text
     assert "step 3 | state: {'u': 5, 'x': 0}" in text
     assert "[0] u=0" in text and "[1] u=1" in text
+    # a line that is not a move number asks again
+    out, inp = io.StringIO(), io.StringIO("one\n2\n\n0\n")
+    p = sim.InteractivePolicy(out=out, inp=inp)
+    assert p.choose(3, None, np.array([[0], [1]]), ("u", "x")) == 0
+    assert out.getvalue().count("environment move 0..1> ") == 4
     # end of input: the first move
     p = sim.InteractivePolicy(out=io.StringIO(), inp=io.StringIO(""))
     assert p.choose(0, None, np.array([[0], [1]]), ("u", "x")) == 0

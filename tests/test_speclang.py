@@ -103,6 +103,23 @@ def test_non_ascii_digits_and_spaces_are_rejected():
         sl.VarDecl("x", sl.ENV, 1, 3, False)]
 
 
+@pytest.mark.parametrize("text", ["", "  \t "], ids=["empty", "blank"])
+def test_parse_expr_rejects_an_empty_expression(text):
+    with pytest.raises(SpecError) as exc:
+        parse_expr(text)
+    assert [(d.kind, d.message) for d in exc.value.diagnostics] == [
+        ("SyntaxError", "empty expression")]
+
+
+@pytest.mark.parametrize("bad", [3, "x", None, sl.Not(7)],
+                         ids=["int", "str", "none", "inside-not"])
+def test_non_expressions_raise_type_error(bad):
+    with pytest.raises(TypeError, match="not an expression"):
+        format_expr(bad)
+    with pytest.raises(TypeError, match="not an expression"):
+        eval_expr(bad, {})
+
+
 def test_eval_expr_examples():
     assert eval_expr(parse_expr("bl' = bl - 1"), {"bl": 20}, {"bl": 19})
     assert eval_expr(parse_expr("bl' = bl + 15"), {"bl": 10}, {"bl": 25})

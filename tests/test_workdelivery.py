@@ -12,7 +12,7 @@ from gr1kit.errors import InvalidParams
 from gr1kit.speclang import parse_spec, print_spec
 
 from conftest import (REDUCED, column, encode_state, env_column, env_moves,
-                      sys_moves, sys_values)
+                      pair_states, sys_moves, sys_values)
 
 DATA = Path(__file__).parent / "data"
 
@@ -184,18 +184,18 @@ def test_arena_backlog_successors_match_reference(paper_params, paper_arena):
 
 def test_obstacle_lifetime_invariant(paper_arena):
     """o_j true forces o_j false in every legal env move, arena-wide."""
-    a = paper_arena
+    a, states = paper_arena, pair_states(paper_arena)
     for name in ("o1", "o2"):
-        cur = column(a, name, a.pair_state)
+        cur = column(a, name, states)
         nxt = env_column(a, name, a.env_next)
         assert not np.any((cur == 1) & (nxt == 1))
 
 
 def test_obstacles_never_appear_near_robot(paper_arena):
-    a = paper_arena
-    rs = column(a, "rs", a.pair_state)
+    a, states = paper_arena, pair_states(paper_arena)
+    rs = column(a, "rs", states)
     for j, name in ((1, "o1"), (2, "o2")):
-        cur = column(a, name, a.pair_state)
+        cur = column(a, name, states)
         nxt = env_column(a, name, a.env_next)
         rising = (cur == 0) & (nxt == 1)
         assert np.all(np.abs(rs[rising] - j) >= 2)
