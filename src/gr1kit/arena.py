@@ -41,22 +41,32 @@ table that would be larger than ``_BLOCK_CELLS``, or cover more row
 profiles than there are rows, is instead built per chunk of rows over the
 profiles that occur in it, held on one profile axis.
 
-The tables are then joined level by level, in codec order (a partitioned
-transition relation with early quantification, done on explicit arrays).
-Groups without column variables filter the rows.  Each later level binds
-a run of consecutive column variables: a run grows while the conjunction
-of the groups ending in it tabulates whole, in no more cells than there
-are rows to join, since that table costs O(cells) and each level it
-saves at least O(rows).  Each partial assignment, a (row, column index
-prefix) pair, is extended by the allowed values of the run, read from
-the sparsest group that ends there (a run of several variables has one,
+The tables are then joined level by level (a partitioned transition
+relation with early quantification, done on explicit arrays).  Groups
+without column variables filter the rows.  Each later level binds a run
+of consecutive column variables: a run grows while the conjunction of
+the groups ending in it tabulates whole, in no more cells than there are
+rows to join, since that table costs O(cells) and each level it saves at
+least O(rows).  Each partial assignment, a (row, column index prefix)
+pair, is extended by the allowed values of the run, read from the
+sparsest group that ends there (a run of several variables has one,
 their conjunction) as a CSR keyed by row profile and the group's column
 values before the run (the whole domain when no group ends there), with
-its counts per key and its values scaled to column-index digits once per
-chunk; the other groups ending there filter the extensions by one gather
-each.  The work follows the surviving partial assignments, not the
-[rows × columns] grid, and the partials are expanded depth first in
-pieces of about ``_BLOCK_CELLS // 8`` entries, so memory stays bounded.
+its counts per key and its values scaled to column-index digits; the
+other groups ending there filter the extensions by one gather each.  A
+level whose tables are all whole is planned once per join, and each
+chunk of rows only projects its rows onto the tables' row codecs; a
+level with a per-chunk table is planned per chunk.  The levels bind in
+codec order, except that a level whose plan gives each key at most one
+value and has no filter binds a function of its key, which it can read
+as soon as the levels that bind the key are bound: it moves right after
+them (after the row filters if its key reads only the row), before the
+runs that multiply the partial assignments (Hu and Dill's functional
+dependencies, DAC 1993).  Its digit is then fixed by digits bound before
+it, so the column indices stay ascending.  The work follows the
+surviving partial assignments, not the [rows × columns] grid, and the
+partials are expanded depth first in pieces of about
+``_BLOCK_CELLS // 8`` entries, so memory stays bounded.
 """
 
 from __future__ import annotations
@@ -376,17 +386,62 @@ def _levels(clause_refs, row, n_rows, col):
     return levels
 
 
+def _plan(bound, n_run, size, weight):
+    """A level's (generator, CSR, filters) from its groups, each a tuple
+    that starts (rows, table, column codec), where `rows` keys the table's
+    rows: the sparsest group generates the level's values, keyed by (row,
+    the group's column values before the run), as the CSR and `first` of
+    `_generator`; the others filter them, their tables flattened.  With no
+    group, the whole domain; a level that binds nothing has no CSR."""
+    if len(bound) > 1:
+        bound.sort(key=lambda g: g[1].mean())
+    gen = csr = None
+    if n_run and bound:
+        rows, table, col_sub = bound.pop(0)[:3]
+        gen = (rows, col_sub.sub(col_sub.keys[:-n_run]))
+        csr = _generator(table, size, weight)
+    elif n_run:
+        csr = (np.array([0, size]), np.array([size]),
+               np.arange(size) * weight, None)
+    return gen, csr, [(g[0], g[1].ravel(), g[2]) for g in bound]
+
+
+def _order(levels):
+    """Binding order of the join's levels, given in codec order, each
+    (column keys bound, ..., its plan if every table is whole, else false).
+    A level whose generator gives each key at most one value, with no
+    filter, binds a function of the digits its key reads.  It never
+    multiplies the partial assignments, so it moves right after the
+    last-bound level among those it reads (after the row filters if none),
+    where there are fewest of them."""
+    order = []
+    for k, level in enumerate(levels):
+        n, plan = len(order), level[-1]
+        if plan and plan[0] and plan[1][3] is not None and not plan[2]:
+            reads = plan[0][1].keys
+            while n > 1 and not any(key in reads
+                                    for key in levels[order[n - 1]][0]):
+                n -= 1
+        order.insert(n, k)
+    return order
+
+
 def _join(clause_refs, row, rows, col):
     """True cells (row positions, column indices) of (clause, references)
     pairs, in row-major order: each level binds a run of consecutive
-    column variables (`_levels`), most significant first, so the partial
-    assignments stay sorted by (row, column index) from the first level to
-    the last.  A run's table costs O(cells) to tabulate and each level it
-    saves at least O(rows), so with cells <= rows a merge never costs more
-    than the pass it saves."""
+    column variables (`_levels`), most significant first, except that a
+    level binding a function of digits already bound may come earlier
+    (`_order`).  Such a level never decides the order of two partial
+    assignments, as they differ first in a level it reads or in none, so
+    the partial assignments stay sorted by (row, column index) from the
+    first level to the last.  A run's table costs O(cells) to tabulate and
+    each level it saves at least O(rows), so with cells <= rows a merge
+    never costs more than the pass it saves.  A level whose tables are all
+    whole is planned once; each chunk of rows projects its rows onto their
+    row codecs."""
     levels, widest = [], 1
     for lo, hi, groups in _levels(clause_refs, row, len(rows), col):
-        bound = []
+        bound, whole = [], True
         for group in groups:
             keys = set(col.keys[lo:hi]).union(*(refs for _, refs in group))
             sub, col_sub = row.sub(keys), col.sub(keys)
@@ -399,11 +454,15 @@ def _join(clause_refs, row, rows, col):
                 # each chunk tabulates only the profiles that occur in it, so
                 # no table is larger than _BLOCK_CELLS
                 widest = max(widest, col_sub.size)
-            bound.append((conj, sub, col_sub, table))
+                whole = False
+            bound.append((sub, table, col_sub, conj))
         # a run's values are digits of the column index: its joint index
         # times the weight of its last variable
         size = math.prod(size for _, _, size in col.fields[lo:hi])
-        levels.append((hi - lo, size, col.weights[hi - 1] if hi else 0, bound))
+        weight = col.weights[hi - 1] if hi else 0
+        levels.append((col.keys[lo:hi], size, weight, bound,
+                       whole and _plan(bound, hi - lo, size, weight)))
+    levels = [levels[k] for k in _order(levels)]
     # a piece of partial assignments expands to about `piece` int64 entries;
     # a chunk of rows is smaller still, so that its per-group profile arrays
     # and the pieces it expands to stay in cache
@@ -412,30 +471,25 @@ def _join(clause_refs, row, rows, col):
     r_parts, c_parts = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
     for lo in range(0, len(rows), step):
         chunk = rows[lo:lo + step]
-        plan = []
-        for n_run, size, weight, level in levels:
-            bound = []
-            for conj, sub, col_sub, table in level:
-                ri = row.project(chunk, sub)
-                if table is None:
-                    profiles, ri = np.unique(ri, return_inverse=True)
-                    table = _table(conj, sub, profiles, col_sub)
-                bound.append((ri, table, col_sub))
-            # the sparsest group generates the level's values, keyed by
-            # (row profile, the group's column values before the run); the
-            # others filter them.  With no group, the whole domain.
-            if len(bound) > 1:
-                bound.sort(key=lambda g: g[1].mean())
-            gen, csr = None, (np.array([0, size]), np.array([size]),
-                              np.arange(size) * weight, None)
-            if bound and n_run:
-                ri, table, col_sub = bound.pop(0)
-                gen = (ri, col_sub.sub(col_sub.keys[:-n_run]))
-                csr = _generator(table, size, weight)
-            plan.append((gen, *csr, [(ri, table.ravel(), col_sub)
-                                     for ri, table, col_sub in bound]))
+        plans = []
+        for keys, size, weight, bound, plan in levels:
+            if plan:
+                gen, csr, filters = plan
+                plan = (gen and (row.project(chunk, gen[0]), gen[1]), csr,
+                        [(row.project(chunk, sub), table, col_sub)
+                         for sub, table, col_sub in filters])
+            else:
+                chunked = []
+                for sub, table, col_sub, conj in bound:
+                    ri = row.project(chunk, sub)
+                    if table is None:
+                        profiles, ri = np.unique(ri, return_inverse=True)
+                        table = _table(conj, sub, profiles, col_sub)
+                    chunked.append((ri, table, col_sub))
+                plan = _plan(chunked, len(keys), size, weight)
+            plans.append(plan)
         r = np.arange(len(chunk))
-        for ri, table, _ in plan[0][-1]:
+        for ri, table, _ in plans[0][2]:
             r = r[table[ri[r]]]
         # depth first and in order; an entry's `key`, each partial
         # assignment's generator key, is None until it has been cut
@@ -446,7 +500,7 @@ def _join(clause_refs, row, rows, col):
                 r_parts.append(r + lo)
                 c_parts.append(c)
                 continue
-            gen, indptr, counts, values, first, filters = plan[k]
+            gen, (indptr, counts, values, first), filters = plans[k]
             uncut = key is None
             if uncut:
                 key = (_cells(*gen, r, c, col) if gen

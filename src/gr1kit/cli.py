@@ -239,8 +239,8 @@ def cmd_oracle(args):
         diff = int(np.sum(result.winning != oracle))
         print(f"MISMATCH on {diff} of {arena.n_states} states")
         return EXIT_CHECK
-    if args.random < 0:
-        raise _UsageError("--random must not be negative")
+    if args.random < 1:
+        raise _UsageError("--random must be at least 1")
     mismatches = 0
     for k in range(args.random):
         seed = args.seed + k

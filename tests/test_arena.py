@@ -54,6 +54,18 @@ def assert_successor_values(arena, s, e, ys):
         env + list(sys_values(arena, y).values()) for y in ys]
 
 
+def assert_brute_moves(arena, doc):
+    """Every state's env moves and every pair's sys moves and successors
+    are those of the clause-by-clause reference evaluation."""
+    for s in range(arena.n_states):
+        want_e = brute_env_moves(arena, doc, s)
+        assert want_e == [int(e) for e in env_moves(arena, s)]
+        for e in want_e:
+            want_y = brute_sys_moves(arena, doc, s, e)
+            assert want_y == [int(y) for y in sys_moves(arena, s, e)]
+            assert_successor_values(arena, s, e, want_y)
+
+
 def test_two_booleans_no_clauses():
     doc = parse_spec("[ENV_VARS]\ne : bool\n[SYS_VARS]\nx : bool\n")
     a = ar.build_arena(doc)
@@ -193,6 +205,76 @@ def join_runs(monkeypatch, doc):
     return runs
 
 
+def join_order(monkeypatch, doc):
+    """The arena of `doc` and, for each stage of building it, the names of
+    the column variables that each level of `_join` binds, in the order
+    it binds them."""
+    order = ar._order
+    orders = []
+
+    def recorded(levels):
+        out = order(levels)
+        orders.append([tuple(name for name, _ in levels[k][0]) for k in out])
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(ar, "_order", recorded)
+        arena = ar.build_arena(doc)
+    return arena, orders
+
+
+# small specs for binding a function level early, each with the column
+# variables that each level of stage 1 binds, in binding order, at the
+# normal _BLOCK_CELLS and at 24.  `_levels` gives every variable a level of
+# its own in all four.
+ORDER_SPECS = {
+    # c' is a function of a' alone: it binds right after a', before the
+    # independent run b', which x = 0 lets take two values
+    "keyed-on-column": ("[ENV_VARS]\na : 0..3\nb : bool\nc : bool\n"
+                        "[SYS_VARS]\nx : 0..3\n[ENV_TRANS]\na' != a\n"
+                        "b' | x = 0\nc' <-> a' = 0\n",
+                        [(), ("a",), ("c",), ("b",)],
+                        [(), ("a",), ("c",), ("b",)]),
+    # v' is a function of the row: it binds right after the row filters,
+    # and w', a function of v' and the row, right after v'
+    "keyed-on-rows": ("[ENV_VARS]\nu : 0..2\nv : bool\nw : bool\n"
+                      "[SYS_VARS]\nx : 0..3\n[ENV_TRANS]\nu' != u | x = 0\n"
+                      "v' <-> !v\nw' <-> v' & x = 0\n",
+                      [(), ("v",), ("w",), ("u",)],
+                      [(), ("v",), ("w",), ("u",)]),
+    # c' <-> a' = 0 generates c', and c' -> b' filters it by b': the level
+    # stays after b'
+    "with-filter": ("[ENV_VARS]\na : 0..3\nb : bool\nc : bool\n"
+                    "[SYS_VARS]\nx : 0..3\n[ENV_TRANS]\na' != a\n"
+                    "b' | x = 0\nc' <-> a' = 0\nc' -> b'\n",
+                    [(), ("a",), ("b",), ("c",)],
+                    [(), ("a",), ("b",), ("c",)]),
+    # v' is a function of (x, u'), but its table, 5 values of x by 6, is
+    # built per chunk at 24 cells, so only at the normal size does it move
+    # before w'
+    "chunked": ("[ENV_VARS]\nu : 0..2\nw : bool\nv : bool\n[SYS_VARS]\n"
+                "x : 0..4\n[ENV_TRANS]\nu' != u | x = 0\nw' | x = 1\n"
+                "v' <-> u' = x\n",
+                [(), ("u",), ("v",), ("w",)], [(), ("u",), ("w",), ("v",)]),
+}
+
+
+@pytest.mark.parametrize("name", ORDER_SPECS)
+def test_function_levels_bind_early(monkeypatch, name):
+    text, *want = ORDER_SPECS[name]
+    doc = parse_spec(text)
+    arenas = []
+    for block, order in zip((ar._BLOCK_CELLS, 24), want):
+        with monkeypatch.context() as m:
+            m.setattr(ar, "_BLOCK_CELLS", block)
+            arena, (stage1, _) = join_order(monkeypatch, doc)
+        assert stage1 == order
+        assert_brute_moves(arena, doc)
+        arenas.append(arena_arrays(arena))
+    for field, arr in arenas[0].items():
+        assert np.array_equal(arr, arenas[1][field])
+
+
 def _path(clauses, row, rows):
     """Which way `_relation` dedupes its rows: none, mask or unique."""
     sub = row.sub(set().union(*map(sl.expr_refs, clauses)))
@@ -230,13 +312,7 @@ def test_moves_match_clause_by_clause_eval(monkeypatch):
         arrays = arena_arrays(b)
         for field, arr in arena_arrays(a).items():
             assert np.array_equal(arr, arrays[field])
-        for s in range(a.n_states):
-            want_e = brute_env_moves(a, doc, s)
-            assert want_e == [int(e) for e in env_moves(a, s)]
-            for e in want_e:
-                want_y = brute_sys_moves(a, doc, s, e)
-                assert want_y == [int(y) for y in sys_moves(a, s, e)]
-                assert_successor_values(a, s, e, want_y)
+        assert_brute_moves(a, doc)
         checked += 1
     assert checked >= 40
     assert {"identity", "mask", "unique"} <= set(paths)
@@ -261,6 +337,15 @@ def test_join_binds_runs_on_the_scenario(monkeypatch, paper_doc):
     assert stage1 == [(), ("bl",), ("s", "o1", "o2"), ("stalled",)]
     # 7,464 distinct (state, env') profiles: only hf' and tries' merge
     assert stage2 == [(), ("rs",), ("act",), ("hf", "tries")]
+
+
+def test_join_binds_stalled_early_on_the_scenario(monkeypatch, paper_doc):
+    # stalled' <-> bl' = bl makes stalled' a function of (bl, bl'): it
+    # binds before the s', o1', o2' run multiplies the partial
+    # assignments.  In stage 2, hf' and tries' are functions of the row.
+    _, (stage1, stage2) = join_order(monkeypatch, paper_doc)
+    assert stage1 == [(), ("bl",), ("stalled",), ("s", "o1", "o2")]
+    assert stage2 == [(), ("hf", "tries"), ("rs",), ("act",)]
 
 
 def test_table_layouts_agree(monkeypatch, paper_doc, reduced_doc):
@@ -515,10 +600,14 @@ def test_ladder_arena_is_pinned(paper_doc, paper_arena):
      "79f3fb1e5ac8b85eadc68ba4e1266be91300ead96f57fe992480f40c64535ba7"),
     (dict(n=4),
      "2743a76c1f8a2744aff1ed42e1826849074fd74dad215270e405b45dc23e1f31"),
-], ids=["n4k1k3", "n4"])
+    (dict(n=5),
+     "4f693e366243804487c3850e9aad07516eb4133dc5c1586cdd624286036f8e93"),
+], ids=["n4k1k3", "n4", "n5"])
 def test_wider_rung_arenas_are_pinned(params, digest):
     # pinned before a join level could bind several column variables: here
-    # the obstacle and handoff run s', o1', o2', o3' is four variables wide
+    # the obstacle and handoff run s', o1', o2', o3' is four variables wide.
+    # The n=5 pin, taken before a function level could bind early, covers
+    # the join whose 27 chunks of rows share one plan
     doc = wd.emit_spec(wd.WorkDeliveryParams(**params))
     assert arena_digest(doc, ar.build_arena(doc)) == digest
 

@@ -503,6 +503,7 @@ NO_OK_CSV = "step,time_s,x,human_away\n0,0,0,0\n1,10,0,0\n2,20,0,0\n"
     ["synth", "{spec}", "--cap", "-1"],
     ["oracle", "--random", "2", "--max-states", "0"],
     ["oracle", "--random", "2", "--max-states", "-5"],
+    ["oracle", "--random", "0"],
     ["emit", "--param", "td_seconds=10"],
     CHECK + ["safety"],
     CHECK + ["lasso"],
@@ -532,7 +533,8 @@ NO_OK_CSV = "step,time_s,x,human_away\n0,0,0,0\n1,10,0,0\n2,20,0,0\n"
         "simulate-td-inf", "closure-float-value", "emit-config-not-utf8",
         "simulate-td-1e308", "simulate-steps-huge", "emit-td-seconds-nan",
         "synth-cap-0", "synth-cap-minus-1", "oracle-max-states-0",
-        "oracle-max-states-minus-5", "emit-td-seconds-unknown",
+        "oracle-max-states-minus-5", "oracle-random-0",
+        "emit-td-seconds-unknown",
         "safety-without-trace", "lasso-without-strategy",
         "emit-config-line-without-equals", "emit-param-without-equals",
         "misspelt-duration", "set-twice", "duration-without-away",
