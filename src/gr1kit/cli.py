@@ -61,7 +61,7 @@ def _file(verb, what, path, errors=(OSError,)):
 
 # what opening a file, or parsing malformed contents, raises
 _LOAD_ERRORS = (OSError, ValueError, LookupError, TypeError, AttributeError,
-                OverflowError)
+                OverflowError, RecursionError)
 
 
 def _load(what, path, parse, mode="r"):
@@ -167,14 +167,13 @@ def cmd_simulate(args):
     if args.runs > 1 and not args.out:
         raise _UsageError("--runs needs --out")
     for k in range(args.runs):
-        adversary = sim.make_adversary(args.adversary, seed=args.seed + k,
-                                       events=events)
+        adversary = sim.make_adversary(args.adversary, seed=args.seed + k)
         try:
             trace = sim.run(strategy, adversary, args.steps, events=events,
                             td=args.td, pace=args.pace)
         except ValueError as exc:
-            # a `set` on a non-env variable, or a bad step length: `--td`
-            # not positive, or a time column past float range
+            # a `set` on a non-env variable, or a bad step length (`--td`,
+            # checked by `sim.run`)
             raise _UsageError(exc) from exc
         if args.out:
             path = args.out if args.runs == 1 else f"{args.out}.{k:03d}"

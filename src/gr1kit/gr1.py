@@ -9,31 +9,30 @@ over the controllable-predecessor operator ``cpre``: states from which, for
 every legal environment commitment, some system response lands in the target
 (environment deadlocks count as controllable, system deadlocks never do).
 
-Every cpre is kept by one edge counter, `_Cpre`, over a target that only
-grows or only shrinks, so a state crossing it costs its in-edges once (the
-linear-time attractor of Grädel, Thomas and Wilke (eds.), *Automata, Logics,
-and Infinite Games*, LNCS 2500, ch. 2).  It counts per move group, not per
-pair: the pairs of a group share its edges, so a group's count stands for
-each of them.  Its in-edge index is built once per arena
+Every cpre but the nu-X retreats' is kept by one edge counter, `_Cpre`, over
+a target that only grows or only shrinks, so a state crossing it costs its
+in-edges once (the linear-time attractor of Grädel, Thomas and Wilke (eds.),
+*Automata, Logics, and Infinite Games*, LNCS 2500, ch. 2).  It counts per
+move group, not per pair: the pairs of a group share its edges, so a group's
+count stands for each of them.  Its in-edge index is built once per arena
 (`GameArena.in_edges`).  Growing ones, built per mu-Y, give cpre(Y) and,
-with liveness assumptions, the bound each nu-X retreats from.  Shrinking
-ones give the nu-X retreats and cpre(Z), as every Z handed to a goal lies
-inside the one before it; a retreat builds one only when some undecided
-state has a pair without an edge into its bound, which most never do.
-The cpre(Z) tracker spans every state and keeps its target at the safety
-core of Z, nu C. Z & cpre(C), cut wave by wave before each goal reads its
-seed g & cpre(core): the states from which the environment can force a
-system deadlock leave before the first sweep, not one layer per sweep at
-the price of a whole mu-Y per goal (the Büchi-game loop of Chatterjee,
-Henzinger and Piterman, *Algorithms for Büchi games*, GDV 2006).  The
-winning region W lies in every Z and in cpre(W), so in every core, and no
-output changes (see `solve`).  One mu-Y kernel, `_mu_y`, serves every
-game: its round 0 is the seed and its nu-X layers, and the env deadlocks
-(cpre of the empty set) join the base after it, for the same least
-fixpoint.  A goal whose seed did not change keeps its mu-Y, and each nu-X
-retreats from one step of its operator on base | ~assumption_i, a bound
-its greatest fixpoint cannot leave (the fixpoint of Piterman, Pnueli and
-Sa'ar, VMCAI 2006).
+with liveness assumptions, the bound each nu-X retreats from.  A nu-X
+retreat recounts the edges of its undecided states wave by wave, as most
+drop nothing and the rest few states.  The one shrinking tracker gives
+cpre(Z), as every Z handed to a goal lies inside the one before it.  It
+spans every state and keeps its target at the safety core of Z, nu C. Z &
+cpre(C), cut wave by wave before each goal reads its seed g & cpre(core):
+the states from which the environment can force a system deadlock leave
+before the first sweep, not one layer per sweep at the price of a whole mu-Y
+per goal (the Büchi-game loop of Chatterjee, Henzinger and Piterman,
+*Algorithms for Büchi games*, GDV 2006).  The winning region W lies in every
+Z and in cpre(W), so in every core, and no output changes (see `solve`).
+One mu-Y kernel, `_mu_y`, serves every game: its round 0 is the seed and its
+nu-X layers, and the env deadlocks (cpre of the empty set) join the base
+after it, for the same least fixpoint.  A goal whose seed did not change
+keeps its mu-Y, and each nu-X retreats from one step of its operator on base
+| ~assumption_i, a bound its greatest fixpoint cannot leave (the fixpoint of
+Piterman, Pnueli and Sa'ar, VMCAI 2006).
 
 ``brute_force_oracle`` recomputes the winning region by a deliberately
 independent route: product the arena with goal counters for both players,
@@ -90,24 +89,24 @@ def _into(arena, groups, target):
 def _nu_x(arena, x, lower):
     """Greatest fixpoint of X -> lower | (x & cpre(X)), in place in `x`.
 
-    `lower` must lie inside `x`.  The attractor's dual: a shrinking cpre
-    of `x` over the undecided states drops those that leave cpre(x).
-    With `lower` = base, this is the nu-X of a mu-Y round, the greatest
-    fixpoint X* of X -> base | (not_a & cpre(X)), whenever X* lies in
-    `x` and `x` in base | not_a.  Most retreats drop nothing: when
-    every pair of every undecided state has an edge into `x`, `x` is
-    the fixpoint, and no tracker is built.
+    `lower` must lie inside `x`.  Plain iteration down from `x`: each wave
+    counts, with `_into`, the edges of the undecided states' pairs (in `x`,
+    not in `lower`) into `x` and drops the states with a pair at 0, until a
+    wave drops nothing.  With `lower` = base, this is the nu-X of a mu-Y
+    round, the greatest fixpoint X* of X -> base | (not_a & cpre(X)),
+    whenever X* lies in `x` and `x` in base | not_a.  Most retreats end at
+    their first count, the rest within a few waves.
     """
     # on bools, a > b is a & ~b in one call
     states = (x > lower).nonzero()[0]
-    if not len(states):
-        return x
-    groups = arena.pair_group[ar._gather(arena.env_indptr, states)]
-    cnt = _into(arena, groups, x)
-    if cnt.all():
-        return x
-    cpre = _Cpre(arena, states, x, groups, cnt)
-    cpre.shrink(states[cpre.dead[states] > 0])
+    while len(states):
+        degree = arena.env_indptr[states + 1] - arena.env_indptr[states]
+        groups = arena.pair_group[ar._gather(arena.env_indptr, states, degree)]
+        gone = states.repeat(degree)[_into(arena, groups, x) == 0]
+        if not len(gone):
+            break
+        x[gone] = False
+        states = states[x[states]]
     return x
 
 
@@ -116,49 +115,32 @@ class _Cpre:
 
     Each move group counts its sys edges into the target (`cnt`), shared
     by every pair in it, and each state its pairs whose group is at 0
-    (`dead`): cpre is ``dead == 0``.  Built on a `target`, the tracker
-    shrinks it in place, starting from the counts `cnt` its caller took
-    of each of `groups` (the groups of the scope's pairs, or every group
-    with no scope); else it grows one from empty, every state starting
-    from its env degree.  `add` and `remove` move states across at the
-    cost of their in-edges (`GameArena.in_edges`), and a group crossing 0
-    fans out to the states of its pairs, so a tracker costs O(group edges
-    + pairs) in all; they return the states entering or leaving cpre,
-    each once.  A counter need be exact only where it counts down to 0:
-    growing, `cnt` is a flag per group; shrinking, `dead` saturates.  So
-    a growing tracker's counters are a function of its target alone, not
-    of the order it grew in.  cpre is defined only on the `scope` (every
-    state if None): a group fans out to the scope's states alone, and a
-    shrinking tracker is handed counts of the scope's groups only, so a
-    nu-X retreat costs O(group edges of its undecided states).
+    (`dead`): cpre is ``dead == 0``.  A growing tracker starts from an
+    empty target, every state from its env degree; a `full` one shrinks a
+    target of every state, every group from its degree.  `add` and
+    `remove` move states across at the cost of their in-edges
+    (`GameArena.in_edges`), and a group crossing 0 fans out to the states
+    of its pairs, so a tracker costs O(group edges + pairs) in all; they
+    return the states entering or leaving cpre, each once.  A counter need
+    be exact only where it counts down to 0: growing, `cnt` is a flag per
+    group; shrinking, `dead` saturates.  So a growing tracker's counters
+    are a function of its target alone, not of the order it grew in.
     """
 
-    def __init__(self, arena, scope=None, target=None, groups=None, cnt=None):
-        self.grows, self.scope = target is None, None
+    def __init__(self, arena, full=False):
+        self.grows = not full
         (self.in_indptr, self.in_group,
          self.member_indptr, self.member) = arena.in_edges
-        if scope is not None:
-            self.scope = np.zeros(arena.n_states, dtype=bool)
-            self.scope[scope] = True
+        self.target = np.full(arena.n_states, full)
         if self.grows:
-            self.target = np.zeros(arena.n_states, dtype=bool)
             self.cnt = np.zeros(arena.n_groups, dtype=bool)
             self.dead = np.diff(arena.env_indptr).astype(np.int32)
             return
-        self.target = target
-        # a group with no pair in the scope starts at 0 and only goes down
-        self.cnt = np.zeros(arena.n_groups, dtype=np.int64)
-        self.cnt[groups] = cnt
+        self.cnt = np.diff(arena.group_indptr)
         self.dead = np.zeros(arena.n_states, dtype=np.int32)
-        zero = groups[cnt == 0]
-        zero.sort()
-        self.dead[self._members(_distinct(zero))] = 1
-
-    def _members(self, groups):
-        """The scope's states with a pair in one of the distinct `groups`,
-        once per pair."""
-        owners = self.member[ar._gather(self.member_indptr, groups)]
-        return owners if self.scope is None else owners[self.scope[owners]]
+        # the states with a pair in a group without edges
+        zero = (self.cnt == 0).nonzero()[0]
+        self.dead[self.member[ar._gather(self.member_indptr, zero)]] = 1
 
     def add(self, states):
         """Put `states` in the target; returns the states entering cpre."""
@@ -173,7 +155,7 @@ class _Cpre:
         if not len(fresh):
             return fresh
         self.cnt[fresh] = True
-        owners = self._members(fresh)
+        owners = self.member[ar._gather(self.member_indptr, fresh)]
         np.subtract.at(self.dead, owners, np.int32(1))
         entered = owners[self.dead[owners] == 0]
         entered.sort()
@@ -189,7 +171,7 @@ class _Cpre:
         if not len(zero):
             return zero
         zero.sort()
-        owners = self._members(_distinct(zero))
+        owners = self.member[ar._gather(self.member_indptr, _distinct(zero))]
         gone = owners[self.dead[owners] == 0]
         self.dead[owners] = 1
         gone.sort()
@@ -198,7 +180,7 @@ class _Cpre:
     def shrink(self, states):
         """Take `states` out of the target, then, wave by wave, every
         state of the target that leaves cpre, until the target lies in its
-        cpre (on the scope): the greatest such subset of what it held."""
+        cpre: the greatest such subset of what it held."""
         while len(states):
             gone = self.remove(states)
             # a state taken out before it left cpre is taken out once
@@ -258,9 +240,7 @@ def solve(arena, env_live, sys_live):
     # outside the core the environment can force the play out of Z or into
     # a system deadlock; such states leave at once, wave by wave, not one
     # layer per sweep.
-    core = _Cpre(arena, target=np.ones(arena.n_states, dtype=bool),
-                 groups=np.arange(arena.n_groups),
-                 cnt=np.diff(arena.group_indptr))
+    core = _Cpre(arena, full=True)
     core.shrink((core.dead > 0).nonzero()[0])
     # each goal's last seed, and the nu-X layers of every round of its mu-Y
     seeds = [None] * n_goals

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import random
 import sys
+import threading
 import time as _time
 from collections import namedtuple
 from dataclasses import dataclass
@@ -160,8 +161,8 @@ class InteractivePolicy:
 
 
 def make_adversary(kind, seed=0, events=()):
-    """Policy of the given kind.  ``scripted`` is the uniform random policy:
-    ``run`` applies the `set` pins of `events` under every adversary."""
+    """Policy of the given kind.  ``scripted`` is the uniform random policy;
+    `events` is ignored, as ``run`` applies the pins under every adversary."""
     if kind in ("random", "scripted"):
         return UniformRandomPolicy(seed)
     if kind == "min-bl":
@@ -258,7 +259,8 @@ def run(strategy, adversary, max_steps, events=(), td=10.0, pace=False):
     `td` is the step length in seconds, which fills the time column and
     paces the run.  ValueError when `max_steps` is below 1, `td` is not
     positive, or `max_steps * td` is not finite, since the time column
-    would then hold `inf` or `nan`.
+    would then hold `inf` or `nan`, and when a paced `td` is longer than
+    the longest sleep (`threading.TIMEOUT_MAX`).
     """
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
@@ -267,6 +269,9 @@ def run(strategy, adversary, max_steps, events=(), td=10.0, pace=False):
     if not (max_steps <= sys.float_info.max
             and np.isfinite(max_steps * float(td))):
         raise ValueError(f"max_steps * td = {max_steps} * {td} is not finite")
+    if pace and td > threading.TIMEOUT_MAX:
+        raise ValueError(f"td = {td} is longer than the longest sleep, "
+                         f"{threading.TIMEOUT_MAX:.0f} s")
     pins = _pins(events, strategy.env_names)
     away_events = {ev.step: ev for ev in events if ev.human_away is not None}
 

@@ -19,10 +19,11 @@ type mismatch rather than a wrapped value.
 One validator serves parsed and built documents alike: ``parse_spec`` only
 builds declarations and clauses, then runs the checker that
 ``validate_document`` runs, so the printed text of an accepted document
-parses back to an equal one.  A name must be an identifier other than the
-reserved words ``true`` and ``false``, declared once, owned by env or sys,
-over a non-empty range; a ``bool`` ranges over exactly ``0..1``.  A
-document without system liveness clauses gets the goal ``true``.
+parses back to an equal one (a built one only if nested no deeper than the
+parser accepts).  A name must be an identifier other than the reserved words
+``true`` and ``false``, declared once, owned by env or sys, over a non-empty
+range; a ``bool`` ranges over exactly ``0..1``.  A document without system
+liveness clauses gets the goal ``true``.
 
 Ownership discipline: environment transition clauses may not mention
 next-step system variables, init and liveness clauses may not mention
@@ -205,9 +206,15 @@ def _lex_line(text, line_no):
 
 
 class _ExprParser:
+    # each '(', '!', '->' and '<->' nests its operand one level deeper; past
+    # MAX_NESTING levels the parse fails, so that neither it nor printing,
+    # comparing or evaluating what it returns can exhaust the stack
+    MAX_NESTING = 50
+
     def __init__(self, toks):
         self.toks = toks
         self.i = 0
+        self.depth = 0
 
     def _peek(self):
         return self.toks[self.i]
@@ -220,6 +227,16 @@ class _ExprParser:
         tok = tok or self._peek()
         raise _syntax_error(message, tok.line, tok.col, tok.text)
 
+    def _nested(self, parse):
+        """`parse` after the operator token ahead, one level deeper."""
+        self.depth += 1
+        if self.depth > self.MAX_NESTING:
+            self._fail(f"nested deeper than {self.MAX_NESTING} levels")
+        self._take()
+        e = parse()
+        self.depth -= 1
+        return e
+
     def parse(self):
         e = self._iff()
         if self._peek().kind != "END":
@@ -227,17 +244,18 @@ class _ExprParser:
         return e
 
     def _iff(self):
-        e = self._implies()
+        depth, e = self.depth, self._implies()
         while self._peek().text == "<->":
-            self._take()
-            e = Iff(e, self._implies())
+            e = Iff(e, self._nested(self._implies))
+            # a chain nests to the left, one level per link
+            self.depth += 1
+        self.depth = depth
         return e
 
     def _implies(self):
         e = self._or()
         if self._peek().text == "->":
-            self._take()
-            return Implies(e, self._implies())
+            return Implies(e, self._nested(self._implies))
         return e
 
     def _or(self):
@@ -256,8 +274,7 @@ class _ExprParser:
 
     def _unary(self):
         if self._peek().text == "!":
-            self._take()
-            return Not(self._unary())
+            return Not(self._nested(self._unary))
         return self._atom()
 
     _CMP_OPS = {"=", "!=", "<", "<=", ">", ">="}
@@ -267,8 +284,7 @@ class _ExprParser:
         if t.kind == "END":
             self._fail("expected expression")
         if t.text == "(":
-            self._take()
-            e = self._iff()
+            e = self._nested(self._iff)
             close = self._take()
             if close.text != ")":
                 self._fail("expected ')'", t if close.kind == "END" else close)
@@ -556,9 +572,9 @@ def format_expr(e):
 def print_spec(doc):
     """Render a document in canonical text form.
 
-    The output of any document that ``parse_spec`` or ``validate_document``
-    accepted parses back to a structurally equal document, and printing
-    that parse reproduces the same bytes.
+    The output of a document ``parse_spec`` accepted, or ``validate_document``
+    accepted within the parser's nesting bound, parses back to a structurally
+    equal document, and printing that parse reproduces the same bytes.
     """
     out = []
     for header, fieldname in _SECTION_FIELD.items():

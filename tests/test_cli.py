@@ -517,6 +517,14 @@ NO_OK_CSV = "step,time_s,x,human_away\n0,0,0,0\n1,10,0,0\n2,20,0,0\n"
     SIMULATE + ["--events", "{away_for_0_steps}"],
     ["simulate", "{dup_vars}", "--steps", "5"],
     ["simulate", "{ux_vars}", "--steps", "2"],
+    ["synth", "{deep_parens}"],
+    ["synth", "{deep_not}"],
+    ["synth", "{deep_implies}"],
+    ["oracle", "--spec", "{deep_parens}"],
+    CHECK[:2] + ["{deep_not}", "--mode", "closure", "--strategy", "{strat}"],
+    ["simulate", "{deep_json}", "--steps", "5"],
+    CHECK + ["closure", "--strategy", "{deep_json}"],
+    ["simulate", "{strat}", "--pace", "--td", "1e10"],
 ], ids=["safety-missing", "safety-not-csv", "safety-bad-row",
         "safety-duplicate-column",
         "recurrence-missing", "recurrence-bad-row", "goal-3", "goal-minus-1",
@@ -539,7 +547,11 @@ NO_OK_CSV = "step,time_s,x,human_away\n0,0,0,0\n1,10,0,0\n2,20,0,0\n"
         "emit-config-line-without-equals", "emit-param-without-equals",
         "misspelt-duration", "set-twice", "duration-without-away",
         "away-twice", "away-without-duration", "away-for-0-steps",
-        "strategy-repeats-var", "vars-not-a-list"])
+        "strategy-repeats-var", "vars-not-a-list", "synth-200-parentheses",
+        "synth-1000-nots", "synth-1000-implications",
+        "oracle-200-parentheses", "closure-spec-1000-nots",
+        "simulate-deep-json", "closure-deep-json",
+        "simulate-paced-past-longest-sleep"])
 def test_bad_input_exit2(workdir, tmp_path, capsys, argv):
     root, spec, strat = workdir
     files = {"missing": tmp_path / "missing.txt",
@@ -587,6 +599,16 @@ def test_bad_input_exit2(workdir, tmp_path, capsys, argv):
     # a string for `vars`, once read as its characters u and x
     files["ux_vars"] = tmp_path / "ux_vars.json"
     files["ux_vars"].write_text(json.dumps(dict(UX_STRATEGY, vars="ux")))
+    # nested past the parser's bound, and past the JSON reader's stack
+    for kind, clause in (("parens", "(" * 200 + "u" + ")" * 200),
+                         ("not", "!" * 1000 + "u"),
+                         ("implies", " -> ".join(["u"] * 1000))):
+        files[f"deep_{kind}"] = tmp_path / f"deep_{kind}.spec"
+        files[f"deep_{kind}"].write_text(
+            f"[ENV_VARS]\nu : bool\n[SYS_VARS]\nx : bool\n[SYS_TRANS]\n"
+            f"{clause}\n")
+    files["deep_json"] = tmp_path / "deep.json"
+    files["deep_json"].write_text("[" * 200_000)
     assert run_cli(["simulate", str(strat), "--steps", "5",
                     "--out", str(files["trace"])]) == 0
     files["bad_events"].write_text("at=3 set s=0\n")

@@ -643,32 +643,34 @@ def test_incremental_fixpoint_matches_plain_iteration(monkeypatch):
             for what in ("env_deadlock", "sys_deadlock", "two_goals",
                          "mu_y_again")}
     for what in ("retreat_below_bound", "deadlock_assumed",
-                 "retreat_builds_tracker", "retreat_skips_tracker"):
+                 "retreat_ends_at_first_count", "retreat_takes_2_waves"):
         seen["assumption", what] = 0
-    nu_x, mu_y = gr1._nu_x, gr1._mu_y
-    shrinking, mu_ys = [0], [0]
+    nu_x, mu_y, into = gr1._nu_x, gr1._mu_y, gr1._into
+    sizes, mu_ys = [], [0]
 
-    class CountingCpre(gr1._Cpre):
-        def __init__(self, arena, scope=None, target=None, groups=None,
-                     cnt=None):
-            shrinking[0] += target is not None
-            super().__init__(arena, scope, target, groups, cnt)
+    def counting_into(arena, groups, target):
+        # a retreat counts into its own x, which shrinks wave by wave
+        sizes.append(int(target.sum()))
+        return into(arena, groups, target)
 
     def counting_nu_x(arena, x, lower):
-        start, built = x.copy(), shrinking[0]
+        start = x.copy()
+        sizes.clear()
         out = nu_x(arena, x, lower)
         seen["assumption", "retreat_below_bound"] += bool((start & ~out).any())
         if (start & ~lower).any():
-            built = shrinking[0] - built
-            seen["assumption", "retreat_builds_tracker"] += built
-            seen["assumption", "retreat_skips_tracker"] += not built
+            seen["assumption", "retreat_ends_at_first_count"] += (
+                len(sizes) == 1 and np.array_equal(out, start))
+            # the waves that dropped states: the sizes x took, less one
+            waves = len(set(sizes) | {int(out.sum())}) - 1
+            seen["assumption", "retreat_takes_2_waves"] += waves >= 2
         return out
 
     def counting_mu_y(*args):
         mu_ys[0] += 1
         return mu_y(*args)
 
-    monkeypatch.setattr(gr1, "_Cpre", CountingCpre)
+    monkeypatch.setattr(gr1, "_into", counting_into)
     monkeypatch.setattr(gr1, "_nu_x", counting_nu_x)
     monkeypatch.setattr(gr1, "_mu_y", counting_mu_y)
     for seed in range(600):
@@ -693,17 +695,10 @@ def test_incremental_fixpoint_matches_plain_iteration(monkeypatch):
     # both sides, two goals, and games where a Z handed on cuts the safety
     # core, so that a goal whose seed changed solves its mu-Y again; some
     # nu-X retreats below its one-step bound, so that the retreat itself is
-    # compared; retreats with undecided states both skip the shrinking
-    # tracker (nothing leaves) and build one; and some assumption game has
-    # an env deadlock outside every nu-X disjunct
+    # compared; retreats with undecided states both end at their first
+    # count (nothing leaves) and drop states over two waves or more; and
+    # some assumption game has an env deadlock outside every nu-X disjunct
     assert all(seen.values()), seen
-
-
-def _scopes(a, rng):
-    """Every state, then a random scope, as (kind, state indices)."""
-    return (("full", np.arange(a.n_states)),
-            ("random", rng.choice(a.n_states, rng.integers(1, a.n_states + 1),
-                                  replace=False)))
 
 
 def cpre_arenas():
@@ -713,114 +708,108 @@ def cpre_arenas():
 
 
 def test_shrinking_cpre_matches_dense():
-    steps = {"full": 0, "random": 0}
-    moved = dict(steps)
-    seen = {"idle": 0, "idle_hit": 0}
+    steps = moved = 0
     for seed, a in enumerate(cpre_arenas()):
         rng = np.random.default_rng(seed)
         indptr, succ = pair_edges(a)
-        for kind, scope in _scopes(a, rng):
-            inside = np.zeros(a.n_states, dtype=bool)
-            inside[scope] = True
-            # the full scope starts from every state, as cpre(Z) does; the
-            # random one from a random target, as a nu-X retreat does
-            target = (np.ones(a.n_states, dtype=bool) if kind == "full"
-                      else rng.random(a.n_states) < 0.7)
-            # the groups of the scope's pairs, with repeats, as a nu-X
-            # retreat hands them
-            groups = a.pair_group[ar._gather(a.env_indptr, scope)]
-            cnt = gr1._into(a, groups, target)
-            # with no scope the tracker starts from the counts of every
-            # group and is defined on every state
+        # the tracker starts from every state, as cpre(Z) does
+        cpre = gr1._Cpre(a, full=True)
+        target = np.ones(a.n_states, dtype=bool)
+        want = dense_cpre(a, target)
+        while True:
+            assert np.array_equal(cpre.target, target), seed
+            assert np.array_equal(cpre.dead == 0, want), seed
             every = gr1._into(a, np.arange(a.n_groups), target)
-            # counted through its group, each pair counts its own edges
+            # counted through its group, each pair counts its own edges,
+            # and a shrinking tracker's group counts are exact
             assert np.array_equal(every[a.pair_group], [
                 target[succ[lo:hi]].sum() for lo, hi in
-                zip(indptr[:-1], indptr[1:])])
-            if kind == "full":
-                # under a full target they are the group degrees, which the
-                # cpre(Z) tracker of solve starts from
-                assert np.array_equal(every, np.diff(a.group_indptr))
-            trackers = [
-                (gr1._Cpre(a, scope, target.copy(), groups, cnt), inside),
-                (gr1._Cpre(a, target=target.copy(),
-                           groups=np.arange(a.n_groups), cnt=every),
-                 np.ones(a.n_states, dtype=bool))]
-            # the groups without a pair in the scope: their counts start at
-            # 0 and only go down, so they never fan out
-            idle = np.ones(a.n_groups, dtype=bool)
-            idle[groups] = False
-            seen["idle"] += bool(idle.any())
-            want = dense_cpre(a, target)
-            while True:
-                for cpre, on in trackers:
-                    assert np.array_equal(cpre.target, target), seed
-                    assert np.array_equal((cpre.dead == 0)[on], want[on]), seed
-                    # no state outside the scope is ever marked
-                    assert not cpre.dead[~on].any(), seed
-                assert (trackers[0][0].cnt[idle] <= 0).all(), seed
-                seen["idle_hit"] += bool((trackers[0][0].cnt[idle] < 0).any())
-                if not target.any():
-                    break
-                # drop at least one and at most half of the remaining states
-                kept = np.flatnonzero(target)
-                gone = rng.choice(kept, rng.integers(1, (len(kept) + 3) // 2),
-                                  replace=False)
-                target = target.copy()
-                target[gone] = False
-                lefts = [cpre.remove(gone) for cpre, _ in trackers]
-                before, want = want, dense_cpre(a, target)
-                for left, (_, on) in zip(lefts, trackers):
-                    assert np.array_equal(
-                        left, np.flatnonzero(before & ~want & on)), seed
-                steps[kind] += 1
-                moved[kind] += len(lefts[0]) > 0
-            for cpre, _ in trackers:
-                with pytest.raises(AssertionError, match="must shrink"):
-                    cpre.add(np.arange(1))
+                zip(indptr[:-1], indptr[1:])]), seed
+            assert np.array_equal(cpre.cnt, every), seed
+            if not target.any():
+                break
+            # drop at least one and at most half of the remaining states
+            kept = np.flatnonzero(target)
+            gone = rng.choice(kept, rng.integers(1, (len(kept) + 3) // 2),
+                              replace=False)
+            target = target.copy()
+            target[gone] = False
+            left = cpre.remove(gone)
+            before, want = want, dense_cpre(a, target)
+            assert np.array_equal(left, np.flatnonzero(before & ~want)), seed
+            steps += 1
+            moved += len(left) > 0
+        with pytest.raises(AssertionError, match="must shrink"):
+            cpre.add(np.arange(1))
     # chains of several steps, not just all-then-nothing, and returns that
-    # are not all empty; random scopes that leave groups out, and removals
-    # that hit them
-    assert min(steps.values()) >= 3 * 60 and min(moved.values()), (steps,
-                                                                    moved)
-    assert all(seen.values()), seen
+    # are not all empty
+    assert steps >= 3 * 80 and moved, (steps, moved)
 
 
 def test_growing_cpre_matches_dense():
-    steps = {"full": 0, "random": 0}
-    moved = dict(steps)
+    steps = moved = 0
     for seed, a in enumerate(cpre_arenas()):
         rng = np.random.default_rng(seed)
-        for kind, scope in _scopes(a, rng):
-            inside = np.zeros(a.n_states, dtype=bool)
-            inside[scope] = True
-            cpre = gr1._Cpre(a, scope=None if kind == "full" else scope)
-            target = np.zeros(a.n_states, dtype=bool)
-            want = dense_cpre(a, target)
-            while True:
-                assert np.array_equal(cpre.target, target), seed
-                assert np.array_equal((cpre.dead == 0)[inside],
-                                      want[inside]), seed
-                if target.all():
-                    break
-                # add at least one and at most half of the missing states
-                missing = np.flatnonzero(~target)
-                added = rng.choice(missing, rng.integers(
-                    1, (len(missing) + 3) // 2), replace=False)
-                target = target.copy()
-                target[added] = True
-                entered = cpre.add(added)
-                before, want = want, dense_cpre(a, target)
-                assert np.array_equal(
-                    entered, np.flatnonzero(want & ~before & inside)), seed
-                steps[kind] += 1
-                moved[kind] += len(entered) > 0
-            with pytest.raises(AssertionError, match="must grow"):
-                cpre.remove(np.arange(1))
+        cpre = gr1._Cpre(a)
+        target = np.zeros(a.n_states, dtype=bool)
+        want = dense_cpre(a, target)
+        while True:
+            assert np.array_equal(cpre.target, target), seed
+            assert np.array_equal(cpre.dead == 0, want), seed
+            if target.all():
+                break
+            # add at least one and at most half of the missing states
+            missing = np.flatnonzero(~target)
+            added = rng.choice(missing, rng.integers(
+                1, (len(missing) + 3) // 2), replace=False)
+            target = target.copy()
+            target[added] = True
+            entered = cpre.add(added)
+            before, want = want, dense_cpre(a, target)
+            assert np.array_equal(entered, np.flatnonzero(want & ~before)), seed
+            steps += 1
+            moved += len(entered) > 0
+        with pytest.raises(AssertionError, match="must grow"):
+            cpre.remove(np.arange(1))
     # chains of several steps, not just nothing-then-all, and returns that
     # are not all empty
-    assert min(steps.values()) >= 3 * 60 and min(moved.values()), (steps,
-                                                                    moved)
+    assert steps >= 3 * 80 and moved, (steps, moved)
+
+
+def dense_gfp(arena, x, lower):
+    """nu X. lower | (x & cpre(X)) by plain iteration down from `x`, and
+    the number of waves that dropped states."""
+    X, waves = x, 0
+    while not np.array_equal(X, shrunk := lower | (x & dense_cpre(arena, X))):
+        X, waves = shrunk, waves + 1
+    return X, waves
+
+
+def test_nu_x_matches_dense_gfp():
+    seen = dict.fromkeys(("first_count", "one_wave", "waves2", "env_deadlock",
+                          "sys_deadlock"), 0)
+    for seed, a in enumerate(cpre_arenas()):
+        rng = np.random.default_rng(seed)
+        env_dead = np.diff(a.env_indptr) == 0
+        # a state with a pair without sys edges is in no cpre
+        sys_dead = ~dense_cpre(a, np.ones(a.n_states, dtype=bool))
+        for _ in range(10):
+            x = rng.random(a.n_states) < rng.uniform(0.3, 1)
+            lower = x & (rng.random(a.n_states) < rng.uniform(0, 0.5))
+            want, waves = dense_gfp(a, x, lower)
+            got = x.copy()
+            assert gr1._nu_x(a, got, lower) is got
+            assert np.array_equal(got, want), seed
+            undecided = x & ~lower
+            if undecided.any():
+                seen["first_count"] += waves == 0
+                seen["one_wave"] += waves == 1
+                seen["waves2"] += waves >= 2
+                seen["env_deadlock"] += bool((undecided & env_dead).any())
+                seen["sys_deadlock"] += bool((undecided & sys_dead).any())
+    # not vacuous: retreats that drop nothing, that drop states in one wave
+    # and over two or more, and undecided states deadlocked on either side
+    assert all(seen.values()), seen
 
 
 def test_incremental_fixpoint_matches_plain_on_reduced_scenario(
@@ -849,10 +838,9 @@ def test_goals_read_the_safety_core(monkeypatch, reduced_arena,
     mu_y = gr1._mu_y
 
     class RecordingCpre(gr1._Cpre):
-        def __init__(self, arena, scope=None, target=None, groups=None,
-                     cnt=None):
-            super().__init__(arena, scope, target, groups, cnt)
-            if scope is None and target is not None:
+        def __init__(self, arena, full=False):
+            super().__init__(arena, full)
+            if full:
                 trackers.append(self)
                 targets.append([])
 

@@ -163,8 +163,7 @@ def test_set_event_names_env_variable(strategy_for):
         events = sim.parse_events(f"step=50 set {var}=1")
         for kind in ("scripted", "min-bl"):
             with pytest.raises(ValueError, match=repr(var)):
-                sim.run(st, sim.make_adversary(kind, events=events), 5,
-                        events=events)
+                sim.run(st, sim.make_adversary(kind), 5, events=events)
 
 
 def test_step0_pin_under_every_adversary(reduced_arena, reduced_result):
@@ -281,8 +280,7 @@ def test_reduced_trace_bytes(reduced_strategy, reduced_doc):
     events = sim.parse_events("step=5 set s=1\nstep=9 human_away=1 duration=4")
     for (kind, seed), want in REDUCED_TRACE_SHA256.items():
         ev = events if kind == "scripted" else ()
-        tr = sim.run(reduced_strategy,
-                     sim.make_adversary(kind, seed=seed, events=ev), 40,
+        tr = sim.run(reduced_strategy, sim.make_adversary(kind, seed=seed), 40,
                      events=ev)
         buf = io.StringIO()
         sim.write_csv(tr, buf)
@@ -456,3 +454,21 @@ def test_pacing_sleeps_per_step(strategy_for):
     t0 = time.perf_counter()
     sim.run(st, sim.make_adversary("random", seed=0), 3, td=0.02, pace=True)
     assert time.perf_counter() - t0 >= 0.06
+
+
+def test_paced_step_past_the_longest_sleep_is_refused(strategy_for,
+                                                      monkeypatch):
+    import threading
+    st, slept = strategy_for(12), []
+    # record the sleeps instead of sleeping
+    monkeypatch.setattr(sim._time, "sleep", slept.append)
+    longest = threading.TIMEOUT_MAX
+    for td in (1e10, longest * 2):
+        with pytest.raises(ValueError, match="longest sleep"):
+            sim.run(st, sim.make_adversary("random"), 3, td=td, pace=True)
+    assert slept == []
+    # the longest sleep itself paces, and an unpaced run takes any length
+    sim.run(st, sim.make_adversary("random"), 2, td=longest, pace=True)
+    assert slept == [longest, longest]
+    tr = sim.run(st, sim.make_adversary("random"), 2, td=1e10)
+    assert tr.time_s.tolist() == [0, 1e10, 2e10]

@@ -326,6 +326,55 @@ def test_fuzz_never_panics():
         assert parse_spec(text) == doc and print_spec(parse_spec(text)) == text
 
 
+DEEP = sl._ExprParser.MAX_NESTING
+
+
+def deep_clauses(n):
+    """Clauses over `u` nested `n` levels deep, by kind of nesting."""
+    return {"parens": "(" * n + "u" + ")" * n, "not": "!" * n + "u",
+            "implies": " -> ".join(["u"] * (n + 1)),
+            "iff": " <-> ".join(["u"] * (n + 1))}
+
+
+# where each kind first goes past the bound: the '(' or '!' at column
+# DEEP + 1, the (DEEP + 1)-th '->' or '<->'
+PAST_BOUND = {"parens": (DEEP + 1, "("), "not": (DEEP + 1, "!"),
+              "implies": (5 * DEEP + 3, "->"), "iff": (6 * DEEP + 3, "<->")}
+
+
+@pytest.mark.parametrize("kind, n", [(k, n) for k in sorted(PAST_BOUND)
+                                     for n in (DEEP + 1, 1000, 100_000)])
+def test_deep_nesting_is_a_positioned_syntax_error(kind, n):
+    # far past the bound too: the recursive descent used to run out of
+    # stack near 170 parentheses or 990 '!' or '->'
+    text = f"[ENV_VARS]\nu : bool\n[SYS_TRANS]\n{deep_clauses(n)[kind]}\n"
+    with pytest.raises(SpecError) as exc:
+        parse_spec(text)
+    col, tok = PAST_BOUND[kind]
+    assert [(d.kind, d.line, d.column, d.token)
+            for d in exc.value.diagnostics] \
+        == [("SyntaxError", 4, col, tok)]
+    assert "nested deeper than" in exc.value.diagnostics[0].message
+
+
+def test_deepest_clauses_print_compare_and_evaluate():
+    # at the bound, the deepest expression trees: an '|' and an '&' inside
+    # every parenthesis, with and without a '!' before it, and each kind
+    # of nesting alone
+    chains = ["u", "u"]
+    for _ in range(DEEP):
+        chains[0] = f"(u | u & {chains[0]})"
+    for _ in range(DEEP // 2):
+        chains[1] = f"!(u | u & {chains[1]})"
+    for text in chains + list(deep_clauses(DEEP).values()):
+        e = parse_expr(text)
+        again = parse_expr(format_expr(e))
+        assert again == e and hash(again) == hash(e)
+        assert format_expr(again) == format_expr(e)
+        assert copy.deepcopy(e) == pickle.loads(pickle.dumps(e)) == e
+        assert eval_expr(e, {"u": np.array([0, 1])}).shape == (2,)
+
+
 def test_expression_precedence():
     e = parse_expr("a -> b -> c")
     assert isinstance(e, sl.Implies) and isinstance(e.rhs, sl.Implies)
