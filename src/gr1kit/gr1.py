@@ -9,24 +9,22 @@ over the controllable-predecessor operator ``cpre``: states from which, for
 every legal environment commitment, some system response lands in the target
 (environment deadlocks count as controllable, system deadlocks never do).
 
-Every cpre but the nu-X retreats' is kept by one edge counter, `_Cpre`, over
-a target that only grows or only shrinks, so a state crossing it costs its
-in-edges once (the linear-time attractor of Grädel, Thomas and Wilke (eds.),
-*Automata, Logics, and Infinite Games*, LNCS 2500, ch. 2).  It counts per
-move group, not per pair: the pairs of a group share its edges, so a group's
-count stands for each of them.  Its in-edge index is built once per arena
-(`GameArena.in_edges`).  Growing ones, built per mu-Y, give cpre(Y) and,
-with liveness assumptions, the bound each nu-X retreats from.  A nu-X
-retreat recounts the edges of its undecided states wave by wave, as most
-drop nothing and the rest few states.  The one shrinking tracker gives
-cpre(Z), as every Z handed to a goal lies inside the one before it.  It
-spans every state and keeps its target at the safety core of Z, nu C. Z &
-cpre(C), cut wave by wave before each goal reads its seed g & cpre(core):
-the states from which the environment can force a system deadlock leave
-before the first sweep, not one layer per sweep at the price of a whole mu-Y
-per goal (the Büchi-game loop of Chatterjee, Henzinger and Piterman,
-*Algorithms for Büchi games*, GDV 2006).  The winning region W lies in every
-Z and in cpre(W), so in every core, and no output changes (see `solve`).
+Each mu-Y keeps cpre(Y), and with liveness assumptions the bound each nu-X
+retreats from, by a growing edge counter, `_Cpre`: a state entering the
+target costs its in-edges once (the linear-time attractor of Grädel, Thomas
+and Wilke (eds.), *Automata, Logics, and Infinite Games*, LNCS 2500, ch. 2).
+It counts per move group, not per pair, as the pairs of a group share its
+edges, over an in-edge index built once per arena (`GameArena.in_edges`).
+A nu-X retreat recounts the edges of its undecided states wave by wave, as
+most drop nothing and the rest few states.  `solve` keeps the safety core
+of Z, nu C. Z & cpre(C), as a state mask and each group's edges into it.
+`_shrink` cuts it wave by wave, one decrement per in-edge, before each goal
+reads its seed g & core: the states from which the environment can force a
+system deadlock leave before the first sweep, not one layer per sweep at
+the price of a whole mu-Y per goal (the Büchi-game loop of Chatterjee,
+Henzinger and Piterman, *Algorithms for Büchi games*, GDV 2006).  The core
+is its own cpre and holds the winning region, so no output changes (see
+`solve`).
 One mu-Y kernel, `_mu_y`, serves every game: its round 0 is the seed and its
 nu-X layers, and the env deadlocks (cpre of the empty set) join the base
 after it, for the same least fixpoint.  A goal whose seed did not change
@@ -111,40 +109,26 @@ def _nu_x(arena, x, lower):
 
 
 class _Cpre:
-    """cpre of a target that only grows or only shrinks, by edge counters.
+    """cpre of a growing target, by edge counters.
 
-    Each move group counts its sys edges into the target (`cnt`), shared
-    by every pair in it, and each state its pairs whose group is at 0
-    (`dead`): cpre is ``dead == 0``.  A growing tracker starts from an
-    empty target, every state from its env degree; a `full` one shrinks a
-    target of every state, every group from its degree.  `add` and
-    `remove` move states across at the cost of their in-edges
-    (`GameArena.in_edges`), and a group crossing 0 fans out to the states
-    of its pairs, so a tracker costs O(group edges + pairs) in all; they
-    return the states entering or leaving cpre, each once.  A counter need
-    be exact only where it counts down to 0: growing, `cnt` is a flag per
-    group; shrinking, `dead` saturates.  So a growing tracker's counters
-    are a function of its target alone, not of the order it grew in.
+    Each move group flags a sys edge into the target (`cnt`), shared by
+    every pair in it, and each state counts its pairs whose group has none
+    (`dead`, from its env degree): cpre is ``dead == 0``.  `add` moves states
+    in at the cost of their in-edges (`GameArena.in_edges`), and a group's
+    first edge fans out to the states of its pairs, so a tracker costs
+    O(group edges + pairs) in all, and its counters are a function of its
+    target alone, not of the order it grew in.
     """
 
-    def __init__(self, arena, full=False):
-        self.grows = not full
+    def __init__(self, arena):
         (self.in_indptr, self.in_group,
          self.member_indptr, self.member) = arena.in_edges
-        self.target = np.full(arena.n_states, full)
-        if self.grows:
-            self.cnt = np.zeros(arena.n_groups, dtype=bool)
-            self.dead = np.diff(arena.env_indptr).astype(np.int32)
-            return
-        self.cnt = np.diff(arena.group_indptr)
-        self.dead = np.zeros(arena.n_states, dtype=np.int32)
-        # the states with a pair in a group without edges
-        zero = (self.cnt == 0).nonzero()[0]
-        self.dead[self.member[ar._gather(self.member_indptr, zero)]] = 1
+        self.target = np.zeros(arena.n_states, dtype=bool)
+        self.cnt = np.zeros(arena.n_groups, dtype=bool)
+        self.dead = np.diff(arena.env_indptr).astype(np.int32)
 
     def add(self, states):
         """Put `states` in the target; returns the states entering cpre."""
-        assert self.grows, "cpre targets must shrink"
         if not len(states):
             return states
         self.target[states] = True
@@ -161,30 +145,29 @@ class _Cpre:
         entered.sort()
         return _distinct(entered)
 
-    def remove(self, states):
-        """Take `states` out of the target; returns the states leaving cpre."""
-        assert not self.grows, "cpre targets must grow"
-        self.target[states] = False
-        hit = self.in_group[ar._gather(self.in_indptr, states)]
-        np.subtract.at(self.cnt, hit, 1)
-        zero = hit[self.cnt[hit] == 0]
-        if not len(zero):
-            return zero
-        zero.sort()
-        owners = self.member[ar._gather(self.member_indptr, _distinct(zero))]
-        gone = owners[self.dead[owners] == 0]
-        self.dead[owners] = 1
-        gone.sort()
-        return _distinct(gone)
 
-    def shrink(self, states):
-        """Take `states` out of the target, then, wave by wave, every
-        state of the target that leaves cpre, until the target lies in its
-        cpre: the greatest such subset of what it held."""
-        while len(states):
-            gone = self.remove(states)
-            # a state taken out before it left cpre is taken out once
-            states = gone[self.target[gone]]
+def _shrink(arena, core, cnt, gone):
+    """Take the distinct states `gone` out of the state mask `core`, then,
+    wave by wave, every state left in it that owns a group at 0 in `cnt`.
+
+    `cnt` holds each move group's sys edges into the old core, `core` with
+    `gone`.  A state taken out decrements the group of each of its in-edges,
+    so the counts stay exact and a core reads each in-edge once in all.  If
+    `gone` holds every state of the old core outside its cpre, `core` ends
+    as the greatest subset of the old core less `gone` in its own cpre.
+    """
+    in_indptr, in_group, member_indptr, member = arena.in_edges
+    while len(gone):
+        core[gone] = False
+        hit = in_group[ar._gather(in_indptr, gone)]
+        np.subtract.at(cnt, hit, 1)
+        # a group at 0 is hit once per edge into `gone`
+        zero = hit[cnt[hit] == 0]
+        zero.sort()
+        owners = member[ar._gather(member_indptr, _distinct(zero))]
+        gone = owners[core[owners]]
+        gone.sort()
+        gone = _distinct(gone)
 
 
 def _distinct(idx):
@@ -215,33 +198,38 @@ def solve(arena, env_live, sys_live):
     the single trivially-true assumption.  Deterministic across runs.
     """
     assumptions, goals = _normalize(arena, env_live, sys_live)
-    arena.in_edges      # the peak of a solve: build it before any pair array
+    # the peak of a solve: build the in-edge index before any pair array
+    member_indptr, member = arena.in_edges[2:]
     # an assumption true everywhere has an empty nu-X disjunct
     falsifiable = [(i, ~a) for i, a in enumerate(assumptions) if not a.all()]
     n_goals = len(goals)
     Z = np.ones(arena.n_states, dtype=bool)
     y_rank = np.full((n_goals, arena.n_states), INF_RANK, dtype=np.int32)
     # Every Z handed to a goal lies inside the one before it, so one
-    # shrinking cpre serves them all.  A Z handed on is a fixpoint
+    # shrinking core serves them all.  A Z handed on is a fixpoint
     # Y = B_j(Y) of the previous goal's mu-Y step B_j, with B(Y) = seed |
     # cpre(Y) | OR_i nu X. (seed | cpre(Y) | (~a_i & cpre(X))).  So
     # cpre(Y) <= Y, the next seed lies in g & cpre(Y), so in cpre(Y), hence
     # B_{j+1}(Y) <= B_j(Y) = Y, and the least fixpoint of B_{j+1} lies in Y.
     #
-    # The tracker's target is not Z itself but its safety core C(Z), the
-    # greatest C = Z & cpre(C), and each seed is g & cpre(C(Z)), inside
-    # g & cpre(Z): a Z that a whole round leaves unchanged then lies in
-    # every goal's mu-Y on the seed g & cpre(Z), so in the greatest
-    # fixpoint of the module docstring, the winning region W.  And W lies
-    # in cpre(W), so W = C(W) lies in C(Z) whenever it lies in Z: every
-    # seed holds g & cpre(W) and every Z holds W.  So the loop ends at W,
-    # where C(W) = W: each goal's last seed is g & cpre(W), as with seeds
-    # g & cpre(Z), and so are its ranks and nu-X layers.  From a state
-    # outside the core the environment can force the play out of Z or into
-    # a system deadlock; such states leave at once, wave by wave, not one
-    # layer per sweep.
-    core = _Cpre(arena, full=True)
-    core.shrink((core.dead > 0).nonzero()[0])
+    # Each seed is g & C(Z), where C(Z), the safety core of Z, is the
+    # greatest C = Z & cpre(C).  C(Z) = cpre(C(Z)): Z holds its own cpre
+    # (it is every state or a mu-Y fixpoint, which holds cpre(Y)), so
+    # cpre(C(Z)) <= cpre(Z) <= Z.  So each seed is g & cpre(C(Z)), inside
+    # g & cpre(Z): a Z that a whole round leaves unchanged lies in every
+    # goal's mu-Y on the seed g & cpre(Z), so in the greatest fixpoint of
+    # the module docstring, the winning region W.  And W lies in cpre(W),
+    # so W = C(W) lies in C(Z) whenever it lies in Z: every seed holds
+    # g & cpre(W) and every Z holds W.  So the loop ends at W = C(W), and
+    # each goal's last seed is g & cpre(W), as with seeds g & cpre(Z), and
+    # so are its ranks and nu-X layers.  From a state outside the core the
+    # environment can force the play out of Z or into a system deadlock;
+    # such states leave at once, wave by wave, not one layer per sweep,
+    # first the owners of a group without edges, outside cpre(every state).
+    core = np.ones(arena.n_states, dtype=bool)
+    cnt = np.diff(arena.group_indptr)
+    core[member[ar._gather(member_indptr, (cnt == 0).nonzero()[0])]] = False
+    _shrink(arena, core, cnt, (~core).nonzero()[0])
     # each goal's last seed, and the nu-X layers of every round of its mu-Y
     seeds = [None] * n_goals
     x_layers = [None] * n_goals
@@ -250,8 +238,8 @@ def solve(arena, env_live, sys_live):
         z_before = Z
         for j, g in enumerate(goals):
             # on bools, a > b is a & ~b in one call
-            core.shrink((core.target > Z).nonzero()[0])
-            seed = g & (core.dead == 0)
+            _shrink(arena, core, cnt, (core > Z).nonzero()[0])
+            seed = g & core
             # a mu-Y is a function of its seed alone
             if not np.array_equal(seed, seeds[j]):
                 seeds[j] = seed

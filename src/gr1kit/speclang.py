@@ -19,11 +19,10 @@ type mismatch rather than a wrapped value.
 One validator serves parsed and built documents alike: ``parse_spec`` only
 builds declarations and clauses, then runs the checker that
 ``validate_document`` runs, so the printed text of an accepted document
-parses back to an equal one (a built one only if nested no deeper than the
-parser accepts).  A name must be an identifier other than the reserved words
-``true`` and ``false``, declared once, owned by env or sys, over a non-empty
-range; a ``bool`` ranges over exactly ``0..1``.  A document without system
-liveness clauses gets the goal ``true``.
+parses back to an equal one.  A name must be an identifier other than the
+reserved words ``true`` and ``false``, declared once, owned by env or sys,
+over a non-empty range; a ``bool`` ranges over exactly ``0..1``.  A document
+without system liveness clauses gets the goal ``true``.
 
 Ownership discipline: environment transition clauses may not mention
 next-step system variables, init and liveness clauses may not mention
@@ -208,7 +207,8 @@ def _lex_line(text, line_no):
 class _ExprParser:
     # each '(', '!', '->' and '<->' nests its operand one level deeper; past
     # MAX_NESTING levels the parse fails, so that neither it nor printing,
-    # comparing or evaluating what it returns can exhaust the stack
+    # comparing or evaluating what it returns can exhaust the stack, and
+    # `_check` bounds the printed form of every clause the same way
     MAX_NESTING = 50
 
     def __init__(self, toks):
@@ -470,6 +470,10 @@ def _check(doc, lines):
         unprimed = not fieldname.endswith("_safety")     # init and liveness
         for expr, line in zip(getattr(doc, fieldname),
                               lines.get(fieldname, repeat(0))):
+            if _nesting(expr) > _ExprParser.MAX_NESTING:
+                report(Diagnostic.SYNTAX, "nested deeper than "
+                       f"{_ExprParser.MAX_NESTING} levels when printed",
+                       line, "")
             for name, primed, term in _walk_refs(expr):
                 d = decls.get(name)
                 if term is not None and (d is not None or name is None):
@@ -569,12 +573,37 @@ def format_expr(e):
     return _fmt(e, 0)
 
 
+def _nesting(expr):
+    """The depth the parser reaches on the text `_fmt` prints for `expr`:
+    one level per '(' it writes, per '!' and per right side of a '->' or
+    '<->' link; by an explicit stack, at any depth."""
+    deepest, stack = 0, [(expr, 0, 0)]
+    while stack:
+        e, level, required = stack.pop()
+        t = type(e)
+        prec = _PREC.get(t)
+        if prec is None:                # an atom, printed bare and deepest
+            if level > deepest:
+                deepest = level
+            continue
+        level += prec < required       # `_fmt` parenthesizes it
+        if t is Not:
+            # '!(' before a comparison
+            stack.append((e.arg, level + 1 + (type(e.arg) is Cmp), prec))
+        elif t is And or t is Or:
+            stack += [(a, level, prec + 1) for a in e.args]
+        else:
+            stack += [(e.lhs, level, prec + 1),
+                      (e.rhs, level + 1, prec + (t is Iff))]
+    return deepest
+
+
 def print_spec(doc):
     """Render a document in canonical text form.
 
-    The output of a document ``parse_spec`` accepted, or ``validate_document``
-    accepted within the parser's nesting bound, parses back to a structurally
-    equal document, and printing that parse reproduces the same bytes.
+    The output of a document ``parse_spec`` or ``validate_document``
+    accepted parses back to a structurally equal document, and printing that
+    parse reproduces the same bytes.
     """
     out = []
     for header, fieldname in _SECTION_FIELD.items():

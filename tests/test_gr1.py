@@ -707,43 +707,58 @@ def cpre_arenas():
     return [ar.random_arena(seed)[0] for seed in range(60)] + grouped_arenas(20)
 
 
-def test_shrinking_cpre_matches_dense():
-    steps = moved = 0
+def dense_core(arena, z=None):
+    """nu C. z & cpre(C) by plain iteration down from `z` (every state by
+    default), and the number of waves that dropped states."""
+    Z = np.ones(arena.n_states, dtype=bool) if z is None else z
+    waves = 0
+    while not np.array_equal(Z, shrunk := Z & dense_cpre(arena, Z)):
+        Z, waves = shrunk, waves + 1
+    return Z, waves
+
+
+def test_shrink_matches_dense_core():
+    seen = dict.fromkeys(("steps", "one_wave", "waves2", "group_hit_twice"), 0)
     for seed, a in enumerate(cpre_arenas()):
         rng = np.random.default_rng(seed)
         indptr, succ = pair_edges(a)
-        # the tracker starts from every state, as cpre(Z) does
-        cpre = gr1._Cpre(a, full=True)
-        target = np.ones(a.n_states, dtype=bool)
-        want = dense_cpre(a, target)
+        every = np.arange(a.n_groups)
+        # the core of solve: every state, each group's degree as its count,
+        # cut by the owners of the groups without edges
+        core = np.ones(a.n_states, dtype=bool)
+        cnt = np.diff(a.group_indptr)
+        _, _, member_indptr, member = a.in_edges
+        owners = member[ar._gather(member_indptr, (cnt == 0).nonzero()[0])]
+        gr1._shrink(a, core, cnt, np.unique(owners))
+        want, _ = dense_core(a)
         while True:
-            assert np.array_equal(cpre.target, target), seed
-            assert np.array_equal(cpre.dead == 0, want), seed
-            every = gr1._into(a, np.arange(a.n_groups), target)
-            # counted through its group, each pair counts its own edges,
-            # and a shrinking tracker's group counts are exact
-            assert np.array_equal(every[a.pair_group], [
-                target[succ[lo:hi]].sum() for lo, hi in
+            assert np.array_equal(core, want), seed
+            # the counts stay exact, and counted through its group, each
+            # pair counts its own edges
+            assert np.array_equal(cnt, gr1._into(a, every, core)), seed
+            assert np.array_equal(cnt[a.pair_group], [
+                core[succ[lo:hi]].sum() for lo, hi in
                 zip(indptr[:-1], indptr[1:])]), seed
-            assert np.array_equal(cpre.cnt, every), seed
-            if not target.any():
+            if not core.any():
                 break
-            # drop at least one and at most half of the remaining states
-            kept = np.flatnonzero(target)
+            # take out at least one and at most half of the core
+            kept = np.flatnonzero(core)
             gone = rng.choice(kept, rng.integers(1, (len(kept) + 3) // 2),
                               replace=False)
-            target = target.copy()
-            target[gone] = False
-            left = cpre.remove(gone)
-            before, want = want, dense_cpre(a, target)
-            assert np.array_equal(left, np.flatnonzero(before & ~want)), seed
-            steps += 1
-            moved += len(left) > 0
-        with pytest.raises(AssertionError, match="must shrink"):
-            cpre.add(np.arange(1))
-    # chains of several steps, not just all-then-nothing, and returns that
-    # are not all empty
-    assert steps >= 3 * 80 and moved, (steps, moved)
+            left = core.copy()
+            left[gone] = False
+            want, waves = dense_core(a, left)
+            # a group with two edges into the states taken out at once
+            seen["group_hit_twice"] += bool(
+                (gr1._into(a, every, core & ~left) >= 2).any())
+            gr1._shrink(a, core, cnt, gone)
+            seen["steps"] += 1
+            seen["one_wave"] += waves == 1
+            seen["waves2"] += waves >= 2
+    # chains of several steps, not just all-then-nothing, cuts that
+    # cascade over one wave and over two or more, and groups counting down
+    # by more than one edge in a wave
+    assert seen["steps"] >= 2 * 80 and all(seen.values()), seen
 
 
 def test_growing_cpre_matches_dense():
@@ -769,8 +784,6 @@ def test_growing_cpre_matches_dense():
             assert np.array_equal(entered, np.flatnonzero(want & ~before)), seed
             steps += 1
             moved += len(entered) > 0
-        with pytest.raises(AssertionError, match="must grow"):
-            cpre.remove(np.arange(1))
     # chains of several steps, not just nothing-then-all, and returns that
     # are not all empty
     assert steps >= 3 * 80 and moved, (steps, moved)
@@ -820,35 +833,23 @@ def test_incremental_fixpoint_matches_plain_on_reduced_scenario(
                              reduced_doc.sys_liveness)
 
 
-def dense_core(arena):
-    """nu Z. cpre(Z) by plain iteration from every state."""
-    Z = np.ones(arena.n_states, dtype=bool)
-    waves = 0
-    while not np.array_equal(Z, shrunk := Z & dense_cpre(arena, Z)):
-        Z, waves = shrunk, waves + 1
-    return Z, waves
-
-
 def test_goals_read_the_safety_core(monkeypatch, reduced_arena,
                                     reduced_doc):
-    # the cpre(Z) tracker of solve is cut to nu Z. cpre(Z) before the first
-    # goal reads its seed, and to the core of each later Z before each later
-    # goal; record its target at every mu-Y of a solve
-    trackers, targets = [], []
-    mu_y = gr1._mu_y
+    # the core of solve is cut to nu Z. cpre(Z) before the first goal reads
+    # its seed, and to the core of each later Z before each later goal;
+    # record the core every cut works on and its value at every mu-Y
+    cores, reads = [], []
+    shrink, mu_y = gr1._shrink, gr1._mu_y
 
-    class RecordingCpre(gr1._Cpre):
-        def __init__(self, arena, full=False):
-            super().__init__(arena, full)
-            if full:
-                trackers.append(self)
-                targets.append([])
+    def recording_shrink(arena, core, cnt, gone):
+        cores.append(core)
+        return shrink(arena, core, cnt, gone)
 
     def recording_mu_y(arena, seed, falsifiable):
-        targets[-1].append((trackers[-1].target.copy(), seed))
+        reads.append((cores[-1].copy(), seed))
         return mu_y(arena, seed, falsifiable)
 
-    monkeypatch.setattr(gr1, "_Cpre", RecordingCpre)
+    monkeypatch.setattr(gr1, "_shrink", recording_shrink)
     monkeypatch.setattr(gr1, "_mu_y", recording_mu_y)
     games = [ar.random_arena(seed) for seed in range(600)]
     games.append((reduced_arena, reduced_doc.env_liveness,
@@ -856,17 +857,23 @@ def test_goals_read_the_safety_core(monkeypatch, reduced_arena,
     seen = dict.fromkeys(("proper", "waves2", "env_deadlock_inside",
                           "cut_later"), 0)
     for a, env_live, sys_live in games:
+        cores.clear()
+        reads.clear()
         res = gr1.solve(a, env_live, sys_live)
-        assert len(targets) == len(trackers)
-        (core, seed), *later = targets[-1]
+        # one core per solve
+        assert cores and all(c is cores[0] for c in cores)
+        (core, seed), *later = reads
         want, waves = dense_core(a)
         assert np.array_equal(core, want)
         assert np.array_equal(seed, res.goals[0] & dense_cpre(a, want))
-        for target, _ in [(core, seed)] + later:
-            # each target lies in its own cpre, and the winning region,
-            # which lies in its own cpre too, lies in it
+        for target, _ in reads:
+            # each core lies in its own cpre, and the winning region, which
+            # lies in its own cpre too, lies in it
             assert not np.any(target & ~dense_cpre(a, target))
             assert not np.any(res.winning & ~target)
+            # and each core is its own cpre, so a seed g & core is
+            # g & cpre(core)
+            assert np.array_equal(dense_cpre(a, target), target)
             seen["cut_later"] += not np.array_equal(target, core)
         seen["proper"] += not core.all()
         seen["waves2"] += waves >= 2
@@ -883,7 +890,7 @@ def test_goals_read_the_safety_core(monkeypatch, reduced_arena,
                          ids=["none", "o1", "o1_o2", "o1_o2_stalled"])
 def test_one_mu_y_per_goal_on_the_scenario(monkeypatch, scenario, env_live):
     # on the scenario the first seed, read from the safety core, is
-    # already g & cpre(W), so each goal's mu-Y runs once
+    # already g & W, so each goal's mu-Y runs once
     from gr1kit.speclang import parse_expr
     doc, a, _ = scenario(12)
     mu_y, runs = gr1._mu_y, [0]

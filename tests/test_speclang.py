@@ -12,7 +12,7 @@ from gr1kit.errors import MissingBinding, SpecError
 from gr1kit.speclang import (eval_expr, format_expr, parse_expr, parse_spec,
                              print_spec)
 
-from genspec import random_document, reference_eval
+from genspec import random_document, random_expr, reference_eval
 
 DATA = Path(__file__).parent / "data"
 
@@ -373,6 +373,75 @@ def test_deepest_clauses_print_compare_and_evaluate():
         assert format_expr(again) == format_expr(e)
         assert copy.deepcopy(e) == pickle.loads(pickle.dumps(e)) == e
         assert eval_expr(e, {"u": np.array([0, 1])}).shape == (2,)
+
+
+def built_clause(kind, n):
+    """A clause over `u` and `k` whose printed text nests `n` levels deep."""
+    u = sl.VarRef("u", False)
+    if kind == "not_cmp":
+        # printed as !...!(k' = 1): the '(' is one level more
+        e = sl.Cmp("=", sl.IntTerm("k", True, 0), sl.IntTerm(None, False, 1))
+        n -= 1
+    else:
+        e = u
+    for _ in range(n):
+        e = {"not": sl.Not, "not_cmp": sl.Not,
+             "implies": lambda e: sl.Implies(u, e),
+             # printed as ((u <-> u) <-> u) <-> u
+             "iff": lambda e: sl.Iff(e, u)}[kind](e)
+    return e
+
+
+def nested_document(clause):
+    return sl.SpecDocument(vars=[sl.VarDecl("u", sl.ENV, 0, 1, True),
+                                 sl.VarDecl("k", sl.SYS, 0, 3, False)],
+                           sys_safety=[clause])
+
+
+@pytest.mark.parametrize("kind, n", [
+    ("not", DEEP + 1), ("not", 600), ("not", 3000), ("not_cmp", DEEP + 1),
+    ("implies", DEEP + 1), ("iff", DEEP + 1)])
+def test_built_clause_past_the_bound_is_refused(kind, n):
+    # its printed text would not parse back, or not print at all
+    with pytest.raises(SpecError) as exc:
+        sl.validate_document(nested_document(built_clause(kind, n)))
+    assert [(d.kind, d.line, d.token) for d in exc.value.diagnostics] == [
+        ("SyntaxError", 0, "")]
+    assert "nested deeper than" in exc.value.diagnostics[0].message
+    # at the bound it validates and round-trips
+    doc = sl.validate_document(nested_document(built_clause(kind, DEEP)))
+    text = print_spec(doc)
+    assert parse_spec(text) == doc and print_spec(parse_spec(text)) == text
+
+
+def test_parsed_clause_that_prints_past_the_bound_is_refused():
+    # '!' before a comparison prints as '!(...)', one level deeper
+    text = "[ENV_VARS]\nu : bool\n[SYS_VARS]\nk : 0..3\n[SYS_TRANS]\n"
+    with pytest.raises(SpecError) as exc:
+        parse_spec(text + "!" * DEEP + "k' = 1\n")
+    assert [(d.kind, d.line, d.column) for d in exc.value.diagnostics] == [
+        ("SyntaxError", 6, 1)]
+    assert "nested deeper than" in exc.value.diagnostics[0].message
+    doc = parse_spec(text + "!" * (DEEP - 1) + "k' = 1\n")
+    assert parse_spec(print_spec(doc)) == doc
+
+
+def test_nesting_is_the_depth_the_parser_reaches_on_the_printed_text():
+    rng = random.Random(5)
+    decls = [sl.VarDecl("u", sl.ENV, 0, 1, True),
+             sl.VarDecl("k", sl.SYS, 0, 3, False)]
+    depths = set()
+    for _ in range(300):
+        e = random_expr(rng, decls, allow_primed={sl.SYS}, depth=6)
+        depth = sl._nesting(e)
+        depths.add(depth)
+        # each '(' around the printed text nests all of it one level deeper
+        pad = DEEP - depth
+        parse_expr("(" * pad + format_expr(e) + ")" * pad)
+        with pytest.raises(SpecError, match="nested deeper than"):
+            parse_expr("(" * (pad + 1) + format_expr(e) + ")" * (pad + 1))
+    # not vacuous: flat clauses and clauses nested several levels deep
+    assert {0, 1, 2, 3, 4} <= depths, depths
 
 
 def test_expression_precedence():
